@@ -30,7 +30,6 @@ from .evaluation import (
 from .expand import ExpansionConfig, build_query, combo_merge, write_query_file, read_query_file
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
-    ALL_SYSTEMS,
     PipelineConfig,
     load_config,
     read_seeds_file,
@@ -38,6 +37,7 @@ from .pipeline import (
 )
 from .str_recommender import CooccurConfig, suggest_str
 from .suggestions import (
+    SYSTEMS,
     make_suggestion_set,
     read_suggestion_file,
     write_suggestion_file,
@@ -293,7 +293,7 @@ def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
 
 @cli.command("run")
 @click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--system", "systems", multiple=True, type=click.Choice(ALL_SYSTEMS))
+@click.option("--system", "systems", multiple=True, type=click.Choice(SYSTEMS))
 @click.option("--docs", type=click.Path())
 @click.option("--topics", type=click.Path())
 @click.option("--out", type=click.Path())

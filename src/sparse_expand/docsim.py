@@ -7,7 +7,10 @@ TF*IDF weight used by the index module, and
     sim(d1, d2) = |top_n(d1) & top_n(d2)| / n
 
 a set-overlap variant of the Jaccard coefficient with a fixed
-denominator. Scores are exact rationals.
+denominator. Scores are exact rationals. A seed is compared only with
+the documents that share an important word with it, found through a
+word -> documents map per n; since n is fixed, ranking by the integer
+overlap gives the same order as ranking by the score.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class SimCorpus:
         for counts in self._term_counts.values():
             self._df.update(counts.keys())
         self._important: dict[tuple[str, int], frozenset[str]] = {}
+        self._holders: dict[int, dict[str, tuple[str, ...]]] = {}
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "SimCorpus":
@@ -91,6 +95,24 @@ class SimCorpus:
         words2 = self.important_words(title2, n)
         return Fraction(len(words1 & words2), n)
 
+    def overlaps(self, title: str, n: int) -> Counter:
+        """Other documents sharing an important word with `title`, mapped
+        to the size of the shared important-word set."""
+        words = self.important_words(title, n)
+        holders = self._holders.get(n)
+        if holders is None:
+            lists: dict[str, list[str]] = {}
+            for other in self.titles:
+                for word in self.important_words(other, n):
+                    lists.setdefault(word, []).append(other)
+            holders = {word: tuple(others) for word, others in lists.items()}
+            self._holders[n] = holders
+        counts = Counter()
+        for word in words:
+            counts.update(holders[word])
+        del counts[title]
+        return counts
+
 
 def suggest_docsim(
     corpus: SimCorpus,
@@ -107,12 +129,7 @@ def suggest_docsim(
     """
     if seed_title not in corpus:
         raise SeedNotFoundError(f"seed not found: {seed_title!r}")
-    scored: list[tuple[str, Fraction]] = []
-    for title in corpus.titles:
-        if title == seed_title:
-            continue
-        score = corpus.sim(seed_title, title, n)
-        if score > 0:
-            scored.append((title, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return make_suggestion_set(topic_id, source, scored[:k])
+    ranked = sorted(corpus.overlaps(seed_title, n).items(), key=lambda pair: (-pair[1], pair[0]))
+    return make_suggestion_set(
+        topic_id, source, [(title, Fraction(overlap, n)) for title, overlap in ranked[:k]]
+    )

@@ -25,11 +25,11 @@ from .analysis import AnalyzerChain, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
 from .index import ALL_FIELD, Clause, Phrase, Query, Term
-from .suggestions import ConceptSuggestion, SuggestionSet
+from .suggestions import GENERATOR_SYSTEMS, ConceptSuggestion, SuggestionSet
 
 logger = logging.getLogger(__name__)
 
-_SYSTEM_ORDER = {name: i for i, name in enumerate(("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR"))}
+_SYSTEM_ORDER = {name: i for i, name in enumerate(GENERATOR_SYSTEMS)}
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,13 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
 
 
 def _format_boost(boost: float) -> str:
-    return "" if boost == 1 else f"^{boost:g}"
+    """`^2`-style text, or the exact repr where `:g` would lose digits."""
+    if boost == 1:
+        return ""
+    text = f"{boost:g}"
+    if float(text) != boost:
+        text = repr(boost)
+    return f"^{text}"
 
 
 def _format_clause(clause: Clause) -> str:
@@ -149,7 +155,7 @@ def serialize_query(query: Query) -> str:
 
 _FIELD_RE = re.compile(r'([^\s()"]+):\(')
 _BARE_RE = re.compile(r'[^\s()"]+')
-_BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?)")
+_BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
 
 
 def parse_query(expression: str) -> Query:

@@ -335,9 +335,17 @@ class Index:
 
     @classmethod
     def load(cls, path: str | Path) -> "Index":
+        """Read a snapshot; a malformed one raises DataError."""
         data = Path(path).read_bytes()
         if data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
             raise DataError(f"{path}: not an index snapshot")
+        try:
+            return cls._decode(data, path)
+        except (struct.error, UnicodeDecodeError, IndexError) as exc:
+            raise DataError(f"{path}: malformed index snapshot: {exc}") from None
+
+    @classmethod
+    def _decode(cls, data: bytes, path: str | Path) -> "Index":
         offset = len(SNAPSHOT_MAGIC)
 
         def take(fmt: str):
@@ -410,6 +418,10 @@ class Index:
             field_lengths[fields[fi]] = lengths
 
         all_field = take_str()
+        if offset != len(data):
+            raise DataError(
+                f"{path}: malformed index snapshot: ends at byte {offset} of {len(data)}"
+            )
         return cls(
             doc_ids=doc_ids,
             doc_langs=doc_langs,

@@ -5,9 +5,9 @@ Outputs land in `out/<lang>/<system>/{run.trec, suggestions.tsv}` plus
 root recording the config hash and tool version. All writes go through
 a temp-file rename, and identical inputs produce byte-identical outputs.
 
-`SPARSE_EXPAND_THREADS` caps per-topic parallelism inside a system;
-systems themselves run sequentially because the concept merge consumes
-the other systems' suggestion files.
+Topics run one after another in a plain loop: the work is CPU-bound
+Python, which threads only slow down. Systems run sequentially because
+the concept merge consumes the other systems' suggestion files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -37,6 +36,8 @@ from .expand import ExpansionConfig, build_query, combo_merge
 from .index import Index, build_index
 from .str_recommender import CooccurConfig, suggest_str
 from .suggestions import (
+    GENERATOR_SYSTEMS,
+    SYSTEMS,
     SuggestionSet,
     make_suggestion_set,
     read_suggestion_file,
@@ -47,9 +48,6 @@ from .wiki_lead import ArticleStore, suggest_wiki_lead
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-GENERATOR_SYSTEMS = ("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR")
-ALL_SYSTEMS = GENERATOR_SYSTEMS + ("COMBO",)
-THREADS_ENV_VAR = "SPARSE_EXPAND_THREADS"
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
             problems.append(f"{name} path does not exist: {value}")
 
     for system in systems:
-        if system not in ALL_SYSTEMS:
+        if system not in SYSTEMS:
             problems.append(f"unknown system {system!r}")
     need_path("docs", cfg.docs, "document corpus")
     need_path("topics", cfg.topics, "topic file")
@@ -145,23 +143,11 @@ def read_seeds_file(path: str | Path) -> dict[str, str]:
     return seeds
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            logger.warning("ignoring non-integer %s=%r", THREADS_ENV_VAR, raw)
-    return min(8, os.cpu_count() or 1)
-
-
 def _per_topic(
     topics: Sequence[Topic], job: Callable[[Topic], SuggestionSet]
 ) -> dict[str, SuggestionSet]:
-    """Run one job per topic, in parallel, with deterministic assembly."""
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(job, topics))
-    return {topic.topic_id: result for topic, result in zip(topics, results)}
+    """Run one job per topic, in topic order."""
+    return {topic.topic_id: job(topic) for topic in topics}
 
 
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
@@ -241,7 +227,7 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     written: dict[str, list[str]] = {}
     produced: dict[str, dict[str, SuggestionSet]] = {}
 
-    ordered = [s for s in ALL_SYSTEMS if s in systems]  # COMBO runs last
+    ordered = [s for s in SYSTEMS if s in systems]  # COMBO runs last
     for system in ordered:
         logger.info("running system %s (%s)", system, cfg.lang)
         system_dir = lang_dir / system

@@ -9,10 +9,17 @@ the two document sets, computed from the set sizes
     jaccard(df_x, df_y, df_xy) = df_xy / (df_x + df_y - df_xy)
 
 or by its logarithmic variant that dampens large size differences.
+
+Only values that co-occur with the topic's documents can score above
+zero, so scoring walks the topic's documents through a doc -> values map
+(an inverted file turned around) instead of intersecting every value's
+document set. The maps are built once per index and concept fields.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -103,17 +110,44 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     ds_x = _topic_doc_set(index, topic, cfg)
     similarity = jaccard if cfg.similarity == "jaccard" else log_jaccard
 
-    candidates: dict[str, set[int]] = {}
-    for name in cfg.concept_fields:
-        field = f"{name}-{topic.lang}"
-        for value, docs in index.raw_values(field).items():
-            candidates.setdefault(value, set()).update(docs)
-
-    scored = []
-    for value, ds_y in candidates.items():
-        df_xy = len(ds_x & ds_y)
-        if df_xy == 0:
-            continue
-        scored.append((value, similarity(len(ds_x), len(ds_y), df_xy)))
+    value_df, doc_values = _concept_maps(
+        index, tuple(f"{name}-{topic.lang}" for name in cfg.concept_fields)
+    )
+    df_xy = Counter()
+    for doc in ds_x:
+        df_xy.update(doc_values.get(doc, ()))
+    df_x = len(ds_x)
+    scored = [
+        (value, similarity(df_x, value_df[value], count)) for value, count in df_xy.items()
+    ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return make_suggestion_set(topic.topic_id, "STR", scored[: cfg.top_k])
+
+
+# index -> concept fields -> (value -> df_y, doc -> its distinct values).
+# Weak keys: an index that is dropped or reloaded takes its maps with it.
+_CONCEPT_MAPS: weakref.WeakKeyDictionary[Index, dict] = weakref.WeakKeyDictionary()
+
+
+def _concept_maps(
+    index: Index, fields: tuple[str, ...]
+) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
+    """Document frequency of each concept value over the fields combined,
+    and the values of each document; built on first use."""
+    per_index = _CONCEPT_MAPS.get(index)
+    if per_index is not None and fields in per_index:
+        return per_index[fields]
+    value_docs: dict[str, set[int]] = {}
+    for field in fields:
+        for value, docs in index.raw_values(field).items():
+            value_docs.setdefault(value, set()).update(docs)
+    doc_values: dict[int, list[str]] = {}
+    for value, docs in value_docs.items():
+        for doc in docs:
+            doc_values.setdefault(doc, []).append(value)
+    maps = (
+        {value: len(docs) for value, docs in value_docs.items()},
+        {doc: tuple(values) for doc, values in doc_values.items()},
+    )
+    _CONCEPT_MAPS.setdefault(index, {})[fields] = maps
+    return maps

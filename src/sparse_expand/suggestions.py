@@ -15,7 +15,10 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 
-SYSTEMS = ("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR", "COMBO")
+# The one registry of system names. Generator order is COMBO's merge
+# order; COMBO comes last because it consumes the generators' output.
+GENERATOR_SYSTEMS = ("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR")
+SYSTEMS = GENERATOR_SYSTEMS + ("COMBO",)
 
 
 @dataclass(frozen=True)

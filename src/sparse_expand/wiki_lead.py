@@ -49,58 +49,56 @@ def _strip_comments(text: str) -> tuple[str, bool]:
     return out, False
 
 
+def _past_close(text: str, i: int, open_tok: str, close_tok: str) -> int:
+    """Index just past the closer that balances an opener ending at i, or
+    -1 when it never closes. Jumps between delimiters; where an opener
+    and a closer start at the same place, the opener wins."""
+    depth = 1
+    opener = text.find(open_tok, i)
+    closer = text.find(close_tok, i)
+    while closer != -1:
+        if opener != -1 and opener <= closer:
+            depth += 1
+            i = opener + len(open_tok)
+        else:
+            depth -= 1
+            i = closer + len(close_tok)
+            if depth == 0:
+                return i
+        if opener != -1 and opener < i:
+            opener = text.find(open_tok, i)
+        if closer < i:
+            closer = text.find(close_tok, i)
+    return -1
+
+
 def _strip_pairs(text: str, open_tok: str, close_tok: str) -> tuple[str, bool]:
     """Drop balanced, possibly nested open..close regions.
 
     An opener that never closes drops everything to the end of the text.
     Stray closers are ordinary text.
     """
-    out: list[str] = []
+    kept: list[str] = []
     i = 0
-    depth = 0
-    n = len(text)
-    while i < n:
-        if text.startswith(open_tok, i):
-            depth += 1
-            i += len(open_tok)
-        elif depth and text.startswith(close_tok, i):
-            depth -= 1
-            i += len(close_tok)
-        elif depth == 0:
-            out.append(text[i])
-            i += 1
-        else:
-            i += 1
-    return "".join(out), depth > 0
+    while (start := text.find(open_tok, i)) != -1:
+        kept.append(text[i:start])
+        i = _past_close(text, start + len(open_tok), open_tok, close_tok)
+        if i == -1:
+            return "".join(kept), True
+    kept.append(text[i:])
+    return "".join(kept), False
 
 
 def _strip_media_links(text: str) -> tuple[str, bool]:
-    out: list[str] = []
+    kept: list[str] = []
     i = 0
-    n = len(text)
-    truncated = False
-    while i < n:
-        match = _MEDIA_LINK_RE.match(text, i)
-        if match is None:
-            out.append(text[i])
-            i += 1
-            continue
-        depth = 1
-        j = match.end()
-        while j < n and depth:
-            if text.startswith("[[", j):
-                depth += 1
-                j += 2
-            elif text.startswith("]]", j):
-                depth -= 1
-                j += 2
-            else:
-                j += 1
-        if depth:
-            truncated = True
-            break
-        i = j
-    return "".join(out), truncated
+    while (match := _MEDIA_LINK_RE.search(text, i)) is not None:
+        kept.append(text[i : match.start()])
+        i = _past_close(text, match.end(), "[[", "]]")
+        if i == -1:
+            return "".join(kept), True
+    kept.append(text[i:])
+    return "".join(kept), False
 
 
 def strip_markup(wikitext: str) -> StripResult:

@@ -3,7 +3,8 @@
 Everything here recomputes results straight from raw documents (or raw
 ranked lists), deliberately avoiding the index / recommender / metric
 code paths under test. Only the analyzer chains are shared, since every
-route needs identical tokenization.
+route needs identical tokenization, and the media-link pattern, which
+defines what the stripper oracle recognises.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from sparse_expand.corpus import DEFAULT_SCHEMA
 from sparse_expand.index import Term
+from sparse_expand.wiki_lead import _MEDIA_LINK_RE
 
 SEGMENT_GAP = 1
 
@@ -170,6 +172,62 @@ def naive_docsim_ranking(bodies: dict[str, str], chain, seed, k, n):
             scores.append((title, score))
     scores.sort(key=lambda pair: (-pair[1], pair[0]))
     return scores[:k]
+
+
+def naive_strip_pairs(text: str, open_tok: str, close_tok: str) -> tuple[str, bool]:
+    """Drop balanced open..close regions, one character at a time.
+
+    An opener wins over a closer starting at the same place; an opener
+    that never closes drops the rest (truncated); stray closers are text.
+    """
+    out: list[str] = []
+    i = 0
+    depth = 0
+    n = len(text)
+    while i < n:
+        if text.startswith(open_tok, i):
+            depth += 1
+            i += len(open_tok)
+        elif depth and text.startswith(close_tok, i):
+            depth -= 1
+            i += len(close_tok)
+        elif depth == 0:
+            out.append(text[i])
+            i += 1
+        else:
+            i += 1
+    return "".join(out), depth > 0
+
+
+def naive_strip_media_links(text: str) -> tuple[str, bool]:
+    """Drop [[File:/Image:/Category: ...]] links, trying the link pattern
+    at every character; an unclosed one drops the rest (truncated)."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    truncated = False
+    while i < n:
+        match = _MEDIA_LINK_RE.match(text, i)
+        if match is None:
+            out.append(text[i])
+            i += 1
+            continue
+        depth = 1
+        j = match.end()
+        while j < n and depth:
+            if text.startswith("[[", j):
+                depth += 1
+                j += 2
+            elif text.startswith("]]", j):
+                depth -= 1
+                j += 2
+            else:
+                j += 1
+        if depth:
+            truncated = True
+            break
+        i = j
+    return "".join(out), truncated
 
 
 def naive_average_precision(ranked_docs, judgments, threshold=1):

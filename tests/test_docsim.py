@@ -126,6 +126,33 @@ def test_suggest_matches_all_pairs_oracle(seed):
         assert [(s.text, s.score) for s in got.suggestions] == expected
 
 
+def test_suggest_one_corpus_at_two_n_matches_oracle():
+    bodies = _random_bodies(120, 40)
+    corpus = _bodies_corpus(bodies)
+    seeds = list(bodies)[:4]
+    # alternate n on one corpus: each n has its own word -> documents map
+    for seed_title in seeds:
+        for n in (3, 12, 3):
+            expected = naive_docsim_ranking(bodies, EN_CHAIN, seed_title, k=10, n=n)
+            got = suggest_docsim(corpus, seed_title, k=10, n=n)
+            assert [(s.text, s.score) for s in got.suggestions] == expected
+
+
+def test_suggest_k_beyond_nonzero_titles_matches_oracle():
+    bodies = {
+        "A": "whale ship ocean",
+        "B": "whale harbor",
+        "C": "ship castle",
+        "D": "violin opera",
+        "E": "garden village",
+    }
+    corpus = _bodies_corpus(bodies)
+    expected = naive_docsim_ranking(bodies, EN_CHAIN, "A", k=50, n=3)
+    got = suggest_docsim(corpus, "A", k=50, n=3)
+    assert [(s.text, s.score) for s in got.suggestions] == expected
+    assert got.texts() == ["B", "C"]
+
+
 def test_suggestion_files_byte_identical(tmp_path):
     bodies = _random_bodies(8, 30)
     sets = []

@@ -244,6 +244,33 @@ def test_serialize_parse_round_trip(clauses):
     assert parse_query(serialize_query(query)) == query
 
 
+@pytest.mark.parametrize(
+    "boost,text", [(2.0, "^2"), (2.5, "^2.5"), (1e-05, "^1e-05"), (1234567.0, "^1234567.0")]
+)
+def test_boost_text_round_trips(boost, text):
+    query = Query((Term("f-en", "x", boost),))
+    assert serialize_query(query) == f"f-en:(x){text}"
+    assert parse_query(serialize_query(query)) == query
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.builds(
+            Term,
+            _FIELDS,
+            _WORD,
+            st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(tuple)
+)
+def test_serialize_parse_round_trip_any_positive_boost(clauses):
+    query = Query(clauses)
+    assert parse_query(serialize_query(query)) == query
+
+
 def test_query_file_round_trip(tmp_path):
     topic = Topic("CHIC-012", "moby dick", "en")
     query = build_query(topic, _set("CHIC-012", "WIKI_ENTITY", MOBY_CONCEPTS))

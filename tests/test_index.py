@@ -259,6 +259,34 @@ def test_snapshot_rejects_garbage(tmp_path):
         Index.load(path)
 
 
+def test_snapshot_truncated_or_bit_flipped_raises_only_data_error(tmp_path):
+    path = tmp_path / SNAPSHOT_FILENAME
+    _index(random_corpus(11, 8)).save(path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            Index.load(bad)
+    rng = random.Random(12)
+    for _ in range(300):
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        bad.write_bytes(bytes(flipped))
+        try:
+            Index.load(bad)
+        except DataError:
+            pass
+
+
+def test_snapshot_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / SNAPSHOT_FILENAME
+    _index(random_corpus(13, 5)).save(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataError):
+        Index.load(path)
+
+
 def test_snapshot_deterministic_bytes(tmp_path):
     docs = random_corpus(6, 30)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"

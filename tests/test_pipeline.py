@@ -134,13 +134,6 @@ def test_pipeline_deterministic(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
-def test_pipeline_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSE_EXPAND_THREADS", "1")
-    paths = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
-    run_pipeline(_config(paths), ["STR"])
-    assert (Path(paths["out"]) / "en" / "STR" / "run.trec").exists()
-
-
 def test_pipeline_rejects_wrong_language_topics(tmp_path):
     paths = build_pipeline_workspace(tmp_path)
     cfg = _config(paths, lang="de")

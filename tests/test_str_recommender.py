@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,60 @@ def test_str_oracle_randomized(seed, similarity):
         assert [s.text for s in got.suggestions] == [v for v, _ in expected_rank]
         for sugg, (_, score) in zip(got.suggestions, expected_rank):
             assert sugg.score == score
+
+
+def _renamed_concepts(docs, prefix):
+    concept_fields = CooccurConfig().concept_fields
+    return [
+        Document(
+            d.doc_id,
+            d.lang,
+            {
+                name: tuple(prefix + v for v in values) if name in concept_fields else values
+                for name, values in d.fields.items()
+            },
+        )
+        for d in docs
+    ]
+
+
+@pytest.mark.parametrize("similarity", ["jaccard", "log_jaccard"])
+def test_str_indexes_do_not_share_concept_maps(similarity):
+    cfg = CooccurConfig(similarity=similarity, top_k=50)
+    chain = EN["en"]
+    base = random_corpus(7, 120)
+    corpora = [base, _renamed_concepts(base, "other "), random_corpus(8, 90)]
+    indexes = [build_index(docs, EN) for docs in corpora]
+    titles = ("film canada", "whale", "ocean ship harbor")
+    # interleave the indexes so a map leaking between them would show
+    for title in titles:
+        for docs, idx in zip(corpora, indexes):
+            topic = Topic("T", title, "en")
+            expected = naive_str_scores(
+                docs, topic, chain, cfg.input_fields, cfg.concept_fields,
+                log=similarity == "log_jaccard",
+            )
+            expected_rank = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:50]
+            got = suggest_str(idx, topic, cfg)
+            assert [(s.text, s.score) for s in got.suggestions] == expected_rank
+
+
+def test_str_concept_maps_do_not_keep_index_alive():
+    docs = random_corpus(9, 40)
+    idx = build_index(docs, EN)
+    suggest_str(idx, Topic("T", "whale", "en"))
+    ref = weakref.ref(idx)
+    del idx
+    gc.collect()
+    assert ref() is None
+    # a new index, possibly at the same address, gets its own maps
+    renamed = _renamed_concepts(docs, "new ")
+    topic = Topic("T", "whale", "en")
+    cfg = CooccurConfig()
+    expected = naive_str_scores(renamed, topic, EN["en"], cfg.input_fields, cfg.concept_fields)
+    got = suggest_str(build_index(renamed, EN), topic, cfg)
+    expected_rank = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    assert [(s.text, s.score) for s in got.suggestions] == expected_rank
 
 
 def test_str_ranking_invariant_under_duplication():

@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_strip_media_links, naive_strip_pairs
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
     ArticleStore,
+    _strip_media_links,
+    _strip_pairs,
     extract_lead,
     strip_markup,
     suggest_wiki_lead,
@@ -120,6 +125,23 @@ def test_strip_markup_idempotent_on_glued_openers():
     source = "{[[File:x.jpg]]{"
     once = strip_markup(source)
     assert strip_markup(once.text).text == once.text
+
+
+_DELIMITERS = st.sampled_from(
+    ["{{", "}}", "{|", "|}", "[[", "]]", "[[File:", "[[ :image :", "[[Category:",
+     "<!--", "-->", "{", "}", "[", "]", "|", ":", "x", " ", "\n"]
+)
+
+
+@settings(max_examples=1000)
+@given(st.lists(_DELIMITERS, max_size=30).map("".join))
+def test_strippers_match_one_character_oracle(text):
+    # text and the truncated flag, for both pair kinds and media links
+    for open_tok, close_tok in (("{{", "}}"), ("{|", "|}")):
+        assert _strip_pairs(text, open_tok, close_tok) == naive_strip_pairs(
+            text, open_tok, close_tok
+        )
+    assert _strip_media_links(text) == naive_strip_media_links(text)
 
 
 # -- lead extraction ----------------------------------------------------
