@@ -82,35 +82,58 @@ _STAGE_ORDER = {
 }
 
 
+# Every stage name the built-in profiles use; `AnalyzerChain.run` knows no other.
+STAGE_NAMES = frozenset(stage for stages in _STAGE_ORDER.values() for stage in stages)
+
+
 @dataclass(frozen=True)
 class AnalyzerChain:
-    """An ordered, immutable analysis pipeline for one language."""
+    """An ordered, immutable analysis pipeline for one language.
+
+    Every stage after `tokenize` maps one token to one token (or drops
+    it), so each chain caches the result per surface token.
+    """
 
     lang: str
     stages: tuple[str, ...]
     stopword_list: frozenset[str] = field(default_factory=frozenset)
+    _cache: dict[str, str] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def run(self, text: str) -> list[str]:
         """Apply every stage; returns surviving token texts in order."""
-        terms = tokenize(text)
+        cache = self._cache
+        terms = []
+        for surface in tokenize(text):
+            term = cache.get(surface)
+            if term is None:
+                term = cache[surface] = self._analyze_token(surface)
+            if term:
+                terms.append(term)
+        return terms
+
+    def _analyze_token(self, term: str) -> str:
+        """The stages after `tokenize` on one token; "" if it is dropped."""
         for stage in self.stages:
             if stage == "tokenize":
                 continue
             if stage == "en_possessive":
-                terms = [en_possessive(t) for t in terms]
+                term = en_possessive(term)
             elif stage == "lowercase":
-                terms = [t.lower() for t in terms]
+                term = term.lower()
             elif stage == "stopwords":
-                terms = [t for t in terms if t.lower() not in self.stopword_list]
+                if term.lower() in self.stopword_list:
+                    return ""
             elif stage == "porter_stem":
-                terms = [porter_stem(t) for t in terms]
+                term = porter_stem(term)
             elif stage == "de_normalize":
-                terms = [de_normalize(t) for t in terms]
+                term = de_normalize(term)
             elif stage == "de_light_stem":
-                terms = [de_light_stem(t) for t in terms]
+                term = de_light_stem(term)
             else:
                 raise ValueError(f"unknown analyzer stage: {stage}")
-        return [t for t in terms if t]
+        return term
 
 
 def chain_for(

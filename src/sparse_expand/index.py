@@ -6,6 +6,10 @@ that concatenates every analyzed field in schema order. Multi-valued
 fields are concatenated with a one-position gap between values so that
 phrases never match across value boundaries.
 
+Each term's postings are three `array("I")` columns: doc ordinals
+(strictly ascending), term frequencies, and one flat positions array
+holding every posting's positions in doc order.
+
 Scoring is a documented TF*IDF sum with no length normalization:
 
     idf(df)       = 1 + ln(N / (1 + df))
@@ -21,11 +25,16 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import AnalyzerChain
+from .analysis import STAGE_NAMES, AnalyzerChain
 from .corpus import DEFAULT_SCHEMA, Document
 from .errors import AnalysisError, DataError, EmptyCorpusError, UnknownFieldError
 
@@ -33,8 +42,16 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_FILENAME = "index.bin"
+
+# Columns are written and read as raw little-endian u32 arrays.
+if array("I").itemsize != 4:
+    raise ImportError("sparse_expand.index needs array('I') items of 4 bytes")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+# One term's postings: doc ordinals, tfs, positions.
+Columns = tuple[array, array, array]
 
 
 def idf_weight(n_docs: int, df: int) -> float:
@@ -47,12 +64,19 @@ def tf_weight(tf: int) -> float:
 
 @dataclass(frozen=True)
 class Posting:
+    """One (term, doc) entry, as returned by `Index.postings`."""
+
     doc: int
     positions: tuple[int, ...]
 
     @property
     def tf(self) -> int:
         return len(self.positions)
+
+
+def _check_boost(boost: float) -> None:
+    if not (math.isfinite(boost) and boost > 0):
+        raise ValueError(f"boost must be positive and finite, got {boost!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +86,7 @@ class Term:
     boost: float = 1.0
 
     def __post_init__(self):
-        if self.boost <= 0:
-            raise ValueError("boost must be positive")
+        _check_boost(self.boost)
 
 
 @dataclass(frozen=True)
@@ -76,8 +99,7 @@ class Phrase:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("phrase needs at least one term")
-        if self.boost <= 0:
-            raise ValueError("boost must be positive")
+        _check_boost(self.boost)
 
     @property
     def text(self) -> str:
@@ -97,10 +119,13 @@ class Query:
             raise ValueError("query needs at least one clause")
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
+
+
+# ScoredDoc from a (doc_id, score) pair without a Python-level call.
+_scored_doc = partial(tuple.__new__, ScoredDoc)
 
 
 class Index:
@@ -110,24 +135,20 @@ class Index:
         self,
         doc_ids: Sequence[str],
         doc_langs: Sequence[str],
-        postings: Mapping[str, Mapping[str, Sequence[Posting]]],
+        postings: Mapping[str, Mapping[str, Columns]],
         raw_values: Mapping[str, Mapping[str, Sequence[int]]],
-        field_lengths: Mapping[str, Mapping[int, int]],
         chains: Mapping[str, AnalyzerChain],
         all_field: str = ALL_FIELD,
     ):
         self._doc_ids = tuple(doc_ids)
         self._doc_langs = tuple(doc_langs)
-        self._postings = {
-            f: {t: tuple(ps) for t, ps in terms.items()} for f, terms in postings.items()
-        }
+        self._postings = {f: dict(terms) for f, terms in postings.items()}
         self._raw_values = {
             f: {v: tuple(ds) for v, ds in vals.items()} for f, vals in raw_values.items()
         }
-        self._field_lengths = {f: dict(ls) for f, ls in field_lengths.items()}
         self._chains = dict(chains)
         self._all_field = all_field
-        self._known_fields = frozenset(self._field_lengths) | frozenset(self._postings)
+        self._doc_rank: list[int] | None = None
 
     @property
     def n_docs(self) -> int:
@@ -147,17 +168,17 @@ class Index:
 
     @property
     def fields(self) -> list[str]:
-        return sorted(self._known_fields)
+        return sorted(self._postings)
 
     @property
     def chains(self) -> dict[str, AnalyzerChain]:
         return dict(self._chains)
 
     def has_field(self, field: str) -> bool:
-        return field in self._known_fields
+        return field in self._postings
 
     def chain_for_field(self, field: str) -> AnalyzerChain:
-        if field not in self._known_fields:
+        if field not in self._postings:
             raise UnknownFieldError(f"unknown field: {field!r}")
         _, _, lang = field.rpartition("-")
         try:
@@ -165,9 +186,18 @@ class Index:
         except KeyError:
             raise UnknownFieldError(f"no analyzer for field {field!r}") from None
 
+    def _columns(self, field: str, analyzed_term: str) -> Columns | None:
+        return self._postings.get(field, {}).get(analyzed_term)
+
     def postings(self, field: str, analyzed_term: str) -> tuple[Posting, ...]:
-        """Posting list for an already-analyzed term; empty if unseen."""
-        return self._postings.get(field, {}).get(analyzed_term, ())
+        """Posting list for an already-analyzed term; empty if unseen.
+
+        Built from the columns on every call; search reads the columns."""
+        columns = self._columns(field, analyzed_term)
+        if columns is None:
+            return ()
+        docs = columns[0]
+        return tuple(map(Posting, docs, map(tuple, _positions_of(columns, docs))))
 
     def terms(self, field: str) -> list[str]:
         return sorted(self._postings.get(field, {}))
@@ -175,9 +205,6 @@ class Index:
     def raw_values(self, field: str) -> dict[str, tuple[int, ...]]:
         """Verbatim stored value -> sorted doc ordinals, for one field."""
         return dict(self._raw_values.get(field, {}))
-
-    def field_length(self, field: str, doc: int) -> int:
-        return self._field_lengths.get(field, {}).get(doc, 0)
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
         tokens = self.chain_for_field(field).run(raw_term)
@@ -189,7 +216,8 @@ class Index:
 
     def df(self, field: str, raw_term: str) -> int:
         """Document frequency of a raw term; 0 for unseen terms."""
-        return len(self.postings(field, self._analyzed_single(field, raw_term)))
+        columns = self._columns(field, self._analyzed_single(field, raw_term))
+        return len(columns[0]) if columns else 0
 
     def doc_set(self, field: str, raw_terms: Sequence[str], mode: str = "all") -> frozenset[int]:
         """Doc ordinals matching all (intersection) or any (union) of the terms."""
@@ -197,8 +225,8 @@ class Index:
             raise ValueError(f"mode must be 'all' or 'any', got {mode!r}")
         sets = []
         for raw in raw_terms:
-            term = self._analyzed_single(field, raw)
-            sets.append({p.doc for p in self.postings(field, term)})
+            columns = self._columns(field, self._analyzed_single(field, raw))
+            sets.append(set(columns[0]) if columns else set())
         if not sets:
             return frozenset()
         result = sets[0]
@@ -206,58 +234,73 @@ class Index:
             result = (result & s) if mode == "all" else (result | s)
         return frozenset(result)
 
-    def _phrase_occurrences(self, field: str, tokens: Sequence[str]) -> dict[int, int]:
-        """doc ordinal -> count of consecutive-position matches."""
-        maps = []
+    def _phrase_matches(self, field: str, tokens: Sequence[str]) -> tuple[list[int], list[int]]:
+        """Ascending docs with consecutive-position matches, and the match
+        count in each. Doc columns are intersected rarest token first;
+        positions are read only for the docs that survive."""
+        terms = self._postings[field]
+        columns = {}
         for token in tokens:
-            plist = self.postings(field, token)
-            if not plist:
-                return {}
-            maps.append({p.doc: p.positions for p in plist})
-        common = set(maps[0])
-        for m in maps[1:]:
-            common &= set(m)
-        occurrences: dict[int, int] = {}
-        for doc in common:
-            rest = [set(m[doc]) for m in maps[1:]]
-            count = sum(
-                1
-                for pos in maps[0][doc]
-                if all(pos + offset + 1 in s for offset, s in enumerate(rest))
-            )
-            if count:
-                occurrences[doc] = count
-        return occurrences
+            if token not in terms:
+                return [], []
+            columns[token] = terms[token]
+        rarest_first = sorted(columns, key=lambda token: len(columns[token][0]))
+        docs = columns[rarest_first[0]][0]
+        for token in rarest_first[1:]:
+            other = columns[token][0]
+            n = len(other)
+            docs = [d for d in docs if (i := bisect_left(other, d)) < n and other[i] == d]
+        positions = {token: _positions_of(columns[token], docs) for token in columns}
+        first = positions[tokens[0]]
+        shifted = [(offset, positions[token]) for offset, token in enumerate(tokens) if offset]
+        matched, counts = [], []
+        for j, doc in enumerate(docs):
+            starts = set(first[j])
+            for offset, per_doc in shifted:
+                starts.intersection_update([p - offset for p in per_doc[j]])
+            if starts:
+                matched.append(doc)
+                counts.append(len(starts))
+        return matched, counts
+
+    def _rank(self) -> list[int]:
+        """doc ordinal -> place of its doc_id in sorted order, built once."""
+        if self._doc_rank is None:
+            rank = [0] * self.n_docs
+            by_id = sorted(range(self.n_docs), key=self._doc_ids.__getitem__)
+            for place, doc in enumerate(by_id):
+                rank[doc] = place
+            self._doc_rank = rank
+        return self._doc_rank
 
     def search(self, query: Query, k: int) -> list[ScoredDoc]:
         """Rank documents for a disjunctive query; raw clause text is
         analyzed with the field's chain at query time."""
         scores: dict[int, float] = {}
+        get = scores.get
         for clause in query.clauses:
-            chain = self.chain_for_field(clause.field)
-            tokens = chain.run(clause.text)
-            if not tokens:
-                continue
+            tokens = self.chain_for_field(clause.field).run(clause.text)
             if len(tokens) == 1:
-                plist = self.postings(clause.field, tokens[0])
-                if not plist:
+                columns = self._postings[clause.field].get(tokens[0])
+                if columns is None:
                     continue
-                idf = idf_weight(self.n_docs, len(plist))
-                for posting in plist:
-                    scores[posting.doc] = scores.get(posting.doc, 0.0) + (
-                        clause.boost * tf_weight(posting.tf) * idf
-                    )
+                docs, tfs, _ = columns
+            elif tokens:
+                docs, tfs = self._phrase_matches(clause.field, tokens)
             else:
-                occurrences = self._phrase_occurrences(clause.field, tokens)
-                if not occurrences:
-                    continue
-                idf = idf_weight(self.n_docs, len(occurrences))
-                for doc in sorted(occurrences):
-                    scores[doc] = scores.get(doc, 0.0) + (
-                        clause.boost * tf_weight(occurrences[doc]) * idf
-                    )
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], self._doc_ids[item[0]]))
-        return [ScoredDoc(self._doc_ids[doc], score) for doc, score in ranked[:k]]
+                continue
+            if not docs:
+                continue
+            idf = idf_weight(self.n_docs, len(docs))
+            boost = clause.boost
+            weight = {tf: boost * tf_weight(tf) * idf for tf in set(tfs)}
+            for doc, tf in zip(docs, tfs):
+                scores[doc] = get(doc, 0.0) + weight[tf]
+        ranked = sorted(scores, key=self._rank().__getitem__)
+        ranked.sort(key=scores.__getitem__, reverse=True)
+        del ranked[k:]
+        pairs = zip(map(self._doc_ids.__getitem__, ranked), map(scores.__getitem__, ranked))
+        return list(map(_scored_doc, pairs))
 
     # -- persistence ----------------------------------------------------
 
@@ -289,46 +332,36 @@ class Index:
             put_str(doc_id)
             put_str(lang)
 
-        fields = sorted(self._known_fields)
-        field_idx = {name: i for i, name in enumerate(fields)}
+        fields = sorted(self._postings)
         out += struct.pack("<I", len(fields))
         for name in fields:
             put_str(name)
 
         entries = [
-            (field_idx[f], t, self._postings[f][t])
-            for f in sorted(self._postings)
+            (fi, t, self._postings[f][t])
+            for fi, f in enumerate(fields)
             for t in sorted(self._postings[f])
         ]
         out += struct.pack("<I", len(entries))
-        for fi, term, plist in entries:
+        for fi, term, (docs, tfs, positions) in entries:
             out += struct.pack("<I", fi)
             put_str(term)
-            out += struct.pack("<I", len(plist))
-            for posting in plist:
-                out += struct.pack("<II", posting.doc, len(posting.positions))
-                out += struct.pack(f"<{len(posting.positions)}I", *posting.positions)
+            out += struct.pack("<II", len(docs), len(positions))
+            out += _u32_bytes(docs)
+            out += _u32_bytes(tfs)
+            out += _u32_bytes(positions)
 
         value_entries = [
-            (field_idx[f], v, self._raw_values[f][v])
-            for f in sorted(self._raw_values)
-            for v in sorted(self._raw_values[f])
+            (fi, v, self._raw_values[f][v])
+            for fi, f in enumerate(fields)
+            for v in sorted(self._raw_values.get(f, {}))
         ]
         out += struct.pack("<I", len(value_entries))
         for fi, value, docs in value_entries:
             out += struct.pack("<I", fi)
             put_str(value)
             out += struct.pack("<I", len(docs))
-            out += struct.pack(f"<{len(docs)}I", *docs)
-
-        length_entries = [
-            (field_idx[f], self._field_lengths[f]) for f in sorted(self._field_lengths)
-        ]
-        out += struct.pack("<I", len(length_entries))
-        for fi, lengths in length_entries:
-            out += struct.pack("<II", fi, len(lengths))
-            for doc in sorted(lengths):
-                out += struct.pack("<II", doc, lengths[doc])
+            out += _u32_bytes(array("I", docs))
 
         put_str(self._all_field)
         Path(path).write_bytes(bytes(out))
@@ -347,90 +380,132 @@ class Index:
     @classmethod
     def _decode(cls, data: bytes, path: str | Path) -> "Index":
         offset = len(SNAPSHOT_MAGIC)
+        view = memoryview(data)
 
-        def take(fmt: str):
+        def bad(what: str) -> DataError:
+            return DataError(f"{path}: malformed index snapshot: {what}")
+
+        def take_u32() -> int:
             nonlocal offset
-            size = struct.calcsize(fmt)
-            values = struct.unpack_from(fmt, data, offset)
-            offset += size
-            return values
+            (value,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            return value
 
         def take_str() -> str:
             nonlocal offset
-            (length,) = take("<I")
+            length = take_u32()
             raw = data[offset : offset + length]
             offset += length
             return raw.decode("utf-8")
 
-        (version,) = take("<I")
+        def take_u32s(count: int) -> array:
+            nonlocal offset
+            end = offset + 4 * count
+            if end > len(data):
+                raise bad(f"{count} values run past byte {len(data)}")
+            values = array("I")
+            values.frombytes(view[offset:end])
+            if _BIG_ENDIAN:
+                values.byteswap()
+            offset = end
+            return values
+
+        version = take_u32()
         if version != SNAPSHOT_VERSION:
-            raise DataError(f"{path}: unsupported snapshot version {version}")
+            raise DataError(
+                f"{path}: unsupported snapshot version {version} "
+                f"(expected {SNAPSHOT_VERSION}; rebuild the index)"
+            )
 
         chains: dict[str, AnalyzerChain] = {}
-        (n_langs,) = take("<I")
-        for _ in range(n_langs):
+        for _ in range(take_u32()):
             lang = take_str()
-            (n_stages,) = take("<I")
-            stages = tuple(take_str() for _ in range(n_stages))
-            (n_words,) = take("<I")
-            words = frozenset(take_str() for _ in range(n_words))
+            stages = tuple(take_str() for _ in range(take_u32()))
+            unknown = sorted(set(stages) - STAGE_NAMES)
+            if unknown:
+                raise bad(f"unknown analyzer stage {unknown[0]!r}")
+            words = frozenset(take_str() for _ in range(take_u32()))
             chains[lang] = AnalyzerChain(lang=lang, stages=stages, stopword_list=words)
 
-        (n_docs,) = take("<I")
+        n_docs = take_u32()
         doc_ids, doc_langs = [], []
         for _ in range(n_docs):
             doc_ids.append(take_str())
             doc_langs.append(take_str())
+        if len(set(doc_ids)) != n_docs:
+            raise bad("repeated doc_id")
 
-        (n_fields,) = take("<I")
-        fields = [take_str() for _ in range(n_fields)]
+        fields = [take_str() for _ in range(take_u32())]
+        for name in fields:
+            if name.rpartition("-")[2] not in chains:
+                raise bad(f"no analyzer chain for field {name!r}")
 
-        postings: dict[str, dict[str, tuple[Posting, ...]]] = {}
-        (n_entries,) = take("<I")
-        for _ in range(n_entries):
-            (fi,) = take("<I")
+        postings: dict[str, dict[str, Columns]] = {name: {} for name in fields}
+        for _ in range(take_u32()):
+            field = fields[take_u32()]
             term = take_str()
-            (df,) = take("<I")
-            plist = []
-            for _ in range(df):
-                doc, n_pos = take("<II")
-                positions = take(f"<{n_pos}I")
-                plist.append(Posting(doc, tuple(positions)))
-            postings.setdefault(fields[fi], {})[term] = tuple(plist)
+            df = take_u32()
+            n_positions = take_u32()
+            block = take_u32s(2 * df + n_positions)
+            docs, tfs, positions = block[:df], block[df : 2 * df], block[2 * df :]
+            consistent = (
+                _ascending_below(docs, n_docs)
+                and min(tfs, default=1) >= 1
+                and sum(tfs) == n_positions
+            )
+            if not consistent:
+                raise bad(f"inconsistent postings for term {term!r} in field {field!r}")
+            postings[field][term] = (docs, tfs, positions)
 
         raw_values: dict[str, dict[str, tuple[int, ...]]] = {}
-        (n_entries,) = take("<I")
-        for _ in range(n_entries):
-            (fi,) = take("<I")
+        for _ in range(take_u32()):
+            field = fields[take_u32()]
             value = take_str()
-            (count,) = take("<I")
-            docs = take(f"<{count}I")
-            raw_values.setdefault(fields[fi], {})[value] = tuple(docs)
-
-        field_lengths: dict[str, dict[int, int]] = {}
-        (n_entries,) = take("<I")
-        for _ in range(n_entries):
-            fi, n = take("<II")
-            lengths = {}
-            for _ in range(n):
-                doc, length = take("<II")
-                lengths[doc] = length
-            field_lengths[fields[fi]] = lengths
+            docs = take_u32s(take_u32())
+            if not _ascending_below(docs, n_docs):
+                raise bad(f"bad doc ordinals for value {value!r} in field {field!r}")
+            raw_values.setdefault(field, {})[value] = tuple(docs)
 
         all_field = take_str()
         if offset != len(data):
-            raise DataError(
-                f"{path}: malformed index snapshot: ends at byte {offset} of {len(data)}"
-            )
+            raise bad(f"ends at byte {offset} of {len(data)}")
         return cls(
             doc_ids=doc_ids,
             doc_langs=doc_langs,
             postings=postings,
             raw_values=raw_values,
-            field_lengths=field_lengths,
             chains=chains,
             all_field=all_field,
         )
+
+
+def _ascending_below(values: array, limit: int) -> bool:
+    """True if `values` is strictly ascending and below `limit`."""
+    if not values:
+        return True
+    return values[-1] < limit and (len(values) == 1 or all(map(lt, values, values[1:])))
+
+
+def _u32_bytes(values: array) -> bytes:
+    """Little-endian bytes of a u32 column."""
+    if _BIG_ENDIAN:
+        values = array("I", values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def _positions_of(columns: Columns, docs: Sequence[int]) -> list[array]:
+    """Each doc's positions in one term's columns; `docs` is ascending and
+    every doc in it has a posting."""
+    col_docs, tfs, positions = columns
+    out = []
+    i = start = 0
+    for doc in docs:
+        j = bisect_left(col_docs, doc, i)
+        start += sum(tfs[i:j])
+        out.append(positions[start : start + tfs[j]])
+        i = j
+    return out
 
 
 def build_index(
@@ -450,9 +525,8 @@ def build_index(
         raise EmptyCorpusError("empty corpus")
     schema_order = {name: i for i, name in enumerate(schema)}
 
-    postings: dict[str, dict[str, list[Posting]]] = {}
+    postings: dict[str, dict[str, Columns]] = {}
     raw_values: dict[str, dict[str, set[int]]] = {}
-    field_lengths: dict[str, dict[int, int]] = {}
     doc_ids: list[str] = []
     doc_langs: list[str] = []
 
@@ -462,6 +536,16 @@ def build_index(
         for i, token in enumerate(tokens):
             per_term.setdefault(token, []).append(start + i)
         return start + len(tokens) + SEGMENT_GAP
+
+    def add_postings(field: str, ordinal: int, per_term: dict[str, list[int]]) -> None:
+        field_postings = postings.setdefault(field, {})
+        for term, positions in per_term.items():
+            columns = field_postings.get(term)
+            if columns is None:
+                columns = field_postings[term] = (array("I"), array("I"), array("I"))
+            columns[0].append(ordinal)
+            columns[1].append(len(positions))
+            columns[2].extend(positions)
 
     for ordinal, doc in enumerate(docs):
         if doc.lang not in chains:
@@ -473,16 +557,13 @@ def build_index(
         names = sorted(
             doc.fields, key=lambda n: (schema_order.get(n, len(schema_order)), n)
         )
-        all_name = f"{all_field}-{doc.lang}"
         all_terms: dict[str, list[int]] = {}
         all_pos = 0
-        all_length = 0
 
         for name in names:
             composite = f"{name}-{doc.lang}"
             per_term: dict[str, list[int]] = {}
             pos = 0
-            length = 0
             for value in doc.fields[name]:
                 tokens = chain.run(value)
                 trimmed = value.strip()
@@ -494,25 +575,14 @@ def build_index(
                     continue
                 pos = add_segment(per_term, tokens, pos)
                 all_pos = add_segment(all_terms, tokens, all_pos)
-                length += len(tokens)
-                all_length += len(tokens)
-            field_lengths.setdefault(composite, {})[ordinal] = length
-            field_postings = postings.setdefault(composite, {})
-            for term in per_term:
-                field_postings.setdefault(term, []).append(
-                    Posting(ordinal, tuple(per_term[term]))
-                )
-        field_lengths.setdefault(all_name, {})[ordinal] = all_length
-        all_postings = postings.setdefault(all_name, {})
-        for term in all_terms:
-            all_postings.setdefault(term, []).append(Posting(ordinal, tuple(all_terms[term])))
+            add_postings(composite, ordinal, per_term)
+        add_postings(f"{all_field}-{doc.lang}", ordinal, all_terms)
 
     return Index(
         doc_ids=doc_ids,
         doc_langs=doc_langs,
         postings=postings,
         raw_values={f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
-        field_lengths=field_lengths,
         chains=chains,
         all_field=all_field,
     )

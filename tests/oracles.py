@@ -3,8 +3,9 @@
 Everything here recomputes results straight from raw documents (or raw
 ranked lists), deliberately avoiding the index / recommender / metric
 code paths under test. Only the analyzer chains are shared, since every
-route needs identical tokenization, and the media-link pattern, which
-defines what the stripper oracle recognises.
+route needs identical tokenization (`naive_chain_run` checks them against
+their stage functions), and the media-link pattern, which defines what
+the stripper oracle recognises.
 """
 
 from __future__ import annotations
@@ -12,11 +13,37 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from sparse_expand.analysis import de_light_stem, de_normalize, en_possessive, tokenize
 from sparse_expand.corpus import DEFAULT_SCHEMA
 from sparse_expand.index import Term
+from sparse_expand.porter import porter_stem
 from sparse_expand.wiki_lead import _MEDIA_LINK_RE
 
 SEGMENT_GAP = 1
+
+
+def naive_chain_run(chain, text):
+    """A chain's stages applied stage by stage to the whole token list,
+    with no per-token cache."""
+    terms = tokenize(text)
+    for stage in chain.stages:
+        if stage == "tokenize":
+            continue
+        if stage == "en_possessive":
+            terms = [en_possessive(t) for t in terms]
+        elif stage == "lowercase":
+            terms = [t.lower() for t in terms]
+        elif stage == "stopwords":
+            terms = [t for t in terms if t.lower() not in chain.stopword_list]
+        elif stage == "porter_stem":
+            terms = [porter_stem(t) for t in terms]
+        elif stage == "de_normalize":
+            terms = [de_normalize(t) for t in terms]
+        elif stage == "de_light_stem":
+            terms = [de_light_stem(t) for t in terms]
+        else:
+            raise ValueError(f"unknown analyzer stage: {stage}")
+    return [t for t in terms if t]
 
 
 def field_token_positions(doc, chain, schema=DEFAULT_SCHEMA, all_field="chic_all"):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_chain_run
+from sparse_expand import analysis
 from sparse_expand.analysis import (
     AnalyzerChain,
     analyze,
@@ -233,3 +235,62 @@ def test_query_tokens_surface_forms(en_chain):
     assert query_tokens(en_chain, "The Great American Novel") == ["Great", "American", "Novel"]
     assert query_tokens(en_chain, "Dick's whale") == ["Dick", "whale"]
     assert query_tokens(en_chain, "the of and") == []
+
+
+# Words that exercise every stage: stopwords in mixed case, possessives
+# with straight and typographic apostrophes, German umlauts and ß.
+_CHAIN_WORDS = (
+    "The", "the", "THE", "of", "Und", "der", "DIE", "whale", "Whales", "whaling",
+    "Dick's", "ship’s", "Ahab's's", "don't", "Gemälde", "Straße", "Häuser",
+    "ÜBER", "über", "Öl", "maps", "running", "s", "a1", "x", "",
+)
+_CHAINS = {
+    "en": lambda: chain_for("en"),
+    "de": lambda: chain_for("de"),
+    "en_keep_stopwords": lambda: chain_for("en", keep_stopwords=True),
+    "de_custom_stopwords": lambda: chain_for(
+        "de", stopword_list=frozenset({"whale", "gemälde", "s"})
+    ),
+}
+_chain_text = st.lists(
+    st.one_of(st.sampled_from(_CHAIN_WORDS), st.text(alphabet="aäöüßA'’ .-", max_size=8)),
+    max_size=12,
+).map(" ".join)
+
+
+@pytest.mark.parametrize("profile", sorted(_CHAINS))
+@settings(max_examples=150)
+@given(texts=st.lists(_chain_text, min_size=1, max_size=4))
+def test_chain_matches_stage_by_stage_oracle(profile, texts):
+    chain = _CHAINS[profile]()
+    for text in texts:  # the first run of each text fills the cache
+        expected = naive_chain_run(chain, text)
+        assert chain.run(text) == expected
+        assert chain.run(text) == expected
+    warm = _CHAINS[profile]()
+    for text in reversed(texts):
+        assert warm.run(text) == naive_chain_run(warm, text)
+
+
+def test_chains_with_different_stopwords_do_not_share_results():
+    plain = chain_for("en")
+    custom = chain_for("en", stopword_list=frozenset({"whale"}))
+    assert plain.run("the whale") == ["whale"]
+    assert custom.run("the whale") == ["the"]
+    assert plain.run("the whale") == ["whale"]
+    assert plain == chain_for("en")
+    assert plain != custom
+
+
+def test_chain_stems_each_surface_token_once(monkeypatch):
+    calls = []
+
+    def counting_stem(term):
+        calls.append(term)
+        return porter_stem(term)
+
+    monkeypatch.setattr(analysis, "porter_stem", counting_stem)
+    chain = chain_for("en")
+    assert chain.run("whales and Whales and whales") == ["whale", "whale", "whale"]
+    assert chain.run("whales") == ["whale"]
+    assert calls == ["whales", "whales"]  # one per distinct surface form

@@ -238,6 +238,16 @@ def test_exit_code_data_error(tmp_path):
     assert main(["corpus", "stats", "--docs", str(bad)]) == 2
 
 
+def test_index_search_on_a_version_1_snapshot_exits_2(tmp_path, capsys):
+    # tests/data/index_v1/index.bin: two documents, written by the version 1 format
+    v1 = Path(__file__).parent / "data" / "index_v1"
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+    code = main(["index", "search", "--index", str(v1), "--query-file", str(queries)])
+    assert code == 2
+    assert "unsupported snapshot version 1" in capsys.readouterr().err
+
+
 def test_exit_code_combo_prerequisite(tmp_path):
     workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
     code = main(

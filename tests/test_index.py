@@ -1,4 +1,8 @@
+import math
 import random
+import struct
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +16,10 @@ from sparse_expand.errors import (
     EmptyCorpusError,
     UnknownFieldError,
 )
+from sparse_expand.analysis import AnalyzerChain
 from sparse_expand.index import (
     SNAPSHOT_FILENAME,
+    SNAPSHOT_MAGIC,
     Index,
     Phrase,
     Query,
@@ -248,8 +254,6 @@ def test_snapshot_round_trip(tmp_path):
         assert loaded.search(query, 100) == idx.search(query, 100)
     for field in idx.fields:
         assert loaded.raw_values(field) == idx.raw_values(field)
-        for doc in range(idx.n_docs):
-            assert loaded.field_length(field, doc) == idx.field_length(field, doc)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -269,14 +273,21 @@ def test_snapshot_truncated_or_bit_flipped_raises_only_data_error(tmp_path):
         with pytest.raises(DataError):
             Index.load(bad)
     rng = random.Random(12)
+    loaded = 0
     for _ in range(300):
         flipped = bytearray(data)
         flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         bad.write_bytes(bytes(flipped))
         try:
-            Index.load(bad)
+            idx = Index.load(bad)
         except DataError:
-            pass
+            continue
+        loaded += 1
+        # whatever loads must also answer a search on each of its terms
+        for field in idx.fields:
+            for term in idx.terms(field):
+                idx.search(Query((Term(field, term),)), 10)
+    assert loaded
 
 
 def test_snapshot_rejects_trailing_bytes(tmp_path):
@@ -302,6 +313,11 @@ def test_query_validation():
         Term("f", "x", 0.0)
     with pytest.raises(ValueError):
         Phrase("f", (), 1.0)
+    for boost in (math.inf, -math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            Term("f", "x", boost)
+        with pytest.raises(ValueError):
+            Phrase("f", ("x", "y"), boost)
 
 
 def test_scoreddoc_order_contract():
@@ -315,3 +331,153 @@ def test_scoreddoc_order_contract():
     scores = [r.score for r in results]
     assert scores == sorted(scores, reverse=True)
     assert [r.doc_id for r in results] == ["d0", "d2", "d1"]
+
+
+def _columns(docs, tfs, positions):
+    return (array("I", docs), array("I", tfs), array("I", positions))
+
+
+_GOOD = _columns([0, 1], [1, 2], [0, 0, 2])
+
+
+@pytest.mark.parametrize(
+    "columns, raw_docs, stages, field",
+    [
+        (_columns([0, 2], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # ordinal >= n_docs
+        (_columns([1, 0], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # not ascending
+        (_columns([1, 1], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # repeated doc
+        (_columns([0, 1], [0, 2], [0, 1]), (0,), ("tokenize",), "t-en"),  # tf 0
+        (_columns([0, 1], [1, 2], [0, 1]), (0,), ("tokenize",), "t-en"),  # tfs != positions
+        (_GOOD, (0, 2), ("tokenize",), "t-en"),  # raw-value ordinal >= n_docs
+        (_GOOD, (1, 0), ("tokenize",), "t-en"),  # raw-value ordinals not ascending
+        (_GOOD, (0,), ("tokenize", "mystery"), "t-en"),  # unknown stage
+        (_GOOD, (0,), ("tokenize",), "t-fr"),  # no chain for the field
+    ],
+)
+def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, stages, field):
+    idx = Index(
+        doc_ids=["d0", "d1"],
+        doc_langs=["en", "en"],
+        postings={field: {"x": columns}},
+        raw_values={field: {"x": raw_docs}},
+        chains={"en": AnalyzerChain("en", stages)},
+    )
+    path = tmp_path / SNAPSHOT_FILENAME
+    idx.save(path)
+    with pytest.raises(DataError):
+        Index.load(path)
+
+
+def test_snapshot_rejects_repeated_doc_ids(tmp_path):
+    idx = Index(
+        doc_ids=["d0", "d0"],
+        doc_langs=["en", "en"],
+        postings={"t-en": {"x": _GOOD}},
+        raw_values={},
+        chains={"en": AnalyzerChain("en", ("tokenize",))},
+    )
+    path = tmp_path / SNAPSHOT_FILENAME
+    idx.save(path)
+    with pytest.raises(DataError, match="repeated doc_id"):
+        Index.load(path)
+
+
+def test_snapshot_accepts_the_valid_columns(tmp_path):
+    idx = Index(
+        doc_ids=["d0", "d1"],
+        doc_langs=["en", "en"],
+        postings={"t-en": {"x": _GOOD}},
+        raw_values={"t-en": {"x": (0,)}},
+        chains={"en": AnalyzerChain("en", ("tokenize",))},
+    )
+    path = tmp_path / SNAPSHOT_FILENAME
+    idx.save(path)
+    loaded = Index.load(path)
+    assert [(p.doc, p.positions) for p in loaded.postings("t-en", "x")] == [(0, (0,)), (1, (0, 2))]
+
+
+def test_snapshot_of_version_1_is_rejected():
+    path = Path(__file__).parent / "data" / "index_v1" / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 1)
+    with pytest.raises(DataError, match="unsupported snapshot version 1"):
+        Index.load(path)
+
+
+def test_postings_are_read_back_from_the_columns():
+    idx = _index(
+        [
+            _doc(0, **{"dc:title": ["whale ship whale"]}),
+            _doc(1, **{"dc:title": ["ship"]}),
+            _doc(2, **{"dc:title": ["whale"], "dc:description": ["old whale"]}),
+        ]
+    )
+    assert [(p.doc, p.positions, p.tf) for p in idx.postings("dc:title-en", "whale")] == [
+        (0, (0, 2), 2),
+        (2, (0,), 1),
+    ]
+    assert [(p.doc, p.positions) for p in idx.postings("chic_all-en", "whale")] == [
+        (0, (0, 2)),
+        (2, (1, 3)),  # schema order: description "old whale", gap, title "whale"
+    ]
+    assert idx.postings("dc:title-en", "zebra") == ()
+
+
+def test_phrase_of_a_repeated_token_counts_overlapping_matches():
+    docs = [
+        _doc(0, **{"dc:title": ["whale whale whale"]}),
+        _doc(1, **{"dc:title": ["whale ship whale"]}),
+        _doc(2, **{"dc:title": ["ship"]}),
+    ]
+    idx = _index(docs)
+    query = Query((Phrase("dc:title-en", ("whale", "whale")),))
+    results = idx.search(query, 10)
+    idf = 1.0 + math.log(3 / 2)
+    assert results == [ScoredDoc("d0", math.sqrt(2) * idf)]
+    assert [(r.doc_id, r.score) for r in results] == naive_search(docs, CHAINS, query, 10)
+
+
+def _repetitive_corpus(rng, size):
+    """Short fields over a small vocabulary with one dominant word, so
+    words repeat within and across values."""
+    vocab = ["whale", "ship", "map", "harbor", "castle"]
+    weights = [8, 3, 2, 1, 1]
+
+    def value():
+        return " ".join(rng.choices(vocab, weights, k=rng.randint(1, 5)))
+
+    docs = []
+    for i in range(size):
+        fields = {"dc:title": (value(),)}
+        if rng.random() < 0.8:
+            fields["dc:description"] = tuple(value() for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            fields["dc:subject"] = tuple(value() for _ in range(rng.randint(2, 3)))
+        docs.append(Document(f"r{i:03d}", "en", fields))
+    return docs, vocab, weights
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phrase_search_oracle_on_repeated_words(seed):
+    rng = random.Random(500 + seed)
+    docs, vocab, weights = _repetitive_corpus(rng, rng.randint(15, 60))
+    idx = _index(docs)
+    fields = ("chic_all-en", "dc:title-en", "dc:description-en", "dc:subject-en")
+    phrases = [
+        ("whale", "whale"),
+        ("whale", "whale", "whale"),
+        ("whale", "ship"),  # most common token first
+        ("whale", "castle", "whale"),
+    ]
+    phrases += [tuple(rng.choices(vocab, weights, k=rng.randint(2, 4))) for _ in range(10)]
+    # phrases across the boundary of two values of a multi-valued field
+    for doc in docs[:10]:
+        for values in doc.fields.values():
+            if len(values) > 1:
+                phrases.append((values[0].split()[-1], values[1].split()[0]))
+    for terms in phrases:
+        clauses = [Phrase(rng.choice(fields), terms, rng.choice([0.5, 1.0, 2.0]))]
+        if rng.random() < 0.5:
+            clauses.append(Term(rng.choice(fields), rng.choice(vocab), 1.5))
+        query = Query(tuple(clauses))
+        got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
+        assert got == naive_search(docs, CHAINS, query, 1000)
