@@ -7,6 +7,11 @@ Documents arrive as UTF-8 line-delimited JSON, one object per line:
 Topics use the same transport:
 
     {"id": "CHIC-010", "lang": "en", "title": "film canada", "description": "..."}
+
+Ids may not contain whitespace, since run files separate their columns
+by whitespace. Each field value is stored with its whitespace runs folded
+to one space, so that a value is one line with no tabs in the
+suggestion file.
 """
 
 from __future__ import annotations
@@ -114,6 +119,8 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
     doc_id = str(obj.get("id", "")).strip()
     if not doc_id:
         raise DataError("missing or empty 'id'")
+    if any(map(str.isspace, doc_id)):
+        raise DataError(f"document id {doc_id!r} contains whitespace")
     lang = str(obj.get("lang", "")).strip()
     if not lang:
         raise DataError(f"document {doc_id!r}: missing or empty 'lang'")
@@ -129,9 +136,9 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
             values = [values]
         if not isinstance(values, list):
             raise DataError(f"document {doc_id!r}: field {name!r} must hold a list")
-        trimmed = tuple(str(v).strip() for v in values if str(v).strip())
-        if trimmed:
-            fields[name] = trimmed
+        folded = tuple(filter(None, (" ".join(str(v).split()) for v in values)))
+        if folded:
+            fields[name] = folded
     return Document(doc_id=doc_id, lang=lang, fields=fields)
 
 
@@ -199,6 +206,8 @@ def read_topics(path: str | Path) -> list[Topic]:
                 raise DataError(
                     f"{path}:{lineno}: topic needs non-empty 'id', 'title' and 'lang'"
                 )
+            if any(map(str.isspace, topic_id)):
+                raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
             description = obj.get("description")
             if description is not None:
                 description = str(description)

@@ -10,7 +10,10 @@ a set-overlap variant of the Jaccard coefficient with a fixed
 denominator. Scores are exact rationals. A seed is compared only with
 the documents that share an important word with it, found through a
 word -> documents map per n; since n is fixed, ranking by the integer
-overlap gives the same order as ranking by the score.
+overlap gives the same order as ranking by the score. Documents are held
+by their ordinal in sorted title order, so ties break by title through
+integer comparisons, and a Fraction is built only for the suggestions
+returned.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import urllib.parse
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -43,8 +47,10 @@ class SimCorpus:
         self._df = Counter()
         for counts in self._term_counts.values():
             self._df.update(counts.keys())
+        self._titles = sorted(self._term_counts)
+        self._ordinals = {title: i for i, title in enumerate(self._titles)}
         self._important: dict[tuple[str, int], frozenset[str]] = {}
-        self._holders: dict[int, dict[str, tuple[str, ...]]] = {}
+        self._holders: dict[int, dict[str, tuple[int, ...]]] = {}
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "SimCorpus":
@@ -57,7 +63,7 @@ class SimCorpus:
 
     @property
     def titles(self) -> list[str]:
-        return sorted(self._term_counts)
+        return list(self._titles)
 
     @property
     def n_docs(self) -> int:
@@ -95,22 +101,20 @@ class SimCorpus:
         words2 = self.important_words(title2, n)
         return Fraction(len(words1 & words2), n)
 
-    def overlaps(self, title: str, n: int) -> Counter:
-        """Other documents sharing an important word with `title`, mapped
-        to the size of the shared important-word set."""
+    def _overlaps(self, title: str, n: int) -> Counter:
+        """Ordinals of the other documents sharing an important word with
+        `title`, mapped to the size of the shared important-word set."""
         words = self.important_words(title, n)
         holders = self._holders.get(n)
         if holders is None:
-            lists: dict[str, list[str]] = {}
-            for other in self.titles:
+            lists: dict[str, list[int]] = {}
+            for ordinal, other in enumerate(self._titles):
                 for word in self.important_words(other, n):
-                    lists.setdefault(word, []).append(other)
-            holders = {word: tuple(others) for word, others in lists.items()}
+                    lists.setdefault(word, []).append(ordinal)
+            holders = {word: tuple(ordinals) for word, ordinals in lists.items()}
             self._holders[n] = holders
-        counts = Counter()
-        for word in words:
-            counts.update(holders[word])
-        del counts[title]
+        counts = Counter(chain.from_iterable(map(holders.__getitem__, words)))
+        del counts[self._ordinals[title]]
         return counts
 
 
@@ -129,7 +133,10 @@ def suggest_docsim(
     """
     if seed_title not in corpus:
         raise SeedNotFoundError(f"seed not found: {seed_title!r}")
-    ranked = sorted(corpus.overlaps(seed_title, n).items(), key=lambda pair: (-pair[1], pair[0]))
+    counts = corpus._overlaps(seed_title, n)
+    ranked = sorted(counts)  # ordinal order is title order
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    titles = corpus._titles
     return make_suggestion_set(
-        topic_id, source, [(title, Fraction(overlap, n)) for title, overlap in ranked[:k]]
+        topic_id, source, [(titles[i], Fraction(counts[i], n)) for i in ranked[:k]]
     )

@@ -2,8 +2,10 @@
 
 Outputs land in `out/<lang>/<system>/{run.trec, suggestions.tsv}` plus
 `metrics.tsv` when qrels are given, with a `manifest.json` at the output
-root recording the config hash and tool version. All writes go through
-a temp-file rename, and identical inputs produce byte-identical outputs.
+root recording the config hash and tool version. Every file is written
+to a unique temporary file in its directory, flushed to disk and renamed
+over the target, so a failed write leaves the old file in place.
+Identical inputs produce byte-identical outputs.
 
 Topics run one after another in a plain loop: the work is CPU-bound
 Python, which threads only slow down. Systems run sequentially because
@@ -16,6 +18,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -152,9 +155,21 @@ def _per_topic(
 
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        writer(tmp)
+        # mkstemp creates the file private; give it the mode a plain write would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with open(tmp, "rb") as handle:
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _suggest_system(

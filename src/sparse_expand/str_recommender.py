@@ -14,14 +14,22 @@ Only values that co-occur with the topic's documents can score above
 zero, so scoring walks the topic's documents through a doc -> values map
 (an inverted file turned around) instead of intersecting every value's
 document set. The maps are built once per index and concept fields.
+
+Jaccard candidates are ranked on the exact integer key
+floor(jaccard * N**2), N the number of indexed documents: every union is
+at most N, so two distinct scores differ by at least 1/N**2 and the key
+orders and ties exactly as the Fraction does. Scores are computed only
+for the suggestions returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import log
 
 from .analysis import query_tokens
@@ -108,20 +116,33 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     """
     cfg = cfg or CooccurConfig()
     ds_x = _topic_doc_set(index, topic, cfg)
-    similarity = jaccard if cfg.similarity == "jaccard" else log_jaccard
+    if cfg.similarity == "jaccard":
+        similarity, rank_key = jaccard, partial(_jaccard_key, n_sq=index.n_docs**2)
+    else:
+        similarity = rank_key = log_jaccard
 
     value_df, doc_values = _concept_maps(
         index, tuple(f"{name}-{topic.lang}" for name in cfg.concept_fields)
     )
-    df_xy = Counter()
-    for doc in ds_x:
-        df_xy.update(doc_values.get(doc, ()))
+    df_xy = Counter(itertools.chain.from_iterable(doc_values.get(doc, ()) for doc in ds_x))
     df_x = len(ds_x)
-    scored = [
-        (value, similarity(df_x, value_df[value], count)) for value, count in df_xy.items()
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return make_suggestion_set(topic.topic_id, "STR", scored[: cfg.top_k])
+    ranked = sorted(
+        (-rank_key(df_x, value_df[value], count), value, count) for value, count in df_xy.items()
+    )
+    top = ranked[: cfg.top_k]
+    return make_suggestion_set(
+        topic.topic_id,
+        "STR",
+        [(value, similarity(df_x, value_df[value], count)) for _, value, count in top],
+    )
+
+
+def _jaccard_key(df_x: int, df_y: int, df_xy: int, n_sq: int) -> int:
+    """floor(jaccard(df_x, df_y, df_xy) * n_sq) for df_xy >= 1, with the
+    count check of jaccard()."""
+    if df_xy > min(df_x, df_y):
+        raise ValueError("df_xy cannot exceed min(df_x, df_y)")
+    return df_xy * n_sq // (df_x + df_y - df_xy)
 
 
 # index -> concept fields -> (value -> df_y, doc -> its distinct values).

@@ -238,6 +238,20 @@ def test_exit_code_data_error(tmp_path):
     assert main(["corpus", "stats", "--docs", str(bad)]) == 2
 
 
+def test_index_build_on_an_id_with_whitespace_exits_2(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(
+        '{"id": "a", "lang": "en", "fields": {"dc:title": ["whale"]}}\n'
+        '{"id": "a b", "lang": "en", "fields": {"dc:title": ["ship"]}}\n',
+        encoding="utf-8",
+    )
+    code = main(["index", "build", "--docs", str(docs), "--out", str(tmp_path / "idx")])
+    assert code == 2
+    assert "document id 'a b' contains whitespace" in capsys.readouterr().err
+    lax = ["index", "build", "--docs", str(docs), "--out", str(tmp_path / "lax"), "--lax"]
+    assert main(lax) == 0
+
+
 def test_index_search_on_a_version_1_snapshot_exits_2(tmp_path, capsys):
     # tests/data/index_v1/index.bin: two documents, written by the version 1 format
     v1 = Path(__file__).parent / "data" / "index_v1"

@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import (
     DEFAULT_SCHEMA,
     Document,
@@ -13,6 +16,13 @@ from sparse_expand.corpus import (
     topic_stats,
 )
 from sparse_expand.errors import DataError, DuplicateDocumentError, EmptyCorpusError
+from sparse_expand.evaluation import RunRecord, read_run_file, write_run_file
+from sparse_expand.index import build_index
+from sparse_expand.suggestions import (
+    make_suggestion_set,
+    read_suggestion_file,
+    write_suggestion_file,
+)
 
 
 def _write(path, records):
@@ -97,6 +107,76 @@ def test_ingest_deterministic(tmp_path):
     records = [_record(i, **{"dc:title": [f"t {i}"]}) for i in range(20)]
     f = _write(tmp_path / "docs.jsonl", records)
     assert ingest_documents(f).documents == ingest_documents(f).documents
+
+
+# Every character str.splitlines breaks on is whitespace, so one space,
+# a tab and these cover the run and suggestion file separators.
+_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@pytest.mark.parametrize("space", _SPACES)
+def test_ingest_rejects_whitespace_inside_ids(tmp_path, space):
+    records = [_record(0, **{"dc:title": ["x"]}), _record(1, **{"dc:title": ["y"]})]
+    records[1]["id"] = f"a{space}b"
+    f = _write(tmp_path / "docs.jsonl", records)
+    with pytest.raises(DataError, match=":2: document id .* contains whitespace"):
+        ingest_documents(f)
+    result = ingest_documents(f, lax=True)
+    assert [d.doc_id for d in result.documents] == ["d0"]
+    assert result.rejected == 1
+    assert result.reject_reasons == {f"document id {f'a{space}b'!r} contains whitespace": 1}
+
+
+@pytest.mark.parametrize("space", _SPACES)
+def test_read_topics_rejects_whitespace_inside_ids(tmp_path, space):
+    f = tmp_path / "topics.jsonl"
+    f.write_text(
+        json.dumps({"id": "T-1", "lang": "en", "title": "whale"}) + "\n"
+        + json.dumps({"id": f"T{space}2", "lang": "en", "title": "ship"}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=":2: topic id .* contains whitespace"):
+        read_topics(f)
+
+
+def test_ingest_folds_whitespace_inside_values(tmp_path):
+    f = _write(
+        tmp_path / "docs.jsonl",
+        [_record(0, **{"dc:subject": ["Sea\nlife", " a \t\t b\u2028c ", "\r\n"]})],
+    )
+    (doc,) = ingest_documents(f).documents
+    assert doc.fields["dc:subject"] == ("Sea life", "a b c")
+
+
+@settings(max_examples=200)
+@given(doc_id=st.text(min_size=1, max_size=8), topic_id=st.text(min_size=1, max_size=8))
+def test_accepted_ids_round_trip_through_the_run_file(tmp_path_factory, doc_id, topic_id):
+    directory = tmp_path_factory.mktemp("ids")
+    docs = _write(directory / "docs.jsonl", [{"id": doc_id, "lang": "en", "fields": {}}])
+    accepted = [d.doc_id for d in ingest_documents(docs, lax=True).documents]
+    topics = directory / "topics.jsonl"
+    topics.write_text(json.dumps({"id": topic_id, "lang": "en", "title": "x"}) + "\n", "utf-8")
+    try:
+        topic_ids = [t.topic_id for t in read_topics(topics)]
+    except DataError:
+        topic_ids = []
+    records = [RunRecord(t, d, 1, 1.0, "STR") for t in topic_ids for d in accepted]
+    run = directory / "run.trec"
+    write_run_file(run, records)
+    assert [r for rs in read_run_file(run).values() for r in rs] == records
+
+
+@settings(max_examples=200)
+@given(values=st.lists(st.text(max_size=12), min_size=1, max_size=4))
+def test_ingested_values_round_trip_through_the_suggestion_file(tmp_path_factory, values):
+    directory = tmp_path_factory.mktemp("values")
+    docs = _write(directory / "docs.jsonl", [_record(0, **{"dc:subject": values})])
+    documents = ingest_documents(docs).documents
+    texts = sorted(build_index(documents, {"en": chain_for("en")}).raw_values("dc:subject-en"))
+    sset = make_suggestion_set("T-1", "STR", [(t, Fraction(1, 1 + i)) for i, t in enumerate(texts)])
+    path = directory / "suggestions.tsv"
+    write_suggestion_file(path, [sset])
+    assert [s.texts() for s in read_suggestion_file(path)] == ([texts] if texts else [])
 
 
 def _docs_with(field, present, total):

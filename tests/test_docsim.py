@@ -153,6 +153,27 @@ def test_suggest_k_beyond_nonzero_titles_matches_oracle():
     assert got.texts() == ["B", "C"]
 
 
+def test_suggest_ties_break_by_code_point_title_order():
+    # code-point order: "Moby" < "Zebra" < "apple" < "Émile"; file order differs
+    bodies = {
+        "apple": "ship garden",
+        "Émile": "ocean violin",
+        "seed": "whale ship ocean harbor",
+        "Zebra": "whale castle",
+        "Moby": "whale ship opera",
+        "Österreich": "carnival railway",
+    }
+    corpus = SimCorpus(list(bodies.items()))
+    expected = naive_docsim_ranking(bodies, EN_CHAIN, "seed", k=10, n=10)
+    got = suggest_docsim(corpus, "seed", k=10, n=10)
+    assert [(s.text, s.score) for s in got.suggestions] == expected
+    assert got.texts() == ["Moby", "Zebra", "apple", "Émile"]
+    assert all(type(s.score) is Fraction for s in got.suggestions)
+    assert corpus.titles == sorted(bodies)
+    corpus.titles.append("changed")  # a copy: the corpus keeps its own list
+    assert corpus.titles == sorted(bodies)
+
+
 def test_suggestion_files_byte_identical(tmp_path):
     bodies = _random_bodies(8, 30)
     sets = []

@@ -7,6 +7,7 @@ from conftest import build_pipeline_workspace
 from sparse_expand.errors import ConfigError, DataError
 from sparse_expand.pipeline import (
     PipelineConfig,
+    _atomic_write,
     config_validate,
     load_config,
     read_seeds_file,
@@ -176,3 +177,28 @@ def test_read_seeds_file(tmp_path):
     bad.write_text("no-tab-here\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_seeds_file(bad)
+
+
+def test_atomic_write_replaces_the_file_with_a_plain_file_mode(tmp_path):
+    target = tmp_path / "out" / "run.trec"
+    _atomic_write(target, lambda p: p.write_text("new\n", encoding="utf-8"))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert target.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in target.parent.iterdir()) == ["run.trec"]
+
+
+def test_atomic_write_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / "run.trec"
+    target.write_text("old\n", encoding="utf-8")
+
+    def failing_writer(path):
+        path.write_text("half", encoding="utf-8")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(target, failing_writer)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+    assert not list(tmp_path.glob("*.tmp*"))

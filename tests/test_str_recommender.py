@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_corpus
 from oracles import naive_str_scores
@@ -11,8 +13,10 @@ from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Document, Topic
 from sparse_expand.errors import EmptyQueryError
 from sparse_expand.index import build_index
+from sparse_expand import str_recommender
 from sparse_expand.str_recommender import (
     CooccurConfig,
+    _jaccard_key,
     jaccard,
     log_jaccard,
     suggest_str,
@@ -66,6 +70,92 @@ def test_similarity_sweep_exhaustive():
                 assert plain > last_plain or (plain == 0 and last_plain < 0)
                 assert logged > last_log or (logged == 0.0 and last_log < 0)
                 last_plain, last_log = plain, logged
+
+
+@st.composite
+def _counts(draw, n_docs):
+    """(df_x, df_y, df_xy) of two co-occurring document sets among n_docs."""
+    df_x = draw(st.integers(1, n_docs))
+    df_y = draw(st.integers(1, n_docs))
+    # the union df_x + df_y - df_xy of two sets of n_docs documents is at most n_docs
+    df_xy = draw(st.integers(max(1, df_x + df_y - n_docs), min(df_x, df_y)))
+    return df_x, df_y, df_xy
+
+
+@settings(max_examples=1000)
+@given(st.data())
+def test_jaccard_key_orders_and_ties_as_the_fraction(data):
+    n_docs = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+    a = data.draw(_counts(n_docs))
+    b = data.draw(_counts(n_docs))
+    key_a, key_b = (_jaccard_key(*counts, n_docs**2) for counts in (a, b))
+    score_a, score_b = jaccard(*a), jaccard(*b)
+    assert (key_a > key_b, key_a == key_b) == (score_a > score_b, score_a == score_b)
+
+
+def test_jaccard_key_on_neighbouring_and_equal_fractions():
+    n_sq = 60**2
+    # 29/59 - 28/57 = 1/(59 * 57), the smallest gap two unions <= 60 allow
+    assert _jaccard_key(30, 58, 29, n_sq) > _jaccard_key(30, 55, 28, n_sq)
+    assert _jaccard_key(30, 30, 1, n_sq) < _jaccard_key(30, 29, 1, n_sq)  # 1/59 < 1/58
+    assert _jaccard_key(30, 10, 10, n_sq) == _jaccard_key(30, 50, 20, n_sq)  # 1/3 == 2/6
+
+
+def _planted_corpus(n_docs, n_topic, values):
+    """n_docs documents, the first n_topic titled "whale" and the rest
+    "ship"; values maps a concept value to (topic documents holding it,
+    other documents holding it)."""
+    subjects = [[] for _ in range(n_docs)]
+    for value, (inside, outside) in values.items():
+        for i in list(range(inside)) + list(range(n_topic, n_topic + outside)):
+            subjects[i].append(value)
+    return [
+        Document(
+            f"d{i:03d}",
+            "en",
+            {"dc:title": ("whale" if i < n_topic else "ship",), "dc:subject": tuple(subjects[i])},
+        )
+        for i in range(n_docs)
+    ]
+
+
+def test_str_ranks_near_and_equal_scores_as_the_oracle():
+    # 60 documents, 30 of them the topic's; each pair below is named so
+    # that a key too coarse to separate its scores would rank it wrongly
+    values = {
+        "aa 28/57": (28, 27),  # just below 29/59
+        "zz 29/59": (29, 29),
+        "aa 1/59": (1, 29),  # just below 1/58
+        "zz 1/58": (1, 28),
+        "alpha 2/6": (20, 30),  # ties 1/3 exactly
+        "zeta 1/3": (10, 0),
+        "mid 19/58": (19, 28),  # just below 1/3
+    }
+    docs = _planted_corpus(60, 30, values)
+    idx = build_index(docs, EN)
+    topic = Topic("T", "whale", "en")
+    cfg = CooccurConfig(top_k=len(values))
+    expected = naive_str_scores(docs, topic, EN["en"], cfg.input_fields, cfg.concept_fields)
+    expected_rank = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
+    got = suggest_str(idx, topic, cfg)
+    assert [(s.text, s.score) for s in got.suggestions] == expected_rank
+    assert got.texts() == [
+        "zz 29/59", "aa 28/57", "alpha 2/6", "zeta 1/3", "mid 19/58", "zz 1/58", "aa 1/59"
+    ]
+    assert all(type(s.score) is Fraction for s in got.suggestions)
+
+
+@pytest.mark.parametrize("similarity", ["jaccard", "log_jaccard"])
+def test_str_checks_the_counts_of_every_candidate(monkeypatch, similarity):
+    docs = [Document("a", "en", {"dc:title": ("whale",), "dc:subject": ("sea",)})]
+    idx = build_index(docs, EN)
+    # "ranked low" appears twice in the one topic document: df_xy = 2 > df_x = 1.
+    # It would rank below "sea" and fall outside top_k = 1, yet must be caught.
+    maps = ({"sea": 1, "ranked low": 100}, {0: ("sea", "ranked low", "ranked low")})
+    monkeypatch.setattr(str_recommender, "_concept_maps", lambda index, fields: maps)
+    cfg = CooccurConfig(similarity=similarity, top_k=1)
+    with pytest.raises(ValueError, match="df_xy cannot exceed"):
+        suggest_str(idx, Topic("T", "whale", "en"), cfg)
 
 
 def _poster_corpus():
