@@ -17,17 +17,18 @@ from . import __version__
 from .analysis import chain_for
 from .corpus import coverage_report, ingest_documents, read_topics, topic_stats
 from .docsim import SimCorpus, suggest_docsim
-from .errors import ConfigError, DataError, EmptyQueryError, SparseExpandError
+from .errors import ConfigError, EmptyQueryError, SparseExpandError
 from .evaluation import (
     evaluate_run,
     evaluate_suggestions,
     read_judgments_file,
     read_qrels_file,
     read_run_file,
-    write_run_file,
+    run_lines,
     RunRecord,
 )
 from .expand import ExpansionConfig, build_query, combo_merge, write_query_file, read_query_file
+from .files import write_lines
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
     PipelineConfig,
@@ -40,6 +41,7 @@ from .suggestions import (
     SYSTEMS,
     make_suggestion_set,
     read_suggestion_file,
+    suggestion_lines,
     write_suggestion_file,
 )
 from .wiki_lead import ArticleStore, suggest_wiki_lead
@@ -60,6 +62,21 @@ def _echo_rows(rows: list[tuple], headers: tuple[str, ...], fmt: str) -> None:
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     for r in table:
         click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+
+
+def _emit_lines(lines: list[str], out_file: str | None) -> None:
+    """Write the lines to `out_file`, or print them when there is none."""
+    if out_file:
+        write_lines(out_file, lines)
+    else:
+        for line in lines:
+            click.echo(line)
+
+
+def _run_tag(ctx, param, value: str) -> str:
+    if not value or any(map(str.isspace, value)):
+        raise click.BadParameter("must be non-empty and contain no whitespace")
+    return value
 
 
 def _number(value: float) -> str:
@@ -136,17 +153,16 @@ def index_build(docs, out_dir, lax, stopword_file):
     langs = sorted({d.lang for d in documents})
     chains = {lang: chain_for(lang, stopword_list=custom) for lang in langs}
     index = build_index(documents, chains)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index.save(out / SNAPSHOT_FILENAME)
-    logger.info("indexed %d documents into %s", index.n_docs, out / SNAPSHOT_FILENAME)
+    path = Path(out_dir) / SNAPSHOT_FILENAME
+    index.save(path)
+    logger.info("indexed %d documents into %s", index.n_docs, path)
 
 
 @index_group.command("search")
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--query-file", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-k", "top_k", default=1000, show_default=True)
-@click.option("--run-tag", default="sparse-expand", show_default=True)
+@click.option("--run-tag", default="sparse-expand", show_default=True, callback=_run_tag)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def index_search(index_dir, query_file, top_k, run_tag, out_file):
     """Run serialized queries; writes TREC run lines."""
@@ -155,11 +171,7 @@ def index_search(index_dir, query_file, top_k, run_tag, out_file):
     for topic_id, query in read_query_file(query_file):
         for rank, hit in enumerate(index.search(query, top_k), 1):
             records.append(RunRecord(topic_id, hit.doc_id, rank, hit.score, run_tag))
-    if out_file:
-        write_run_file(out_file, records)
-    else:
-        for r in records:
-            click.echo(f"{r.topic_id} Q0 {r.doc_id} {r.rank} {r.score:.6f} {r.run_tag}")
+    _emit_lines(run_lines(records), out_file)
 
 
 # -- suggest ------------------------------------------------------------
@@ -168,17 +180,6 @@ def index_search(index_dir, query_file, top_k, run_tag, out_file):
 @cli.group()
 def suggest():
     """Generate related-concept suggestions."""
-
-
-def _emit_suggestions(sets, out_file):
-    if out_file:
-        write_suggestion_file(out_file, sets)
-        return
-    for sset in sorted(sets, key=lambda s: s.topic_id):
-        for sugg in sset.suggestions:
-            click.echo(
-                f"{sset.topic_id}\t{sugg.rank}\t{sugg.text}\t{float(sugg.score):.6f}\t{sset.system}"
-            )
 
 
 @suggest.command("str")
@@ -205,7 +206,7 @@ def suggest_str_cmd(index_dir, topics, top_k, similarity, out_file):
         except EmptyQueryError as exc:
             logger.warning("%s", exc)
             sets.append(make_suggestion_set(topic.topic_id, "STR", []))
-    _emit_suggestions(sets, out_file)
+    _emit_lines(suggestion_lines(sets), out_file)
 
 
 @suggest.command("wiki-lead")
@@ -222,7 +223,7 @@ def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
         suggest_wiki_lead(store, topic, k=top_k, min_links=min_links)
         for topic in read_topics(topics)
     ]
-    _emit_suggestions(sets, out_file)
+    _emit_lines(suggestion_lines(sets), out_file)
 
 
 @suggest.command("docsim")
@@ -240,7 +241,7 @@ def suggest_docsim_cmd(corpus_dir, seeds, top_k, top_n, label, lang, out_file):
         suggest_docsim(corpus, seed, k=top_k, n=top_n, source=label, topic_id=topic_id)
         for topic_id, seed in sorted(read_seeds_file(seeds).items())
     ]
-    _emit_suggestions(sets, out_file)
+    _emit_lines(suggestion_lines(sets), out_file)
 
 
 # -- combo / expand -----------------------------------------------------
@@ -378,9 +379,6 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             click.echo(f"error: {problem}", err=True)
         return 1
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
     except SparseExpandError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

@@ -41,6 +41,8 @@ class SimCorpus:
         for title, body in documents:
             if title in self._term_counts:
                 raise DataError(f"duplicate document title {title!r}")
+            if any(c.isspace() and c != " " for c in title):
+                raise DataError(f"document title {title!r} contains whitespace other than spaces")
             self._term_counts[title] = Counter(self._chain.run(body))
         if not self._term_counts:
             raise DataError("similarity corpus is empty")

@@ -16,9 +16,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .files import read_lines, write_lines
 from .suggestions import SuggestionSet
 
 logger = logging.getLogger(__name__)
@@ -37,19 +38,19 @@ class RunRecord:
     run_tag: str
 
 
+def run_lines(records: Iterable[RunRecord]) -> list[str]:
+    """The run file's lines, in record order."""
+    return [f"{r.topic_id} Q0 {r.doc_id} {r.rank} {r.score:.6f} {r.run_tag}" for r in records]
+
+
 def write_run_file(path: str | Path, records: Sequence[RunRecord]) -> None:
-    lines = [
-        f"{r.topic_id} Q0 {r.doc_id} {r.rank} {r.score:.6f} {r.run_tag}" for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, run_lines(records))
 
 
 def read_run_file(path: str | Path) -> dict[str, list[RunRecord]]:
     """Parse and validate a run; returns topic -> records in rank order."""
     by_topic: dict[str, list[RunRecord]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 whitespace-separated columns")
@@ -76,9 +77,7 @@ def read_run_file(path: str | Path) -> dict[str, list[RunRecord]]:
 def read_qrels_file(path: str | Path) -> dict[str, dict[str, int]]:
     """topic -> doc -> grade; grades restricted to 0, 1, 2."""
     qrels: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 whitespace-separated columns")
@@ -99,7 +98,7 @@ def write_qrels_file(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -
         for topic_id in sorted(qrels)
         for doc_id, grade in sorted(qrels[topic_id].items())
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _relevant_docs(judgments: Mapping[str, int], threshold: int) -> set[str]:
@@ -215,9 +214,7 @@ def evaluate_run(
 def read_judgments_file(path: str | Path) -> dict[str, dict[int, int]]:
     """Suggestion judgments: topic -> rank -> grade."""
     judgments: dict[str, dict[int, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .analysis import AnalyzerChain, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
+from .files import read_lines, write_lines
 from .index import ALL_FIELD, Clause, Phrase, Query, Term
 from .suggestions import GENERATOR_SYSTEMS, ConceptSuggestion, SuggestionSet
 
@@ -229,14 +230,12 @@ def parse_query(expression: str) -> Query:
 def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> None:
     """One `topic_id <TAB> expression` line per query."""
     lines = [f"{topic_id}\t{serialize_query(query)}" for topic_id, query in queries]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def read_query_file(path: str | Path) -> list[tuple[str, Query]]:
     out: list[tuple[str, Query]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         topic_id, sep, expression = line.partition("\t")
         if not sep or not topic_id.strip():
             raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>expression'")

@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .analysis import STAGE_NAMES, AnalyzerChain
 from .corpus import DEFAULT_SCHEMA, Document
 from .errors import AnalysisError, DataError, EmptyCorpusError, UnknownFieldError
+from .files import write_atomic
 
 ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
@@ -364,7 +365,7 @@ class Index:
             out += _u32_bytes(array("I", docs))
 
         put_str(self._all_field)
-        Path(path).write_bytes(bytes(out))
+        write_atomic(path, out)
 
     @classmethod
     def load(cls, path: str | Path) -> "Index":

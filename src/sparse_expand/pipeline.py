@@ -2,10 +2,8 @@
 
 Outputs land in `out/<lang>/<system>/{run.trec, suggestions.tsv}` plus
 `metrics.tsv` when qrels are given, with a `manifest.json` at the output
-root recording the config hash and tool version. Every file is written
-to a unique temporary file in its directory, flushed to disk and renamed
-over the target, so a failed write leaves the old file in place.
-Identical inputs produce byte-identical outputs.
+root recording the config hash and tool version. Identical inputs
+produce byte-identical outputs.
 
 Topics run one after another in a plain loop: the work is CPU-bound
 Python, which threads only slow down. Systems run sequentially because
@@ -17,11 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .analysis import chain_for
@@ -36,6 +32,7 @@ from .evaluation import (
     write_run_file,
 )
 from .expand import ExpansionConfig, build_query, combo_merge
+from .files import read_lines, write_lines
 from .index import Index, build_index
 from .str_recommender import CooccurConfig, suggest_str
 from .suggestions import (
@@ -136,40 +133,12 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
 def read_seeds_file(path: str | Path) -> dict[str, str]:
     """topic_id -> seed document title, one tab-separated pair per line."""
     seeds: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         topic_id, sep, title = line.partition("\t")
         if not sep or not topic_id.strip() or not title.strip():
             raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>seed title'")
         seeds[topic_id.strip()] = title.strip()
     return seeds
-
-
-def _per_topic(
-    topics: Sequence[Topic], job: Callable[[Topic], SuggestionSet]
-) -> dict[str, SuggestionSet]:
-    """Run one job per topic, in topic order."""
-    return {topic.topic_id: job(topic) for topic in topics}
-
-
-def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    tmp = Path(name)
-    try:
-        writer(tmp)
-        # mkstemp creates the file private; give it the mode a plain write would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with open(tmp, "rb") as handle:
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _suggest_system(
@@ -188,14 +157,14 @@ def _suggest_system(
                 logger.warning("%s", exc)
                 return make_suggestion_set(topic.topic_id, "STR", [])
 
-        return _per_topic(topics, job)
+        return {topic.topic_id: job(topic) for topic in topics}
 
     if system == "WIKI_ENTITY":
         store = ArticleStore.from_dir(cfg.articles, lang=cfg.lang)
-        return _per_topic(
-            topics,
-            lambda t: suggest_wiki_lead(store, t, k=cfg.k, min_links=cfg.min_links),
-        )
+        return {
+            t.topic_id: suggest_wiki_lead(store, t, k=cfg.k, min_links=cfg.min_links)
+            for t in topics
+        }
 
     if system in ("WIKI_SIM", "WIKI_BACK"):
         directory = cfg.sim_corpus if system == "WIKI_SIM" else cfg.back_corpus
@@ -207,10 +176,9 @@ def _suggest_system(
             if seed is None:
                 logger.warning("no seed for topic %s; empty %s suggestions", topic.topic_id, system)
                 return make_suggestion_set(topic.topic_id, system, [])
-            sset = suggest_docsim(corpus, seed, k=cfg.k, n=cfg.n, source=system, topic_id=topic.topic_id)
-            return sset
+            return suggest_docsim(corpus, seed, k=cfg.k, n=cfg.n, source=system, topic_id=topic.topic_id)
 
-        return _per_topic(topics, job)
+        return {topic.topic_id: job(topic) for topic in topics}
 
     raise ValueError(f"not a generator system: {system}")
 
@@ -254,7 +222,7 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
 
         suggestions_path = system_dir / "suggestions.tsv"
         sets = [per_topic[t.topic_id] for t in sorted(topics, key=lambda t: t.topic_id)]
-        _atomic_write(suggestions_path, lambda p: write_suggestion_file(p, sets))
+        write_suggestion_file(suggestions_path, sets)
         files = [str(suggestions_path)]
 
         records: list[RunRecord] = []
@@ -272,18 +240,18 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
             for rank, hit in enumerate(index.search(query, cfg.depth), 1):
                 records.append(RunRecord(topic.topic_id, hit.doc_id, rank, hit.score, system))
         run_path = system_dir / "run.trec"
-        _atomic_write(run_path, lambda p: write_run_file(p, records))
+        write_run_file(run_path, records)
         files.append(str(run_path))
 
         if qrels is not None:
             report = evaluate_run(read_run_file(run_path), qrels, depth=cfg.depth)
             metrics_path = system_dir / "metrics.tsv"
-            _atomic_write(metrics_path, lambda p: _write_metrics(p, report))
+            _write_metrics(metrics_path, report)
             files.append(str(metrics_path))
         written[system] = files
 
     manifest_path = out_root / "manifest.json"
-    _atomic_write(manifest_path, lambda p: _write_manifest(p, cfg, ordered))
+    _write_manifest(manifest_path, cfg, ordered)
     written["manifest"] = [str(manifest_path)]
     return written
 
@@ -330,7 +298,7 @@ def _write_metrics(path: Path, report) -> None:
         values = report.per_topic[topic_id]
         lines.append(f"{topic_id}\t{values['ap']:.6f}\t{values['r_precision']:.6f}")
     lines.append(f"mean\t{report.means['ap']:.6f}\t{report.means['r_precision']:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _write_manifest(path: Path, cfg: PipelineConfig, systems: Sequence[str]) -> None:
@@ -341,4 +309,4 @@ def _write_manifest(path: Path, cfg: PipelineConfig, systems: Sequence[str]) -> 
         "systems": list(systems),
         "tool_version": __version__,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])

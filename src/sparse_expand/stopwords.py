@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .files import read_lines
+
 ENGLISH = frozenset("""
 a about above after again against all am an and any are as at
 be because been before being below between both but by
@@ -57,7 +59,7 @@ BY_LANG = {"en": ENGLISH, "de": GERMAN}
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: UTF-8, one word per line, '#' starts a comment."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for _, line in read_lines(path):
         word = line.split("#", 1)[0].strip()
         if word:
             words.add(word.lower())

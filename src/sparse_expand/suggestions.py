@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .files import read_lines, write_lines
 
 # The one registry of system names. Generator order is COMBO's merge
 # order; COMBO comes last because it consumes the generators' output.
@@ -71,7 +72,8 @@ def format_score(score: float | Fraction) -> str:
     return f"{float(score):.6f}"
 
 
-def write_suggestion_file(path: str | Path, sets: Iterable[SuggestionSet]) -> None:
+def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
+    """The suggestion file's lines, sorted by topic then rank."""
     lines = []
     for sset in sorted(sets, key=lambda s: s.topic_id):
         for sugg in sset.suggestions:
@@ -79,16 +81,18 @@ def write_suggestion_file(path: str | Path, sets: Iterable[SuggestionSet]) -> No
             lines.append(
                 f"{sset.topic_id}\t{sugg.rank}\t{text}\t{format_score(sugg.score)}\t{sset.system}"
             )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    return lines
+
+
+def write_suggestion_file(path: str | Path, sets: Iterable[SuggestionSet]) -> None:
+    write_lines(path, suggestion_lines(sets))
 
 
 def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
     """Parse and validate a suggestion file; one set per (topic, system)."""
     rows: dict[tuple[str, str], list[tuple[int, str, float]]] = {}
     order: list[tuple[str, str]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 tab-separated columns")

@@ -1,5 +1,8 @@
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 from conftest import build_pipeline_workspace, write_docs_file, write_topics_file
 from sparse_expand.cli import main
@@ -274,3 +277,85 @@ def test_exit_code_combo_prerequisite(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "sparse-expand" in capsys.readouterr().out
+
+
+def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=60, n_topics=3)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(
+        "T-000\tchic_all-en:(film OR canada)^2\nT-001\tchic_all-en:(whale OR ship)\n",
+        encoding="utf-8",
+    )
+    commands = [
+        ["suggest", "str", "--index", index_dir, "--topics", workspace["topics"]],
+        ["index", "search", "--index", index_dir, "--query-file", str(queries), "-k", "20"],
+    ]
+    for i, command in enumerate(commands):
+        capsys.readouterr()
+        assert main(command) == 0
+        printed = capsys.readouterr().out
+        out_file = tmp_path / f"out-{i}.txt"
+        assert main(command + ["--out", str(out_file)]) == 0
+        assert printed, command
+        assert printed.encode("utf-8") == out_file.read_bytes(), command
+        assert capsys.readouterr().out == ""
+
+
+def test_a_failed_write_keeps_the_old_out_file(tmp_path, monkeypatch):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
+    index_dir = tmp_path / "idx"
+    build = ["index", "build", "--docs", workspace["docs"], "--out", str(index_dir)]
+    assert main(build) == 0
+    snapshot = (index_dir / "index.bin").read_bytes()
+    out_dir = tmp_path / "suggestions"
+    out_dir.mkdir()
+    (out_dir / "str.tsv").write_text("old\n", encoding="utf-8")
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    assert main(build) == 2
+    suggest = ["suggest", "str", "--index", str(index_dir), "--topics", workspace["topics"]]
+    assert main(suggest + ["--out", str(out_dir / "str.tsv")]) == 2
+    assert [p.name for p in index_dir.iterdir()] == ["index.bin"]
+    assert (index_dir / "index.bin").read_bytes() == snapshot
+    assert [p.name for p in out_dir.iterdir()] == ["str.tsv"]
+    assert (out_dir / "str.tsv").read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("name", ["Blue%0AWhale.txt", "Whale%09Shark.txt"])
+def test_suggest_docsim_on_a_title_with_a_newline_or_tab_exits_2(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / name).write_text("whale ocean ship", encoding="utf-8")
+    (corpus_dir / "Ocean.txt").write_text("ocean whale harbor", encoding="utf-8")
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("T-1\tOcean\n", encoding="utf-8")
+    out_file = tmp_path / "docsim.tsv"
+    code = main(
+        ["suggest", "docsim", "--corpus", str(corpus_dir), "--seeds", str(seeds), "--n", "3",
+         "--out", str(out_file)]
+    )
+    assert code == 2
+    assert "contains whitespace other than spaces" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("tag", ["my run", "", "tab\there"])
+def test_index_search_rejects_a_run_tag_with_whitespace(tmp_path, capsys, tag):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+    out_file = tmp_path / "run.trec"
+    code = main(
+        ["index", "search", "--index", index_dir, "--query-file", str(queries),
+         "--run-tag", tag, "--out", str(out_file)]
+    )
+    assert code == 1
+    assert "--run-tag" in capsys.readouterr().err
+    assert not out_file.exists()

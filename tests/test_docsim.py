@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WORDS
 from oracles import naive_docsim_ranking, naive_important_words
 from sparse_expand.analysis import chain_for
 from sparse_expand.docsim import SimCorpus, suggest_docsim
 from sparse_expand.errors import DataError, SeedNotFoundError
-from sparse_expand.suggestions import write_suggestion_file
+from sparse_expand.suggestions import read_suggestion_file, write_suggestion_file
 
 EN_CHAIN = chain_for("en")
 
@@ -214,3 +216,34 @@ def test_important_words_bad_n():
     corpus = _bodies_corpus({"A": "whale"})
     with pytest.raises(ValueError):
         corpus.important_words("A", 0)
+
+
+def test_titles_with_whitespace_other_than_spaces_rejected():
+    for title in ("Blue\nWhale", "Whale\tShark", "Sea\u2028Life", "Tail\r"):
+        with pytest.raises(DataError, match="whitespace other than spaces"):
+            SimCorpus([(title, "whale"), ("Ocean", "whale")])
+    assert "Blue  Whale " in SimCorpus([("Blue  Whale ", "whale"), ("Ocean", "whale")])
+
+
+# Titles mixing letters and spaces with whitespace that would split a
+# suggestion-file line (str.splitlines) or column (tab), or arbitrary text.
+_SEPARATORS = "\t\n\r\x0b\x0c\x1c\x85\u2028\u3000"
+_TITLES = st.text(st.sampled_from("ab é" + _SEPARATORS), max_size=6) | st.text(max_size=8)
+
+
+@settings(max_examples=200)
+@given(titles=st.lists(_TITLES, min_size=2, max_size=5, unique=True))
+def test_docsim_titles_round_trip_through_the_suggestion_file(tmp_path_factory, titles):
+    try:
+        corpus = SimCorpus([(title, "whale ship ocean") for title in titles])
+    except DataError:
+        assert any(c.isspace() and c != " " for title in titles for c in title)
+        return
+    sets = [
+        suggest_docsim(corpus, title, n=3, topic_id=f"T-{i}") for i, title in enumerate(titles)
+    ]
+    path = tmp_path_factory.mktemp("docsim") / "suggestions.tsv"
+    write_suggestion_file(path, sets)
+    assert {s.topic_id: s.texts() for s in read_suggestion_file(path)} == {
+        s.topic_id: s.texts() for s in sets
+    }

@@ -2,10 +2,13 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_average_precision, naive_r_precision, naive_se_precision
 from sparse_expand.errors import DataError
 from sparse_expand.evaluation import (
+    GRADES,
     MetricReport,
     RunRecord,
     average_precision,
@@ -236,6 +239,21 @@ def test_qrels_round_trip(tmp_path):
     write_qrels_file(path, qrels)
     assert read_qrels_file(path) == qrels
     assert path.read_text().splitlines()[0] == "T1 0 a 2"
+
+
+_IDS = st.text(min_size=1, max_size=8).filter(lambda s: not any(map(str.isspace, s)))
+
+
+@settings(max_examples=200)
+@given(
+    qrels=st.dictionaries(
+        _IDS, st.dictionaries(_IDS, st.sampled_from(GRADES), min_size=1, max_size=4), max_size=4
+    )
+)
+def test_qrels_round_trip_property(tmp_path_factory, qrels):
+    path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
+    write_qrels_file(path, qrels)
+    assert read_qrels_file(path) == qrels
 
 
 def test_qrels_rejects_bad_grade(tmp_path):

@@ -5,8 +5,10 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_corpus
+from conftest import WORDS, random_corpus
 from oracles import field_token_positions, naive_search
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Document
@@ -254,6 +256,44 @@ def test_snapshot_round_trip(tmp_path):
         assert loaded.search(query, 100) == idx.search(query, 100)
     for field in idx.fields:
         assert loaded.raw_values(field) == idx.raw_values(field)
+
+
+_VALUES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join) | st.text(max_size=6)
+_DOCUMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["en", "de"]),
+        st.dictionaries(
+            st.sampled_from(["dc:title", "dc:subject", "dc:description"]),
+            st.lists(_VALUES, min_size=1, max_size=3).map(tuple),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_DOCUMENTS, phrase=st.lists(st.sampled_from(WORDS), min_size=2, max_size=3))
+def test_snapshot_round_trip_property(tmp_path_factory, drawn, phrase):
+    idx = _index([Document(f"d{i}", lang, fields) for i, (lang, fields) in enumerate(drawn)])
+    directory = tmp_path_factory.mktemp("snapshot")
+    idx.save(directory / "a.bin")
+    loaded = Index.load(directory / "a.bin")
+
+    assert loaded.doc_ids == idx.doc_ids
+    assert loaded.fields == idx.fields
+    for field in idx.fields:
+        assert loaded.raw_values(field) == idx.raw_values(field)
+        assert loaded.terms(field) == idx.terms(field)
+        queries = [Query((Phrase(field, tuple(phrase)),))]
+        for term in idx.terms(field):
+            assert loaded.postings(field, term) == idx.postings(field, term)
+            queries.append(Query((Term(field, term),)))
+        for query in queries:
+            assert loaded.search(query, 10) == idx.search(query, 10)
+    loaded.save(directory / "b.bin")
+    assert (directory / "b.bin").read_bytes() == (directory / "a.bin").read_bytes()
 
 
 def test_snapshot_rejects_garbage(tmp_path):

@@ -1,13 +1,14 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from conftest import build_pipeline_workspace
 from sparse_expand.errors import ConfigError, DataError
+from sparse_expand.files import write_atomic
 from sparse_expand.pipeline import (
     PipelineConfig,
-    _atomic_write,
     config_validate,
     load_config,
     read_seeds_file,
@@ -181,7 +182,7 @@ def test_read_seeds_file(tmp_path):
 
 def test_atomic_write_replaces_the_file_with_a_plain_file_mode(tmp_path):
     target = tmp_path / "out" / "run.trec"
-    _atomic_write(target, lambda p: p.write_text("new\n", encoding="utf-8"))
+    write_atomic(target, b"new\n")
     plain = tmp_path / "plain.txt"
     plain.write_text("x", encoding="utf-8")
     assert target.read_text(encoding="utf-8") == "new\n"
@@ -189,16 +190,18 @@ def test_atomic_write_replaces_the_file_with_a_plain_file_mode(tmp_path):
     assert sorted(p.name for p in target.parent.iterdir()) == ["run.trec"]
 
 
-def test_atomic_write_failure_keeps_the_old_file(tmp_path):
+def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
     target = tmp_path / "run.trec"
     target.write_text("old\n", encoding="utf-8")
 
-    def failing_writer(path):
-        path.write_text("half", encoding="utf-8")
+    def disk_full(*args):
         raise OSError("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        _atomic_write(target, failing_writer)
-    assert target.read_text(encoding="utf-8") == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
-    assert not list(tmp_path.glob("*.tmp*"))
+    for step in ("fsync", "replace"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, step, disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                write_atomic(target, b"new\n")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+        assert not list(tmp_path.glob("*.tmp*"))
