@@ -85,6 +85,9 @@ _STAGE_ORDER = {
 # Every stage name the built-in profiles use; `AnalyzerChain.run` knows no other.
 STAGE_NAMES = frozenset(stage for stages in _STAGE_ORDER.values() for stage in stages)
 
+# Languages with a built-in profile, the only ones `chain_for` accepts.
+LANGUAGES = frozenset(_STAGE_ORDER)
+
 
 @dataclass(frozen=True)
 class AnalyzerChain:

@@ -8,6 +8,7 @@ or standard output only.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -77,6 +78,15 @@ def _run_tag(ctx, param, value: str) -> str:
     if not value or any(map(str.isspace, value)):
         raise click.BadParameter("must be non-empty and contain no whitespace")
     return value
+
+
+def _finite_positive(ctx, param, value: float | None) -> float | None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("must be positive and finite")
+    return value
+
+
+_POSITIVE = click.IntRange(min=1)
 
 
 def _number(value: float) -> str:
@@ -161,7 +171,7 @@ def index_build(docs, out_dir, lax, stopword_file):
 @index_group.command("search")
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--query-file", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-k", "top_k", default=1000, show_default=True)
+@click.option("-k", "top_k", type=_POSITIVE, default=1000, show_default=True)
 @click.option("--run-tag", default="sparse-expand", show_default=True, callback=_run_tag)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def index_search(index_dir, query_file, top_k, run_tag, out_file):
@@ -185,7 +195,7 @@ def suggest():
 @suggest.command("str")
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--topics", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", "top_k", default=10, show_default=True)
+@click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
 @click.option(
     "--similarity",
     type=click.Choice(["jaccard", "log", "log_jaccard"]),
@@ -212,8 +222,8 @@ def suggest_str_cmd(index_dir, topics, top_k, similarity, out_file):
 @suggest.command("wiki-lead")
 @click.option("--articles", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--topics", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", "top_k", default=10, show_default=True)
-@click.option("--min-links", default=3, show_default=True)
+@click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
+@click.option("--min-links", type=_POSITIVE, default=3, show_default=True)
 @click.option("--lang", default="en", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
@@ -229,8 +239,8 @@ def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
 @suggest.command("docsim")
 @click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--seeds", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", "top_k", default=10, show_default=True)
-@click.option("--n", "top_n", default=50, show_default=True)
+@click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
+@click.option("--n", "top_n", type=_POSITIVE, default=50, show_default=True)
 @click.option("--label", type=click.Choice(["WIKI_SIM", "WIKI_BACK"]), default="WIKI_SIM", show_default=True)
 @click.option("--lang", default="en", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
@@ -249,7 +259,7 @@ def suggest_docsim_cmd(corpus_dir, seeds, top_k, top_n, label, lang, out_file):
 
 @cli.command("combo")
 @click.option("--inputs", "input_files", multiple=True, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", "top_k", default=10, show_default=True)
+@click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
 def combo_cmd(input_files, top_k, out_file):
     """Merge suggestion files from several systems."""
@@ -264,8 +274,8 @@ def combo_cmd(input_files, top_k, out_file):
 @cli.command("expand")
 @click.option("--topics", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--suggestions", "suggestion_files", multiple=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--boost", default=2.0, show_default=True)
-@click.option("--k", "max_concepts", default=10, show_default=True)
+@click.option("--boost", default=2.0, show_default=True, callback=_finite_positive)
+@click.option("--k", "max_concepts", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
 def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
     """Build boosted expanded queries from topics plus suggestions."""
@@ -304,12 +314,12 @@ def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
 @click.option("--back-corpus", type=click.Path())
 @click.option("--seeds", type=click.Path())
 @click.option("--qrels", type=click.Path())
-@click.option("--k", type=int)
-@click.option("--n", type=int)
-@click.option("--boost", type=float)
+@click.option("--k", type=_POSITIVE)
+@click.option("--n", type=_POSITIVE)
+@click.option("--boost", type=float, callback=_finite_positive)
 @click.option("--similarity", type=click.Choice(["jaccard", "log", "log_jaccard"]))
-@click.option("--min-links", type=int)
-@click.option("--depth", type=int)
+@click.option("--min-links", type=_POSITIVE)
+@click.option("--depth", type=_POSITIVE)
 def run_cmd(config_file, systems, **overrides):
     """Run the full pipeline for the requested systems."""
     if overrides.get("similarity") == "log":
@@ -337,7 +347,7 @@ def eval_group():
 @eval_group.command("adhoc")
 @click.option("--run", "run_file", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--qrels", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--depth", default=1000, show_default=True)
+@click.option("--depth", type=_POSITIVE, default=1000, show_default=True)
 @_FORMAT_OPTION
 def eval_adhoc(run_file, qrels, depth, fmt):
     """MAP and R-Precision of a TREC run."""

@@ -8,6 +8,7 @@ Topics use the same transport:
 
     {"id": "CHIC-010", "lang": "en", "title": "film canada", "description": "..."}
 
+A document's language must have an analyzer profile ("en" or "de").
 Ids may not contain whitespace, since run files separate their columns
 by whitespace. Each field value is stored with its whitespace runs folded
 to one space, so that a value is one line with no tabs in the
@@ -24,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .analysis import LANGUAGES
 from .errors import DataError, DuplicateDocumentError, EmptyCorpusError
 
 # Fields of a typical cultural-heritage metadata record, used as the
@@ -124,6 +126,8 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
     lang = str(obj.get("lang", "")).strip()
     if not lang:
         raise DataError(f"document {doc_id!r}: missing or empty 'lang'")
+    if lang not in LANGUAGES:
+        raise DataError(f"document {doc_id!r}: no analyzer profile for language {lang!r}")
     raw_fields = obj.get("fields")
     if not isinstance(raw_fields, dict):
         raise DataError(f"document {doc_id!r}: 'fields' must be an object")
@@ -199,6 +203,8 @@ def read_topics(path: str | Path) -> list[Topic]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: line is not a JSON object")
             topic_id = str(obj.get("id", "")).strip()
             title = str(obj.get("title", "")).strip()
             lang = str(obj.get("lang", "")).strip()

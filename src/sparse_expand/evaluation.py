@@ -14,6 +14,7 @@ documents but no run entries score 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -59,6 +60,8 @@ def read_run_file(path: str | Path) -> dict[str, list[RunRecord]]:
             record = RunRecord(topic_id, doc_id, int(rank_s), float(score_s), tag)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or score") from None
+        if not math.isfinite(record.score):
+            raise DataError(f"{path}:{lineno}: score must be finite")
         by_topic.setdefault(topic_id, []).append(record)
     for topic_id, records in by_topic.items():
         records.sort(key=lambda r: r.rank)

@@ -6,9 +6,12 @@ that concatenates every analyzed field in schema order. Multi-valued
 fields are concatenated with a one-position gap between values so that
 phrases never match across value boundaries.
 
-Each term's postings are three `array("I")` columns: doc ordinals
-(strictly ascending), term frequencies, and one flat positions array
-holding every posting's positions in doc order.
+Each composite field keeps its postings as one set of `array("I")`
+columns. Its terms are numbered in sorted order; term i owns
+`docs[starts[i]:starts[i+1]]` (doc ordinals, strictly ascending), the
+same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
+(every posting's positions, in doc order). A term's slices are cut only
+when a caller asks for them.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -19,6 +22,28 @@ Scoring is a documented TF*IDF sum with no length normalization:
 For a phrase clause, tf is the number of consecutive-position
 occurrences in the field and df the number of documents with at least
 one occurrence.
+
+The version 3 snapshot (README "Snapshot format") stores every string
+list as a table, a u32 length column and one UTF-8 blob, and every
+column as a u32 count and its values. `Index.load` decodes each blob
+once, reads each column with one `frombytes`, and checks whole columns
+with C-level iterators, so it runs no Python loop per term or posting.
+It rejects with DataError:
+
+- another magic or version, truncation, or bytes after the last item;
+- a table whose lengths disagree with its blob, or whose blob is not
+  UTF-8;
+- analyzer languages, field names, terms or raw values that are not
+  strictly ascending;
+- an unknown analyzer stage, or a field whose language has no chain;
+- doc_id and language tables of different lengths, or a repeated doc_id;
+- offsets (`starts`, `pos_starts`, raw-value starts) that do not have
+  one more entry than their table, do not start at 0, descend, or do
+  not end at their column's length;
+- tfs and docs columns of different lengths, a tf of 0, or a term whose
+  tfs do not sum to its `pos_starts` difference;
+- a doc ordinal not below the document count, or not strictly ascending
+  within a term or a raw value.
 """
 
 from __future__ import annotations
@@ -30,7 +55,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import lt
+from itertools import accumulate, chain, compress, count
+from operator import eq, ge, le, lt, sub
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,7 +69,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 SNAPSHOT_FILENAME = "index.bin"
 
 # Columns are written and read as raw little-endian u32 arrays.
@@ -129,6 +155,34 @@ class ScoredDoc(NamedTuple):
 _scored_doc = partial(tuple.__new__, ScoredDoc)
 
 
+class _FieldColumns(NamedTuple):
+    """One composite field's postings: term i (in sorted order) owns
+    docs and tfs [starts[i]:starts[i+1]] and positions
+    [pos_starts[i]:pos_starts[i+1]]."""
+
+    ordinals: dict[str, int]
+    starts: array
+    pos_starts: array
+    docs: array
+    tfs: array
+    positions: array
+
+
+def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
+    """One field's columns from per-term columns."""
+    names = sorted(terms)
+    starts, pos_starts = array("I", [0]), array("I", [0])
+    docs, tfs, positions = array("I"), array("I"), array("I")
+    for name in names:
+        term_docs, term_tfs, term_positions = terms[name]
+        docs.extend(term_docs)
+        tfs.extend(term_tfs)
+        positions.extend(term_positions)
+        starts.append(len(docs))
+        pos_starts.append(len(positions))
+    return _FieldColumns(dict(zip(names, count())), starts, pos_starts, docs, tfs, positions)
+
+
 class Index:
     """Sealed index; no mutation after construction."""
 
@@ -143,7 +197,7 @@ class Index:
     ):
         self._doc_ids = tuple(doc_ids)
         self._doc_langs = tuple(doc_langs)
-        self._postings = {f: dict(terms) for f, terms in postings.items()}
+        self._fields = {f: _concatenate(terms) for f, terms in postings.items()}
         self._raw_values = {
             f: {v: tuple(ds) for v, ds in vals.items()} for f, vals in raw_values.items()
         }
@@ -169,17 +223,17 @@ class Index:
 
     @property
     def fields(self) -> list[str]:
-        return sorted(self._postings)
+        return sorted(self._fields)
 
     @property
     def chains(self) -> dict[str, AnalyzerChain]:
         return dict(self._chains)
 
     def has_field(self, field: str) -> bool:
-        return field in self._postings
+        return field in self._fields
 
     def chain_for_field(self, field: str) -> AnalyzerChain:
-        if field not in self._postings:
+        if field not in self._fields:
             raise UnknownFieldError(f"unknown field: {field!r}")
         _, _, lang = field.rpartition("-")
         try:
@@ -187,8 +241,22 @@ class Index:
         except KeyError:
             raise UnknownFieldError(f"no analyzer for field {field!r}") from None
 
-    def _columns(self, field: str, analyzed_term: str) -> Columns | None:
-        return self._postings.get(field, {}).get(analyzed_term)
+    def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
+        """The first `width` of a term's columns (docs, tfs, positions),
+        cut from its field's columns; None if the term is unseen."""
+        field_columns = self._fields.get(field)
+        if field_columns is None:
+            return None
+        ordinals, starts, pos_starts, docs, tfs, positions = field_columns
+        i = ordinals.get(analyzed_term)
+        if i is None:
+            return None
+        lo, hi = starts[i], starts[i + 1]
+        if width == 1:
+            return (docs[lo:hi],)
+        if width == 2:
+            return docs[lo:hi], tfs[lo:hi]
+        return docs[lo:hi], tfs[lo:hi], positions[pos_starts[i] : pos_starts[i + 1]]
 
     def postings(self, field: str, analyzed_term: str) -> tuple[Posting, ...]:
         """Posting list for an already-analyzed term; empty if unseen.
@@ -201,7 +269,8 @@ class Index:
         return tuple(map(Posting, docs, map(tuple, _positions_of(columns, docs))))
 
     def terms(self, field: str) -> list[str]:
-        return sorted(self._postings.get(field, {}))
+        field_columns = self._fields.get(field)
+        return list(field_columns.ordinals) if field_columns else []
 
     def raw_values(self, field: str) -> dict[str, tuple[int, ...]]:
         """Verbatim stored value -> sorted doc ordinals, for one field."""
@@ -217,7 +286,7 @@ class Index:
 
     def df(self, field: str, raw_term: str) -> int:
         """Document frequency of a raw term; 0 for unseen terms."""
-        columns = self._columns(field, self._analyzed_single(field, raw_term))
+        columns = self._columns(field, self._analyzed_single(field, raw_term), 1)
         return len(columns[0]) if columns else 0
 
     def doc_set(self, field: str, raw_terms: Sequence[str], mode: str = "all") -> frozenset[int]:
@@ -226,7 +295,7 @@ class Index:
             raise ValueError(f"mode must be 'all' or 'any', got {mode!r}")
         sets = []
         for raw in raw_terms:
-            columns = self._columns(field, self._analyzed_single(field, raw))
+            columns = self._columns(field, self._analyzed_single(field, raw), 1)
             sets.append(set(columns[0]) if columns else set())
         if not sets:
             return frozenset()
@@ -239,12 +308,12 @@ class Index:
         """Ascending docs with consecutive-position matches, and the match
         count in each. Doc columns are intersected rarest token first;
         positions are read only for the docs that survive."""
-        terms = self._postings[field]
         columns = {}
         for token in tokens:
-            if token not in terms:
+            found = self._columns(field, token)
+            if found is None:
                 return [], []
-            columns[token] = terms[token]
+            columns[token] = found
         rarest_first = sorted(columns, key=lambda token: len(columns[token][0]))
         docs = columns[rarest_first[0]][0]
         for token in rarest_first[1:]:
@@ -282,10 +351,10 @@ class Index:
         for clause in query.clauses:
             tokens = self.chain_for_field(clause.field).run(clause.text)
             if len(tokens) == 1:
-                columns = self._postings[clause.field].get(tokens[0])
+                columns = self._columns(clause.field, tokens[0], 2)
                 if columns is None:
                     continue
-                docs, tfs, _ = columns
+                docs, tfs = columns
             elif tokens:
                 docs, tfs = self._phrase_matches(clause.field, tokens)
             else:
@@ -307,64 +376,29 @@ class Index:
 
     def save(self, path: str | Path) -> None:
         """Write the binary snapshot (format documented in the README)."""
-        out = bytearray()
-        out += SNAPSHOT_MAGIC
+        out = bytearray(SNAPSHOT_MAGIC)
         out += struct.pack("<I", SNAPSHOT_VERSION)
-
-        def put_str(s: str) -> None:
-            raw = s.encode("utf-8")
-            out.extend(struct.pack("<I", len(raw)))
-            out.extend(raw)
-
-        out += struct.pack("<I", len(self._chains))
-        for lang in sorted(self._chains):
-            chain = self._chains[lang]
-            put_str(lang)
-            out += struct.pack("<I", len(chain.stages))
-            for stage in chain.stages:
-                put_str(stage)
-            words = sorted(chain.stopword_list)
-            out += struct.pack("<I", len(words))
-            for word in words:
-                put_str(word)
-
-        out += struct.pack("<I", self.n_docs)
-        for doc_id, lang in zip(self._doc_ids, self._doc_langs):
-            put_str(doc_id)
-            put_str(lang)
-
-        fields = sorted(self._postings)
-        out += struct.pack("<I", len(fields))
-        for name in fields:
-            put_str(name)
-
-        entries = [
-            (fi, t, self._postings[f][t])
-            for fi, f in enumerate(fields)
-            for t in sorted(self._postings[f])
-        ]
-        out += struct.pack("<I", len(entries))
-        for fi, term, (docs, tfs, positions) in entries:
-            out += struct.pack("<I", fi)
-            put_str(term)
-            out += struct.pack("<II", len(docs), len(positions))
-            out += _u32_bytes(docs)
-            out += _u32_bytes(tfs)
-            out += _u32_bytes(positions)
-
-        value_entries = [
-            (fi, v, self._raw_values[f][v])
-            for fi, f in enumerate(fields)
-            for v in sorted(self._raw_values.get(f, {}))
-        ]
-        out += struct.pack("<I", len(value_entries))
-        for fi, value, docs in value_entries:
-            out += struct.pack("<I", fi)
-            put_str(value)
-            out += struct.pack("<I", len(docs))
-            out += _u32_bytes(array("I", docs))
-
-        put_str(self._all_field)
+        langs = sorted(self._chains)
+        _put_table(out, langs)
+        for lang in langs:
+            _put_table(out, self._chains[lang].stages)
+            _put_table(out, sorted(self._chains[lang].stopword_list))
+        _put_table(out, self._doc_ids)
+        _put_table(out, self._doc_langs)
+        names = sorted(self._fields)
+        _put_table(out, names)
+        for name in names:
+            field_columns = self._fields[name]
+            _put_table(out, field_columns.ordinals)
+            for column in field_columns[1:]:  # starts, pos_starts, docs, tfs, positions
+                _put_column(out, column)
+            values = self._raw_values.get(name, {})
+            sorted_values = sorted(values)
+            value_docs = list(map(values.__getitem__, sorted_values))
+            _put_table(out, sorted_values)
+            _put_column(out, array("I", accumulate(map(len, value_docs), initial=0)))
+            _put_column(out, array("I", chain.from_iterable(value_docs)))
+        _put_table(out, [self._all_field])
         write_atomic(path, out)
 
     @classmethod
@@ -386,30 +420,47 @@ class Index:
         def bad(what: str) -> DataError:
             return DataError(f"{path}: malformed index snapshot: {what}")
 
-        def take_u32() -> int:
+        def take(size: int) -> memoryview:
             nonlocal offset
-            (value,) = struct.unpack_from("<I", data, offset)
-            offset += 4
+            end = offset + size
+            if end > len(data):
+                raise bad(f"{size} bytes at byte {offset} run past byte {len(data)}")
+            chunk = view[offset:end]
+            offset = end
+            return chunk
+
+        def take_u32() -> int:
+            (value,) = struct.unpack("<I", take(4))
             return value
 
-        def take_str() -> str:
-            nonlocal offset
-            length = take_u32()
-            raw = data[offset : offset + length]
-            offset += length
-            return raw.decode("utf-8")
-
-        def take_u32s(count: int) -> array:
-            nonlocal offset
-            end = offset + 4 * count
-            if end > len(data):
-                raise bad(f"{count} values run past byte {len(data)}")
+        def take_column() -> array:
             values = array("I")
-            values.frombytes(view[offset:end])
+            values.frombytes(take(4 * take_u32()))
             if _BIG_ENDIAN:
                 values.byteswap()
-            offset = end
             return values
+
+        def take_table() -> list[str]:
+            lengths = take_column()
+            text = str(take(take_u32()), "utf-8")
+            ends = list(accumulate(lengths, initial=0))
+            if ends[-1] != len(text):
+                raise bad("string lengths disagree with their blob")
+            return list(map(text.__getitem__, map(slice, ends, ends[1:])))
+
+        def take_sorted_table(what: str) -> list[str]:
+            strings = take_table()
+            if not all(map(lt, strings, strings[1:])):
+                raise bad(f"{what} not strictly ascending")
+            return strings
+
+        def take_offsets(what: str, n_items: int) -> array:
+            """An offsets column for `n_items`: one entry more, the first 0,
+            none descending. The caller checks the last against its column."""
+            offsets = take_column()
+            if len(offsets) != n_items + 1 or offsets[0] != 0 or not all(map(le, offsets, offsets[1:])):
+                raise bad(f"bad {what} offsets")
+            return offsets
 
         version = take_u32()
         if version != SNAPSHOT_VERSION:
@@ -419,80 +470,92 @@ class Index:
             )
 
         chains: dict[str, AnalyzerChain] = {}
-        for _ in range(take_u32()):
-            lang = take_str()
-            stages = tuple(take_str() for _ in range(take_u32()))
+        for lang in take_sorted_table("analyzer languages"):
+            stages = tuple(take_table())
             unknown = sorted(set(stages) - STAGE_NAMES)
             if unknown:
                 raise bad(f"unknown analyzer stage {unknown[0]!r}")
-            words = frozenset(take_str() for _ in range(take_u32()))
+            words = frozenset(take_table())
             chains[lang] = AnalyzerChain(lang=lang, stages=stages, stopword_list=words)
 
-        n_docs = take_u32()
-        doc_ids, doc_langs = [], []
-        for _ in range(n_docs):
-            doc_ids.append(take_str())
-            doc_langs.append(take_str())
+        doc_ids, doc_langs = take_table(), take_table()
+        n_docs = len(doc_ids)
+        if len(doc_langs) != n_docs:
+            raise bad(f"{n_docs} doc_ids but {len(doc_langs)} languages")
         if len(set(doc_ids)) != n_docs:
             raise bad("repeated doc_id")
 
-        fields = [take_str() for _ in range(take_u32())]
-        for name in fields:
+        names = take_sorted_table("field names")
+        fields: dict[str, _FieldColumns] = {}
+        raw_values: dict[str, dict[str, tuple[int, ...]]] = {}
+        for name in names:
             if name.rpartition("-")[2] not in chains:
                 raise bad(f"no analyzer chain for field {name!r}")
-
-        postings: dict[str, dict[str, Columns]] = {name: {} for name in fields}
-        for _ in range(take_u32()):
-            field = fields[take_u32()]
-            term = take_str()
-            df = take_u32()
-            n_positions = take_u32()
-            block = take_u32s(2 * df + n_positions)
-            docs, tfs, positions = block[:df], block[df : 2 * df], block[2 * df :]
-            consistent = (
-                _ascending_below(docs, n_docs)
-                and min(tfs, default=1) >= 1
-                and sum(tfs) == n_positions
+            terms = take_sorted_table(f"terms of field {name!r}")
+            starts = take_offsets(f"posting start of field {name!r}", len(terms))
+            pos_starts = take_offsets(f"position start of field {name!r}", len(terms))
+            docs, tfs, positions = take_column(), take_column(), take_column()
+            if starts[-1] != len(docs) or len(tfs) != len(docs) or pos_starts[-1] != len(positions):
+                raise bad(f"columns of field {name!r} disagree with their offsets")
+            term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
+            if min(tfs, default=1) < 1 or not all(
+                map(eq, map(sum, term_tfs), map(sub, pos_starts[1:], pos_starts))
+            ):
+                raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
+            if not _ascending_runs_below(docs, starts, n_docs):
+                raise bad(f"bad doc ordinals in field {name!r}")
+            fields[name] = _FieldColumns(
+                dict(zip(terms, count())), starts, pos_starts, docs, tfs, positions
             )
-            if not consistent:
-                raise bad(f"inconsistent postings for term {term!r} in field {field!r}")
-            postings[field][term] = (docs, tfs, positions)
 
-        raw_values: dict[str, dict[str, tuple[int, ...]]] = {}
-        for _ in range(take_u32()):
-            field = fields[take_u32()]
-            value = take_str()
-            docs = take_u32s(take_u32())
-            if not _ascending_below(docs, n_docs):
-                raise bad(f"bad doc ordinals for value {value!r} in field {field!r}")
-            raw_values.setdefault(field, {})[value] = tuple(docs)
+            values = take_sorted_table(f"raw values of field {name!r}")
+            value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
+            value_docs = take_column()
+            if value_starts[-1] != len(value_docs):
+                raise bad(f"raw values of field {name!r} disagree with their offsets")
+            if not _ascending_runs_below(value_docs, value_starts, n_docs):
+                raise bad(f"bad doc ordinals for the raw values of field {name!r}")
+            ordinals = value_docs.tolist()
+            value_slices = map(slice, value_starts, value_starts[1:])
+            raw_values[name] = dict(zip(values, map(tuple, map(ordinals.__getitem__, value_slices))))
 
-        all_field = take_str()
+        tail = take_table()
+        if len(tail) != 1:
+            raise bad(f"{len(tail)} union-field names")
         if offset != len(data):
             raise bad(f"ends at byte {offset} of {len(data)}")
-        return cls(
-            doc_ids=doc_ids,
-            doc_langs=doc_langs,
-            postings=postings,
-            raw_values=raw_values,
-            chains=chains,
-            all_field=all_field,
-        )
+        index = cls(doc_ids, doc_langs, {}, {}, chains, tail[0])
+        index._fields, index._raw_values = fields, raw_values  # already checked and built
+        return index
 
 
-def _ascending_below(values: array, limit: int) -> bool:
-    """True if `values` is strictly ascending and below `limit`."""
+def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
+    """True if every value is below `limit` and every run
+    `values[starts[i]:starts[i+1]]` is strictly ascending."""
     if not values:
         return True
-    return values[-1] < limit and (len(values) == 1 or all(map(lt, values, values[1:])))
+    # Indices k + 1 where values[k] >= values[k + 1]: each must begin a run.
+    descents = compress(count(1), map(ge, values, values[1:]))
+    return max(values) < limit and set(starts).issuperset(descents)
 
 
-def _u32_bytes(values: array) -> bytes:
-    """Little-endian bytes of a u32 column."""
+def _put_column(out: bytearray, values: array) -> None:
+    """Append a column: its u32 count, then its little-endian u32 values."""
+    out += struct.pack("<I", len(values))
     if _BIG_ENDIAN:
         values = array("I", values)
         values.byteswap()
-    return values.tobytes()
+    out += values.tobytes()
+
+
+def _put_table(out: bytearray, strings: Iterable[str]) -> None:
+    """Append a table: a column of code-point lengths, then the u32 byte
+    count and bytes of the strings' concatenated UTF-8."""
+    strings = list(strings)
+    _put_column(out, array("I", map(len, strings)))
+    blob = "".join(strings).encode("utf-8")
+    out += struct.pack("<I", len(blob))
+    out += blob
 
 
 def _positions_of(columns: Columns, docs: Sequence[int]) -> list[array]:

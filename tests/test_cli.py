@@ -359,3 +359,94 @@ def test_index_search_rejects_a_run_tag_with_whitespace(tmp_path, capsys, tag):
     assert code == 1
     assert "--run-tag" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+def test_index_build_on_a_language_without_a_profile_exits_2(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(
+        '{"id": "a", "lang": "en", "fields": {"dc:title": ["whale"]}}\n'
+        '{"id": "b", "lang": "xx", "fields": {"dc:title": ["ship"]}}\n',
+        encoding="utf-8",
+    )
+    code = main(["index", "build", "--docs", str(docs), "--out", str(tmp_path / "idx")])
+    assert code == 2
+    assert "document 'b': no analyzer profile for language 'xx'" in capsys.readouterr().err
+    lax = ["index", "build", "--docs", str(docs), "--out", str(tmp_path / "lax"), "--lax"]
+    assert main(lax) == 0
+
+
+def test_suggest_str_on_a_topic_line_that_is_not_an_object_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text("[1]\n", encoding="utf-8")
+    assert main(["suggest", "str", "--index", index_dir, "--topics", str(topics)]) == 2
+    assert "line is not a JSON object" in capsys.readouterr().err
+
+
+def test_eval_adhoc_on_a_nan_score_exits_2(tmp_path, capsys):
+    run = tmp_path / "run.trec"
+    run.write_text("T1 Q0 a 1 nan t\nT1 Q0 b 2 1.0 t\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("T1 0 a 2\n", encoding="utf-8")
+    assert main(["eval", "adhoc", "--run", str(run), "--qrels", str(qrels)]) == 2
+    assert "score must be finite" in capsys.readouterr().err
+
+
+def _option_args(workspace, tmp_path, command):
+    """Valid arguments of `command`, which takes the option under test."""
+    if command == "str":
+        index_dir = str(tmp_path / "idx")
+        assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+        return ["suggest", "str", "--index", index_dir, "--topics", workspace["topics"]]
+    if command == "wiki-lead":
+        return ["suggest", "wiki-lead", "--articles", workspace["articles"], "--topics", workspace["topics"]]
+    if command == "docsim":
+        return ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]]
+    if command == "search":
+        index_dir = str(tmp_path / "idx")
+        assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+        return ["index", "search", "--index", index_dir, "--query-file", str(queries)]
+    if command == "eval":
+        run = tmp_path / "run.trec"
+        run.write_text("T-000 Q0 d0 1 2.0 t\n", encoding="utf-8")
+        return ["eval", "adhoc", "--run", str(run), "--qrels", workspace["qrels"]]
+    return ["expand", "--topics", workspace["topics"], "--out", str(tmp_path / "queries.tsv")]
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("str", "--k", "0"),
+        ("wiki-lead", "--min-links", "0"),
+        ("docsim", "--n", "0"),
+        ("docsim", "--k", "-1"),
+        ("search", "-k", "-1"),
+        ("eval", "--depth", "-1"),
+        ("expand", "--boost", "nan"),
+        ("expand", "--boost", "inf"),
+        ("expand", "--boost", "0"),
+    ],
+)
+def test_out_of_range_numeric_options_are_usage_errors(tmp_path, capsys, command, option, value):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    args = _option_args(workspace, tmp_path, command)
+    capsys.readouterr()
+    assert main(args + [option, value]) == 1
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+    assert main(args + [option, "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--k", "0"), ("--n", "0"), ("--min-links", "0"), ("--boost", "nan"), ("--depth", "0")]
+)
+def test_run_rejects_out_of_range_numeric_options(tmp_path, capsys, option, value):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    args = ["run", "--docs", workspace["docs"], "--topics", workspace["topics"], "--out", workspace["out"]]
+    assert main(args + [option, value]) == 1
+    assert option in capsys.readouterr().err
+    assert not Path(workspace["out"]).exists()

@@ -95,6 +95,16 @@ def test_ingest_lax_skips_and_counts(tmp_path):
     assert sum(result.reject_reasons.values()) == 2
 
 
+def test_language_without_an_analyzer_profile_strict_vs_lax(tmp_path):
+    records = [_record(0, **{"dc:title": ["x"]}), {**_record(1, **{"dc:title": ["y"]}), "lang": "xx"}]
+    f = _write(tmp_path / "docs.jsonl", records)
+    with pytest.raises(DataError, match=r":2: document 'd1': no analyzer profile for language 'xx'"):
+        ingest_documents(f)
+    result = ingest_documents(f, lax=True)
+    assert [d.doc_id for d in result.documents] == ["d0"]
+    assert result.reject_reasons == {"document 'd1': no analyzer profile for language 'xx'": 1}
+
+
 def test_unknown_field_strict_vs_lax(tmp_path):
     f = _write(tmp_path / "docs.jsonl", [_record(0, **{"made:up": ["v"]})])
     with pytest.raises(DataError):
@@ -301,4 +311,12 @@ def test_read_topics_requires_title(tmp_path):
     f = tmp_path / "topics.jsonl"
     f.write_text('{"id": "T", "lang": "en", "title": ""}\n', encoding="utf-8")
     with pytest.raises(DataError):
+        read_topics(f)
+
+
+@pytest.mark.parametrize("line", ["[1]", '"CHIC-012"', "3", "null"])
+def test_read_topics_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    f = tmp_path / "topics.jsonl"
+    f.write_text('{"id": "T", "lang": "en", "title": "whale"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=":2: line is not a JSON object"):
         read_topics(f)

@@ -233,6 +233,14 @@ def test_run_file_rejects_increasing_scores(tmp_path):
         read_run_file(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_run_file_rejects_non_finite_scores(tmp_path, score):
+    path = tmp_path / "run.trec"
+    path.write_text(f"T1 Q0 a 1 {score} t\nT1 Q0 b 2 1.0 t\n", encoding="utf-8")
+    with pytest.raises(DataError, match=":1: score must be finite"):
+        read_run_file(path)
+
+
 def test_qrels_round_trip(tmp_path):
     qrels = {"T1": {"a": 2, "b": 0}, "T2": {"c": 1}}
     path = tmp_path / "qrels.txt"

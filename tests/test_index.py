@@ -380,31 +380,57 @@ def _columns(docs, tfs, positions):
 _GOOD = _columns([0, 1], [1, 2], [0, 0, 2])
 
 
+def _u32s(*values):
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+# Each case is (columns of term "x", raw-value docs of "x", stages, field,
+# patch). Term "y" always holds _GOOD, so in a valid snapshot the field's
+# `starts` column is [0, 2, 4] and its terms table is lengths [1, 1] with
+# blob "xy". A patch is (old bytes, new bytes, expected error): the test
+# saves a valid snapshot and replaces the one place holding the old bytes.
+_INCONSISTENT = [
+    (_columns([0, 2], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # ordinal >= n_docs
+    (_columns([1, 0], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # not ascending
+    (_columns([1, 1], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # repeated doc
+    (_columns([0, 1], [0, 2], [0, 1]), (0,), ("tokenize",), "t-en", None),  # tf 0
+    (_columns([0, 1], [1, 2], [0, 1]), (0,), ("tokenize",), "t-en", None),  # tfs != positions
+    (_GOOD, (0, 2), ("tokenize",), "t-en", None),  # raw-value ordinal >= n_docs
+    (_GOOD, (1, 0), ("tokenize",), "t-en", None),  # raw-value ordinals not ascending
+    (_GOOD, (0,), ("tokenize", "mystery"), "t-en", None),  # unknown stage
+    (_GOOD, (0,), ("tokenize",), "t-fr", None),  # no chain for the field
+    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 5, 4), "bad posting start")),
+    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
+    (_GOOD, (0,), ("tokenize",), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
+    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
+]
+_PATCHED_IDS = ["descending-offsets", "last-offset-not-column-length", "repeated-term", "lengths-disagree-with-blob"]
+
+
 @pytest.mark.parametrize(
-    "columns, raw_docs, stages, field",
-    [
-        (_columns([0, 2], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # ordinal >= n_docs
-        (_columns([1, 0], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # not ascending
-        (_columns([1, 1], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en"),  # repeated doc
-        (_columns([0, 1], [0, 2], [0, 1]), (0,), ("tokenize",), "t-en"),  # tf 0
-        (_columns([0, 1], [1, 2], [0, 1]), (0,), ("tokenize",), "t-en"),  # tfs != positions
-        (_GOOD, (0, 2), ("tokenize",), "t-en"),  # raw-value ordinal >= n_docs
-        (_GOOD, (1, 0), ("tokenize",), "t-en"),  # raw-value ordinals not ascending
-        (_GOOD, (0,), ("tokenize", "mystery"), "t-en"),  # unknown stage
-        (_GOOD, (0,), ("tokenize",), "t-fr"),  # no chain for the field
-    ],
+    "columns, raw_docs, stages, field, patch",
+    _INCONSISTENT,
+    # The unpatched cases keep the ids they had before the patch cases.
+    ids=[f"columns{i}-raw_docs{i}-stages{i}-{case[3]}" for i, case in enumerate(_INCONSISTENT[:9])]
+    + _PATCHED_IDS,
 )
-def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, stages, field):
+def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, stages, field, patch):
     idx = Index(
         doc_ids=["d0", "d1"],
         doc_langs=["en", "en"],
-        postings={field: {"x": columns}},
+        postings={field: {"x": columns, "y": _GOOD}},
         raw_values={field: {"x": raw_docs}},
         chains={"en": AnalyzerChain("en", stages)},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
-    with pytest.raises(DataError):
+    match = None
+    if patch:
+        old, new, match = patch
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+    with pytest.raises(DataError, match=match):
         Index.load(path)
 
 
@@ -440,6 +466,14 @@ def test_snapshot_of_version_1_is_rejected():
     path = Path(__file__).parent / "data" / "index_v1" / SNAPSHOT_FILENAME
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 1)
     with pytest.raises(DataError, match="unsupported snapshot version 1"):
+        Index.load(path)
+
+
+def test_snapshot_of_version_2_is_rejected():
+    # tests/data/index_v2/index.bin: two documents, written by the version 2 format
+    path = Path(__file__).parent / "data" / "index_v2" / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 2)
+    with pytest.raises(DataError, match="unsupported snapshot version 2"):
         Index.load(path)
 
 
