@@ -7,6 +7,7 @@ or standard output only.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import sys
@@ -15,10 +16,10 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import chain_for
+from .analysis import LANGUAGES, chain_for
 from .corpus import coverage_report, ingest_documents, read_topics, topic_stats
-from .docsim import SimCorpus, suggest_docsim
-from .errors import ConfigError, EmptyQueryError, SparseExpandError
+from .docsim import SimCorpus
+from .errors import ConfigError, SparseExpandError
 from .evaluation import (
     evaluate_run,
     evaluate_suggestions,
@@ -26,26 +27,32 @@ from .evaluation import (
     read_qrels_file,
     read_run_file,
     run_lines,
-    RunRecord,
 )
-from .expand import ExpansionConfig, build_query, combo_merge, write_query_file, read_query_file
+from .expand import ExpansionConfig, write_query_file, read_query_file
 from .files import write_lines
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
     PipelineConfig,
+    combo_sets,
+    docsim_sets,
+    expanded_queries,
     load_config,
     read_seeds_file,
     run_pipeline,
+    run_records,
+    str_sets,
+    wiki_entity_sets,
 )
-from .str_recommender import CooccurConfig, suggest_str
+from .str_recommender import SIMILARITIES, CooccurConfig
 from .suggestions import (
     SYSTEMS,
-    make_suggestion_set,
+    SuggestionSet,
+    group_by_topic,
     read_suggestion_file,
     suggestion_lines,
     write_suggestion_file,
 )
-from .wiki_lead import ArticleStore, suggest_wiki_lead
+from .wiki_lead import ArticleStore
 
 logger = logging.getLogger(__name__)
 
@@ -87,10 +94,26 @@ def _finite_positive(ctx, param, value: float | None) -> float | None:
 
 
 _POSITIVE = click.IntRange(min=1)
+_LANG = click.Choice(sorted(LANGUAGES))
+
+
+def _similarity_option(**kwargs):
+    """`--similarity`, where `log` names `log_jaccard`."""
+
+    def alias(ctx, param, value: str | None) -> str | None:
+        return "log_jaccard" if value == "log" else value
+
+    return click.option(
+        "--similarity", type=click.Choice(SIMILARITIES + ("log",)), callback=alias, **kwargs
+    )
 
 
 def _number(value: float) -> str:
     return f"{value:g}"
+
+
+def _sets_by_topic(paths) -> dict[str, list[SuggestionSet]]:
+    return group_by_topic(itertools.chain.from_iterable(map(read_suggestion_file, paths)))
 
 
 @click.group()
@@ -177,11 +200,8 @@ def index_build(docs, out_dir, lax, stopword_file):
 def index_search(index_dir, query_file, top_k, run_tag, out_file):
     """Run serialized queries; writes TREC run lines."""
     index = Index.load(Path(index_dir) / SNAPSHOT_FILENAME)
-    records = []
-    for topic_id, query in read_query_file(query_file):
-        for rank, hit in enumerate(index.search(query, top_k), 1):
-            records.append(RunRecord(topic_id, hit.doc_id, rank, hit.score, run_tag))
-    _emit_lines(run_lines(records), out_file)
+    run = run_records(index, read_query_file(query_file), top_k, run_tag)
+    _emit_lines(run_lines(itertools.chain.from_iterable(run.values())), out_file)
 
 
 # -- suggest ------------------------------------------------------------
@@ -196,27 +216,13 @@ def suggest():
 @click.option("--index", "index_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--topics", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
-@click.option(
-    "--similarity",
-    type=click.Choice(["jaccard", "log", "log_jaccard"]),
-    default="jaccard",
-    show_default=True,
-)
+@_similarity_option(default="jaccard", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def suggest_str_cmd(index_dir, topics, top_k, similarity, out_file):
     """Co-occurrence suggestions from the indexed corpus."""
-    if similarity == "log":
-        similarity = "log_jaccard"
     index = Index.load(Path(index_dir) / SNAPSHOT_FILENAME)
     cfg = CooccurConfig(similarity=similarity, top_k=top_k)
-    sets = []
-    for topic in read_topics(topics):
-        try:
-            sets.append(suggest_str(index, topic, cfg))
-        except EmptyQueryError as exc:
-            logger.warning("%s", exc)
-            sets.append(make_suggestion_set(topic.topic_id, "STR", []))
-    _emit_lines(suggestion_lines(sets), out_file)
+    _emit_lines(suggestion_lines(str_sets(index, read_topics(topics), cfg)), out_file)
 
 
 @suggest.command("wiki-lead")
@@ -224,15 +230,12 @@ def suggest_str_cmd(index_dir, topics, top_k, similarity, out_file):
 @click.option("--topics", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
 @click.option("--min-links", type=_POSITIVE, default=3, show_default=True)
-@click.option("--lang", default="en", show_default=True)
+@click.option("--lang", type=_LANG, default="en", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
     """Lead-section link suggestions from a local article directory."""
     store = ArticleStore.from_dir(articles, lang=lang)
-    sets = [
-        suggest_wiki_lead(store, topic, k=top_k, min_links=min_links)
-        for topic in read_topics(topics)
-    ]
+    sets = wiki_entity_sets(store, read_topics(topics), top_k, min_links)
     _emit_lines(suggestion_lines(sets), out_file)
 
 
@@ -242,15 +245,13 @@ def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
 @click.option("--k", "top_k", type=_POSITIVE, default=10, show_default=True)
 @click.option("--n", "top_n", type=_POSITIVE, default=50, show_default=True)
 @click.option("--label", type=click.Choice(["WIKI_SIM", "WIKI_BACK"]), default="WIKI_SIM", show_default=True)
-@click.option("--lang", default="en", show_default=True)
+@click.option("--lang", type=_LANG, default="en", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def suggest_docsim_cmd(corpus_dir, seeds, top_k, top_n, label, lang, out_file):
     """Document-similarity suggestions over a text corpus directory."""
     corpus = SimCorpus.from_dir(corpus_dir, lang=lang)
-    sets = [
-        suggest_docsim(corpus, seed, k=top_k, n=top_n, source=label, topic_id=topic_id)
-        for topic_id, seed in sorted(read_seeds_file(seeds).items())
-    ]
+    seed_titles = read_seeds_file(seeds)
+    sets = docsim_sets(corpus, seed_titles, sorted(seed_titles), top_k, top_n, label)
     _emit_lines(suggestion_lines(sets), out_file)
 
 
@@ -263,12 +264,7 @@ def suggest_docsim_cmd(corpus_dir, seeds, top_k, top_n, label, lang, out_file):
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
 def combo_cmd(input_files, top_k, out_file):
     """Merge suggestion files from several systems."""
-    by_topic: dict[str, list] = {}
-    for path in input_files:
-        for sset in read_suggestion_file(path):
-            by_topic.setdefault(sset.topic_id, []).append(sset)
-    merged = [combo_merge(sets, max_concepts=top_k) for _, sets in sorted(by_topic.items())]
-    write_suggestion_file(out_file, merged)
+    write_suggestion_file(out_file, combo_sets(_sets_by_topic(input_files), top_k))
 
 
 @cli.command("expand")
@@ -279,23 +275,8 @@ def combo_cmd(input_files, top_k, out_file):
 @click.option("--out", "out_file", required=True, type=click.Path(dir_okay=False))
 def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
     """Build boosted expanded queries from topics plus suggestions."""
-    by_topic: dict[str, list] = {}
-    for path in suggestion_files:
-        for sset in read_suggestion_file(path):
-            by_topic.setdefault(sset.topic_id, []).append(sset)
     cfg = ExpansionConfig(title_boost=boost, max_concepts=max_concepts)
-    queries = []
-    for topic in read_topics(topics):
-        sets = by_topic.get(topic.topic_id, [])
-        merged = None
-        if len(sets) == 1:
-            merged = sets[0]
-        elif len(sets) > 1:
-            merged = combo_merge(sets, max_concepts=max_concepts)
-        try:
-            queries.append((topic.topic_id, build_query(topic, merged, cfg)))
-        except EmptyQueryError as exc:
-            logger.warning("%s; topic skipped", exc)
+    queries = expanded_queries(read_topics(topics), _sets_by_topic(suggestion_files), cfg)
     write_query_file(out_file, queries)
 
 
@@ -308,7 +289,7 @@ def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
 @click.option("--docs", type=click.Path())
 @click.option("--topics", type=click.Path())
 @click.option("--out", type=click.Path())
-@click.option("--lang", type=click.Choice(["en", "de"]))
+@click.option("--lang", type=_LANG)
 @click.option("--articles", type=click.Path())
 @click.option("--sim-corpus", type=click.Path())
 @click.option("--back-corpus", type=click.Path())
@@ -317,13 +298,11 @@ def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
 @click.option("--k", type=_POSITIVE)
 @click.option("--n", type=_POSITIVE)
 @click.option("--boost", type=float, callback=_finite_positive)
-@click.option("--similarity", type=click.Choice(["jaccard", "log", "log_jaccard"]))
+@_similarity_option()
 @click.option("--min-links", type=_POSITIVE)
 @click.option("--depth", type=_POSITIVE)
 def run_cmd(config_file, systems, **overrides):
     """Run the full pipeline for the requested systems."""
-    if overrides.get("similarity") == "log":
-        overrides["similarity"] = "log_jaccard"
     if config_file:
         cfg = load_config(config_file, **overrides)
     else:

@@ -10,9 +10,11 @@ Topics use the same transport:
 
 A document's language must have an analyzer profile ("en" or "de").
 Ids may not contain whitespace, since run files separate their columns
-by whitespace. Each field value is stored with its whitespace runs folded
-to one space, so that a value is one line with no tabs in the
-suggestion file.
+by whitespace, and a topic id may appear only once in its file. No
+string may hold a lone surrogate (a JSON escape such as `\\ud800`
+without its pair), since no UTF-8 writer can emit one. Each field value
+is stored with its whitespace runs folded to one space, so that a value
+is one line with no tabs in the suggestion file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Iterable, Sequence
 
 from .analysis import LANGUAGES
 from .errors import DataError, DuplicateDocumentError, EmptyCorpusError
+from .files import read_lines
 
 # Fields of a typical cultural-heritage metadata record, used as the
 # default ingest schema and as the column order of coverage reports.
@@ -117,6 +120,24 @@ class IngestResult:
         return iter(self.documents)
 
 
+def _json_object(line: str) -> dict:
+    """Parse a line holding one JSON object whose strings UTF-8 can encode."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError("line is not a JSON object")
+    # Only a JSON escape such as \ud800 puts a lone surrogate into a decoded
+    # string; a one-character search keeps lines without escapes cheap.
+    if "\\" in line:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError("a string holds a lone surrogate (\\ud800-\\udfff)") from None
+    return obj
+
+
 def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Document:
     doc_id = str(obj.get("id", "")).strip()
     if not doc_id:
@@ -160,30 +181,19 @@ def ingest_documents(
     seen: set[str] = set()
     reasons: Counter = Counter()
     rejected = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
+    for lineno, line in read_lines(path):
+        try:
+            doc = _parse_document(_json_object(line), schema, lax)
+        except DataError as exc:
+            if lax:
+                rejected += 1
+                reasons[str(exc)] += 1
                 continue
-            try:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise DataError("line is not a JSON object")
-                doc = _parse_document(obj, schema, lax)
-            except DataError as exc:
-                if lax:
-                    rejected += 1
-                    reasons[str(exc)] += 1
-                    continue
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if doc.doc_id in seen:
-                raise DuplicateDocumentError(
-                    f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}"
-                )
-            seen.add(doc.doc_id)
-            documents.append(doc)
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if doc.doc_id in seen:
+            raise DuplicateDocumentError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        documents.append(doc)
     return IngestResult(
         documents=documents,
         accepted=len(documents),
@@ -194,33 +204,26 @@ def ingest_documents(
 
 def read_topics(path: str | Path) -> list[Topic]:
     """Read a line-delimited JSON topic file."""
-    topics: list[Topic] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: line is not a JSON object")
-            topic_id = str(obj.get("id", "")).strip()
-            title = str(obj.get("title", "")).strip()
-            lang = str(obj.get("lang", "")).strip()
-            if not topic_id or not title or not lang:
-                raise DataError(
-                    f"{path}:{lineno}: topic needs non-empty 'id', 'title' and 'lang'"
-                )
-            if any(map(str.isspace, topic_id)):
-                raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
-            description = obj.get("description")
-            if description is not None:
-                description = str(description)
-            topics.append(
-                Topic(topic_id=topic_id, title=title, lang=lang, description=description)
-            )
-    return topics
+    topics: dict[str, Topic] = {}
+    for lineno, line in read_lines(path):
+        try:
+            obj = _json_object(line)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        topic_id = str(obj.get("id", "")).strip()
+        title = str(obj.get("title", "")).strip()
+        lang = str(obj.get("lang", "")).strip()
+        if not topic_id or not title or not lang:
+            raise DataError(f"{path}:{lineno}: topic needs non-empty 'id', 'title' and 'lang'")
+        if any(map(str.isspace, topic_id)):
+            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
+        if topic_id in topics:
+            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
+        description = obj.get("description")
+        if description is not None:
+            description = str(description)
+        topics[topic_id] = Topic(topic_id=topic_id, title=title, lang=lang, description=description)
+    return list(topics.values())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ returned.
 
 from __future__ import annotations
 
-import urllib.parse
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -27,6 +26,7 @@ from typing import Iterable
 
 from .analysis import chain_for
 from .errors import DataError, SeedNotFoundError
+from .files import read_titled_files
 from .index import idf_weight
 from .suggestions import SuggestionSet, make_suggestion_set
 
@@ -57,11 +57,7 @@ class SimCorpus:
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "SimCorpus":
         """Load `<percent-encoded-title>.txt` files from a directory."""
-        docs = [
-            (urllib.parse.unquote(file.stem), file.read_text(encoding="utf-8"))
-            for file in sorted(Path(path).glob("*.txt"))
-        ]
-        return cls(docs, lang=lang)
+        return cls(read_titled_files(path, ".txt"), lang=lang)
 
     @property
     def titles(self) -> list[str]:

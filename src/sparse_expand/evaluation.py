@@ -44,7 +44,7 @@ def run_lines(records: Iterable[RunRecord]) -> list[str]:
     return [f"{r.topic_id} Q0 {r.doc_id} {r.rank} {r.score:.6f} {r.run_tag}" for r in records]
 
 
-def write_run_file(path: str | Path, records: Sequence[RunRecord]) -> None:
+def write_run_file(path: str | Path, records: Iterable[RunRecord]) -> None:
     write_lines(path, run_lines(records))
 
 

@@ -1,18 +1,23 @@
-"""The file boundary: every output write and every line-file read.
+"""The file boundary: every output write and every text-file read.
 
 Every output file is written to a unique temporary file in its
 directory, flushed to disk and renamed over the target, so a failed
-write leaves the old file in place and no temporary file behind. Line
-files are UTF-8 with one record per line; readers skip blank lines and
-number the rest from 1 for their error messages.
+write leaves the old file in place and no temporary file behind. Every
+input text file is UTF-8; a file that is not raises `DataError` naming
+the file and line. Line files hold one record per line, split as `open()`
+splits them (at `\\n`, `\\r` and `\\r\\n` only); readers skip blank lines
+and number the rest from 1 for their error messages.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import urllib.parse
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .errors import DataError
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -40,8 +45,46 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
+def _lf(text: str) -> str:
+    """`text` with its line ends read as `open()` reads them: `\\r\\n` and
+    `\\r` become `\\n`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode, so they can be split into lines.
+        lineno = _lf(data[: exc.start].decode("utf-8")).count("\n") + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+    return _lf(text)
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line of a UTF-8 file."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            yield lineno, line
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        read_text(path)  # raises the DataError that names the line
+        raise
+
+
+def read_titled_files(directory: str | Path, suffix: str) -> list[tuple[str, str]]:
+    """(title, text) of each `<percent-encoded-title><suffix>` file of a
+    directory, in file-name order. Titles must be UTF-8, as encoded and
+    as decoded, since every writer emits them as UTF-8."""
+    pairs = []
+    for file in sorted(Path(directory).glob("*" + suffix)):
+        try:
+            file.name.encode("utf-8")
+            title = urllib.parse.unquote(file.stem, errors="strict")
+        except UnicodeError:
+            raise DataError(f"{directory}: file name {file.name!r} is not UTF-8") from None
+        pairs.append((title, read_text(file)))
+    return pairs

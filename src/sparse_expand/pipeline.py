@@ -5,40 +5,43 @@ Outputs land in `out/<lang>/<system>/{run.trec, suggestions.tsv}` plus
 root recording the config hash and tool version. Identical inputs
 produce byte-identical outputs.
 
+Each step from topics to a run has one function here, which the CLI
+subcommands call too: `str_sets`, `wiki_entity_sets`, `docsim_sets`,
+`combo_sets`, `expanded_queries` and `run_records`. So the subcommand
+chain writes the bytes `run` writes. `run` scores each run from the
+records it holds, without reading its run file back.
+
 Topics run one after another in a plain loop: the work is CPU-bound
 Python, which threads only slow down. Systems run sequentially because
-the concept merge consumes the other systems' suggestion files.
+the concept merge consumes the other systems' suggestion sets.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .analysis import chain_for
+from .analysis import LANGUAGES, chain_for
 from .corpus import Topic, ingest_documents, read_topics
 from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
-from .evaluation import (
-    RunRecord,
-    evaluate_run,
-    read_qrels_file,
-    read_run_file,
-    write_run_file,
-)
+from .evaluation import RunRecord, evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
-from .files import read_lines, write_lines
-from .index import Index, build_index
-from .str_recommender import CooccurConfig, suggest_str
+from .files import read_lines, read_text, write_lines
+from .index import Index, Query, build_index
+from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
     GENERATOR_SYSTEMS,
     SYSTEMS,
     SuggestionSet,
+    group_by_topic,
     make_suggestion_set,
     read_suggestion_file,
     write_suggestion_file,
@@ -69,21 +72,33 @@ class PipelineConfig:
     depth: int = 1000
 
 
+# The JSON values each annotated field type takes; a bool is not a number.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
 def load_config(path: str | Path, **overrides) -> PipelineConfig:
     """Read a versioned JSON config; explicit keyword overrides win."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
     version = raw.pop("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:
         raise DataError(f"{path}: unsupported config version {version}")
     known = set(PipelineConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        types, name = _JSON_TYPES[PipelineConfig.__dataclass_fields__[key].type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DataError(f"{path}: config key {key!r} must be {name}, got {value!r}")
     merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     return PipelineConfig(**merged)
 
@@ -105,9 +120,11 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
     need_path("topics", cfg.topics, "topic file")
     if not cfg.out:
         problems.append("missing out (output directory)")
-    if cfg.lang not in ("en", "de"):
-        problems.append(f"lang must be 'en' or 'de', got {cfg.lang!r}")
-    if cfg.boost <= 0:
+    if cfg.lang not in LANGUAGES:
+        problems.append(f"lang must be one of {sorted(LANGUAGES)}, got {cfg.lang!r}")
+    if not math.isfinite(cfg.boost):
+        problems.append("boost must be finite")
+    elif cfg.boost <= 0:
         problems.append("boost must be positive")
     if cfg.k < 1:
         problems.append("k must be >= 1")
@@ -115,8 +132,8 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
         problems.append("n must be >= 1")
     if cfg.depth < 1:
         problems.append("depth must be >= 1")
-    if cfg.similarity not in ("jaccard", "log_jaccard"):
-        problems.append(f"similarity must be 'jaccard' or 'log_jaccard', got {cfg.similarity!r}")
+    if cfg.similarity not in SIMILARITIES:
+        problems.append(f"similarity must be one of {list(SIMILARITIES)}, got {cfg.similarity!r}")
     if "WIKI_ENTITY" in systems:
         need_path("articles", cfg.articles, "needed by WIKI_ENTITY")
     if "WIKI_SIM" in systems:
@@ -141,46 +158,90 @@ def read_seeds_file(path: str | Path) -> dict[str, str]:
     return seeds
 
 
-def _suggest_system(
+# -- the steps from topics to a run, shared with the CLI subcommands ------
+
+
+def str_sets(index: Index, topics: Iterable[Topic], cfg: CooccurConfig) -> list[SuggestionSet]:
+    """STR suggestions per topic; a title with no query tokens gets an empty set."""
+    sets = []
+    for topic in topics:
+        try:
+            sets.append(suggest_str(index, topic, cfg))
+        except EmptyQueryError as exc:
+            logger.warning("%s", exc)
+            sets.append(make_suggestion_set(topic.topic_id, "STR", []))
+    return sets
+
+
+def wiki_entity_sets(
+    store: ArticleStore, topics: Iterable[Topic], k: int, min_links: int
+) -> list[SuggestionSet]:
+    """WIKI_ENTITY suggestions per topic."""
+    return [suggest_wiki_lead(store, topic, k=k, min_links=min_links) for topic in topics]
+
+
+def docsim_sets(
+    corpus: SimCorpus,
+    seeds: Mapping[str, str],
+    topic_ids: Iterable[str],
+    k: int,
+    n: int,
     system: str,
-    cfg: PipelineConfig,
-    index: Index,
-    topics: Sequence[Topic],
-) -> dict[str, SuggestionSet]:
-    if system == "STR":
-        str_cfg = CooccurConfig(similarity=cfg.similarity, top_k=cfg.k)
+) -> list[SuggestionSet]:
+    """WIKI_SIM or WIKI_BACK suggestions per topic id, from the topic's
+    seed document; a topic with no seed gets an empty set."""
+    sets = []
+    for topic_id in topic_ids:
+        seed = seeds.get(topic_id)
+        if seed is None:
+            logger.warning("no seed for topic %s; empty %s suggestions", topic_id, system)
+            sets.append(make_suggestion_set(topic_id, system, []))
+        else:
+            sets.append(suggest_docsim(corpus, seed, k=k, n=n, source=system, topic_id=topic_id))
+    return sets
 
-        def job(topic: Topic) -> SuggestionSet:
-            try:
-                return suggest_str(index, topic, str_cfg)
-            except EmptyQueryError as exc:
-                logger.warning("%s", exc)
-                return make_suggestion_set(topic.topic_id, "STR", [])
 
-        return {topic.topic_id: job(topic) for topic in topics}
+def combo_sets(by_topic: Mapping[str, Sequence[SuggestionSet]], k: int) -> list[SuggestionSet]:
+    """Each topic's sets merged into one COMBO set, in topic order."""
+    return [combo_merge(sets, max_concepts=k) for _, sets in sorted(by_topic.items())]
 
-    if system == "WIKI_ENTITY":
-        store = ArticleStore.from_dir(cfg.articles, lang=cfg.lang)
-        return {
-            t.topic_id: suggest_wiki_lead(store, t, k=cfg.k, min_links=cfg.min_links)
-            for t in topics
-        }
 
-    if system in ("WIKI_SIM", "WIKI_BACK"):
-        directory = cfg.sim_corpus if system == "WIKI_SIM" else cfg.back_corpus
-        corpus = SimCorpus.from_dir(directory, lang=cfg.lang)
-        seeds = read_seeds_file(cfg.seeds)
+def expanded_queries(
+    topics: Iterable[Topic],
+    by_topic: Mapping[str, Sequence[SuggestionSet]],
+    cfg: ExpansionConfig,
+) -> list[tuple[str, Query]]:
+    """(topic id, query) per topic. A topic's suggestion sets are merged
+    when it has several; a title with no query tokens is skipped."""
+    queries = []
+    for topic in topics:
+        sets = by_topic.get(topic.topic_id, ())
+        merged = None
+        if len(sets) == 1:
+            merged = sets[0]
+        elif sets:
+            merged = combo_merge(sets, max_concepts=cfg.max_concepts)
+        try:
+            queries.append((topic.topic_id, build_query(topic, merged, cfg)))
+        except EmptyQueryError as exc:
+            logger.warning("%s; topic skipped", exc)
+    return queries
 
-        def job(topic: Topic) -> SuggestionSet:
-            seed = seeds.get(topic.topic_id)
-            if seed is None:
-                logger.warning("no seed for topic %s; empty %s suggestions", topic.topic_id, system)
-                return make_suggestion_set(topic.topic_id, system, [])
-            return suggest_docsim(corpus, seed, k=cfg.k, n=cfg.n, source=system, topic_id=topic.topic_id)
 
-        return {topic.topic_id: job(topic) for topic in topics}
+def run_records(
+    index: Index, queries: Iterable[tuple[str, Query]], depth: int, run_tag: str
+) -> dict[str, list[RunRecord]]:
+    """Each query's top `depth` hits as run records, by topic id in query order."""
+    return {
+        topic_id: [
+            RunRecord(topic_id, hit.doc_id, rank, hit.score, run_tag)
+            for rank, hit in enumerate(index.search(query, depth), 1)
+        ]
+        for topic_id, query in queries
+    }
 
-    raise ValueError(f"not a generator system: {system}")
+
+# -- run ------------------------------------------------------------------
 
 
 def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[str]]:
@@ -198,57 +259,35 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     lang_dir = out_root / cfg.lang
 
     documents = ingest_documents(cfg.docs).documents
-    topics = [t for t in read_topics(cfg.topics) if t.lang == cfg.lang]
+    topics = sorted(
+        (t for t in read_topics(cfg.topics) if t.lang == cfg.lang), key=lambda t: t.topic_id
+    )
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
-    chains = {cfg.lang: chain_for(cfg.lang)}
-    index = build_index([d for d in documents if d.lang == cfg.lang], chains)
+    index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: chain_for(cfg.lang)})
     if not index.has_field(f"{index.all_field}-{cfg.lang}"):
         raise DataError(f"corpus has no indexed {cfg.lang!r} content")
 
     qrels = read_qrels_file(cfg.qrels) if cfg.qrels else None
+    expansion = ExpansionConfig(title_boost=cfg.boost, max_concepts=cfg.k)
     written: dict[str, list[str]] = {}
-    produced: dict[str, dict[str, SuggestionSet]] = {}
+    produced: dict[str, list[SuggestionSet]] = {}
 
     ordered = [s for s in SYSTEMS if s in systems]  # COMBO runs last
     for system in ordered:
         logger.info("running system %s (%s)", system, cfg.lang)
         system_dir = lang_dir / system
-        if system == "COMBO":
-            per_topic = _combo_inputs(cfg, lang_dir, topics, produced)
-        else:
-            per_topic = _suggest_system(system, cfg, index, topics)
-        produced[system] = per_topic
-
-        suggestions_path = system_dir / "suggestions.tsv"
-        sets = [per_topic[t.topic_id] for t in sorted(topics, key=lambda t: t.topic_id)]
+        sets = produced[system] = _system_sets(system, cfg, index, topics, lang_dir, produced)
+        suggestions_path, run_path = system_dir / "suggestions.tsv", system_dir / "run.trec"
         write_suggestion_file(suggestions_path, sets)
-        files = [str(suggestions_path)]
-
-        records: list[RunRecord] = []
-        for topic in sorted(topics, key=lambda t: t.topic_id):
-            try:
-                query = build_query(
-                    topic,
-                    per_topic[topic.topic_id],
-                    ExpansionConfig(title_boost=cfg.boost, max_concepts=cfg.k),
-                    chain=chains[cfg.lang],
-                )
-            except EmptyQueryError as exc:
-                logger.warning("%s; topic contributes no results", exc)
-                continue
-            for rank, hit in enumerate(index.search(query, cfg.depth), 1):
-                records.append(RunRecord(topic.topic_id, hit.doc_id, rank, hit.score, system))
-        run_path = system_dir / "run.trec"
-        write_run_file(run_path, records)
-        files.append(str(run_path))
-
+        queries = expanded_queries(topics, group_by_topic(sets), expansion)
+        run = run_records(index, queries, cfg.depth, system)
+        write_run_file(run_path, itertools.chain.from_iterable(run.values()))
+        written[system] = [str(suggestions_path), str(run_path)]
         if qrels is not None:
-            report = evaluate_run(read_run_file(run_path), qrels, depth=cfg.depth)
             metrics_path = system_dir / "metrics.tsv"
-            _write_metrics(metrics_path, report)
-            files.append(str(metrics_path))
-        written[system] = files
+            _write_metrics(metrics_path, evaluate_run(run, qrels, depth=cfg.depth))
+            written[system].append(str(metrics_path))
 
     manifest_path = out_root / "manifest.json"
     _write_manifest(manifest_path, cfg, ordered)
@@ -256,40 +295,44 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     return written
 
 
-def _combo_inputs(
+def _system_sets(
+    system: str,
     cfg: PipelineConfig,
-    lang_dir: Path,
+    index: Index,
     topics: Sequence[Topic],
-    produced: dict[str, dict[str, SuggestionSet]],
-) -> dict[str, SuggestionSet]:
-    """Merge the generator systems' suggestions, from this run or disk."""
-    available: dict[str, dict[str, SuggestionSet]] = {}
-    for system in GENERATOR_SYSTEMS:
-        if system in produced:
-            available[system] = produced[system]
-        else:
-            path = lang_dir / system / "suggestions.tsv"
-            if path.exists():
-                available[system] = {
-                    s.topic_id: s for s in read_suggestion_file(path)
-                }
-    if not available:
+    lang_dir: Path,
+    produced: Mapping[str, list[SuggestionSet]],
+) -> list[SuggestionSet]:
+    """One system's suggestion sets for the topics, in topic order."""
+    if system == "STR":
+        return str_sets(index, topics, CooccurConfig(similarity=cfg.similarity, top_k=cfg.k))
+    if system == "WIKI_ENTITY":
+        store = ArticleStore.from_dir(cfg.articles, lang=cfg.lang)
+        return wiki_entity_sets(store, topics, cfg.k, cfg.min_links)
+    if system == "COMBO":
+        return combo_sets(_combo_inputs(lang_dir, topics, produced), cfg.k)
+    corpus = SimCorpus.from_dir(cfg.sim_corpus if system == "WIKI_SIM" else cfg.back_corpus, lang=cfg.lang)
+    topic_ids = [t.topic_id for t in topics]
+    return docsim_sets(corpus, read_seeds_file(cfg.seeds), topic_ids, cfg.k, cfg.n, system)
+
+
+def _combo_inputs(
+    lang_dir: Path, topics: Sequence[Topic], produced: Mapping[str, list[SuggestionSet]]
+) -> dict[str, list[SuggestionSet]]:
+    """The generator systems' sets of the topics, from this run or from
+    disk, grouped by topic."""
+    paths = {system: lang_dir / system / "suggestions.tsv" for system in GENERATOR_SYSTEMS}
+    found = [s for s in GENERATOR_SYSTEMS if s in produced or paths[s].exists()]
+    if not found:
         raise DataError(
             "COMBO needs at least one generator system's suggestions; "
             f"none requested and none found under {lang_dir}"
         )
-    merged: dict[str, SuggestionSet] = {}
-    for topic in topics:
-        inputs = [
-            available[system][topic.topic_id]
-            for system in GENERATOR_SYSTEMS
-            if system in available and topic.topic_id in available[system]
-        ]
-        if inputs:
-            merged[topic.topic_id] = combo_merge(inputs, max_concepts=cfg.k)
-        else:
-            merged[topic.topic_id] = make_suggestion_set(topic.topic_id, "COMBO", [])
-    return merged
+    ids = {t.topic_id for t in topics}
+    sets = itertools.chain.from_iterable(
+        produced[s] if s in produced else read_suggestion_file(paths[s]) for s in found
+    )
+    return group_by_topic(s for s in sets if s.topic_id in ids)
 
 
 def _write_metrics(path: Path, report) -> None:

@@ -39,11 +39,15 @@ from .index import Index
 from .suggestions import SuggestionSet, make_suggestion_set
 
 
+# The candidate scores `suggest_str` knows, by name.
+SIMILARITIES = ("jaccard", "log_jaccard")
+
+
 @dataclass(frozen=True)
 class CooccurConfig:
     input_fields: tuple[str, ...] = ("dc:title", "dc:description")
     concept_fields: tuple[str, ...] = ("dc:subject", "enrichment:concept_label")
-    similarity: str = "jaccard"  # or "log_jaccard"
+    similarity: str = "jaccard"  # one of SIMILARITIES
     top_k: int = 10
 
     def __post_init__(self):
@@ -53,7 +57,7 @@ class CooccurConfig:
             raise ValueError("field lists must be non-empty")
         if set(self.input_fields) & set(self.concept_fields):
             raise ValueError("input and concept fields must be disjoint")
-        if self.similarity not in ("jaccard", "log_jaccard"):
+        if self.similarity not in SIMILARITIES:
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
 

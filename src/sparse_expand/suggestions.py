@@ -54,6 +54,14 @@ class SuggestionSet:
         return [s.text for s in self.suggestions]
 
 
+def group_by_topic(sets: Iterable[SuggestionSet]) -> dict[str, list[SuggestionSet]]:
+    """topic_id -> its sets, in the order given."""
+    by_topic: dict[str, list[SuggestionSet]] = {}
+    for sset in sets:
+        by_topic.setdefault(sset.topic_id, []).append(sset)
+    return by_topic
+
+
 def make_suggestion_set(
     topic_id: str, system: str, texts_scores: Sequence[tuple[str, float | Fraction]]
 ) -> SuggestionSet:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -24,6 +23,7 @@ from typing import Iterable, NamedTuple
 from .analysis import chain_for, query_tokens, tokenize
 from .corpus import Document, Topic
 from .errors import DataError
+from .files import read_titled_files
 from .index import Index, Phrase, Query, Term, build_index
 from .suggestions import SuggestionSet, make_suggestion_set
 
@@ -200,13 +200,7 @@ class ArticleStore:
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":
         """Load `<percent-encoded-title>.wiki` files from a directory."""
-        articles: dict[str, str] = {}
-        for file in sorted(Path(path).glob("*.wiki")):
-            title = urllib.parse.unquote(file.stem)
-            if title in articles:
-                raise DataError(f"duplicate article title {title!r}")
-            articles[title] = file.read_text(encoding="utf-8")
-        return cls(articles, lang=lang)
+        return cls.from_pairs(read_titled_files(path, ".wiki"), lang=lang)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]], lang: str = "en") -> "ArticleStore":

@@ -450,3 +450,108 @@ def test_run_rejects_out_of_range_numeric_options(tmp_path, capsys, option, valu
     assert main(args + [option, value]) == 1
     assert option in capsys.readouterr().err
     assert not Path(workspace["out"]).exists()
+
+
+def _repeat_first_topic(workspace) -> None:
+    topics = Path(workspace["topics"])
+    lines = topics.read_text(encoding="utf-8").splitlines()
+    topics.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("qrels", [False, True])
+def test_run_on_a_repeated_topic_id_exits_2_and_writes_nothing(tmp_path, capsys, qrels):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    _repeat_first_topic(workspace)
+    args = ["run", "--docs", workspace["docs"], "--topics", workspace["topics"], "--out", workspace["out"]]
+    if qrels:
+        args += ["--qrels", workspace["qrels"]]
+    assert main(args + ["--system", "STR"]) == 2
+    assert "topics.jsonl:4: repeated topic id 'T-000'" in capsys.readouterr().err
+    assert not Path(workspace["out"]).exists()
+
+
+def test_expand_on_a_repeated_topic_id_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    _repeat_first_topic(workspace)
+    out_file = tmp_path / "queries.tsv"
+    assert main(["expand", "--topics", workspace["topics"], "--out", str(out_file)]) == 2
+    assert "topics.jsonl:4: repeated topic id 'T-000'" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_index_search_on_a_repeated_topic_id_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\nT-000\tchic_all-en:(ship)\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
+    assert main(args) == 2
+    assert "queries.tsv:2: repeated topic id 'T-000'" in capsys.readouterr().err
+    assert not run_file.exists()
+
+
+@pytest.mark.parametrize("command", ["wiki-lead", "docsim"])
+def test_suggest_lang_outside_the_analyzer_profiles_is_a_usage_error(tmp_path, capsys, command):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    args = _option_args(workspace, tmp_path, command)
+    capsys.readouterr()
+    assert main(args + ["--lang", "fr"]) == 1
+    err = capsys.readouterr().err
+    assert "--lang" in err and "Traceback" not in err
+    assert main(args + ["--lang", "en"]) == 0
+
+
+def _non_utf8_case(workspace, tmp_path, which):
+    """Arguments of a command that reads the input `which`, after a byte
+    that is not UTF-8 went into that input."""
+    bad = b"caf\xe9\n"
+    index_dir = str(tmp_path / "idx")
+    if which == "docs":
+        Path(workspace["docs"]).write_bytes(Path(workspace["docs"]).read_bytes() + bad)
+        return ["index", "build", "--docs", workspace["docs"], "--out", index_dir], "docs.jsonl"
+    if which == "stopwords":
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_bytes(b"the\n" + bad)
+        args = ["index", "build", "--docs", workspace["docs"], "--out", index_dir]
+        return args + ["--stopwords", str(stopwords)], "stop.txt"
+    if which == "topics":
+        Path(workspace["topics"]).write_bytes(Path(workspace["topics"]).read_bytes() + bad)
+        return ["expand", "--topics", workspace["topics"], "--out", str(tmp_path / "q.tsv")], "topics.jsonl"
+    if which == "config":
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"version": 1, "docs": "' + bad.strip() + b'"}')
+        return ["run", "--config", str(config)], "config.json"
+    if which == "wiki":
+        article = next(Path(workspace["articles"]).glob("*.wiki"))
+        article.write_bytes(article.read_bytes() + bad)
+        args = ["suggest", "wiki-lead", "--articles", workspace["articles"], "--topics", workspace["topics"]]
+        return args, article.name
+    if which == "txt":
+        text = next(Path(workspace["sim_corpus"]).glob("*.txt"))
+        text.write_bytes(text.read_bytes() + bad)
+        args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]]
+        return args, text.name
+    Path(workspace["seeds"]).write_bytes(Path(workspace["seeds"]).read_bytes() + bad)
+    args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]]
+    return args, "seeds.tsv"
+
+
+@pytest.mark.parametrize("which", ["docs", "stopwords", "topics", "config", "wiki", "txt", "seeds"])
+def test_an_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, which):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    args, name = _non_utf8_case(workspace, tmp_path, which)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert name in err and "not UTF-8" in err and "Traceback" not in err
+
+
+def test_suggest_docsim_on_a_file_name_that_is_not_utf8_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    name = os.path.join(os.fsencode(workspace["sim_corpus"]), b"Whale\xff.txt")
+    os.close(os.open(name, os.O_WRONLY | os.O_CREAT))
+    args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]]
+    assert main(args) == 2
+    assert "file name 'Whale\\udcff.txt' is not UTF-8" in capsys.readouterr().err

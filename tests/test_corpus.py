@@ -320,3 +320,63 @@ def test_read_topics_rejects_a_line_that_is_not_an_object(tmp_path, line):
     f.write_text('{"id": "T", "lang": "en", "title": "whale"}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=":2: line is not a JSON object"):
         read_topics(f)
+
+
+def test_read_topics_rejects_a_repeated_topic_id(tmp_path):
+    f = tmp_path / "topics.jsonl"
+    f.write_text(
+        '{"id": "T-000", "lang": "en", "title": "whale"}\n'
+        '{"id": "T-001", "lang": "en", "title": "ship"}\n'
+        '\n'
+        '{"id": "T-000", "lang": "en", "title": "ocean"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"topics\.jsonl:4: repeated topic id 'T-000'"):
+        read_topics(f)
+
+
+# A JSON escape of one half of a surrogate pair decodes to a lone surrogate.
+_LONE_SURROGATES = ["whale \\ud800 ship", "\\udfff", "a\\udc00\\ud800b"]
+
+
+@pytest.mark.parametrize("value", _LONE_SURROGATES)
+def test_ingest_rejects_a_lone_surrogate_as_a_malformed_line(tmp_path, value):
+    f = tmp_path / "docs.jsonl"
+    f.write_text(
+        '{"id": "a", "lang": "en", "fields": {"dc:title": ["whale \\ud83d\\udc33"]}}\n'
+        '{"id": "b", "lang": "en", "fields": {"dc:title": ["' + value + '"]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"docs\.jsonl:2: a string holds a lone surrogate"):
+        ingest_documents(f)
+    result = ingest_documents(f, lax=True)
+    assert [d.fields["dc:title"] for d in result.documents] == [("whale \U0001f433",)]
+    assert result.rejected == 1
+
+
+@pytest.mark.parametrize("key", ["title", "description"])
+def test_read_topics_rejects_a_lone_surrogate(tmp_path, key):
+    f = tmp_path / "topics.jsonl"
+    record = {"id": "T", "lang": "en", "title": "whale", key: "sea \ud800"}
+    f.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"topics\.jsonl:1: a string holds a lone surrogate"):
+        read_topics(f)
+
+
+def test_document_lines_split_where_open_splits(tmp_path):
+    # JSON strings may hold U+2028 and U+0085 raw; they do not end a line.
+    f = tmp_path / "docs.jsonl"
+    f.write_bytes(
+        '{"id": "a", "lang": "en", "fields": {"dc:title": ["whale ship\x85sea"]}}\r\n'
+        '{"id": "b", "lang": "en", "fields": {"dc:title": ["ocean"]}}\r'.encode("utf-8")
+    )
+    documents = ingest_documents(f).documents
+    assert [d.fields["dc:title"] for d in documents] == [("whale ship sea",), ("ocean",)]
+
+
+@pytest.mark.parametrize("reader", [ingest_documents, read_topics])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, reader):
+    f = tmp_path / "in.jsonl"
+    f.write_bytes(b'{"id": "a", "lang": "en", "title": "caf\xe9", "fields": {}}\n')
+    with pytest.raises(DataError, match=r"in\.jsonl:1: not UTF-8"):
+        reader(f)

@@ -284,3 +284,13 @@ def test_expansion_config_validation():
         ExpansionConfig(title_boost=0)
     with pytest.raises(ValueError):
         ExpansionConfig(max_concepts=-1)
+
+
+def test_read_query_file_rejects_a_repeated_topic_id(tmp_path):
+    path = tmp_path / "queries.tsv"
+    path.write_text(
+        "T-000\tchic_all-en:(whale)\nT-001\tchic_all-en:(ship)\nT-000\tchic_all-en:(sea)\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=r"queries\.tsv:3: repeated topic id 'T-000'"):
+        read_query_file(path)

@@ -1,14 +1,19 @@
 import json
 import os
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import build_pipeline_workspace
+from sparse_expand import evaluation
+from sparse_expand.cli import main
 from sparse_expand.errors import ConfigError, DataError
 from sparse_expand.files import write_atomic
 from sparse_expand.pipeline import (
     PipelineConfig,
+    _write_metrics,
     config_validate,
     load_config,
     read_seeds_file,
@@ -205,3 +210,94 @@ def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
         assert target.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
         assert not list(tmp_path.glob("*.tmp*"))
+
+
+@pytest.mark.parametrize(
+    "key, literal, outcome",
+    [
+        ("k", '"ten"', "config key 'k' must be an integer, got 'ten'"),
+        ("k", "true", "config key 'k' must be an integer, got True"),
+        ("depth", "2.5", "config key 'depth' must be an integer, got 2.5"),
+        ("min_links", "null", "config key 'min_links' must be an integer, got None"),
+        ("boost", "null", "config key 'boost' must be a number, got None"),
+        ("boost", "false", "config key 'boost' must be a number, got False"),
+        ("boost", '"2"', "config key 'boost' must be a number, got '2'"),
+        ("docs", "5", "config key 'docs' must be a string, got 5"),
+        ("lang", '["en"]', "config key 'lang' must be a string, got ['en']"),
+        ("boost", "1e400", ["boost must be finite"]),
+        ("boost", "NaN", ["boost must be finite"]),
+        ("boost", "-Infinity", ["boost must be finite"]),
+        ("boost", "0", ["boost must be positive"]),
+        ("boost", "2", []),
+        ("boost", "2.5", []),
+        ("k", "3", []),
+    ],
+)
+def test_load_config_checks_field_types(tmp_path, key, literal, outcome):
+    paths = build_pipeline_workspace(tmp_path)
+    rest = json.dumps({k: v for k, v in paths.items() if k != key})
+    config_file = tmp_path / "config.json"
+    config_file.write_text(f'{rest[:-1]}, "{key}": {literal}}}', encoding="utf-8")
+    if isinstance(outcome, str):
+        with pytest.raises(DataError, match=re.escape(f"{config_file}: {outcome}")):
+            load_config(config_file)
+        return
+    cfg = load_config(config_file)
+    assert config_validate(cfg, ["STR"]) == outcome
+    if not outcome:
+        # A value is kept as written, so "boost": 2 keeps the config hash of 2.
+        value = json.loads(literal)
+        assert (type(getattr(cfg, key)), getattr(cfg, key)) == (type(value), value)
+
+
+SYSTEMS = ["WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR", "COMBO"]
+
+
+def test_the_cli_chain_writes_the_bytes_run_writes(tmp_path):
+    paths = build_pipeline_workspace(tmp_path, n_docs=80, n_topics=5)
+    run_pipeline(_config(paths), SYSTEMS)
+    out = Path(paths["out"]) / "en"
+    chain = tmp_path / "chain"
+    index_dir = str(chain / "idx")
+
+    def cli(*args):
+        assert main(list(args)) == 0, args
+
+    cli("index", "build", "--docs", paths["docs"], "--out", index_dir)
+    topics = ["--topics", paths["topics"]]
+    cli("suggest", "str", "--index", index_dir, *topics, "--out", str(chain / "STR.tsv"))
+    cli("suggest", "wiki-lead", "--articles", paths["articles"], *topics,
+        "--out", str(chain / "WIKI_ENTITY.tsv"))
+    for system, corpus in (("WIKI_SIM", "sim_corpus"), ("WIKI_BACK", "back_corpus")):
+        cli("suggest", "docsim", "--corpus", paths[corpus], "--seeds", paths["seeds"],
+            "--label", system, "--out", str(chain / f"{system}.tsv"))
+    inputs = [arg for system in SYSTEMS[:-1] for arg in ("--inputs", str(chain / f"{system}.tsv"))]
+    cli("combo", *inputs, "--out", str(chain / "COMBO.tsv"))
+    for system in SYSTEMS:
+        queries = str(chain / f"{system}.queries")
+        cli("expand", *topics, "--suggestions", str(chain / f"{system}.tsv"), "--out", queries)
+        cli("index", "search", "--index", index_dir, "--query-file", queries,
+            "--run-tag", system, "--out", str(chain / f"{system}.trec"))
+        suggestions, run = (out / system / "suggestions.tsv"), (out / system / "run.trec")
+        assert (chain / f"{system}.tsv").read_bytes() == suggestions.read_bytes()
+        assert (chain / f"{system}.trec").read_bytes() == run.read_bytes()
+        assert run.stat().st_size > 0
+
+
+def test_run_scores_its_runs_without_reading_them_back(tmp_path, monkeypatch):
+    paths = build_pipeline_workspace(tmp_path, n_docs=80, n_topics=4)
+
+    def refuse(path):
+        raise AssertionError(f"read back {path}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparse_expand") and hasattr(module, "read_run_file"):
+            monkeypatch.setattr(module, "read_run_file", refuse)
+    run_pipeline(_config(paths), SYSTEMS)
+    monkeypatch.undo()
+    qrels = evaluation.read_qrels_file(paths["qrels"])
+    for system in SYSTEMS:
+        system_dir = Path(paths["out"]) / "en" / system
+        report = evaluation.evaluate_run(evaluation.read_run_file(system_dir / "run.trec"), qrels)
+        _write_metrics(tmp_path / "expected.tsv", report)
+        assert (system_dir / "metrics.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
