@@ -10,17 +10,20 @@ a set-overlap variant of the Jaccard coefficient with a fixed
 denominator. Scores are exact rationals. A seed is compared only with
 the documents that share an important word with it, found through a
 word -> documents map per n; since n is fixed, ranking by the integer
-overlap gives the same order as ranking by the score. Documents are held
-by their ordinal in sorted title order, so ties break by title through
-integer comparisons, and a Fraction is built only for the suggestions
-returned.
+overlap gives the same order as ranking by the score.
+
+To keep k suggestions, the k-th largest overlap is read off a tally of
+the overlap values; only the documents that reach it are sorted, by
+overlap and then by ordinal. Documents are held by their ordinal in
+sorted title order, so ties break by title through integer comparisons.
+Scores come from a table of Fraction(i, n), built once per n.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable
 
@@ -53,6 +56,7 @@ class SimCorpus:
         self._ordinals = {title: i for i, title in enumerate(self._titles)}
         self._important: dict[tuple[str, int], frozenset[str]] = {}
         self._holders: dict[int, dict[str, tuple[int, ...]]] = {}
+        self._scores: dict[int, tuple[Fraction, ...]] = {}
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "SimCorpus":
@@ -99,6 +103,13 @@ class SimCorpus:
         words2 = self.important_words(title2, n)
         return Fraction(len(words1 & words2), n)
 
+    def _score_table(self, n: int) -> tuple[Fraction, ...]:
+        """Fraction(i, n) for every overlap i from 0 to n."""
+        table = self._scores.get(n)
+        if table is None:
+            table = self._scores[n] = tuple(Fraction(i, n) for i in range(n + 1))
+        return table
+
     def _overlaps(self, title: str, n: int) -> Counter:
         """Ordinals of the other documents sharing an important word with
         `title`, mapped to the size of the shared important-word set."""
@@ -132,9 +143,24 @@ def suggest_docsim(
     if seed_title not in corpus:
         raise SeedNotFoundError(f"seed not found: {seed_title!r}")
     counts = corpus._overlaps(seed_title, n)
-    ranked = sorted(counts)  # ordinal order is title order
+    candidates = counts
+    if len(counts) > k:
+        threshold = _kth_largest(Counter(counts.values()), k)
+        candidates = compress(counts, map(threshold.__le__, counts.values()))
+    ranked = sorted(candidates)  # ordinal order is title order
     ranked.sort(key=counts.__getitem__, reverse=True)
-    titles = corpus._titles
-    return make_suggestion_set(
-        topic_id, source, [(titles[i], Fraction(counts[i], n)) for i in ranked[:k]]
-    )
+    top = ranked[:k]
+    titles = map(corpus._titles.__getitem__, top)
+    scores = map(corpus._score_table(n).__getitem__, map(counts.__getitem__, top))
+    return make_suggestion_set(topic_id, source, zip(titles, scores))
+
+
+def _kth_largest(tally: Counter, k: int) -> int:
+    """The k-th largest value of a multiset given as value -> count
+    (the smallest value when k exceeds its size)."""
+    seen = 0
+    for value in sorted(tally, reverse=True):
+        seen += tally[value]
+        if seen >= k:
+            break
+    return value

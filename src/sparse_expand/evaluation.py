@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
 from .files import read_lines, write_lines
@@ -30,8 +30,7 @@ DEFAULT_RUN_DEPTH = 1000
 RELEVANCE_THRESHOLD = 1
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     topic_id: str
     doc_id: str
     rank: int

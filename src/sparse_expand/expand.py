@@ -15,18 +15,26 @@ Parsing inverts serialization exactly.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
+from functools import partial
+from operator import is_not
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .analysis import AnalyzerChain, chain_for, query_tokens
+from .analysis import LANGUAGES, AnalyzerChain, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
 from .files import read_lines, write_lines
 from .index import ALL_FIELD, Clause, Phrase, Query, Term
-from .suggestions import GENERATOR_SYSTEMS, ConceptSuggestion, SuggestionSet
+from .suggestions import (
+    GENERATOR_SYSTEMS,
+    SuggestionSet,
+    make_suggestion_set,
+    reciprocal_rank_scores,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +62,12 @@ def build_query(
 ) -> Query:
     """OR together boosted title words and suggested concepts."""
     cfg = cfg or ExpansionConfig()
-    chain = chain or chain_for(topic.lang)
+    if chain is None:
+        if topic.lang not in LANGUAGES:
+            raise EmptyQueryError(
+                f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
+            )
+        chain = chain_for(topic.lang)
     field = cfg.target_field or f"{ALL_FIELD}-{topic.lang}"
 
     title_tokens = query_tokens(chain, topic.title)
@@ -95,29 +108,18 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
     topic_ids = {s.topic_id for s in sets}
     if len(topic_ids) != 1:
         raise DataError(f"combo inputs disagree on topic: {sorted(topic_ids)}")
-    ordered = sorted(
-        range(len(sets)), key=lambda i: (_SYSTEM_ORDER.get(sets[i].system, len(_SYSTEM_ORDER)), i)
-    )
-    merged: list[str] = []
-    seen: set[str] = set()
-    depth = max((len(s.suggestions) for s in sets), default=0)
-    for rank in range(depth):
-        for i in ordered:
-            suggestions = sets[i].suggestions
-            if rank < len(suggestions):
-                text = suggestions[rank].text
-                if text.lower() not in seen:
-                    seen.add(text.lower())
-                    merged.append(text)
-    merged = merged[:max_concepts]
-    return SuggestionSet(
-        topic_id=sets[0].topic_id,
-        system="COMBO",
-        suggestions=tuple(
-            ConceptSuggestion(text=t, score=1.0 / (i + 1), rank=i + 1, source="COMBO")
-            for i, t in enumerate(merged)
-        ),
-    )
+    ordered = sorted(sets, key=lambda s: _SYSTEM_ORDER.get(s.system, len(_SYSTEM_ORDER)))
+    # Texts rank by rank, systems in merge order within a rank.
+    by_rank = itertools.zip_longest(*(s.texts() for s in ordered))
+    texts = list(filter(_is_text, itertools.chain.from_iterable(by_rank)))
+    lowered = list(map(str.lower, texts))
+    # The first text of each lowered form, in the order the forms appear.
+    first = dict(zip(reversed(lowered), reversed(texts)))
+    merged = map(first.__getitem__, itertools.islice(dict.fromkeys(lowered), max_concepts))
+    return make_suggestion_set(sets[0].topic_id, "COMBO", zip(merged, reciprocal_rank_scores()))
+
+
+_is_text = partial(is_not, None)
 
 
 # -- query surface syntax ---------------------------------------------

@@ -154,7 +154,10 @@ def read_seeds_file(path: str | Path) -> dict[str, str]:
         topic_id, sep, title = line.partition("\t")
         if not sep or not topic_id.strip() or not title.strip():
             raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>seed title'")
-        seeds[topic_id.strip()] = title.strip()
+        topic_id = topic_id.strip()
+        if topic_id in seeds:
+            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
+        seeds[topic_id] = title.strip()
     return seeds
 
 
@@ -212,7 +215,8 @@ def expanded_queries(
     cfg: ExpansionConfig,
 ) -> list[tuple[str, Query]]:
     """(topic id, query) per topic. A topic's suggestion sets are merged
-    when it has several; a title with no query tokens is skipped."""
+    when it has several; a topic whose language has no analyzer profile,
+    or whose title has no query tokens, is skipped."""
     queries = []
     for topic in topics:
         sets = by_topic.get(topic.topic_id, ())

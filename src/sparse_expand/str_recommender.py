@@ -83,7 +83,7 @@ def log_jaccard(df_x: int, df_y: int, df_xy: int) -> float:
     return lxy / (lx + ly - lxy)
 
 
-def _topic_doc_set(index: Index, topic: Topic, cfg: CooccurConfig) -> frozenset[int]:
+def _topic_doc_set(index: Index, topic: Topic, cfg: CooccurConfig) -> set[int]:
     """Documents matching the topic title over the input fields.
 
     Per token, the doc sets of all input fields are unioned; tokens are
@@ -98,18 +98,19 @@ def _topic_doc_set(index: Index, topic: Topic, cfg: CooccurConfig) -> frozenset[
         raise EmptyQueryError(f"empty query: topic {topic.topic_id!r}")
     fields = [f"{name}-{topic.lang}" for name in cfg.input_fields]
     fields = [f for f in fields if index.has_field(f)]
+    if not fields:
+        return set()
     per_token = []
     for token in tokens:
-        docs: set[int] = set()
-        for field in fields:
-            docs |= index.doc_set(field, [token], mode="any")
+        docs = set(index.doc_set(fields[0], [token], mode="any"))
+        docs.update(*(index.doc_set(field, [token], mode="any") for field in fields[1:]))
         per_token.append(docs)
-    if not per_token:
-        return frozenset()
-    conjunction = frozenset(set.intersection(*per_token))
+    first, rest = per_token[0], per_token[1:]
+    conjunction = first.intersection(*rest)
     if conjunction:
         return conjunction
-    return frozenset(set.union(*per_token))
+    first.update(*rest)
+    return first
 
 
 def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) -> SuggestionSet:
@@ -128,17 +129,16 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     value_df, doc_values = _concept_maps(
         index, tuple(f"{name}-{topic.lang}" for name in cfg.concept_fields)
     )
-    df_xy = Counter(itertools.chain.from_iterable(doc_values.get(doc, ()) for doc in ds_x))
+    df_xy = Counter(itertools.chain.from_iterable(map(doc_values.get, ds_x, itertools.repeat(()))))
     df_x = len(ds_x)
-    ranked = sorted(
-        (-rank_key(df_x, value_df[value], count), value, count) for value, count in df_xy.items()
-    )
+    df_y = map(value_df.__getitem__, df_xy)
+    keys = dict(zip(df_xy, map(rank_key, itertools.repeat(df_x), df_y, df_xy.values())))
+    ranked = sorted(df_xy)
+    ranked.sort(key=keys.__getitem__, reverse=True)
     top = ranked[: cfg.top_k]
-    return make_suggestion_set(
-        topic.topic_id,
-        "STR",
-        [(value, similarity(df_x, value_df[value], count)) for _, value, count in top],
-    )
+    df_y = map(value_df.__getitem__, top)
+    scores = map(similarity, itertools.repeat(df_x), df_y, map(df_xy.__getitem__, top))
+    return make_suggestion_set(topic.topic_id, "STR", zip(top, scores))
 
 
 def _jaccard_key(df_x: int, df_y: int, df_xy: int, n_sq: int) -> int:

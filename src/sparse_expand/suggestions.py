@@ -4,14 +4,21 @@ A suggestion file holds one line per suggestion, sorted by topic then
 rank:
 
     topic_id <TAB> rank <TAB> concept_text <TAB> score <TAB> system
+
+A suggestion is a NamedTuple built without a Python-level call, and a
+set checks its ranks, scores and texts as whole columns, so building
+and validating a set runs no Python loop over its suggestions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count, repeat
+from operator import add, lt, truediv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 from .files import read_lines, write_lines
@@ -22,12 +29,16 @@ GENERATOR_SYSTEMS = ("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR")
 SYSTEMS = GENERATOR_SYSTEMS + ("COMBO",)
 
 
-@dataclass(frozen=True)
-class ConceptSuggestion:
+class ConceptSuggestion(NamedTuple):
     text: str
     score: float | Fraction
     rank: int
     source: str
+
+
+# ConceptSuggestion from a (text, score, rank, source) tuple without a
+# Python-level call.
+_suggestion = partial(tuple.__new__, ConceptSuggestion)
 
 
 @dataclass(frozen=True)
@@ -38,15 +49,16 @@ class SuggestionSet:
 
     def __post_init__(self):
         object.__setattr__(self, "suggestions", tuple(self.suggestions))
-        ranks = [s.rank for s in self.suggestions]
-        if ranks != list(range(1, len(ranks) + 1)):
+        if not self.suggestions:
+            return
+        texts, scores, ranks, _ = zip(*self.suggestions)
+        if ranks != tuple(range(1, len(ranks) + 1)):
             raise DataError(
-                f"suggestion ranks for topic {self.topic_id!r} must be 1..k, got {ranks}"
+                f"suggestion ranks for topic {self.topic_id!r} must be 1..k, got {list(ranks)}"
             )
-        scores = [float(s.score) for s in self.suggestions]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        floats = tuple(map(float, scores))
+        if any(map(lt, floats, floats[1:])):
             raise DataError(f"suggestion scores for topic {self.topic_id!r} increase with rank")
-        texts = [s.text for s in self.suggestions]
         if len(set(texts)) != len(texts):
             raise DataError(f"duplicate suggestion text for topic {self.topic_id!r}")
 
@@ -63,17 +75,16 @@ def group_by_topic(sets: Iterable[SuggestionSet]) -> dict[str, list[SuggestionSe
 
 
 def make_suggestion_set(
-    topic_id: str, system: str, texts_scores: Sequence[tuple[str, float | Fraction]]
+    topic_id: str, system: str, texts_scores: Iterable[tuple[str, float | Fraction]]
 ) -> SuggestionSet:
-    """Build a set from (text, score) pairs already in rank order."""
-    return SuggestionSet(
-        topic_id=topic_id,
-        system=system,
-        suggestions=tuple(
-            ConceptSuggestion(text=t, score=s, rank=i + 1, source=system)
-            for i, (t, s) in enumerate(texts_scores)
-        ),
-    )
+    """Build a set from (text, score) tuples already in rank order."""
+    rows = map(add, texts_scores, zip(count(1), repeat(system)))
+    return SuggestionSet(topic_id, system, tuple(map(_suggestion, rows)))
+
+
+def reciprocal_rank_scores() -> Iterator[float]:
+    """1/1, 1/2, 1/3, ...: the synthetic scores of a ranking by position."""
+    return map(truediv, repeat(1.0), count(1))
 
 
 def format_score(score: float | Fraction) -> str:
@@ -117,14 +128,6 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
     sets = []
     for topic_id, system in order:
         entries = sorted(rows[(topic_id, system)])
-        sets.append(
-            SuggestionSet(
-                topic_id=topic_id,
-                system=system,
-                suggestions=tuple(
-                    ConceptSuggestion(text=text, score=score, rank=rank, source=system)
-                    for rank, text, score in entries
-                ),
-            )
-        )
+        suggestions = [_suggestion((text, score, rank, system)) for rank, text, score in entries]
+        sets.append(SuggestionSet(topic_id, system, tuple(suggestions)))
     return sets

@@ -6,10 +6,11 @@ kept); a lead extractor that collects link targets above the first
 heading, in appearance order; and a title matcher that resolves a topic
 to an article through four fallback stages.
 
-The stripper is defensive, never raises, and runs its stage pipeline to
-a fixpoint, so stripping is idempotent even on pathological nesting.
-Unbalanced openers swallow text to the end of the input and set the
-`truncated` flag.
+The stripper is defensive, never raises, and repeats its stage pipeline
+until no opener (`<!--`, `{{`, `{|`, a media link) is left, which is a
+fixpoint of the pipeline, so stripping is idempotent even on
+pathological nesting. Unbalanced openers swallow text to the end of the
+input and set the `truncated` flag.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .corpus import Document, Topic
 from .errors import DataError
 from .files import read_titled_files
 from .index import Index, Phrase, Query, Term, build_index
-from .suggestions import SuggestionSet, make_suggestion_set
+from .suggestions import SuggestionSet, make_suggestion_set, reciprocal_rank_scores
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
@@ -101,23 +102,32 @@ def _strip_media_links(text: str) -> tuple[str, bool]:
     return "".join(kept), False
 
 
+def _has_opener(text: str) -> bool:
+    """Whether some stage of strip_markup would drop part of the text."""
+    return (
+        "<!--" in text or "{{" in text or "{|" in text or _MEDIA_LINK_RE.search(text) is not None
+    )
+
+
 def strip_markup(wikitext: str) -> StripResult:
-    """Clean wikitext down to prose plus plain [[...]] links."""
+    """Clean wikitext down to prose plus plain [[...]] links.
+
+    Every pass drops each opener it meets, with or without its closer,
+    so the text shrinks until no opener is left and a further pass would
+    change nothing.
+    """
     text = wikitext
     truncated = False
-    while True:
-        stage_text = text
+    while _has_opener(text):
         for stage in (
             _strip_comments,
             lambda t: _strip_pairs(t, "{{", "}}"),
             _strip_media_links,
             lambda t: _strip_pairs(t, "{|", "|}"),
         ):
-            stage_text, flag = stage(stage_text)
+            text, flag = stage(text)
             truncated |= flag
-        if stage_text == text:
-            return StripResult(text, truncated)
-        text = stage_text
+    return StripResult(text, truncated)
 
 
 def _link_targets(text: str) -> list[str]:
@@ -222,8 +232,10 @@ class ArticleStore:
         hits = index.search(query, k=len(self._articles))
         if not hits:
             return None
-        best = min(hits, key=lambda h: (-h.score, len(h.doc_id), h.doc_id))
-        return best.doc_id, best.score
+        # Hits arrive by descending score: only the leading ties compete.
+        top = hits[0].score
+        tied = itertools.takewhile(lambda hit: hit.score == top, hits)
+        return min((hit.doc_id for hit in tied), key=lambda title: (len(title), title)), top
 
     def match(self, topic_title: str) -> MatchResult | None:
         """Resolve a topic title through four stages.
@@ -288,5 +300,5 @@ def suggest_wiki_lead(
     if match is None:
         return make_suggestion_set(topic.topic_id, "WIKI_ENTITY", [])
     lead = extract_lead(store.wikitext(match.title), min_links=min_links)
-    pairs = [(link, 1.0 / (i + 1)) for i, link in enumerate(lead.links[:k])]
+    pairs = zip(lead.links[:k], reciprocal_rank_scores())
     return make_suggestion_set(topic.topic_id, "WIKI_ENTITY", pairs)

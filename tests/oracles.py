@@ -257,6 +257,55 @@ def naive_strip_media_links(text: str) -> tuple[str, bool]:
     return "".join(out), truncated
 
 
+def naive_strip_comments(text: str) -> tuple[str, bool]:
+    """Drop <!-- ... --> comments, one character at a time; comments do
+    not nest, and an unclosed one drops the rest (truncated)."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("<!--", i):
+            end = text.find("-->", i + 4)
+            if end == -1:
+                return "".join(out), True
+            i = end + 3
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out), False
+
+
+def naive_strip_markup(text: str) -> tuple[str, bool]:
+    """Repeat the one-character strippers, in the production stage
+    order, until a whole pass changes nothing."""
+    truncated = False
+    while True:
+        before = text
+        for stage in (
+            naive_strip_comments,
+            lambda t: naive_strip_pairs(t, "{{", "}}"),
+            naive_strip_media_links,
+            lambda t: naive_strip_pairs(t, "{|", "|}"),
+        ):
+            text, flag = stage(text)
+            truncated = truncated or flag
+        if text == before:
+            return text, truncated
+
+
+def naive_suggestion_set_ok(rows) -> bool:
+    """Whether (text, rank, score) rows in list order form a valid set:
+    ranks 1..k, scores non-increasing as floats, texts unique."""
+    for i, (text, rank, score) in enumerate(rows):
+        if rank != i + 1:
+            return False
+        if i > 0 and float(score) > float(rows[i - 1][2]):
+            return False
+        if any(text == earlier for earlier, _, _ in rows[:i]):
+            return False
+    return True
+
+
 def naive_average_precision(ranked_docs, judgments, threshold=1):
     relevant = {doc for doc, grade in judgments.items() if grade >= threshold}
     if not relevant:

@@ -555,3 +555,30 @@ def test_suggest_docsim_on_a_file_name_that_is_not_utf8_exits_2(tmp_path, capsys
     args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]]
     assert main(args) == 2
     assert "file name 'Whale\\udcff.txt' is not UTF-8" in capsys.readouterr().err
+
+
+def test_suggest_docsim_on_a_repeated_seed_topic_id_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    seeds = Path(workspace["seeds"])
+    first = seeds.read_text(encoding="utf-8").splitlines()[0]
+    seeds.write_text(seeds.read_text(encoding="utf-8") + first + "\n", encoding="utf-8")
+    out_file = tmp_path / "docsim.tsv"
+    args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", str(seeds),
+            "--out", str(out_file)]
+    assert main(args) == 2
+    assert "seeds.tsv:4: repeated topic id 'T-000'" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_expand_skips_a_topic_whose_language_has_no_profile(tmp_path, caplog):
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text(
+        '{"id": "T1", "lang": "fr", "title": "baleine"}\n'
+        '{"id": "T2", "lang": "en", "title": "whale"}\n',
+        encoding="utf-8",
+    )
+    out_file = tmp_path / "queries.tsv"
+    assert main(["expand", "--topics", str(topics), "--out", str(out_file)]) == 0
+    lines = out_file.read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in lines] == ["T2"]
+    assert "topic 'T1': no analyzer profile for language 'fr'; topic skipped" in caplog.text

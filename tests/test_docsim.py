@@ -247,3 +247,27 @@ def test_docsim_titles_round_trip_through_the_suggestion_file(tmp_path_factory, 
     assert {s.topic_id: s.texts() for s in read_suggestion_file(path)} == {
         s.topic_id: s.texts() for s in sets
     }
+
+
+@st.composite
+def _small_corpus(draw):
+    """A few documents over a five-word vocabulary, so that many
+    documents tie on each overlap."""
+    size = draw(st.integers(2, 8))
+    vocabulary = st.sampled_from(WORDS[:5])
+    bodies = {
+        f"D{i}": " ".join(draw(st.lists(vocabulary, max_size=6))) for i in range(size)
+    }
+    return bodies, draw(st.sampled_from(sorted(bodies))), draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_corpus())
+def test_suggest_matches_the_oracle_for_every_k(drawn):
+    bodies, seed_title, n = drawn
+    corpus = _bodies_corpus(bodies)
+    for k in range(1, len(bodies) + 2):
+        got = suggest_docsim(corpus, seed_title, k=k, n=n)
+        expected = naive_docsim_ranking(bodies, EN_CHAIN, seed_title, k=k, n=n)
+        assert [(s.text, s.score) for s in got.suggestions] == expected, k
+        assert all(type(s.score) is Fraction for s in got.suggestions)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -301,3 +302,23 @@ def test_run_scores_its_runs_without_reading_them_back(tmp_path, monkeypatch):
         report = evaluation.evaluate_run(evaluation.read_run_file(system_dir / "run.trec"), qrels)
         _write_metrics(tmp_path / "expected.tsv", report)
         assert (system_dir / "metrics.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+
+GOLDEN_RUN = Path(__file__).parent / "data" / "run_seed1.sha256"
+
+
+def _tree_digests(out: Path) -> list[str]:
+    """`sha256sum`-style lines for every file under `out` except the
+    manifest, whose config hash covers the output path."""
+    return [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    ]
+
+
+def test_five_system_run_matches_the_golden_digests(tmp_path):
+    paths = build_pipeline_workspace(tmp_path, seed=1, n_docs=200, n_topics=10)
+    run_pipeline(_config(paths), SYSTEMS)
+    expected = GOLDEN_RUN.read_text(encoding="utf-8").splitlines()
+    assert _tree_digests(Path(paths["out"])) == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_strip_media_links, naive_strip_pairs
+from oracles import naive_strip_markup, naive_strip_media_links, naive_strip_pairs
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
@@ -142,6 +142,12 @@ def test_strippers_match_one_character_oracle(text):
             text, open_tok, close_tok
         )
     assert _strip_media_links(text) == naive_strip_media_links(text)
+
+
+@settings(max_examples=1000)
+@given(st.lists(_DELIMITERS | st.sampled_from(["<!", "--", "-", "<"]), max_size=30).map("".join))
+def test_strip_markup_matches_the_one_character_fixpoint(text):
+    assert strip_markup(text) == naive_strip_markup(text)
 
 
 # -- lead extraction ----------------------------------------------------
