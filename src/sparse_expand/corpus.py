@@ -12,9 +12,12 @@ A document's language must have an analyzer profile ("en" or "de").
 Ids may not contain whitespace, since run files separate their columns
 by whitespace, and a topic id may appear only once in its file. No
 string may hold a lone surrogate (a JSON escape such as `\\ud800`
-without its pair), since no UTF-8 writer can emit one. Each field value
-is stored with its whitespace runs folded to one space, so that a value
-is one line with no tabs in the suggestion file.
+without its pair), since no UTF-8 writer can emit one. A document's
+`id` and `lang` must be JSON strings, and each field value a string or a
+number (not `true`, `false`, `null`, an array or an object); a number is
+stored in Python's `str()` form. Each field value is stored with its
+whitespace runs folded to one space, so that a value is one line with no
+tabs in the suggestion file.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _json_object(line: str) -> dict:
     """Parse a line holding one JSON object whose strings UTF-8 can encode."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DataError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError("line is not a JSON object")
@@ -138,13 +141,30 @@ def _json_object(line: str) -> dict:
     return obj
 
 
+# JSON type names; a field value must be a string or a number (a JSON
+# true or false decodes to a bool, which is an int but not a number here).
+_JSON_TYPES = {
+    str: "string", int: "number", float: "number", bool: "boolean",
+    type(None): "null", list: "array", dict: "object",
+}
+_VALUE_TYPES = frozenset((str, int, float))
+
+
 def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Document:
-    doc_id = str(obj.get("id", "")).strip()
+    doc_id = obj.get("id", "")
+    if type(doc_id) is not str:
+        raise DataError(f"'id' must be a string, not a JSON {_JSON_TYPES[type(doc_id)]}")
+    doc_id = doc_id.strip()
     if not doc_id:
         raise DataError("missing or empty 'id'")
     if any(map(str.isspace, doc_id)):
         raise DataError(f"document id {doc_id!r} contains whitespace")
-    lang = str(obj.get("lang", "")).strip()
+    lang = obj.get("lang", "")
+    if type(lang) is not str:
+        raise DataError(
+            f"document {doc_id!r}: 'lang' must be a string, not a JSON {_JSON_TYPES[type(lang)]}"
+        )
+    lang = lang.strip()
     if not lang:
         raise DataError(f"document {doc_id!r}: missing or empty 'lang'")
     if lang not in LANGUAGES:
@@ -161,6 +181,12 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
             values = [values]
         if not isinstance(values, list):
             raise DataError(f"document {doc_id!r}: field {name!r} must hold a list")
+        for value in values:
+            if type(value) not in _VALUE_TYPES:
+                raise DataError(
+                    f"document {doc_id!r}: field {name!r} holds a JSON "
+                    f"{_JSON_TYPES[type(value)]}, not a string or a number"
+                )
         folded = tuple(filter(None, (" ".join(str(v).split()) for v in values)))
         if folded:
             fields[name] = folded

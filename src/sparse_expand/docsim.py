@@ -7,25 +7,34 @@ TF*IDF weight used by the index module, and
     sim(d1, d2) = |top_n(d1) & top_n(d2)| / n
 
 a set-overlap variant of the Jaccard coefficient with a fixed
-denominator. Scores are exact rationals. A seed is compared only with
-the documents that share an important word with it, found through a
-word -> documents map per n; since n is fixed, ranking by the integer
-overlap gives the same order as ranking by the score.
+denominator. Scores are exact rationals; since n is fixed, ranking by
+the integer overlap gives the same order as ranking by the score.
 
-To keep k suggestions, the k-th largest overlap is read off a tally of
-the overlap values; only the documents that reach it are sorted, by
-overlap and then by ordinal. Documents are held by their ordinal in
-sorted title order, so ties break by title through integer comparisons.
-Scores come from a table of Fraction(i, n), built once per n.
+A seed's overlap with every document is counted at once, in packed
+integer lanes. Per n, built on first use, each important word held by
+two or more documents is one Python int with a 1 in the lane of each
+holder's ordinal (a word only one document holds adds to no other
+document's overlap). A lane is one byte while the largest important-word
+set has fewer than 256 words, and just wide enough otherwise, so the sum
+of the seed's words' ints never carries from one lane into the next; one
+`to_bytes` call then gives every document's overlap. The vectors take
+about (words held by two or more documents) x documents x lane width
+bytes per n.
+
+Ranking walks the overlap values downward with `bytes.find`, keeping
+only matches on a lane boundary: documents are held by their ordinal in
+sorted title order, so this yields (-overlap, title) order directly,
+stops after k and never visits a zero. Scores come from a per-n table of
+Fraction(i, n), sized to the largest important-word set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import chain_for
 from .errors import DataError, SeedNotFoundError
@@ -55,8 +64,7 @@ class SimCorpus:
         self._titles = sorted(self._term_counts)
         self._ordinals = {title: i for i, title in enumerate(self._titles)}
         self._important: dict[tuple[str, int], frozenset[str]] = {}
-        self._holders: dict[int, dict[str, tuple[int, ...]]] = {}
-        self._scores: dict[int, tuple[Fraction, ...]] = {}
+        self._by_n: dict[int, tuple[dict[str, int], int, tuple[Fraction, ...]]] = {}
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "SimCorpus":
@@ -103,28 +111,34 @@ class SimCorpus:
         words2 = self.important_words(title2, n)
         return Fraction(len(words1 & words2), n)
 
-    def _score_table(self, n: int) -> tuple[Fraction, ...]:
-        """Fraction(i, n) for every overlap i from 0 to n."""
-        table = self._scores.get(n)
-        if table is None:
-            table = self._scores[n] = tuple(Fraction(i, n) for i in range(n + 1))
-        return table
+    def _packed(self, n: int) -> tuple[dict[str, int], int, tuple[Fraction, ...]]:
+        """The overlap vectors, lane width and score table for n, built on
+        first use.
 
-    def _overlaps(self, title: str, n: int) -> Counter:
-        """Ordinals of the other documents sharing an important word with
-        `title`, mapped to the size of the shared important-word set."""
-        words = self.important_words(title, n)
-        holders = self._holders.get(n)
-        if holders is None:
-            lists: dict[str, list[int]] = {}
-            for ordinal, other in enumerate(self._titles):
-                for word in self.important_words(other, n):
-                    lists.setdefault(word, []).append(ordinal)
-            holders = {word: tuple(ordinals) for word, ordinals in lists.items()}
-            self._holders[n] = holders
-        counts = Counter(chain.from_iterable(map(holders.__getitem__, words)))
-        del counts[self._ordinals[title]]
-        return counts
+        Each important word held by two or more documents maps to an int
+        with a 1 in the lane of each holder's ordinal; a lane is `width`
+        bytes, wide enough for the largest important-word set. The score
+        table holds Fraction(i, n) for every overlap that set size allows.
+        """
+        packed = self._by_n.get(n)
+        if packed is None:
+            sets = [self.important_words(title, n) for title in self._titles]
+            largest = max(map(len, sets))
+            width = (largest.bit_length() + 7) // 8 or 1
+            holders: dict[str, list[int]] = {}
+            for ordinal, words in enumerate(sets):
+                for word in words:
+                    holders.setdefault(word, []).append(ordinal)
+            vectors = {}
+            for word, ordinals in holders.items():
+                if len(ordinals) > 1:
+                    lanes = bytearray(len(sets) * width)
+                    for ordinal in ordinals:
+                        lanes[ordinal * width] = 1
+                    vectors[word] = int.from_bytes(lanes, "little")
+            scores = tuple(Fraction(i, n) for i in range(largest + 1))
+            packed = self._by_n[n] = (vectors, width, scores)
+        return packed
 
 
 def suggest_docsim(
@@ -142,25 +156,29 @@ def suggest_docsim(
     """
     if seed_title not in corpus:
         raise SeedNotFoundError(f"seed not found: {seed_title!r}")
-    counts = corpus._overlaps(seed_title, n)
-    candidates = counts
-    if len(counts) > k:
-        threshold = _kth_largest(Counter(counts.values()), k)
-        candidates = compress(counts, map(threshold.__le__, counts.values()))
-    ranked = sorted(candidates)  # ordinal order is title order
-    ranked.sort(key=counts.__getitem__, reverse=True)
-    top = ranked[:k]
-    titles = map(corpus._titles.__getitem__, top)
-    scores = map(corpus._score_table(n).__getitem__, map(counts.__getitem__, top))
-    return make_suggestion_set(topic_id, source, zip(titles, scores))
+    words = corpus.important_words(seed_title, n)
+    vectors, width, scores = corpus._packed(n)
+    # No lane exceeds len(words) < 256**width, so no sum carries between lanes.
+    total = sum(map(vectors.get, words, repeat(0)))
+    lanes = bytearray(total.to_bytes(corpus.n_docs * width, "little"))
+    seed = corpus._ordinals[seed_title] * width
+    # The seed's own lane counts its shared words: no overlap can exceed it.
+    top = int.from_bytes(lanes[seed : seed + width], "little")
+    lanes[seed : seed + width] = bytes(width)
+    titles = corpus._titles
+    ranked = islice(_ranked(lanes, width, top), k)
+    return make_suggestion_set(
+        topic_id, source, [(titles[ordinal], scores[value]) for ordinal, value in ranked]
+    )
 
 
-def _kth_largest(tally: Counter, k: int) -> int:
-    """The k-th largest value of a multiset given as value -> count
-    (the smallest value when k exceeds its size)."""
-    seen = 0
-    for value in sorted(tally, reverse=True):
-        seen += tally[value]
-        if seen >= k:
-            break
-    return value
+def _ranked(lanes: bytearray, width: int, top: int) -> Iterator[tuple[int, int]]:
+    """(ordinal, value) of every nonzero lane of at most `top`, by
+    descending value and then ascending ordinal."""
+    for value in range(top, 0, -1):
+        pattern = value.to_bytes(width, "little")
+        at = lanes.find(pattern)
+        while at >= 0:
+            if not at % width:  # a match must start on a lane boundary
+                yield at // width, value
+            at = lanes.find(pattern, at - at % width + width)

@@ -84,7 +84,7 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     """Read a versioned JSON config; explicit keyword overrides win."""
     try:
         raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")

@@ -3,6 +3,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pipeline_workspace, write_docs_file, write_topics_file
 from sparse_expand.cli import main
@@ -582,3 +584,55 @@ def test_expand_skips_a_topic_whose_language_has_no_profile(tmp_path, caplog):
     lines = out_file.read_text(encoding="utf-8").splitlines()
     assert [line.split("\t")[0] for line in lines] == ["T2"]
     assert "topic 'T1': no analyzer profile for language 'fr'; topic skipped" in caplog.text
+
+
+# Byte edits: each replaces the byte at a position with zero to three
+# bytes (zero deletes it), drawn at random or from bytes the readers
+# treat specially.
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.binary(max_size=3)
+        | st.sampled_from([b"\t", b"\n", b"\r", b"\x00", b"\xff", b"\xc3", b" ", b"%", b"\xe2\x80\xa8"]),
+    ),
+    max_size=5,
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    for position, replacement in edits:
+        at = position % (len(data) + 1)
+        data = data[:at] + replacement + data[at + 1 :]
+    return data
+
+
+@pytest.fixture(scope="module")
+def docsim_inputs(tmp_path_factory):
+    return build_pipeline_workspace(tmp_path_factory.mktemp("docsim-fuzz"), n_docs=30, n_topics=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed_edits=_EDITS,
+    corpus_edits=_EDITS,
+    which=st.integers(0, 10**6),
+    k=st.integers(1, 50),
+    n=st.integers(1, 10**6),
+)
+def test_suggest_docsim_on_mutated_inputs_exits_with_a_documented_code(
+    tmp_path_factory, docsim_inputs, seed_edits, corpus_edits, which, k, n
+):
+    work = tmp_path_factory.mktemp("case")
+    seeds = work / "seeds.tsv"
+    seeds.write_bytes(_mutated(Path(docsim_inputs["seeds"]).read_bytes(), seed_edits))
+    corpus_dir = work / "sim"
+    corpus_dir.mkdir()
+    files = sorted(Path(docsim_inputs["sim_corpus"]).iterdir())
+    for i, source in enumerate(files):
+        data = source.read_bytes()
+        if i == which % len(files):
+            data = _mutated(data, corpus_edits)
+        (corpus_dir / source.name).write_bytes(data)
+    argv = ["suggest", "docsim", "--corpus", str(corpus_dir), "--seeds", str(seeds),
+            "--k", str(k), "--n", str(n), "--out", str(work / "out.tsv")]
+    assert main(argv) in (0, 1, 2)

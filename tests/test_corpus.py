@@ -113,6 +113,58 @@ def test_unknown_field_strict_vs_lax(tmp_path):
     assert doc.fields["made:up"] == ("v",)
 
 
+@pytest.mark.parametrize(
+    "value, kind",
+    [(None, "null"), (True, "boolean"), (False, "boolean"), ({"a": 1}, "object"), ([1], "array")],
+)
+def test_field_values_must_be_strings_or_numbers(tmp_path, value, kind):
+    records = [_record(0, **{"dc:title": ["x"]}), _record(1, **{"dc:title": ["y", value]})]
+    f = _write(tmp_path / "docs.jsonl", records)
+    message = f"document 'd1': field 'dc:title' holds a JSON {kind}, not a string or a number"
+    with pytest.raises(DataError) as exc:
+        ingest_documents(f)
+    assert str(exc.value) == f"{f}:2: {message}"
+    result = ingest_documents(f, lax=True)
+    assert [d.doc_id for d in result.documents] == ["d0"]
+    assert result.reject_reasons == {message: 1}
+
+
+def test_numbers_are_stored_in_their_str_form(tmp_path):
+    f = _write(tmp_path / "docs.jsonl", [_record(0, **{"dc:date": [1990, 2.5, -0.0, 1e100, " x "]})])
+    (doc,) = ingest_documents(f).documents
+    assert doc.fields["dc:date"] == ("1990", "2.5", "-0.0", "1e+100", "x")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("id", None, "'id' must be a string, not a JSON null"),
+        ("id", 7, "'id' must be a string, not a JSON number"),
+        ("id", True, "'id' must be a string, not a JSON boolean"),
+        ("lang", ["en"], "document 'd1': 'lang' must be a string, not a JSON array"),
+        ("lang", {"en": 1}, "document 'd1': 'lang' must be a string, not a JSON object"),
+    ],
+)
+def test_id_and_lang_must_be_strings(tmp_path, key, value, message):
+    records = [_record(0, **{"dc:title": ["x"]}), {**_record(1, **{"dc:title": ["y"]}), key: value}]
+    f = _write(tmp_path / "docs.jsonl", records)
+    with pytest.raises(DataError) as exc:
+        ingest_documents(f)
+    assert str(exc.value) == f"{f}:2: {message}"
+    result = ingest_documents(f, lax=True)
+    assert [d.doc_id for d in result.documents] == ["d0"]
+    assert result.reject_reasons == {message: 1}
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"id": ' + "1" * 5000 + "}"])
+def test_json_too_deep_or_too_long_a_number_is_a_malformed_line(tmp_path, line):
+    f = tmp_path / "docs.jsonl"
+    f.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=":1: invalid JSON"):
+        ingest_documents(f)
+    assert ingest_documents(f, lax=True).rejected == 1
+
+
 def test_ingest_deterministic(tmp_path):
     records = [_record(i, **{"dc:title": [f"t {i}"]}) for i in range(20)]
     f = _write(tmp_path / "docs.jsonl", records)

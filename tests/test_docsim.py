@@ -132,7 +132,7 @@ def test_suggest_one_corpus_at_two_n_matches_oracle():
     bodies = _random_bodies(120, 40)
     corpus = _bodies_corpus(bodies)
     seeds = list(bodies)[:4]
-    # alternate n on one corpus: each n has its own word -> documents map
+    # alternate n on one corpus: each n has its own overlap vectors
     for seed_title in seeds:
         for n in (3, 12, 3):
             expected = naive_docsim_ranking(bodies, EN_CHAIN, seed_title, k=10, n=n)
@@ -271,3 +271,99 @@ def test_suggest_matches_the_oracle_for_every_k(drawn):
         expected = naive_docsim_ranking(bodies, EN_CHAIN, seed_title, k=k, n=n)
         assert [(s.text, s.score) for s in got.suggestions] == expected, k
         assert all(type(s.score) is Fraction for s in got.suggestions)
+
+
+def test_corpus_builds_no_per_n_structure_until_the_first_suggestion():
+    corpus = _bodies_corpus({"A": "whale ship", "B": "whale harbor", "C": "ship castle"})
+    assert corpus._by_n == {}
+    corpus.sim("A", "B", 3)
+    corpus.important_words("C", 2)
+    assert corpus._by_n == {}
+    suggest_docsim(corpus, "A", n=3)
+    assert list(corpus._by_n) == [3]
+
+
+def test_score_table_is_sized_to_the_largest_important_word_set():
+    corpus = _bodies_corpus({"A": "whale ship ocean", "B": "whale harbor", "C": "ship castle"})
+    n = 300_000
+    got = suggest_docsim(corpus, "A", k=5, n=n)
+    assert [(s.text, s.score) for s in got.suggestions] == [
+        ("B", Fraction(1, n)),
+        ("C", Fraction(1, n)),
+    ]
+    _, width, scores = corpus._packed(n)
+    assert width == 1
+    assert scores == tuple(Fraction(i, n) for i in range(4))
+
+
+# Distinct tokens that the English chain keeps as they are.
+_WIDE_VOCABULARY = [f"w{i:03d}" for i in range(600)]
+
+
+def test_two_byte_lanes_skip_matches_off_a_lane_boundary():
+    # Lanes in title order: Big 257 (bytes 01 01), Empty 0, One 1 (01 00),
+    # Seed cleared. The pattern of 1, bytes 01 00, first occurs one byte
+    # into Big's lane and must not be read as a document.
+    bodies = {
+        "Seed": " ".join(_WIDE_VOCABULARY[:300]),
+        "Big": " ".join(_WIDE_VOCABULARY[:257]),
+        "Empty": "",
+        "One": _WIDE_VOCABULARY[299],
+    }
+    corpus = _bodies_corpus(bodies)
+    got = suggest_docsim(corpus, "Seed", k=10, n=300)
+    assert corpus._packed(300)[1] == 2
+    assert [(s.text, s.score) for s in got.suggestions] == [
+        ("Big", Fraction(257, 300)),
+        ("One", Fraction(1, 300)),
+    ]
+    assert naive_docsim_ranking(bodies, EN_CHAIN, "Seed", k=10, n=300) == [
+        (s.text, s.score) for s in got.suggestions
+    ]
+
+
+def test_seed_sharing_no_word_gets_no_suggestions():
+    corpus = _bodies_corpus({"Seed": "violin opera", "A": "whale ship", "B": "whale ship"})
+    assert suggest_docsim(corpus, "Seed", k=5, n=5).suggestions == ()
+    assert suggest_docsim(corpus, "A", k=5, n=5).texts() == ["B"]
+
+
+@st.composite
+def _lane_corpus(draw):
+    """A corpus, a seed and n for either lane width.
+
+    One-byte lanes: documents over a five-word vocabulary with n <= 6.
+    Two-byte lanes: runs of up to 600 distinct words with n >= 256, so
+    documents with 256 or more important words share hundreds of them.
+    Repeated words change term frequencies; any document may be empty or
+    hold a word no other document holds, and so may the seed.
+    """
+    wide = draw(st.booleans())
+    vocabulary = _WIDE_VOCABULARY if wide else WORDS[:5]
+    bodies = {}
+    for i in range(draw(st.integers(1, 6))):
+        if wide:
+            # Few run starts, so that overlaps of 256 and more are common.
+            start = draw(st.sampled_from((0, 40, 300)))
+            words = vocabulary[start : draw(st.integers(start, len(vocabulary)))]
+        else:
+            words = draw(st.lists(st.sampled_from(vocabulary), max_size=6))
+        words = words + draw(st.lists(st.sampled_from(vocabulary), max_size=4))
+        if draw(st.booleans()):
+            words.append(f"q{i}z")
+        bodies[f"D{i}"] = " ".join(words)
+    n = draw(st.integers(256, 700) if wide else st.integers(1, 6))
+    return bodies, draw(st.sampled_from(sorted(bodies))), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lane_corpus())
+def test_packed_lanes_match_the_oracle(drawn):
+    bodies, seed_title, n = drawn
+    corpus = _bodies_corpus(bodies)
+    expected = naive_docsim_ranking(bodies, EN_CHAIN, seed_title, k=len(bodies), n=n)
+    for k in range(1, len(bodies) + 2):
+        got = suggest_docsim(corpus, seed_title, k=k, n=n)
+        assert [(s.text, s.score) for s in got.suggestions] == expected[:k], k
+    largest = max(len(corpus.important_words(title, n)) for title in bodies)
+    assert corpus._packed(n)[1] == (1 if largest < 256 else 2)
