@@ -34,7 +34,6 @@ from .errors import (
 )
 from .evaluation import (
     MetricReport,
-    RunRecord,
     average_precision,
     evaluate_run,
     evaluate_suggestions,

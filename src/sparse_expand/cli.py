@@ -39,7 +39,7 @@ from .pipeline import (
     load_config,
     read_seeds_file,
     run_pipeline,
-    run_records,
+    search_run,
     str_sets,
     wiki_entity_sets,
 )
@@ -200,8 +200,8 @@ def index_build(docs, out_dir, lax, stopword_file):
 def index_search(index_dir, query_file, top_k, run_tag, out_file):
     """Run serialized queries; writes TREC run lines."""
     index = Index.load(Path(index_dir) / SNAPSHOT_FILENAME)
-    run = run_records(index, read_query_file(query_file), top_k, run_tag)
-    _emit_lines(run_lines(itertools.chain.from_iterable(run.values())), out_file)
+    run = search_run(index, read_query_file(query_file), top_k)
+    _emit_lines(run_lines(run, run_tag), out_file)
 
 
 # -- suggest ------------------------------------------------------------

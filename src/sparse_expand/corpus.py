@@ -228,27 +228,36 @@ def ingest_documents(
     )
 
 
+def _parse_topic(obj: dict) -> Topic:
+    topic_id, title, lang = (obj.get(key, "") for key in ("id", "title", "lang"))
+    for key, value in (("id", topic_id), ("title", title), ("lang", lang)):
+        if type(value) is not str:
+            raise DataError(f"{key!r} must be a string, not a JSON {_JSON_TYPES[type(value)]}")
+    description = obj.get("description")
+    if description is not None and type(description) is not str:
+        raise DataError(
+            f"'description' must be a string or null, not a JSON {_JSON_TYPES[type(description)]}"
+        )
+    topic_id, title, lang = topic_id.strip(), title.strip(), lang.strip()
+    if not topic_id or not title or not lang:
+        raise DataError("topic needs non-empty 'id', 'title' and 'lang'")
+    if any(map(str.isspace, topic_id)):
+        raise DataError(f"topic id {topic_id!r} contains whitespace")
+    return Topic(topic_id=topic_id, title=title, lang=lang, description=description)
+
+
 def read_topics(path: str | Path) -> list[Topic]:
-    """Read a line-delimited JSON topic file."""
+    """Read a line-delimited JSON topic file. `id`, `title` and `lang`
+    must be JSON strings, and `description` a string, null or absent."""
     topics: dict[str, Topic] = {}
     for lineno, line in read_lines(path):
         try:
-            obj = _json_object(line)
+            topic = _parse_topic(_json_object(line))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        topic_id = str(obj.get("id", "")).strip()
-        title = str(obj.get("title", "")).strip()
-        lang = str(obj.get("lang", "")).strip()
-        if not topic_id or not title or not lang:
-            raise DataError(f"{path}:{lineno}: topic needs non-empty 'id', 'title' and 'lang'")
-        if any(map(str.isspace, topic_id)):
-            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
-        if topic_id in topics:
-            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
-        description = obj.get("description")
-        if description is not None:
-            description = str(description)
-        topics[topic_id] = Topic(topic_id=topic_id, title=title, lang=lang, description=description)
+        if topic.topic_id in topics:
+            raise DataError(f"{path}:{lineno}: repeated topic id {topic.topic_id!r}")
+        topics[topic.topic_id] = topic
     return list(topics.values())
 
 

@@ -6,6 +6,11 @@ File formats follow the TREC conventions:
     qrels:     topic_id 0 doc_id grade                 (grades 0, 1, 2)
     judgments: topic_id rank grade                     (tab separated)
 
+In memory a run is `{topic_id: [ScoredDoc, ...]}`, each topic's hits in
+rank order, as `Index.search` returns them. The writer numbers the ranks
+and writes the run tag it is given; the reader checks the ranks, then
+drops them and the tags.
+
 A grade >= 1 counts as relevant for the ad-hoc metrics. Topics without
 any relevant document are excluded from means; topics with relevant
 documents but no run entries score 0.
@@ -16,11 +21,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import starmap
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DataError
 from .files import read_lines, write_lines
+from .index import ScoredDoc
 from .suggestions import SuggestionSet
 
 logger = logging.getLogger(__name__)
@@ -30,50 +38,45 @@ DEFAULT_RUN_DEPTH = 1000
 RELEVANCE_THRESHOLD = 1
 
 
-class RunRecord(NamedTuple):
-    topic_id: str
-    doc_id: str
-    rank: int
-    score: float
-    run_tag: str
+def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]:
+    """The run file's lines: topics in mapping order, hits in rank order."""
+    return [
+        f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
+        for topic_id, hits in run.items()
+        for rank, (doc_id, score) in enumerate(hits, 1)
+    ]
 
 
-def run_lines(records: Iterable[RunRecord]) -> list[str]:
-    """The run file's lines, in record order."""
-    return [f"{r.topic_id} Q0 {r.doc_id} {r.rank} {r.score:.6f} {r.run_tag}" for r in records]
+def write_run_file(path: str | Path, run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> None:
+    write_lines(path, run_lines(run, run_tag))
 
 
-def write_run_file(path: str | Path, records: Iterable[RunRecord]) -> None:
-    write_lines(path, run_lines(records))
-
-
-def read_run_file(path: str | Path) -> dict[str, list[RunRecord]]:
-    """Parse and validate a run; returns topic -> records in rank order."""
-    by_topic: dict[str, list[RunRecord]] = {}
+def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
+    """Parse and validate a run; returns topic -> hits in rank order."""
+    rows: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 whitespace-separated columns")
-        topic_id, _, doc_id, rank_s, score_s, tag = parts
+        topic_id, _, doc_id, rank_s, score_s, _ = parts
         try:
-            record = RunRecord(topic_id, doc_id, int(rank_s), float(score_s), tag)
+            rank, score = int(rank_s), float(score_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or score") from None
-        if not math.isfinite(record.score):
+        if not math.isfinite(score):
             raise DataError(f"{path}:{lineno}: score must be finite")
-        by_topic.setdefault(topic_id, []).append(record)
-    for topic_id, records in by_topic.items():
-        records.sort(key=lambda r: r.rank)
-        ranks = [r.rank for r in records]
-        if ranks != list(range(1, len(ranks) + 1)):
+        rows.setdefault(topic_id, []).append((rank, doc_id, score))
+    run = {}
+    for topic_id, entries in rows.items():
+        ranks, docs, scores = zip(*sorted(entries))
+        if ranks != tuple(range(1, len(ranks) + 1)):
             raise DataError(f"run for topic {topic_id!r}: ranks must be contiguous from 1")
-        docs = [r.doc_id for r in records]
         if len(set(docs)) != len(docs):
             raise DataError(f"run for topic {topic_id!r}: duplicate doc_id")
-        scores = [r.score for r in records]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        if any(map(lt, scores, scores[1:])):
             raise DataError(f"run for topic {topic_id!r}: scores increase with rank")
-    return by_topic
+        run[topic_id] = list(starmap(ScoredDoc, zip(docs, scores)))
+    return run
 
 
 def read_qrels_file(path: str | Path) -> dict[str, dict[str, int]]:
@@ -103,17 +106,13 @@ def write_qrels_file(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -
     write_lines(path, lines)
 
 
-def _relevant_docs(judgments: Mapping[str, int], threshold: int) -> set[str]:
-    return {doc for doc, grade in judgments.items() if grade >= threshold}
+def _relevant_docs(judgments: Mapping[str, int]) -> set[str]:
+    return {doc for doc, grade in judgments.items() if grade >= RELEVANCE_THRESHOLD}
 
 
-def average_precision(
-    ranked_docs: Sequence[str],
-    judgments: Mapping[str, int],
-    threshold: int = RELEVANCE_THRESHOLD,
-) -> float:
+def average_precision(ranked_docs: Sequence[str], judgments: Mapping[str, int]) -> float:
     """AP of one ranked list; requires at least one relevant document."""
-    relevant = _relevant_docs(judgments, threshold)
+    relevant = _relevant_docs(judgments)
     if not relevant:
         raise DataError("average_precision needs a topic with relevant documents")
     hits = 0
@@ -125,13 +124,9 @@ def average_precision(
     return total / len(relevant)
 
 
-def r_precision(
-    ranked_docs: Sequence[str],
-    judgments: Mapping[str, int],
-    threshold: int = RELEVANCE_THRESHOLD,
-) -> float:
+def r_precision(ranked_docs: Sequence[str], judgments: Mapping[str, int]) -> float:
     """Fraction of relevant documents within the top R ranks."""
-    relevant = _relevant_docs(judgments, threshold)
+    relevant = _relevant_docs(judgments)
     if not relevant:
         raise DataError("r_precision needs a topic with relevant documents")
     r = len(relevant)
@@ -151,12 +146,10 @@ def se_precision(
         logger.warning("empty suggestion set for topic %s", suggestions.topic_id)
         return (0.0, 0.0)
     weak = strong = 0
-    for sugg in suggestions.suggestions:
-        grade = grades.get(sugg.rank)
+    for rank in range(1, len(suggestions.suggestions) + 1):
+        grade = grades.get(rank)
         if grade is None:
-            logger.warning(
-                "unjudged suggestion rank %d for topic %s", sugg.rank, suggestions.topic_id
-            )
+            logger.warning("unjudged suggestion rank %d for topic %s", rank, suggestions.topic_id)
             grade = 0
         if grade not in GRADES:
             raise DataError(f"grade must be one of {GRADES}, got {grade}")
@@ -179,9 +172,8 @@ class MetricReport:
 
 
 def evaluate_run(
-    run: Mapping[str, Sequence[RunRecord]],
+    run: Mapping[str, Sequence[ScoredDoc]],
     qrels: Mapping[str, Mapping[str, int]],
-    threshold: int = RELEVANCE_THRESHOLD,
     depth: int = DEFAULT_RUN_DEPTH,
 ) -> MetricReport:
     """AP and R-Precision per topic plus their means.
@@ -196,12 +188,12 @@ def evaluate_run(
     per_topic: dict[str, dict[str, float]] = {}
     for topic_id in sorted(qrels):
         judgments = qrels[topic_id]
-        if not _relevant_docs(judgments, threshold):
+        if not _relevant_docs(judgments):
             continue
-        ranked = [r.doc_id for r in run.get(topic_id, [])][:depth]
+        ranked = [doc_id for doc_id, _ in run.get(topic_id, ())[:depth]]
         per_topic[topic_id] = {
-            "ap": average_precision(ranked, judgments, threshold),
-            "r_precision": r_precision(ranked, judgments, threshold),
+            "ap": average_precision(ranked, judgments),
+            "r_precision": r_precision(ranked, judgments),
         }
     if not per_topic:
         raise DataError("no qrels topic has relevant documents")

@@ -24,7 +24,7 @@ from operator import is_not
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .analysis import LANGUAGES, AnalyzerChain, chain_for, query_tokens
+from .analysis import LANGUAGES, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
 from .files import read_lines, write_lines
@@ -45,7 +45,6 @@ _SYSTEM_ORDER = {name: i for i, name in enumerate(GENERATOR_SYSTEMS)}
 class ExpansionConfig:
     title_boost: float = 2.0
     max_concepts: int = 10
-    target_field: str | None = None  # default: chic_all-<topic lang>
 
     def __post_init__(self):
         if self.title_boost <= 0:
@@ -58,17 +57,15 @@ def build_query(
     topic: Topic,
     suggestions: SuggestionSet | None = None,
     cfg: ExpansionConfig | None = None,
-    chain: AnalyzerChain | None = None,
 ) -> Query:
     """OR together boosted title words and suggested concepts."""
     cfg = cfg or ExpansionConfig()
-    if chain is None:
-        if topic.lang not in LANGUAGES:
-            raise EmptyQueryError(
-                f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
-            )
-        chain = chain_for(topic.lang)
-    field = cfg.target_field or f"{ALL_FIELD}-{topic.lang}"
+    if topic.lang not in LANGUAGES:
+        raise EmptyQueryError(
+            f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
+        )
+    chain = chain_for(topic.lang)
+    field = f"{ALL_FIELD}-{topic.lang}"
 
     title_tokens = query_tokens(chain, topic.title)
     if not title_tokens:

@@ -7,9 +7,9 @@ produce byte-identical outputs.
 
 Each step from topics to a run has one function here, which the CLI
 subcommands call too: `str_sets`, `wiki_entity_sets`, `docsim_sets`,
-`combo_sets`, `expanded_queries` and `run_records`. So the subcommand
+`combo_sets`, `expanded_queries` and `search_run`. So the subcommand
 chain writes the bytes `run` writes. `run` scores each run from the
-records it holds, without reading its run file back.
+ranked hits it holds, without reading its run file back.
 
 Topics run one after another in a plain loop: the work is CPU-bound
 Python, which threads only slow down. Systems run sequentially because
@@ -32,10 +32,10 @@ from .analysis import LANGUAGES, chain_for
 from .corpus import Topic, ingest_documents, read_topics
 from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
-from .evaluation import RunRecord, evaluate_run, read_qrels_file, write_run_file
+from .evaluation import evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
 from .files import read_lines, read_text, write_lines
-from .index import Index, Query, build_index
+from .index import Index, Query, ScoredDoc, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
     GENERATOR_SYSTEMS,
@@ -132,6 +132,8 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
         problems.append("n must be >= 1")
     if cfg.depth < 1:
         problems.append("depth must be >= 1")
+    if cfg.min_links < 1:
+        problems.append("min_links must be >= 1")
     if cfg.similarity not in SIMILARITIES:
         problems.append(f"similarity must be one of {list(SIMILARITIES)}, got {cfg.similarity!r}")
     if "WIKI_ENTITY" in systems:
@@ -232,17 +234,11 @@ def expanded_queries(
     return queries
 
 
-def run_records(
-    index: Index, queries: Iterable[tuple[str, Query]], depth: int, run_tag: str
-) -> dict[str, list[RunRecord]]:
-    """Each query's top `depth` hits as run records, by topic id in query order."""
-    return {
-        topic_id: [
-            RunRecord(topic_id, hit.doc_id, rank, hit.score, run_tag)
-            for rank, hit in enumerate(index.search(query, depth), 1)
-        ]
-        for topic_id, query in queries
-    }
+def search_run(
+    index: Index, queries: Iterable[tuple[str, Query]], depth: int
+) -> dict[str, list[ScoredDoc]]:
+    """Each query's top `depth` hits, by topic id in query order: a run."""
+    return {topic_id: index.search(query, depth) for topic_id, query in queries}
 
 
 # -- run ------------------------------------------------------------------
@@ -285,8 +281,8 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
         suggestions_path, run_path = system_dir / "suggestions.tsv", system_dir / "run.trec"
         write_suggestion_file(suggestions_path, sets)
         queries = expanded_queries(topics, group_by_topic(sets), expansion)
-        run = run_records(index, queries, cfg.depth, system)
-        write_run_file(run_path, itertools.chain.from_iterable(run.values()))
+        run = search_run(index, queries, cfg.depth)
+        write_run_file(run_path, run, system)
         written[system] = [str(suggestions_path), str(run_path)]
         if qrels is not None:
             metrics_path = system_dir / "metrics.tsv"

@@ -5,9 +5,11 @@ rank:
 
     topic_id <TAB> rank <TAB> concept_text <TAB> score <TAB> system
 
-A suggestion is a NamedTuple built without a Python-level call, and a
-set checks its ranks, scores and texts as whole columns, so building
-and validating a set runs no Python loop over its suggestions.
+A suggestion is a (text, score) NamedTuple built without a Python-level
+call: its rank is its position in the set, and its system is the set's.
+A set checks its scores and texts as whole columns, so building and
+validating a set runs no Python loop over its suggestions. The file
+reader checks the ranks it reads before it drops them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count, repeat
-from operator import add, lt, truediv
+from operator import lt, truediv
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -32,12 +34,9 @@ SYSTEMS = GENERATOR_SYSTEMS + ("COMBO",)
 class ConceptSuggestion(NamedTuple):
     text: str
     score: float | Fraction
-    rank: int
-    source: str
 
 
-# ConceptSuggestion from a (text, score, rank, source) tuple without a
-# Python-level call.
+# ConceptSuggestion from a (text, score) pair without a Python-level call.
 _suggestion = partial(tuple.__new__, ConceptSuggestion)
 
 
@@ -51,11 +50,7 @@ class SuggestionSet:
         object.__setattr__(self, "suggestions", tuple(self.suggestions))
         if not self.suggestions:
             return
-        texts, scores, ranks, _ = zip(*self.suggestions)
-        if ranks != tuple(range(1, len(ranks) + 1)):
-            raise DataError(
-                f"suggestion ranks for topic {self.topic_id!r} must be 1..k, got {list(ranks)}"
-            )
+        texts, scores = zip(*self.suggestions)
         floats = tuple(map(float, scores))
         if any(map(lt, floats, floats[1:])):
             raise DataError(f"suggestion scores for topic {self.topic_id!r} increase with rank")
@@ -78,8 +73,7 @@ def make_suggestion_set(
     topic_id: str, system: str, texts_scores: Iterable[tuple[str, float | Fraction]]
 ) -> SuggestionSet:
     """Build a set from (text, score) tuples already in rank order."""
-    rows = map(add, texts_scores, zip(count(1), repeat(system)))
-    return SuggestionSet(topic_id, system, tuple(map(_suggestion, rows)))
+    return SuggestionSet(topic_id, system, tuple(map(_suggestion, texts_scores)))
 
 
 def reciprocal_rank_scores() -> Iterator[float]:
@@ -95,11 +89,9 @@ def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
     """The suggestion file's lines, sorted by topic then rank."""
     lines = []
     for sset in sorted(sets, key=lambda s: s.topic_id):
-        for sugg in sset.suggestions:
-            text = sugg.text.replace("\t", " ")
-            lines.append(
-                f"{sset.topic_id}\t{sugg.rank}\t{text}\t{format_score(sugg.score)}\t{sset.system}"
-            )
+        for rank, (text, score) in enumerate(sset.suggestions, 1):
+            text = text.replace("\t", " ")
+            lines.append(f"{sset.topic_id}\t{rank}\t{text}\t{format_score(score)}\t{sset.system}")
     return lines
 
 
@@ -110,7 +102,6 @@ def write_suggestion_file(path: str | Path, sets: Iterable[SuggestionSet]) -> No
 def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
     """Parse and validate a suggestion file; one set per (topic, system)."""
     rows: dict[tuple[str, str], list[tuple[int, str, float]]] = {}
-    order: list[tuple[str, str]] = []
     for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -120,14 +111,13 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
             rank, score = int(rank_s), float(score_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or score") from None
-        key = (topic_id, system)
-        if key not in rows:
-            rows[key] = []
-            order.append(key)
-        rows[key].append((rank, text, score))
+        rows.setdefault((topic_id, system), []).append((rank, text, score))
     sets = []
-    for topic_id, system in order:
-        entries = sorted(rows[(topic_id, system)])
-        suggestions = [_suggestion((text, score, rank, system)) for rank, text, score in entries]
-        sets.append(SuggestionSet(topic_id, system, tuple(suggestions)))
+    for (topic_id, system), entries in rows.items():
+        ranks, texts, scores = zip(*sorted(entries))
+        if ranks != tuple(range(1, len(ranks) + 1)):
+            raise DataError(
+                f"{path}: suggestion ranks for topic {topic_id!r} must be 1..k, got {list(ranks)}"
+            )
+        sets.append(SuggestionSet(topic_id, system, tuple(map(_suggestion, zip(texts, scores)))))
     return sets

@@ -28,7 +28,6 @@ from .files import read_titled_files
 from .index import Index, Phrase, Query, Term, build_index
 from .suggestions import SuggestionSet, make_suggestion_set, reciprocal_rank_scores
 
-_COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
 _LINK_RE = re.compile(r"\[\[(.*?)\]\]", re.S)
 _INTERLANGUAGE_RE = re.compile(r"^[a-z]{2,3}(?:-[a-z0-9]+)*:")
@@ -43,11 +42,19 @@ class StripResult(NamedTuple):
 
 
 def _strip_comments(text: str) -> tuple[str, bool]:
-    out = _COMMENT_RE.sub("", text)
-    start = out.find("<!--")
-    if start != -1:
-        return out[:start], True
-    return out, False
+    """Drop <!-- ... --> comments, which do not nest; an unclosed one
+    drops the rest. Text joined across a dropped comment is left for the
+    next pass, even where it spells a new opener."""
+    kept: list[str] = []
+    i = 0
+    while (start := text.find("<!--", i)) != -1:
+        kept.append(text[i:start])
+        end = text.find("-->", start + 4)
+        if end == -1:
+            return "".join(kept), True
+        i = end + 3
+    kept.append(text[i:])
+    return "".join(kept), False
 
 
 def _past_close(text: str, i: int, open_tok: str, close_tok: str) -> int:

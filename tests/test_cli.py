@@ -636,3 +636,62 @@ def test_suggest_docsim_on_mutated_inputs_exits_with_a_documented_code(
     argv = ["suggest", "docsim", "--corpus", str(corpus_dir), "--seeds", str(seeds),
             "--k", str(k), "--n", str(n), "--out", str(work / "out.tsv")]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A run, its qrels, a suggestion file and its judgments, from `run`."""
+    root = tmp_path_factory.mktemp("eval-fuzz")
+    workspace = build_pipeline_workspace(root, n_docs=30, n_topics=4)
+    assert main(["run", "--docs", workspace["docs"], "--topics", workspace["topics"],
+                 "--out", workspace["out"], "--system", "STR", "--k", "4"]) == 0
+    system_dir = Path(workspace["out"]) / "en" / "STR"
+    rows = [line.split("\t") for line in (system_dir / "suggestions.tsv").read_text("utf-8").splitlines()]
+    judgments = root / "judgments.tsv"
+    judgments.write_text(
+        "".join(f"{topic}\t{rank}\t{i % 3}\n" for i, (topic, rank, *_) in enumerate(rows)), "utf-8"
+    )
+    return {
+        "run": system_dir / "run.trec",
+        "qrels": Path(workspace["qrels"]),
+        "suggestions": system_dir / "suggestions.tsv",
+        "judgments": judgments,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_edits=_EDITS, qrels_edits=_EDITS, depth=st.integers(1, 10**6))
+def test_eval_adhoc_on_mutated_inputs_exits_with_a_documented_code(
+    tmp_path_factory, eval_inputs, run_edits, qrels_edits, depth
+):
+    work = tmp_path_factory.mktemp("case")
+    run, qrels = work / "run.trec", work / "qrels.txt"
+    run.write_bytes(_mutated(eval_inputs["run"].read_bytes(), run_edits))
+    qrels.write_bytes(_mutated(eval_inputs["qrels"].read_bytes(), qrels_edits))
+    argv = ["eval", "adhoc", "--run", str(run), "--qrels", str(qrels), "--depth", str(depth)]
+    assert main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(suggestion_edits=_EDITS, judgment_edits=_EDITS)
+def test_eval_se_on_mutated_inputs_exits_with_a_documented_code(
+    tmp_path_factory, eval_inputs, suggestion_edits, judgment_edits
+):
+    work = tmp_path_factory.mktemp("case")
+    suggestions, judgments = work / "suggestions.tsv", work / "judgments.tsv"
+    suggestions.write_bytes(_mutated(eval_inputs["suggestions"].read_bytes(), suggestion_edits))
+    judgments.write_bytes(_mutated(eval_inputs["judgments"].read_bytes(), judgment_edits))
+    argv = ["eval", "se", "--suggestions", str(suggestions), "--judgments", str(judgments)]
+    assert main(argv) in (0, 1, 2)
+
+
+def test_run_on_a_config_with_min_links_below_one_is_a_usage_error(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({k: workspace[k] for k in ("docs", "topics", "out", "articles")} | {"min_links": -4}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--system", "WIKI_ENTITY"]) == 1
+    assert "min_links must be >= 1" in capsys.readouterr().err
+    assert not Path(workspace["out"]).exists()

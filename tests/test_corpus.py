@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_expand.analysis import chain_for
+from sparse_expand.cli import main
 from sparse_expand.corpus import (
     DEFAULT_SCHEMA,
     Document,
@@ -16,8 +18,8 @@ from sparse_expand.corpus import (
     topic_stats,
 )
 from sparse_expand.errors import DataError, DuplicateDocumentError, EmptyCorpusError
-from sparse_expand.evaluation import RunRecord, read_run_file, write_run_file
-from sparse_expand.index import build_index
+from sparse_expand.evaluation import read_run_file, write_run_file
+from sparse_expand.index import ScoredDoc, build_index
 from sparse_expand.suggestions import (
     make_suggestion_set,
     read_suggestion_file,
@@ -222,10 +224,10 @@ def test_accepted_ids_round_trip_through_the_run_file(tmp_path_factory, doc_id, 
         topic_ids = [t.topic_id for t in read_topics(topics)]
     except DataError:
         topic_ids = []
-    records = [RunRecord(t, d, 1, 1.0, "STR") for t in topic_ids for d in accepted]
-    run = directory / "run.trec"
-    write_run_file(run, records)
-    assert [r for rs in read_run_file(run).values() for r in rs] == records
+    run = {t: [ScoredDoc(d, 1.0) for d in accepted] for t in topic_ids}
+    path = directory / "run.trec"
+    write_run_file(path, run, "STR")
+    assert read_run_file(path) == {t: hits for t, hits in run.items() if hits}
 
 
 @settings(max_examples=200)
@@ -364,6 +366,34 @@ def test_read_topics_requires_title(tmp_path):
     f.write_text('{"id": "T", "lang": "en", "title": ""}\n', encoding="utf-8")
     with pytest.raises(DataError):
         read_topics(f)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": None, "lang": "en", "title": "whale"}, "'id' must be a string, not a JSON null"),
+        ({"id": 7, "lang": "en", "title": "whale"}, "'id' must be a string, not a JSON number"),
+        ({"id": "T", "lang": ["en"], "title": "whale"}, "'lang' must be a string, not a JSON array"),
+        ({"id": "T", "lang": "en", "title": 5}, "'title' must be a string, not a JSON number"),
+        ({"id": "T", "lang": "en", "title": True}, "'title' must be a string, not a JSON boolean"),
+        (
+            {"id": "T", "lang": "en", "title": "whale", "description": {"a": 1}},
+            "'description' must be a string or null, not a JSON object",
+        ),
+        (
+            {"id": "T", "lang": "en", "title": "whale", "description": 2.5},
+            "'description' must be a string or null, not a JSON number",
+        ),
+    ],
+)
+def test_read_topics_requires_string_values(tmp_path, capsys, record, message):
+    f = tmp_path / "topics.jsonl"
+    f.write_text('{"id": "T0", "lang": "en", "title": "ship", "description": null}\n'
+                 + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"topics.jsonl:2: {message}")):
+        read_topics(f)
+    assert main(["corpus", "topic-stats", "--topics", str(f)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["[1]", '"CHIC-012"', "3", "null"])

@@ -10,7 +10,6 @@ from sparse_expand.errors import DataError
 from sparse_expand.evaluation import (
     GRADES,
     MetricReport,
-    RunRecord,
     average_precision,
     evaluate_run,
     evaluate_suggestions,
@@ -22,6 +21,7 @@ from sparse_expand.evaluation import (
     write_qrels_file,
     write_run_file,
 )
+from sparse_expand.index import ScoredDoc
 from sparse_expand.suggestions import make_suggestion_set
 
 
@@ -92,17 +92,14 @@ def test_se_precision_bad_grade():
         se_precision(sset, {1: 7})
 
 
-def _run_records(topic, docs, tag="t"):
-    return [
-        RunRecord(topic, doc, rank, float(len(docs) - rank + 1), tag)
-        for rank, doc in enumerate(docs, 1)
-    ]
+def _hits(docs):
+    return [ScoredDoc(doc, float(len(docs) - i)) for i, doc in enumerate(docs)]
 
 
 def test_evaluate_run_two_topic_mean():
     run = {
-        "T1": _run_records("T1", ["a", "x", "b"]),
-        "T2": _run_records("T2", ["y", "c"]),
+        "T1": _hits(["a", "x", "b"]),
+        "T2": _hits(["y", "c"]),
     }
     qrels = {"T1": {"a": 1, "b": 1}, "T2": {"c": 2, "d": 1}}
     report = evaluate_run(run, qrels)
@@ -114,7 +111,7 @@ def test_evaluate_run_two_topic_mean():
 
 
 def test_evaluate_run_topic_missing_from_run_scores_zero():
-    run = {"T1": _run_records("T1", ["a"])}
+    run = {"T1": _hits(["a"])}
     qrels = {"T1": {"a": 1}, "T2": {"b": 1}}
     report = evaluate_run(run, qrels)
     assert report.per_topic["T2"] == {"ap": 0.0, "r_precision": 0.0}
@@ -122,7 +119,7 @@ def test_evaluate_run_topic_missing_from_run_scores_zero():
 
 
 def test_evaluate_run_skips_zero_relevant_topics():
-    run = {"T1": _run_records("T1", ["a"])}
+    run = {"T1": _hits(["a"])}
     qrels = {"T1": {"a": 1}, "T3": {"x": 0}}
     report = evaluate_run(run, qrels)
     assert "T3" not in report.per_topic
@@ -130,7 +127,7 @@ def test_evaluate_run_skips_zero_relevant_topics():
 
 
 def test_evaluate_run_warns_on_unjudged_topic(caplog):
-    run = {"T1": _run_records("T1", ["a"]), "T9": _run_records("T9", ["z"])}
+    run = {"T1": _hits(["a"]), "T9": _hits(["z"])}
     qrels = {"T1": {"a": 1}}
     with caplog.at_level(logging.WARNING):
         report = evaluate_run(run, qrels)
@@ -139,7 +136,7 @@ def test_evaluate_run_warns_on_unjudged_topic(caplog):
 
 
 def test_evaluate_run_depth_cap():
-    run = {"T1": _run_records("T1", ["x", "a"])}
+    run = {"T1": _hits(["x", "a"])}
     qrels = {"T1": {"a": 1}}
     assert evaluate_run(run, qrels, depth=1).per_topic["T1"]["ap"] == 0.0
 
@@ -147,8 +144,8 @@ def test_evaluate_run_depth_cap():
 def test_metrics_invariant_under_score_rescaling():
     docs = ["a", "x", "b"]
     qrels = {"T": {"a": 1, "b": 2}}
-    low = {"T": [RunRecord("T", d, i + 1, 3.0 - i, "t") for i, d in enumerate(docs)]}
-    high = {"T": [RunRecord("T", d, i + 1, 300.0 - i * 10, "t") for i, d in enumerate(docs)]}
+    low = {"T": [ScoredDoc(d, 3.0 - i) for i, d in enumerate(docs)]}
+    high = {"T": [ScoredDoc(d, 300.0 - i * 10) for i, d in enumerate(docs)]}
     assert evaluate_run(low, qrels).per_topic == evaluate_run(high, qrels).per_topic
 
 
@@ -174,9 +171,9 @@ def test_weak_at_least_strong_randomized():
 def test_mean_permutation_invariance():
     qrels = {"T1": {"a": 1}, "T2": {"b": 1}, "T3": {"c": 2}}
     run = {
-        "T1": _run_records("T1", ["a", "x"]),
-        "T2": _run_records("T2", ["y", "b"]),
-        "T3": _run_records("T3", ["c"]),
+        "T1": _hits(["a", "x"]),
+        "T2": _hits(["y", "b"]),
+        "T3": _hits(["c"]),
     }
     shuffled = {"T3": run["T3"], "T1": run["T1"], "T2": run["T2"]}
     assert evaluate_run(run, qrels).means == evaluate_run(shuffled, qrels).means
@@ -202,14 +199,30 @@ def test_metrics_match_naive_scorer(seed):
 
 
 def test_run_file_round_trip(tmp_path):
-    records = _run_records("T1", ["a", "b", "c"]) + _run_records("T2", ["x"])
+    run = {"T1": _hits(["a", "b", "c"]), "T2": _hits(["x"])}
     path = tmp_path / "run.trec"
-    write_run_file(path, records)
-    parsed = read_run_file(path)
-    assert [r.doc_id for r in parsed["T1"]] == ["a", "b", "c"]
-    assert parsed["T2"][0].run_tag == "t"
-    first = path.read_text().splitlines()[0].split()
-    assert first[:4] == ["T1", "Q0", "a", "1"]
+    write_run_file(path, run, "t")
+    assert read_run_file(path) == run
+    lines = path.read_text().splitlines()
+    assert lines[0] == "T1 Q0 a 1 3.000000 t"
+    assert lines[-1] == "T2 Q0 x 1 1.000000 t"
+
+
+def test_run_file_reader_orders_each_topic_by_rank(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("T1 Q0 b 2 1.0 t\nT2 Q0 x 1 5.0 u\nT1 Q0 a 1 2.0 t\n", encoding="utf-8")
+    assert read_run_file(path) == {
+        "T1": [ScoredDoc("a", 2.0), ScoredDoc("b", 1.0)],
+        "T2": [ScoredDoc("x", 5.0)],
+    }
+
+
+@pytest.mark.parametrize("ranks", [(0, 1), (2, 3), (1, 1)])
+def test_run_file_rejects_ranks_that_are_not_one_to_k(tmp_path, ranks):
+    path = tmp_path / "run.trec"
+    path.write_text(f"T1 Q0 a {ranks[0]} 2.0 t\nT1 Q0 b {ranks[1]} 1.0 t\n", encoding="utf-8")
+    with pytest.raises(DataError, match="ranks must be contiguous from 1"):
+        read_run_file(path)
 
 
 def test_run_file_rejects_rank_gap(tmp_path):

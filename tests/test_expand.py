@@ -116,14 +116,13 @@ def test_combo_round_robin_with_dedup():
     merged = combo_merge([a, b])
     assert merged.texts() == ["a", "c", "b"]
     assert merged.system == "COMBO"
-    assert [s.rank for s in merged.suggestions] == [1, 2, 3]
+    assert [s.score for s in merged.suggestions] == [1.0, 1 / 2, 1 / 3]
 
 
 def test_combo_single_input_relabeled():
     merged = combo_merge([_set("T", "STR", ["x", "y"])])
     assert merged.texts() == ["x", "y"]
     assert merged.system == "COMBO"
-    assert all(s.source == "COMBO" for s in merged.suggestions)
 
 
 def test_combo_four_full_sets():

@@ -232,6 +232,9 @@ def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
         ("boost", "2", []),
         ("boost", "2.5", []),
         ("k", "3", []),
+        ("min_links", "-4", ["min_links must be >= 1"]),
+        ("min_links", "0", ["min_links must be >= 1"]),
+        ("min_links", "1", []),
     ],
 )
 def test_load_config_checks_field_types(tmp_path, key, literal, outcome):

@@ -197,7 +197,8 @@ def test_str_poster_ranking():
     result = suggest_str(idx, topic)
     assert result.texts()[:3] == ["poster", "Cinema and Theatre", "popular media"]
     assert result.system == "STR"
-    assert [s.rank for s in result.suggestions] == list(range(1, len(result.suggestions) + 1))
+    scores = [s.score for s in result.suggestions]
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_str_no_evidence_yields_empty():

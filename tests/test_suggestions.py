@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from oracles import naive_suggestion_set_ok
 from sparse_expand.errors import DataError
-from sparse_expand.suggestions import ConceptSuggestion, SuggestionSet, make_suggestion_set
+from sparse_expand.suggestions import (
+    ConceptSuggestion,
+    SuggestionSet,
+    make_suggestion_set,
+    read_suggestion_file,
+)
 
 _SCORES = st.one_of(
     st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -32,24 +37,56 @@ def _rows(draw):
     return list(zip(texts, ranks, scores))
 
 
-@settings(max_examples=1000)
+@settings(max_examples=1000, deadline=None)
 @given(_rows())
-def test_suggestion_set_accepts_exactly_what_the_naive_predicate_accepts(rows):
-    suggestions = tuple(ConceptSuggestion(text, score, rank, "STR") for text, rank, score in rows)
-    if naive_suggestion_set_ok(rows):
+def test_suggestion_set_accepts_exactly_what_the_naive_predicate_accepts(tmp_path_factory, rows):
+    # In memory a suggestion's rank is its position: the score and text rules.
+    positional = [(text, rank, score) for rank, (text, _, score) in enumerate(rows, 1)]
+    suggestions = tuple(ConceptSuggestion(text, score) for text, _, score in rows)
+    if naive_suggestion_set_ok(positional):
         assert SuggestionSet("T", "STR", suggestions).suggestions == suggestions
     else:
         with pytest.raises(DataError):
             SuggestionSet("T", "STR", suggestions)
+    # A file holds the ranks, in any line order: all three rules.
+    path = tmp_path_factory.mktemp("sets") / "suggestions.tsv"
+    path.write_text(
+        "".join(f"T\t{rank}\t{text}\t{float(score)!r}\tSTR\n" for text, rank, score in rows),
+        encoding="utf-8",
+    )
+    by_rank = sorted(rows, key=lambda row: row[1])
+    if naive_suggestion_set_ok([(text, rank, float(score)) for text, rank, score in by_rank]):
+        read = read_suggestion_file(path)
+        expected = [(text, float(score)) for text, _, score in by_rank]
+        assert [list(s.suggestions) for s in read] == ([expected] if rows else [])
+    else:
+        with pytest.raises(DataError):
+            read_suggestion_file(path)
 
 
-def test_make_suggestion_set_numbers_ranks_and_names_the_source():
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["T\t1\ta\t0.5\tSTR", "T\t3\tb\t0.4\tSTR"],  # rank gap
+        ["T\t0\ta\t0.5\tSTR", "T\t1\tb\t0.4\tSTR"],  # ranks from 0
+        ["T\t1\ta\t0.5\tSTR", "T\t1\tb\t0.4\tSTR"],  # repeated rank
+        ["T\t1\ta\t0.4\tSTR", "T\t2\tb\t0.5\tSTR"],  # rising scores
+        ["T\t1\ta\t0.5\tSTR", "T\t2\ta\t0.4\tSTR"],  # repeated text
+    ],
+)
+def test_suggestion_file_rejects_a_malformed_set(tmp_path, lines):
+    path = tmp_path / "suggestions.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(DataError):
+        read_suggestion_file(path)
+
+
+def test_make_suggestion_set_keeps_text_and_score_in_rank_order():
     sset = make_suggestion_set("T", "WIKI_SIM", [("Whale", Fraction(2, 3)), ("Ship", 0.5)])
     assert sset.suggestions == (
-        ConceptSuggestion("Whale", Fraction(2, 3), 1, "WIKI_SIM"),
-        ConceptSuggestion("Ship", 0.5, 2, "WIKI_SIM"),
+        ConceptSuggestion("Whale", Fraction(2, 3)),
+        ConceptSuggestion("Ship", 0.5),
     )
-    assert repr(sset.suggestions[1]) == (
-        "ConceptSuggestion(text='Ship', score=0.5, rank=2, source='WIKI_SIM')"
-    )
+    assert repr(sset.suggestions[1]) == "ConceptSuggestion(text='Ship', score=0.5)"
+    assert sset.system == "WIKI_SIM"
     assert make_suggestion_set("T", "STR", []).suggestions == ()
