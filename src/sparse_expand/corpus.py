@@ -13,9 +13,10 @@ Ids may not contain whitespace, since run files separate their columns
 by whitespace, and a topic id may appear only once in its file. No
 string may hold a lone surrogate (a JSON escape such as `\\ud800`
 without its pair), since no UTF-8 writer can emit one. A document's
-`id` and `lang` must be JSON strings, and each field value a string or a
-number (not `true`, `false`, `null`, an array or an object); a number is
-stored in Python's `str()` form. Each field value is stored with its
+`id` and `lang` must be JSON strings, and each field a list of values or
+one string (read as a one-value list; a bare number is rejected). Each
+value is a string or a number (not `true`, `false`, `null`, an array or
+an object); a number is stored in Python's `str()` form. Each field value is stored with its
 whitespace runs folded to one space, so that a value is one line with no
 tabs in the suggestion file.
 """
@@ -93,6 +94,10 @@ DEFAULT_SCHEMA: tuple[str, ...] = (
     "europeana:uri",
     "europeana:year",
 )
+
+# Controlled-vocabulary fields whose whole values are co-occurrence (STR)
+# concepts; the index keeps raw values for these fields only.
+CONCEPT_FIELDS: tuple[str, ...] = ("dc:subject", "enrichment:concept_label")
 
 
 @dataclass(frozen=True)

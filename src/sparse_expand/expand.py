@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -207,6 +208,8 @@ def parse_query(expression: str) -> Query:
         boost_match = _BOOST_RE.match(text, pos)
         if boost_match:
             boost = float(boost_match.group(1))
+            if not 0 < boost < math.inf:
+                raise syntax_error("boost must be positive and finite")
             pos = boost_match.end()
         clauses.extend(
             Term(field, c.text, boost) if isinstance(c, Term) else Phrase(field, c.terms, boost)

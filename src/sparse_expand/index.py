@@ -23,7 +23,11 @@ For a phrase clause, tf is the number of consecutive-position
 occurrences in the field and df the number of documents with at least
 one occurrence.
 
-The version 3 snapshot (README "Snapshot format") stores every string
+Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
+untokenized values, the only ones co-occurrence scoring reads; every
+other field keeps none.
+
+The version 4 snapshot (README "Snapshot format") stores every string
 list as a table, a u32 length column and one UTF-8 blob, and every
 column as a u32 count and its values. `Index.load` decodes each blob
 once, reads each column with one `frombytes`, and checks whole columns
@@ -36,7 +40,7 @@ It rejects with DataError:
 - analyzer languages, field names, terms or raw values that are not
   strictly ascending;
 - an unknown analyzer stage, or a field whose language has no chain;
-- doc_id and language tables of different lengths, or a repeated doc_id;
+- a repeated doc_id;
 - offsets (`starts`, `pos_starts`, raw-value starts) that do not have
   one more entry than their table, do not start at 0, descend, or do
   not end at their column's length;
@@ -61,7 +65,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import STAGE_NAMES, AnalyzerChain
-from .corpus import DEFAULT_SCHEMA, Document
+from .corpus import CONCEPT_FIELDS, DEFAULT_SCHEMA, Document
 from .errors import AnalysisError, DataError, EmptyCorpusError, UnknownFieldError
 from .files import write_atomic
 
@@ -69,7 +73,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 SNAPSHOT_FILENAME = "index.bin"
 
 # Columns are written and read as raw little-endian u32 arrays.
@@ -189,20 +193,16 @@ class Index:
     def __init__(
         self,
         doc_ids: Sequence[str],
-        doc_langs: Sequence[str],
         postings: Mapping[str, Mapping[str, Columns]],
         raw_values: Mapping[str, Mapping[str, Sequence[int]]],
         chains: Mapping[str, AnalyzerChain],
-        all_field: str = ALL_FIELD,
     ):
         self._doc_ids = tuple(doc_ids)
-        self._doc_langs = tuple(doc_langs)
         self._fields = {f: _concatenate(terms) for f, terms in postings.items()}
         self._raw_values = {
             f: {v: tuple(ds) for v, ds in vals.items()} for f, vals in raw_values.items()
         }
         self._chains = dict(chains)
-        self._all_field = all_field
         self._doc_rank: list[int] | None = None
 
     @property
@@ -212,14 +212,6 @@ class Index:
     @property
     def doc_ids(self) -> tuple[str, ...]:
         return self._doc_ids
-
-    @property
-    def doc_langs(self) -> tuple[str, ...]:
-        return self._doc_langs
-
-    @property
-    def all_field(self) -> str:
-        return self._all_field
 
     @property
     def fields(self) -> list[str]:
@@ -273,7 +265,10 @@ class Index:
         return list(field_columns.ordinals) if field_columns else []
 
     def raw_values(self, field: str) -> dict[str, tuple[int, ...]]:
-        """Verbatim stored value -> sorted doc ordinals, for one field."""
+        """Verbatim stored value -> sorted doc ordinals, for one field.
+
+        `build_index` keeps raw values only for the concept fields
+        (`corpus.CONCEPT_FIELDS`); any other field gives {}."""
         return dict(self._raw_values.get(field, {}))
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
@@ -384,7 +379,6 @@ class Index:
             _put_table(out, self._chains[lang].stages)
             _put_table(out, sorted(self._chains[lang].stopword_list))
         _put_table(out, self._doc_ids)
-        _put_table(out, self._doc_langs)
         names = sorted(self._fields)
         _put_table(out, names)
         for name in names:
@@ -398,7 +392,6 @@ class Index:
             _put_table(out, sorted_values)
             _put_column(out, array("I", accumulate(map(len, value_docs), initial=0)))
             _put_column(out, array("I", chain.from_iterable(value_docs)))
-        _put_table(out, [self._all_field])
         write_atomic(path, out)
 
     @classmethod
@@ -478,10 +471,8 @@ class Index:
             words = frozenset(take_table())
             chains[lang] = AnalyzerChain(lang=lang, stages=stages, stopword_list=words)
 
-        doc_ids, doc_langs = take_table(), take_table()
+        doc_ids = take_table()
         n_docs = len(doc_ids)
-        if len(doc_langs) != n_docs:
-            raise bad(f"{n_docs} doc_ids but {len(doc_langs)} languages")
         if len(set(doc_ids)) != n_docs:
             raise bad("repeated doc_id")
 
@@ -519,12 +510,9 @@ class Index:
             value_slices = map(slice, value_starts, value_starts[1:])
             raw_values[name] = dict(zip(values, map(tuple, map(ordinals.__getitem__, value_slices))))
 
-        tail = take_table()
-        if len(tail) != 1:
-            raise bad(f"{len(tail)} union-field names")
         if offset != len(data):
             raise bad(f"ends at byte {offset} of {len(data)}")
-        index = cls(doc_ids, doc_langs, {}, {}, chains, tail[0])
+        index = cls(doc_ids, {}, {}, chains)
         index._fields, index._raw_values = fields, raw_values  # already checked and built
         return index
 
@@ -576,13 +564,13 @@ def build_index(
     corpus: Iterable[Document],
     chains: Mapping[str, AnalyzerChain],
     schema: Sequence[str] = DEFAULT_SCHEMA,
-    all_field: str = ALL_FIELD,
 ) -> Index:
     """Analyze and index a document stream.
 
     Raises on an empty corpus or on a document whose language has no
     chain. Field order inside the union field is schema order, then any
-    extra (lax-ingested) fields lexicographically.
+    extra (lax-ingested) fields lexicographically. Raw values are kept
+    for the concept fields only.
     """
     docs = list(corpus)
     if not docs:
@@ -592,7 +580,6 @@ def build_index(
     postings: dict[str, dict[str, Columns]] = {}
     raw_values: dict[str, dict[str, set[int]]] = {}
     doc_ids: list[str] = []
-    doc_langs: list[str] = []
 
     def add_segment(
         per_term: dict[str, list[int]], tokens: Sequence[str], start: int
@@ -616,7 +603,6 @@ def build_index(
             raise DataError(f"no analyzer chain for language {doc.lang!r}")
         chain = chains[doc.lang]
         doc_ids.append(doc.doc_id)
-        doc_langs.append(doc.lang)
 
         names = sorted(
             doc.fields, key=lambda n: (schema_order.get(n, len(schema_order)), n)
@@ -628,10 +614,11 @@ def build_index(
             composite = f"{name}-{doc.lang}"
             per_term: dict[str, list[int]] = {}
             pos = 0
+            keep_raw = name in CONCEPT_FIELDS
             for value in doc.fields[name]:
                 tokens = chain.run(value)
                 trimmed = value.strip()
-                if trimmed:
+                if keep_raw and trimmed:
                     raw_values.setdefault(composite, {}).setdefault(trimmed, set()).add(
                         ordinal
                     )
@@ -640,13 +627,11 @@ def build_index(
                 pos = add_segment(per_term, tokens, pos)
                 all_pos = add_segment(all_terms, tokens, all_pos)
             add_postings(composite, ordinal, per_term)
-        add_postings(f"{all_field}-{doc.lang}", ordinal, all_terms)
+        add_postings(f"{ALL_FIELD}-{doc.lang}", ordinal, all_terms)
 
     return Index(
         doc_ids=doc_ids,
-        doc_langs=doc_langs,
         postings=postings,
         raw_values={f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
         chains=chains,
-        all_field=all_field,
     )

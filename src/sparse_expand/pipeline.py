@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, EmptyQueryError
 from .evaluation import evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
 from .files import read_lines, read_text, write_lines
-from .index import Index, Query, ScoredDoc, build_index
+from .index import ALL_FIELD, Index, Query, ScoredDoc, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
     GENERATOR_SYSTEMS,
@@ -265,7 +265,7 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
     index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: chain_for(cfg.lang)})
-    if not index.has_field(f"{index.all_field}-{cfg.lang}"):
+    if not index.has_field(f"{ALL_FIELD}-{cfg.lang}"):
         raise DataError(f"corpus has no indexed {cfg.lang!r} content")
 
     qrels = read_qrels_file(cfg.qrels) if cfg.qrels else None

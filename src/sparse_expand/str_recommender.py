@@ -1,7 +1,8 @@
 """Co-occurrence search-term recommender.
 
-Candidate concepts are whole field values from the configured concept
-fields (controlled-vocabulary surface forms, e.g. "Cinema and Theatre").
+Candidate concepts are whole field values from the concept fields
+`corpus.CONCEPT_FIELDS` (controlled-vocabulary surface forms, e.g.
+"Cinema and Theatre").
 A topic's document set is built from its title tokens over the input
 fields; every concept value is then scored by the Jaccard similarity of
 the two document sets, computed from the set sizes
@@ -13,7 +14,7 @@ or by its logarithmic variant that dampens large size differences.
 Only values that co-occur with the topic's documents can score above
 zero, so scoring walks the topic's documents through a doc -> values map
 (an inverted file turned around) instead of intersecting every value's
-document set. The maps are built once per index and concept fields.
+document set. The maps are built once per index and language.
 
 Jaccard candidates are ranked on the exact integer key
 floor(jaccard * N**2), N the number of indexed documents: every union is
@@ -31,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import log
+from typing import ClassVar
 
 from .analysis import query_tokens
-from .corpus import Topic
+from .corpus import CONCEPT_FIELDS, Topic
 from .errors import EmptyQueryError
 from .index import Index
 from .suggestions import SuggestionSet, make_suggestion_set
@@ -45,18 +47,14 @@ SIMILARITIES = ("jaccard", "log_jaccard")
 
 @dataclass(frozen=True)
 class CooccurConfig:
-    input_fields: tuple[str, ...] = ("dc:title", "dc:description")
-    concept_fields: tuple[str, ...] = ("dc:subject", "enrichment:concept_label")
+    input_fields: ClassVar[tuple[str, ...]] = ("dc:title", "dc:description")
+    concept_fields: ClassVar[tuple[str, ...]] = CONCEPT_FIELDS
     similarity: str = "jaccard"  # one of SIMILARITIES
     top_k: int = 10
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if not self.input_fields or not self.concept_fields:
-            raise ValueError("field lists must be non-empty")
-        if set(self.input_fields) & set(self.concept_fields):
-            raise ValueError("input and concept fields must be disjoint")
         if self.similarity not in SIMILARITIES:
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
@@ -126,9 +124,7 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     else:
         similarity = rank_key = log_jaccard
 
-    value_df, doc_values = _concept_maps(
-        index, tuple(f"{name}-{topic.lang}" for name in cfg.concept_fields)
-    )
+    value_df, doc_values = _concept_maps(index, topic.lang)
     df_xy = Counter(itertools.chain.from_iterable(map(doc_values.get, ds_x, itertools.repeat(()))))
     df_x = len(ds_x)
     df_y = map(value_df.__getitem__, df_xy)
@@ -149,22 +145,23 @@ def _jaccard_key(df_x: int, df_y: int, df_xy: int, n_sq: int) -> int:
     return df_xy * n_sq // (df_x + df_y - df_xy)
 
 
-# index -> concept fields -> (value -> df_y, doc -> its distinct values).
+# index -> language -> (value -> df_y, doc -> its distinct values).
 # Weak keys: an index that is dropped or reloaded takes its maps with it.
 _CONCEPT_MAPS: weakref.WeakKeyDictionary[Index, dict] = weakref.WeakKeyDictionary()
 
 
 def _concept_maps(
-    index: Index, fields: tuple[str, ...]
+    index: Index, lang: str
 ) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
-    """Document frequency of each concept value over the fields combined,
-    and the values of each document; built on first use."""
+    """Document frequency of each concept value over the concept fields
+    of one language combined, and the values of each document; built on
+    first use."""
     per_index = _CONCEPT_MAPS.get(index)
-    if per_index is not None and fields in per_index:
-        return per_index[fields]
+    if per_index is not None and lang in per_index:
+        return per_index[lang]
     value_docs: dict[str, set[int]] = {}
-    for field in fields:
-        for value, docs in index.raw_values(field).items():
+    for name in CONCEPT_FIELDS:
+        for value, docs in index.raw_values(f"{name}-{lang}").items():
             value_docs.setdefault(value, set()).update(docs)
     doc_values: dict[int, list[str]] = {}
     for value, docs in value_docs.items():
@@ -174,5 +171,5 @@ def _concept_maps(
         {value: len(docs) for value, docs in value_docs.items()},
         {doc: tuple(values) for doc, values in doc_values.items()},
     )
-    _CONCEPT_MAPS.setdefault(index, {})[fields] = maps
+    _CONCEPT_MAPS.setdefault(index, {})[lang] = maps
     return maps

@@ -267,6 +267,16 @@ def test_index_search_on_a_version_1_snapshot_exits_2(tmp_path, capsys):
     assert "unsupported snapshot version 1" in capsys.readouterr().err
 
 
+def test_index_search_on_a_version_3_snapshot_exits_2(tmp_path, capsys):
+    # tests/data/index_v3/index.bin: two documents, written by the version 3 format
+    v3 = Path(__file__).parent / "data" / "index_v3"
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+    code = main(["index", "search", "--index", str(v3), "--query-file", str(queries)])
+    assert code == 2
+    assert "unsupported snapshot version 3" in capsys.readouterr().err
+
+
 def test_exit_code_combo_prerequisite(tmp_path):
     workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
     code = main(
@@ -636,6 +646,64 @@ def test_suggest_docsim_on_mutated_inputs_exits_with_a_documented_code(
     argv = ["suggest", "docsim", "--corpus", str(corpus_dir), "--seeds", str(seeds),
             "--k", str(k), "--n", str(n), "--out", str(work / "out.tsv")]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def index_inputs(tmp_path_factory):
+    """A document file, its snapshot directory and a query file."""
+    root = tmp_path_factory.mktemp("index-fuzz")
+    workspace = build_pipeline_workspace(root, n_docs=30, n_topics=2)
+    index_dir = root / "idx"
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", str(index_dir)]) == 0
+    queries = root / "queries.tsv"
+    queries.write_text(
+        'T-000\tchic_all-en:(film OR canada)^2 OR chic_all-en:("old map" OR whale)\n'
+        'T-001\tdc:title-en:(ship)^0.5 OR dc:subject-en:("film poster")\n',
+        encoding="utf-8",
+    )
+    search = ["index", "search", "--index", str(index_dir), "--query-file", str(queries),
+              "--out", str(root / "run.trec")]
+    assert main(search) == 0
+    return {"docs": Path(workspace["docs"]), "index": index_dir / "index.bin", "queries": queries}
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc_edits=_EDITS)
+def test_index_build_on_mutated_docs_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, doc_edits
+):
+    work = tmp_path_factory.mktemp("case")
+    docs = work / "docs.jsonl"
+    docs.write_bytes(_mutated(index_inputs["docs"].read_bytes(), doc_edits))
+    assert main(["index", "build", "--docs", str(docs), "--out", str(work / "idx")]) in (0, 1, 2)
+
+
+def _search_exit_code(work: Path, snapshot: bytes, queries: bytes) -> int:
+    (work / "idx").mkdir()
+    (work / "idx" / "index.bin").write_bytes(snapshot)
+    (work / "queries.tsv").write_bytes(queries)
+    return main(["index", "search", "--index", str(work / "idx"), "--query-file",
+                 str(work / "queries.tsv"), "--out", str(work / "run.trec")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(snapshot_edits=_EDITS)
+def test_index_search_on_a_mutated_snapshot_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, snapshot_edits
+):
+    snapshot = _mutated(index_inputs["index"].read_bytes(), snapshot_edits)
+    queries = index_inputs["queries"].read_bytes()
+    assert _search_exit_code(tmp_path_factory.mktemp("case"), snapshot, queries) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(query_edits=_EDITS)
+def test_index_search_on_a_mutated_query_file_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, query_edits
+):
+    snapshot = index_inputs["index"].read_bytes()
+    queries = _mutated(index_inputs["queries"].read_bytes(), query_edits)
+    assert _search_exit_code(tmp_path_factory.mktemp("case"), snapshot, queries) in (0, 1, 2)
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,23 @@ def test_numbers_are_stored_in_their_str_form(tmp_path):
     assert doc.fields["dc:date"] == ("1990", "2.5", "-0.0", "1e+100", "x")
 
 
+def test_a_bare_string_is_a_one_value_list(tmp_path):
+    f = _write(tmp_path / "docs.jsonl", [_record(0, **{"dc:title": " Moby  Dick "})])
+    (doc,) = ingest_documents(f).documents
+    assert doc.fields == {"dc:title": ("Moby Dick",)}
+
+
+@pytest.mark.parametrize("value", [5, 2.5])
+def test_a_bare_number_is_rejected(tmp_path, value):
+    records = [_record(0, **{"dc:title": ["x"]}), _record(1, **{"dc:date": value})]
+    f = _write(tmp_path / "docs.jsonl", records)
+    message = "document 'd1': field 'dc:date' must hold a list"
+    with pytest.raises(DataError) as exc:
+        ingest_documents(f)
+    assert str(exc.value) == f"{f}:2: {message}"
+    assert ingest_documents(f, lax=True).reject_reasons == {message: 1}
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

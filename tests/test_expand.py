@@ -214,6 +214,9 @@ def test_parse_fractional_boost():
         "f:()",
         "f:(a) x",
         "f:(a OR )",
+        "f:(a)^0",
+        "f:(a)^0.0e5",
+        "f:(a)^1e999",
     ],
 )
 def test_parse_rejects_malformed(bad):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORDS, random_corpus
-from oracles import field_token_positions, naive_search
+from oracles import field_token_positions, naive_search, naive_str_scores
 from sparse_expand.analysis import chain_for
-from sparse_expand.corpus import Document
+from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic
 from sparse_expand.errors import (
     AnalysisError,
     DataError,
@@ -29,6 +29,7 @@ from sparse_expand.index import (
     Term,
     build_index,
 )
+from sparse_expand.str_recommender import CooccurConfig, suggest_str
 
 CHAINS = {"en": chain_for("en"), "de": chain_for("de")}
 
@@ -417,7 +418,6 @@ _PATCHED_IDS = ["descending-offsets", "last-offset-not-column-length", "repeated
 def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, stages, field, patch):
     idx = Index(
         doc_ids=["d0", "d1"],
-        doc_langs=["en", "en"],
         postings={field: {"x": columns, "y": _GOOD}},
         raw_values={field: {"x": raw_docs}},
         chains={"en": AnalyzerChain("en", stages)},
@@ -437,7 +437,6 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, sta
 def test_snapshot_rejects_repeated_doc_ids(tmp_path):
     idx = Index(
         doc_ids=["d0", "d0"],
-        doc_langs=["en", "en"],
         postings={"t-en": {"x": _GOOD}},
         raw_values={},
         chains={"en": AnalyzerChain("en", ("tokenize",))},
@@ -451,7 +450,6 @@ def test_snapshot_rejects_repeated_doc_ids(tmp_path):
 def test_snapshot_accepts_the_valid_columns(tmp_path):
     idx = Index(
         doc_ids=["d0", "d1"],
-        doc_langs=["en", "en"],
         postings={"t-en": {"x": _GOOD}},
         raw_values={"t-en": {"x": (0,)}},
         chains={"en": AnalyzerChain("en", ("tokenize",))},
@@ -475,6 +473,39 @@ def test_snapshot_of_version_2_is_rejected():
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 2)
     with pytest.raises(DataError, match="unsupported snapshot version 2"):
         Index.load(path)
+
+
+def test_snapshot_of_version_3_is_rejected():
+    # tests/data/index_v3/index.bin: two documents, written by the version 3 format
+    path = Path(__file__).parent / "data" / "index_v3" / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 3)
+    with pytest.raises(DataError, match="unsupported snapshot version 3"):
+        Index.load(path)
+
+
+def test_only_concept_fields_keep_raw_values(tmp_path):
+    fields = ("dc:title", "dc:description", "dc:creator", *CONCEPT_FIELDS)
+    rng = random.Random(7)
+    docs = [
+        Document(
+            f"d{i}",
+            lang,
+            {name: tuple(rng.choice(WORDS) for _ in range(rng.randint(1, 2))) for name in fields},
+        )
+        for i, lang in enumerate(["en", "de"] * 15)
+    ]
+    built = _index(docs)
+    built.save(tmp_path / SNAPSHOT_FILENAME)
+    loaded = Index.load(tmp_path / SNAPSHOT_FILENAME)
+    concept = {f"{name}-{lang}" for name in CONCEPT_FIELDS for lang in ("en", "de")}
+    for idx in (built, loaded):
+        assert {f for f in idx.fields if idx.raw_values(f)} == concept
+    for lang in ("en", "de"):
+        topic = Topic("T", " ".join(rng.sample(WORDS, 2)), lang)
+        cfg = CooccurConfig(top_k=1000)
+        expected = naive_str_scores(docs, topic, CHAINS[lang], cfg.input_fields, cfg.concept_fields)
+        got = suggest_str(loaded, topic, cfg)
+        assert expected and dict(got.suggestions) == expected
 
 
 def test_postings_are_read_back_from_the_columns():

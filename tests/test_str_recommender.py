@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_corpus
 from oracles import naive_str_scores
 from sparse_expand.analysis import chain_for
-from sparse_expand.corpus import Document, Topic
+from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic
 from sparse_expand.errors import EmptyQueryError
 from sparse_expand.index import build_index
 from sparse_expand import str_recommender
@@ -152,7 +152,7 @@ def test_str_checks_the_counts_of_every_candidate(monkeypatch, similarity):
     # "ranked low" appears twice in the one topic document: df_xy = 2 > df_x = 1.
     # It would rank below "sea" and fall outside top_k = 1, yet must be caught.
     maps = ({"sea": 1, "ranked low": 100}, {0: ("sea", "ranked low", "ranked low")})
-    monkeypatch.setattr(str_recommender, "_concept_maps", lambda index, fields: maps)
+    monkeypatch.setattr(str_recommender, "_concept_maps", lambda index, lang: maps)
     cfg = CooccurConfig(similarity=similarity, top_k=1)
     with pytest.raises(ValueError, match="df_xy cannot exceed"):
         suggest_str(idx, Topic("T", "whale", "en"), cfg)
@@ -341,7 +341,9 @@ def test_str_ranking_invariant_under_duplication():
 def test_cooccur_config_validation():
     with pytest.raises(ValueError):
         CooccurConfig(top_k=0)
-    with pytest.raises(ValueError):
-        CooccurConfig(input_fields=("dc:title",), concept_fields=("dc:title",))
+    with pytest.raises(TypeError):
+        CooccurConfig(input_fields=("dc:title",))
     with pytest.raises(ValueError):
         CooccurConfig(similarity="cosine")
+    assert CooccurConfig().input_fields == ("dc:title", "dc:description")
+    assert CooccurConfig().concept_fields == CONCEPT_FIELDS == ("dc:subject", "enrichment:concept_label")
