@@ -1,11 +1,14 @@
 """Text analysis chains: tokenization, stopword removal, case folding,
 possessive stripping, stemming and German character normalization.
 
-A chain is immutable and pure: analyzing the same input twice yields the
-same token list. Two language profiles are built in:
+A chain is one of two built-in language profiles plus its stopword list,
+with the stopword stage either applied or dropped:
 
     en: tokenize -> en_possessive -> lowercase -> stopwords -> porter_stem
     de: tokenize -> lowercase -> stopwords -> de_normalize -> de_light_stem
+
+A chain is immutable and pure: analyzing the same input twice yields the
+same token list.
 
 Positions are assigned after stopword removal, so surviving tokens are
 numbered 0..k-1 with no gaps.
@@ -76,33 +79,44 @@ class Token:
     position: int
 
 
-_STAGE_ORDER = {
+# Each built-in profile's stages, in order: README "Analysis" and the
+# snapshot's stage tables name them. `AnalyzerChain` applies them in code.
+_PROFILES = {
     "en": ("tokenize", "en_possessive", "lowercase", "stopwords", "porter_stem"),
     "de": ("tokenize", "lowercase", "stopwords", "de_normalize", "de_light_stem"),
 }
 
-
-# Every stage name the built-in profiles use; `AnalyzerChain.run` knows no other.
-STAGE_NAMES = frozenset(stage for stages in _STAGE_ORDER.values() for stage in stages)
-
-# Languages with a built-in profile, the only ones `chain_for` accepts.
-LANGUAGES = frozenset(_STAGE_ORDER)
+# Languages with a built-in profile, the only ones a chain accepts.
+LANGUAGES = frozenset(_PROFILES)
 
 
 @dataclass(frozen=True)
 class AnalyzerChain:
-    """An ordered, immutable analysis pipeline for one language.
+    """One language's built-in profile with its stopword list; with
+    `keep_stopwords` the stopword stage is dropped.
 
     Every stage after `tokenize` maps one token to one token (or drops
     it), so each chain caches the result per surface token.
     """
 
     lang: str
-    stages: tuple[str, ...]
     stopword_list: frozenset[str] = field(default_factory=frozenset)
+    keep_stopwords: bool = False
     _cache: dict[str, str] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
+
+    def __post_init__(self):
+        if self.lang not in _PROFILES:
+            raise ValueError(f"no analyzer profile for language: {self.lang!r}")
+
+    @property
+    def stages(self) -> tuple[str, ...]:
+        """The profile's stage names, without `stopwords` if they are kept."""
+        stages = _PROFILES[self.lang]
+        if self.keep_stopwords:
+            return tuple(s for s in stages if s != "stopwords")
+        return stages
 
     def run(self, text: str) -> list[str]:
         """Apply every stage; returns surviving token texts in order."""
@@ -118,25 +132,11 @@ class AnalyzerChain:
 
     def _analyze_token(self, term: str) -> str:
         """The stages after `tokenize` on one token; "" if it is dropped."""
-        for stage in self.stages:
-            if stage == "tokenize":
-                continue
-            if stage == "en_possessive":
-                term = en_possessive(term)
-            elif stage == "lowercase":
-                term = term.lower()
-            elif stage == "stopwords":
-                if term.lower() in self.stopword_list:
-                    return ""
-            elif stage == "porter_stem":
-                term = porter_stem(term)
-            elif stage == "de_normalize":
-                term = de_normalize(term)
-            elif stage == "de_light_stem":
-                term = de_light_stem(term)
-            else:
-                raise ValueError(f"unknown analyzer stage: {stage}")
-        return term
+        en = self.lang == "en"
+        term = (en_possessive(term) if en else term).lower()
+        if not self.keep_stopwords and term in self.stopword_list:
+            return ""
+        return porter_stem(term) if en else de_light_stem(de_normalize(term))
 
 
 def chain_for(
@@ -145,19 +145,15 @@ def chain_for(
     *,
     keep_stopwords: bool = False,
 ) -> AnalyzerChain:
-    """Build the standard chain for a language profile.
+    """The chain for a language profile, with its bundled stopwords unless
+    a list is given.
 
     `keep_stopwords` drops the stopword stage; used for exact title
     matching where function words must stay significant.
     """
-    if lang not in _STAGE_ORDER:
-        raise ValueError(f"no analyzer profile for language: {lang!r}")
-    stages = _STAGE_ORDER[lang]
-    if keep_stopwords:
-        stages = tuple(s for s in stages if s != "stopwords")
     if stopword_list is None:
-        stopword_list = _stopwords.BY_LANG[lang]
-    return AnalyzerChain(lang=lang, stages=stages, stopword_list=stopword_list)
+        stopword_list = _stopwords.BY_LANG.get(lang, frozenset())  # AnalyzerChain checks lang
+    return AnalyzerChain(lang, stopword_list, keep_stopwords)
 
 
 def analyze(chain: AnalyzerChain, text: str) -> list[Token]:
@@ -172,8 +168,8 @@ def query_tokens(chain: AnalyzerChain, text: str) -> list[str]:
     happens again at match time, token by token.
     """
     terms = tokenize(text)
-    if "en_possessive" in chain.stages:
+    if chain.lang == "en":
         terms = [en_possessive(t) for t in terms]
-    if "stopwords" in chain.stages:
+    if not chain.keep_stopwords:
         terms = [t for t in terms if t.lower() not in chain.stopword_list]
     return terms

@@ -8,7 +8,9 @@ Topics use the same transport:
 
     {"id": "CHIC-010", "lang": "en", "title": "film canada", "description": "..."}
 
-A document's language must have an analyzer profile ("en" or "de").
+A document's language must have an analyzer profile ("en" or "de"),
+and its field names must come from the one built-in 55-field
+`DEFAULT_SCHEMA` unless the ingest is lax, which keeps other fields too.
 Ids may not contain whitespace, since run files separate their columns
 by whitespace, and a topic id may appear only once in its file. No
 string may hold a lone surrogate (a JSON escape such as `\\ud800`
@@ -35,8 +37,9 @@ from .analysis import LANGUAGES
 from .errors import DataError, DuplicateDocumentError, EmptyCorpusError
 from .files import read_lines
 
-# Fields of a typical cultural-heritage metadata record, used as the
-# default ingest schema and as the column order of coverage reports.
+# Fields of a typical cultural-heritage metadata record: the only fields
+# a strict ingest accepts, the column order of coverage reports and the
+# field order of the index's union field.
 DEFAULT_SCHEMA: tuple[str, ...] = (
     "dc:contributor",
     "dc:coverage",
@@ -94,6 +97,8 @@ DEFAULT_SCHEMA: tuple[str, ...] = (
     "europeana:uri",
     "europeana:year",
 )
+
+_SCHEMA_FIELDS = frozenset(DEFAULT_SCHEMA)
 
 # Controlled-vocabulary fields whose whole values are co-occurrence (STR)
 # concepts; the index keeps raw values for these fields only.
@@ -155,7 +160,7 @@ _JSON_TYPES = {
 _VALUE_TYPES = frozenset((str, int, float))
 
 
-def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Document:
+def _parse_document(obj: dict, lax: bool) -> Document:
     doc_id = obj.get("id", "")
     if type(doc_id) is not str:
         raise DataError(f"'id' must be a string, not a JSON {_JSON_TYPES[type(doc_id)]}")
@@ -177,10 +182,9 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
     raw_fields = obj.get("fields")
     if not isinstance(raw_fields, dict):
         raise DataError(f"document {doc_id!r}: 'fields' must be an object")
-    known = set(schema) if schema is not None else None
     fields: dict[str, tuple[str, ...]] = {}
     for name, values in raw_fields.items():
-        if known is not None and name not in known and not lax:
+        if name not in _SCHEMA_FIELDS and not lax:
             raise DataError(f"document {doc_id!r}: unknown field {name!r}")
         if isinstance(values, str):
             values = [values]
@@ -198,15 +202,12 @@ def _parse_document(obj: dict, schema: Sequence[str] | None, lax: bool) -> Docum
     return Document(doc_id=doc_id, lang=lang, fields=fields)
 
 
-def ingest_documents(
-    path: str | Path,
-    schema: Sequence[str] | None = DEFAULT_SCHEMA,
-    lax: bool = False,
-) -> IngestResult:
+def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
     """Read a line-delimited JSON document file.
 
-    Strict mode aborts on the first malformed line; lax mode skips and
-    counts it. A duplicate doc_id aborts in either mode.
+    Strict mode aborts on the first malformed line, a field outside
+    `DEFAULT_SCHEMA` included; lax mode skips and counts a malformed line
+    and keeps unknown fields. A duplicate doc_id aborts in either mode.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -214,7 +215,7 @@ def ingest_documents(
     rejected = 0
     for lineno, line in read_lines(path):
         try:
-            doc = _parse_document(_json_object(line), schema, lax)
+            doc = _parse_document(_json_object(line), lax)
         except DataError as exc:
             if lax:
                 rejected += 1
@@ -283,10 +284,9 @@ class CoverageReport:
     per_field: dict[str, FieldCoverage]
 
 
-def coverage_report(
-    corpus: Iterable[Document], schema: Sequence[str] = DEFAULT_SCHEMA
-) -> CoverageReport:
-    """Count, per schema field, the documents carrying at least one value."""
+def coverage_report(corpus: Iterable[Document]) -> CoverageReport:
+    """Count, per `DEFAULT_SCHEMA` field, the documents carrying at least
+    one value."""
     counts = Counter()
     size = 0
     for doc in corpus:
@@ -297,7 +297,7 @@ def coverage_report(
         raise EmptyCorpusError("empty corpus")
     per_field = {
         name: FieldCoverage(count=counts.get(name, 0), fraction=Fraction(counts.get(name, 0), size))
-        for name in schema
+        for name in DEFAULT_SCHEMA
     }
     return CoverageReport(corpus_size=size, per_field=per_field)
 

@@ -2,9 +2,9 @@
 
 Documents are indexed per language: a document's tokens go into
 "<field>-<lang>" composite fields plus a union field "chic_all-<lang>"
-that concatenates every analyzed field in schema order. Multi-valued
-fields are concatenated with a one-position gap between values so that
-phrases never match across value boundaries.
+that concatenates every analyzed field in `DEFAULT_SCHEMA` order.
+Multi-valued fields are concatenated with a one-position gap between
+values so that phrases never match across value boundaries.
 
 Each composite field keeps its postings as one set of `array("I")`
 columns. Its terms are numbered in sorted order; term i owns
@@ -39,7 +39,9 @@ It rejects with DataError:
   UTF-8;
 - analyzer languages, field names, terms or raw values that are not
   strictly ascending;
-- an unknown analyzer stage, or a field whose language has no chain;
+- a language with no analyzer profile, a stage table that is not its
+  language's profile (with or without the stopword stage), or a field
+  whose language has no chain;
 - a repeated doc_id;
 - offsets (`starts`, `pos_starts`, raw-value starts) that do not have
   one more entry than their table, do not start at 0, descend, or do
@@ -64,9 +66,9 @@ from operator import eq, ge, le, lt, sub
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import STAGE_NAMES, AnalyzerChain
+from .analysis import LANGUAGES, AnalyzerChain
 from .corpus import CONCEPT_FIELDS, DEFAULT_SCHEMA, Document
-from .errors import AnalysisError, DataError, EmptyCorpusError, UnknownFieldError
+from .errors import AnalysisError, DataError, DuplicateDocumentError, EmptyCorpusError, UnknownFieldError
 from .files import write_atomic
 
 ALL_FIELD = "chic_all"
@@ -80,6 +82,9 @@ SNAPSHOT_FILENAME = "index.bin"
 if array("I").itemsize != 4:
     raise ImportError("sparse_expand.index needs array('I') items of 4 bytes")
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# Field name -> its place in the union field's order.
+_SCHEMA_ORDER = {name: i for i, name in enumerate(DEFAULT_SCHEMA)}
 
 # One term's postings: doc ordinals, tfs, positions.
 Columns = tuple[array, array, array]
@@ -339,8 +344,10 @@ class Index:
         return self._doc_rank
 
     def search(self, query: Query, k: int) -> list[ScoredDoc]:
-        """Rank documents for a disjunctive query; raw clause text is
-        analyzed with the field's chain at query time."""
+        """The top `k` (at least 1) documents for a disjunctive query; raw
+        clause text is analyzed with the field's chain at query time."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         scores: dict[int, float] = {}
         get = scores.get
         for clause in query.clauses:
@@ -464,12 +471,13 @@ class Index:
 
         chains: dict[str, AnalyzerChain] = {}
         for lang in take_sorted_table("analyzer languages"):
+            if lang not in LANGUAGES:
+                raise bad(f"no analyzer profile for language {lang!r}")
             stages = tuple(take_table())
-            unknown = sorted(set(stages) - STAGE_NAMES)
-            if unknown:
-                raise bad(f"unknown analyzer stage {unknown[0]!r}")
             words = frozenset(take_table())
-            chains[lang] = AnalyzerChain(lang=lang, stages=stages, stopword_list=words)
+            chain = chains[lang] = AnalyzerChain(lang, words, "stopwords" not in stages)
+            if chain.stages != stages:
+                raise bad(f"stage table of language {lang!r} is not its profile")
 
         doc_ids = take_table()
         n_docs = len(doc_ids)
@@ -560,26 +568,22 @@ def _positions_of(columns: Columns, docs: Sequence[int]) -> list[array]:
     return out
 
 
-def build_index(
-    corpus: Iterable[Document],
-    chains: Mapping[str, AnalyzerChain],
-    schema: Sequence[str] = DEFAULT_SCHEMA,
-) -> Index:
+def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain]) -> Index:
     """Analyze and index a document stream.
 
-    Raises on an empty corpus or on a document whose language has no
-    chain. Field order inside the union field is schema order, then any
-    extra (lax-ingested) fields lexicographically. Raw values are kept
-    for the concept fields only.
+    Raises on an empty corpus, a repeated doc_id, or a document whose
+    language has no chain. Field order inside the union field is
+    `DEFAULT_SCHEMA` order, then any extra (lax-ingested) fields
+    lexicographically. Raw values are kept for the concept fields only.
     """
     docs = list(corpus)
     if not docs:
         raise EmptyCorpusError("empty corpus")
-    schema_order = {name: i for i, name in enumerate(schema)}
 
     postings: dict[str, dict[str, Columns]] = {}
     raw_values: dict[str, dict[str, set[int]]] = {}
     doc_ids: list[str] = []
+    seen: set[str] = set()
 
     def add_segment(
         per_term: dict[str, list[int]], tokens: Sequence[str], start: int
@@ -601,12 +605,13 @@ def build_index(
     for ordinal, doc in enumerate(docs):
         if doc.lang not in chains:
             raise DataError(f"no analyzer chain for language {doc.lang!r}")
+        if doc.doc_id in seen:
+            raise DuplicateDocumentError(f"repeated doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
         chain = chains[doc.lang]
         doc_ids.append(doc.doc_id)
 
-        names = sorted(
-            doc.fields, key=lambda n: (schema_order.get(n, len(schema_order)), n)
-        )
+        names = sorted(doc.fields, key=lambda n: (_SCHEMA_ORDER.get(n, len(_SCHEMA_ORDER)), n))
         all_terms: dict[str, list[int]] = {}
         all_pos = 0
 

@@ -14,6 +14,7 @@ reader checks the ranks it reads before it drops them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -52,6 +53,8 @@ class SuggestionSet:
             return
         texts, scores = zip(*self.suggestions)
         floats = tuple(map(float, scores))
+        if not all(map(math.isfinite, floats)):
+            raise DataError(f"suggestion scores for topic {self.topic_id!r} must be finite")
         if any(map(lt, floats, floats[1:])):
             raise DataError(f"suggestion scores for topic {self.topic_id!r} increase with rank")
         if len(set(texts)) != len(texts):

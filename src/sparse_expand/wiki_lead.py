@@ -25,7 +25,7 @@ from .analysis import chain_for, query_tokens, tokenize
 from .corpus import Document, Topic
 from .errors import DataError
 from .files import read_titled_files
-from .index import Index, Phrase, Query, Term, build_index
+from .index import Phrase, Query, Term, build_index
 from .suggestions import SuggestionSet, make_suggestion_set, reciprocal_rank_scores
 
 _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
@@ -209,10 +209,8 @@ class ArticleStore:
             raise DataError("article store is empty")
         self._chain = chain_for(lang)
         self._title_field = f"title-{lang}"
-        self._index = build_index(docs, {lang: self._chain}, schema=("title",))
-        self._index_exact = build_index(
-            docs, {lang: chain_for(lang, keep_stopwords=True)}, schema=("title",)
-        )
+        self._index = build_index(docs, {lang: self._chain})
+        self._index_exact = build_index(docs, {lang: chain_for(lang, keep_stopwords=True)})
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":
@@ -235,63 +233,39 @@ class ArticleStore:
     def wikitext(self, title: str) -> str:
         return self._articles[title]
 
-    def _best(self, index: Index, query: Query) -> tuple[str, float] | None:
-        hits = index.search(query, k=len(self._articles))
-        if not hits:
-            return None
-        # Hits arrive by descending score: only the leading ties compete.
-        top = hits[0].score
-        tied = itertools.takewhile(lambda hit: hit.score == top, hits)
-        return min((hit.doc_id for hit in tied), key=lambda title: (len(title), title)), top
-
     def match(self, topic_title: str) -> MatchResult | None:
         """Resolve a topic title through four stages.
 
         (a) the words as given, in order; (b) the stopword-free words in
-        order; (c) every ordering of the stopword-free word set; (d) the
-        best single word. The first stage with a hit wins; within a
-        stage the highest score wins, ties broken by shorter then
-        lexicographically smaller title.
+        order; (c) every ordering of the stopword-free word set; (d) each
+        single word. A stage searches each of its clauses on its own; the
+        first stage with a hit wins, and its winner is the hit with the
+        highest score, ties broken by shorter then lexicographically
+        smaller title.
         """
         field = self._title_field
         surface = tokenize(topic_title)
         if not surface:
             return None
-
-        hit = self._best(self._index_exact, Query((Phrase(field, tuple(surface)),)))
-        if hit:
-            return MatchResult(hit[0], "original", hit[1])
-
         tokens = query_tokens(self._chain, topic_title)
-        if tokens:
-            hit = self._best(self._index, Query((Phrase(field, tuple(tokens)),)))
-            if hit:
-                return MatchResult(hit[0], "stopword_free", hit[1])
-
-        def best_of(hits: list[tuple[str, float]]) -> tuple[str, float] | None:
-            if not hits:
-                return None
-            return min(hits, key=lambda h: (-h[1], len(h[0]), h[0]))
-
         token_set = sorted(set(tokens))
-        if 2 <= len(token_set) <= MAX_PERMUTATION_TOKENS:
-            hits = [
-                hit
-                for ordering in itertools.permutations(token_set)
-                if (hit := self._best(self._index, Query((Phrase(field, ordering),))))
-            ]
-            winner = best_of(hits)
-            if winner:
-                return MatchResult(winner[0], "permutation", winner[1])
-
-        hits = [
-            hit
-            for token in tokens
-            if (hit := self._best(self._index, Query((Term(field, token),))))
-        ]
-        winner = best_of(hits)
-        if winner:
-            return MatchResult(winner[0], "single_word", winner[1])
+        orderings = (
+            itertools.permutations(token_set)
+            if 2 <= len(token_set) <= MAX_PERMUTATION_TOKENS
+            else ()
+        )
+        stages = (
+            ("original", self._index_exact, [Phrase(field, surface)]),
+            ("stopword_free", self._index, [Phrase(field, tokens)] if tokens else []),
+            ("permutation", self._index, (Phrase(field, ordering) for ordering in orderings)),
+            ("single_word", self._index, [Term(field, token) for token in tokens]),
+        )
+        k = len(self._articles)
+        for stage, index, clauses in stages:
+            hits = [hit for clause in clauses for hit in index.search(Query((clause,)), k)]
+            if hits:
+                title, score = min(hits, key=lambda hit: (-hit.score, len(hit.doc_id), hit.doc_id))
+                return MatchResult(title, stage, score)
         return None
 
 

@@ -295,9 +295,11 @@ def naive_strip_markup(text: str) -> tuple[str, bool]:
 
 def naive_suggestion_set_ok(rows) -> bool:
     """Whether (text, rank, score) rows in list order form a valid set:
-    ranks 1..k, scores non-increasing as floats, texts unique."""
+    ranks 1..k, scores finite and non-increasing as floats, texts unique."""
     for i, (text, rank, score) in enumerate(rows):
         if rank != i + 1:
+            return False
+        if not math.isfinite(float(score)):
             return False
         if i > 0 and float(score) > float(rows[i - 1][2]):
             return False

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_chain_run
 from sparse_expand import analysis
 from sparse_expand.analysis import (
+    LANGUAGES,
     AnalyzerChain,
     analyze,
     chain_for,
@@ -209,10 +213,20 @@ def test_chain_unknown_language():
         chain_for("fr")
 
 
-def test_chain_unknown_stage():
-    chain = AnalyzerChain(lang="en", stages=("tokenize", "mystery"), stopword_list=frozenset())
-    with pytest.raises(ValueError):
-        chain.run("x")
+def test_chain_profiles_are_fixed():
+    with pytest.raises(ValueError, match="no analyzer profile for language: 'fr'"):
+        AnalyzerChain("fr")
+    with pytest.raises(ValueError, match="no analyzer profile for language: 'fr'"):
+        chain_for("fr", frozenset({"le"}))
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = dict(re.findall(r"- `(\w+)`: tokenize .*?Stage\s+names:\s+`([^`]+)`", readme, re.S))
+    assert sorted(listed) == sorted(LANGUAGES) == ["de", "en"]
+    for lang, names in listed.items():
+        stages = tuple(names.split())
+        assert chain_for(lang).stages == stages
+        kept = chain_for(lang, keep_stopwords=True)
+        assert kept.stages == tuple(s for s in stages if s != "stopwords")
+        assert kept.keep_stopwords and not chain_for(lang).keep_stopwords
 
 
 def test_builtin_list_sizes():
@@ -248,6 +262,7 @@ _CHAINS = {
     "en": lambda: chain_for("en"),
     "de": lambda: chain_for("de"),
     "en_keep_stopwords": lambda: chain_for("en", keep_stopwords=True),
+    "de_keep_stopwords": lambda: chain_for("de", keep_stopwords=True),
     "de_custom_stopwords": lambda: chain_for(
         "de", stopword_list=frozenset({"whale", "gemälde", "s"})
     ),

@@ -216,6 +216,20 @@ def test_eval_se(tmp_path, capsys):
     assert "T1" in out and "1.0000" in out and "0.5000" in out
 
 
+def test_eval_se_rejects_a_non_finite_score(tmp_path, capsys):
+    # A nan between 1.0 and 5.0 would otherwise hide the rising score.
+    suggestions = tmp_path / "sugg.tsv"
+    suggestions.write_text(
+        "T1\t1\talpha\t1.0\tSTR\nT1\t2\tbeta\tnan\tSTR\nT1\t3\tgamma\t5.0\tSTR\n",
+        encoding="utf-8",
+    )
+    judgments = tmp_path / "judg.tsv"
+    judgments.write_text("T1\t1\t2\nT1\t2\t1\nT1\t3\t0\n", encoding="utf-8")
+    argv = ["eval", "se", "--suggestions", str(suggestions), "--judgments", str(judgments)]
+    assert main(argv) == 2
+    assert "suggestion scores for topic 'T1' must be finite" in capsys.readouterr().err
+
+
 def test_run_pipeline_command(tmp_path):
     workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
     config = tmp_path / "config.json"
@@ -704,6 +718,43 @@ def test_index_search_on_a_mutated_query_file_exits_with_a_documented_code(
     snapshot = index_inputs["index"].read_bytes()
     queries = _mutated(index_inputs["queries"].read_bytes(), query_edits)
     assert _search_exit_code(tmp_path_factory.mktemp("case"), snapshot, queries) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc_edits=_EDITS, lax=st.booleans())
+def test_corpus_stats_on_mutated_docs_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, doc_edits, lax
+):
+    docs = tmp_path_factory.mktemp("case") / "docs.jsonl"
+    docs.write_bytes(_mutated(index_inputs["docs"].read_bytes(), doc_edits))
+    argv = ["corpus", "stats", "--docs", str(docs)] + (["--lax"] if lax else [])
+    assert main(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def wiki_lead_inputs(tmp_path_factory):
+    return build_pipeline_workspace(tmp_path_factory.mktemp("wiki-lead-fuzz"), n_docs=30, n_topics=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(article_edits=_EDITS, topic_edits=_EDITS, which=st.integers(0, 10**6))
+def test_suggest_wiki_lead_on_mutated_inputs_exits_with_a_documented_code(
+    tmp_path_factory, wiki_lead_inputs, article_edits, topic_edits, which
+):
+    work = tmp_path_factory.mktemp("case")
+    topics = work / "topics.jsonl"
+    topics.write_bytes(_mutated(Path(wiki_lead_inputs["topics"]).read_bytes(), topic_edits))
+    articles = work / "articles"
+    articles.mkdir()
+    files = sorted(Path(wiki_lead_inputs["articles"]).iterdir())
+    for i, source in enumerate(files):
+        data = source.read_bytes()
+        if i == which % len(files):
+            data = _mutated(data, article_edits)
+        (articles / source.name).write_bytes(data)
+    argv = ["suggest", "wiki-lead", "--articles", str(articles), "--topics", str(topics),
+            "--out", str(work / "out.tsv")]
+    assert main(argv) in (0, 1, 2)
 
 
 @pytest.fixture(scope="module")

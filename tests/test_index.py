@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from conftest import WORDS, random_corpus
 from oracles import field_token_positions, naive_search, naive_str_scores
 from sparse_expand.analysis import chain_for
-from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic
+from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic, ingest_documents
 from sparse_expand.errors import (
     AnalysisError,
     DataError,
+    DuplicateDocumentError,
     EmptyCorpusError,
     UnknownFieldError,
 )
-from sparse_expand.analysis import AnalyzerChain
 from sparse_expand.index import (
     SNAPSHOT_FILENAME,
     SNAPSHOT_MAGIC,
@@ -29,6 +29,7 @@ from sparse_expand.index import (
     Term,
     build_index,
 )
+from sparse_expand.stopwords import load_stopwords
 from sparse_expand.str_recommender import CooccurConfig, suggest_str
 
 CHAINS = {"en": chain_for("en"), "de": chain_for("de")}
@@ -65,6 +66,13 @@ def test_missing_chain_for_language():
     doc = Document("d0", "fr", {"dc:title": ("bonjour",)})
     with pytest.raises(DataError):
         build_index([doc], CHAINS)
+
+
+def test_build_rejects_a_repeated_doc_id():
+    docs = [_doc(0, **{"dc:title": ["whale"]}), _doc(1, **{"dc:title": ["ship"]})]
+    docs.append(Document("d0", "de", {"dc:title": ("Schiff",)}))
+    with pytest.raises(DuplicateDocumentError, match="repeated doc_id 'd0'"):
+        build_index(docs, CHAINS)
 
 
 def test_search_single_match():
@@ -201,6 +209,13 @@ def test_result_cap():
     docs = [_doc(i, **{"dc:title": ["whale"]}) for i in range(10)]
     idx = _index(docs)
     assert len(idx.search(Query((Term("dc:title-en", "whale"),)), 3)) == 3
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_depth_below_one_is_rejected(k):
+    idx = _index([_doc(i, **{"dc:title": ["whale"]}) for i in range(3)])
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        idx.search(Query((Term("dc:title-en", "whale"),)), k)
 
 
 def _random_query(rng, fields=("chic_all-en", "dc:title-en", "dc:description-en")):
@@ -385,42 +400,55 @@ def _u32s(*values):
     return struct.pack(f"<{len(values)}I", *values)
 
 
-# Each case is (columns of term "x", raw-value docs of "x", stages, field,
-# patch). Term "y" always holds _GOOD, so in a valid snapshot the field's
-# `starts` column is [0, 2, 4] and its terms table is lengths [1, 1] with
-# blob "xy". A patch is (old bytes, new bytes, expected error): the test
-# saves a valid snapshot and replaces the one place holding the old bytes.
+# Each case is (columns of term "x", raw-value docs of "x", field, patch).
+# Term "y" always holds _GOOD, so in a valid snapshot the field's `starts`
+# column is [0, 2, 4] and its terms table is lengths [1, 1] with blob "xy";
+# the one language table is lengths [2] with blob "en". A patch is (old
+# bytes, new bytes, expected error): the test saves a valid snapshot and
+# replaces the one place holding the old bytes.
 _INCONSISTENT = [
-    (_columns([0, 2], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # ordinal >= n_docs
-    (_columns([1, 0], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # not ascending
-    (_columns([1, 1], [1, 1], [0, 0]), (0,), ("tokenize",), "t-en", None),  # repeated doc
-    (_columns([0, 1], [0, 2], [0, 1]), (0,), ("tokenize",), "t-en", None),  # tf 0
-    (_columns([0, 1], [1, 2], [0, 1]), (0,), ("tokenize",), "t-en", None),  # tfs != positions
-    (_GOOD, (0, 2), ("tokenize",), "t-en", None),  # raw-value ordinal >= n_docs
-    (_GOOD, (1, 0), ("tokenize",), "t-en", None),  # raw-value ordinals not ascending
-    (_GOOD, (0,), ("tokenize", "mystery"), "t-en", None),  # unknown stage
-    (_GOOD, (0,), ("tokenize",), "t-fr", None),  # no chain for the field
-    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 5, 4), "bad posting start")),
-    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
-    (_GOOD, (0,), ("tokenize",), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
-    (_GOOD, (0,), ("tokenize",), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
+    (_columns([0, 2], [1, 1], [0, 0]), (0,), "t-en", None),  # ordinal >= n_docs
+    (_columns([1, 0], [1, 1], [0, 0]), (0,), "t-en", None),  # not ascending
+    (_columns([1, 1], [1, 1], [0, 0]), (0,), "t-en", None),  # repeated doc
+    (_columns([0, 1], [0, 2], [0, 1]), (0,), "t-en", None),  # tf 0
+    (_columns([0, 1], [1, 2], [0, 1]), (0,), "t-en", None),  # tfs != positions
+    (_GOOD, (0, 2), "t-en", None),  # raw-value ordinal >= n_docs
+    (_GOOD, (1, 0), "t-en", None),  # raw-value ordinals not ascending
+    (_GOOD, (0,), "t-fr", None),  # no chain for the field
+    (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 5, 4), "bad posting start")),
+    (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
+    (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
+    (_GOOD, (0,), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
+    (_GOOD, (0,), "t-en", (b"porter_stem", b"porter_stom", "stage table of language 'en' is not its profile")),
+    (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en", _u32s(1, 2, 2) + b"fr", "no analyzer profile for language 'fr'")),
 ]
-_PATCHED_IDS = ["descending-offsets", "last-offset-not-column-length", "repeated-term", "lengths-disagree-with-blob"]
+_PATCHED_IDS = [
+    "descending-offsets",
+    "last-offset-not-column-length",
+    "repeated-term",
+    "lengths-disagree-with-blob",
+    "renamed-stage",
+    "language-without-profile",
+]
 
 
 @pytest.mark.parametrize(
-    "columns, raw_docs, stages, field, patch",
+    "columns, raw_docs, field, patch",
     _INCONSISTENT,
-    # The unpatched cases keep the ids they had before the patch cases.
-    ids=[f"columns{i}-raw_docs{i}-stages{i}-{case[3]}" for i, case in enumerate(_INCONSISTENT[:9])]
+    # The unpatched cases keep the ids they had when each case also named
+    # a stage list; the one that tested an unknown stage is "renamed-stage".
+    ids=[
+        f"columns{i}-raw_docs{i}-stages{i}-{case[2]}"
+        for i, case in zip((0, 1, 2, 3, 4, 5, 6, 8), _INCONSISTENT[:8])
+    ]
     + _PATCHED_IDS,
 )
-def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, stages, field, patch):
+def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, field, patch):
     idx = Index(
         doc_ids=["d0", "d1"],
         postings={field: {"x": columns, "y": _GOOD}},
         raw_values={field: {"x": raw_docs}},
-        chains={"en": AnalyzerChain("en", stages)},
+        chains={"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
@@ -439,7 +467,7 @@ def test_snapshot_rejects_repeated_doc_ids(tmp_path):
         doc_ids=["d0", "d0"],
         postings={"t-en": {"x": _GOOD}},
         raw_values={},
-        chains={"en": AnalyzerChain("en", ("tokenize",))},
+        chains={"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
@@ -452,7 +480,7 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
         doc_ids=["d0", "d1"],
         postings={"t-en": {"x": _GOOD}},
         raw_values={"t-en": {"x": (0,)}},
-        chains={"en": AnalyzerChain("en", ("tokenize",))},
+        chains={"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
@@ -481,6 +509,45 @@ def test_snapshot_of_version_3_is_rejected():
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 3)
     with pytest.raises(DataError, match="unsupported snapshot version 3"):
         Index.load(path)
+
+
+def test_snapshot_of_version_4_still_loads(tmp_path):
+    # tests/data/index_v4: `index build --stopwords stopwords.txt` over
+    # docs.jsonl (three en and three de documents), written by the code
+    # before chains became fixed profiles
+    data = Path(__file__).parent / "data" / "index_v4"
+    path = data / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 4)
+    stopwords = load_stopwords(data / "stopwords.txt")
+    chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
+    loaded = Index.load(path)
+    assert loaded.chains == chains
+    fresh = build_index(ingest_documents(data / "docs.jsonl").documents, chains)
+    fresh.save(tmp_path / SNAPSHOT_FILENAME)
+    assert (tmp_path / SNAPSHOT_FILENAME).read_bytes() == path.read_bytes()
+    queries = [
+        Query((Term("enrichment:concept_label-en", "whales"), Phrase("chic_all-en", ("sea", "stories")))),
+        Query((Term("chic_all-en", "the"), Phrase("dc:title-en", ("Moby", "Dick's")))),
+        Query((Phrase("dc:title-de", ("alte", "Mann")), Term("chic_all-de", "Häuser"))),
+        Query((Term("chic_all-de", "Meer"), Term("dc:description-de", "über"))),
+    ]
+    for query in queries:
+        assert loaded.search(query, 10) == fresh.search(query, 10)
+    assert [len(loaded.search(query, 10)) for query in queries] == [3, 1, 2, 2]
+
+
+def test_a_chain_that_keeps_stopwords_survives_save_and_load(tmp_path):
+    chains = {"en": chain_for("en", keep_stopwords=True)}
+    docs = [_doc(0, **{"dc:title": ["the whale"]}), _doc(1, **{"dc:title": ["a whale"]})]
+    fresh = build_index(docs, chains)
+    fresh.save(tmp_path / SNAPSHOT_FILENAME)
+    loaded = Index.load(tmp_path / SNAPSHOT_FILENAME)
+    assert loaded.chains == chains
+    assert loaded.chains["en"].keep_stopwords
+    assert "stopwords" not in loaded.chains["en"].stages
+    query = Query((Phrase("dc:title-en", ("the", "whale")),))
+    assert [hit.doc_id for hit in loaded.search(query, 10)] == ["d0"]
+    assert loaded.search(query, 10) == fresh.search(query, 10)
 
 
 def test_only_concept_fields_keep_raw_values(tmp_path):

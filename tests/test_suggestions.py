@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ _SCORES = st.one_of(
     st.floats(min_value=-2, max_value=2, allow_nan=False),
     st.fractions(min_value=-2, max_value=2, max_denominator=6),
     st.sampled_from([0.5, Fraction(1, 2), 1 / 3, Fraction(1, 3), 0.0, Fraction(0)]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 
 
@@ -72,6 +74,9 @@ def test_suggestion_set_accepts_exactly_what_the_naive_predicate_accepts(tmp_pat
         ["T\t1\ta\t0.5\tSTR", "T\t1\tb\t0.4\tSTR"],  # repeated rank
         ["T\t1\ta\t0.4\tSTR", "T\t2\tb\t0.5\tSTR"],  # rising scores
         ["T\t1\ta\t0.5\tSTR", "T\t2\ta\t0.4\tSTR"],  # repeated text
+        ["T\t1\ta\t1.0\tSTR", "T\t2\tb\tnan\tSTR", "T\t3\tc\t5.0\tSTR"],  # nan hides a rise
+        ["T\t1\ta\tinf\tSTR", "T\t2\tb\t0.4\tSTR"],  # infinite score
+        ["T\t1\ta\t0.5\tSTR", "T\t2\tb\t-inf\tSTR"],  # infinite score
     ],
 )
 def test_suggestion_file_rejects_a_malformed_set(tmp_path, lines):
@@ -90,3 +95,10 @@ def test_make_suggestion_set_keeps_text_and_score_in_rank_order():
     assert repr(sset.suggestions[1]) == "ConceptSuggestion(text='Ship', score=0.5)"
     assert sset.system == "WIKI_SIM"
     assert make_suggestion_set("T", "STR", []).suggestions == ()
+
+
+@pytest.mark.parametrize("scores", [(1.0, math.nan, 5.0), (math.inf, 0.5), (0.5, -math.inf), (math.nan,)])
+def test_suggestion_set_rejects_a_non_finite_score(scores):
+    pairs = [(f"c{i}", score) for i, score in enumerate(scores)]
+    with pytest.raises(DataError, match="suggestion scores for topic 'T' must be finite"):
+        make_suggestion_set("T", "STR", pairs)
