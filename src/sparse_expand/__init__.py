@@ -8,7 +8,7 @@ with standard IR metrics.
 
 __version__ = "0.1.0"
 
-from .analysis import AnalyzerChain, Token, analyze, chain_for, de_normalize, porter_stem
+from .analysis import AnalyzerChain, chain_for, de_normalize, porter_stem
 from .corpus import (
     DEFAULT_SCHEMA,
     CoverageReport,

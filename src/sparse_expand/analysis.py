@@ -10,8 +10,8 @@ with the stopword stage either applied or dropped:
 A chain is immutable and pure: analyzing the same input twice yields the
 same token list.
 
-Positions are assigned after stopword removal, so surviving tokens are
-numbered 0..k-1 with no gaps.
+The index assigns positions after stopword removal, so a value's
+surviving tokens are numbered 0..k-1 with no gaps.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from . import stopwords as _stopwords
 from .porter import porter_stem
 
 __all__ = [
-    "Token",
     "AnalyzerChain",
-    "analyze",
     "chain_for",
     "tokenize",
     "porter_stem",
@@ -71,12 +69,6 @@ def de_light_stem(term: str) -> str:
         if term.endswith(suffix) and len(term) - len(suffix) >= 4:
             return term[: -len(suffix)]
     return term
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    position: int
 
 
 # Each built-in profile's stages, in order: README "Analysis" and the
@@ -154,11 +146,6 @@ def chain_for(
     if stopword_list is None:
         stopword_list = _stopwords.BY_LANG.get(lang, frozenset())  # AnalyzerChain checks lang
     return AnalyzerChain(lang, stopword_list, keep_stopwords)
-
-
-def analyze(chain: AnalyzerChain, text: str) -> list[Token]:
-    """Run the chain; positions are consecutive over surviving tokens."""
-    return [Token(t, i) for i, t in enumerate(chain.run(text))]
 
 
 def query_tokens(chain: AnalyzerChain, text: str) -> list[str]:

@@ -125,12 +125,8 @@ class Topic:
 @dataclass
 class IngestResult:
     documents: list[Document]
-    accepted: int
     rejected: int
     reject_reasons: Counter
-
-    def __iter__(self):
-        return iter(self.documents)
 
 
 def _json_object(line: str) -> dict:
@@ -226,12 +222,7 @@ def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
             raise DuplicateDocumentError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
         documents.append(doc)
-    return IngestResult(
-        documents=documents,
-        accepted=len(documents),
-        rejected=rejected,
-        reject_reasons=reasons,
-    )
+    return IngestResult(documents=documents, rejected=rejected, reject_reasons=reasons)
 
 
 def _parse_topic(obj: dict) -> Topic:

@@ -6,6 +6,10 @@ File formats follow the TREC conventions:
     qrels:     topic_id 0 doc_id grade                 (grades 0, 1, 2)
     judgments: topic_id rank grade                     (tab separated)
 
+A qrels file grades each (topic, doc) once, and a judgments file each
+(topic, rank) once, with ranks from 1; a repeat is a data error, not a
+silent override. Run ids are non-empty and hold no whitespace.
+
 In memory a run is `{topic_id: [ScoredDoc, ...]}`, each topic's hits in
 rank order, as `Index.search` returns them. The writer numbers the ranks
 and writes the run tag it is given; the reader checks the ranks, then
@@ -22,7 +26,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import starmap
-from operator import lt
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,7 +43,14 @@ RELEVANCE_THRESHOLD = 1
 
 
 def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]:
-    """The run file's lines: topics in mapping order, hits in rank order."""
+    """The run file's lines: topics in mapping order, hits in rank order.
+
+    Raises DataError for an empty topic or doc id, or one holding
+    whitespace, which `read_run_file` could not split back."""
+    ids = set(run).union(*(map(itemgetter(0), hits) for hits in run.values()))
+    bad = [i for i in ids if i.split() != [i]]
+    if bad:
+        raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
     return [
         f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
         for topic_id, hits in run.items()
@@ -93,17 +104,11 @@ def read_qrels_file(path: str | Path) -> dict[str, dict[str, int]]:
             raise DataError(f"{path}:{lineno}: bad grade") from None
         if grade not in GRADES:
             raise DataError(f"{path}:{lineno}: grade must be one of {GRADES}")
-        qrels.setdefault(topic_id, {})[doc_id] = grade
+        grades = qrels.setdefault(topic_id, {})
+        if doc_id in grades:
+            raise DataError(f"{path}:{lineno}: repeated doc {doc_id!r} for topic {topic_id!r}")
+        grades[doc_id] = grade
     return qrels
-
-
-def write_qrels_file(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -> None:
-    lines = [
-        f"{topic_id} 0 {doc_id} {grade}"
-        for topic_id in sorted(qrels)
-        for doc_id, grade in sorted(qrels[topic_id].items())
-    ]
-    write_lines(path, lines)
 
 
 def _relevant_docs(judgments: Mapping[str, int]) -> set[str]:
@@ -219,7 +224,12 @@ def read_judgments_file(path: str | Path) -> dict[str, dict[int, int]]:
             raise DataError(f"{path}:{lineno}: bad rank or grade") from None
         if grade not in GRADES:
             raise DataError(f"{path}:{lineno}: grade must be one of {GRADES}")
-        judgments.setdefault(topic_id, {})[rank] = grade
+        if rank < 1:
+            raise DataError(f"{path}:{lineno}: rank must be at least 1")
+        grades = judgments.setdefault(topic_id, {})
+        if rank in grades:
+            raise DataError(f"{path}:{lineno}: repeated rank {rank} for topic {topic_id!r}")
+        grades[rank] = grade
     return judgments
 
 

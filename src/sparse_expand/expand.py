@@ -236,13 +236,16 @@ def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> 
 
 
 def read_query_file(path: str | Path) -> list[tuple[str, Query]]:
-    """(topic id, query) per line; a topic id may appear only once."""
+    """(topic id, query) per line; a topic id holds no whitespace and
+    may appear only once."""
     queries: dict[str, Query] = {}
     for lineno, line in read_lines(path):
         topic_id, sep, expression = line.partition("\t")
         topic_id = topic_id.strip()
         if not sep or not topic_id:
             raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>expression'")
+        if any(map(str.isspace, topic_id)):
+            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
         if topic_id in queries:
             raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
         queries[topic_id] = parse_query(expression)

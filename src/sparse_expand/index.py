@@ -27,22 +27,29 @@ Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
 other field keeps none.
 
+Every `Index` is made by one constructor, from finished field columns
+and raw-value maps; `build_index` and `Index.load` both call it. The
+constructor checks what holds for any index, however it was made: it
+raises DuplicateDocumentError for a repeated doc_id and DataError for a
+field whose language has no chain. So `save` cannot write a snapshot
+that `load` rejects for either reason.
+
 The version 4 snapshot (README "Snapshot format") stores every string
 list as a table, a u32 length column and one UTF-8 blob, and every
 column as a u32 count and its values. `Index.load` decodes each blob
 once, reads each column with one `frombytes`, and checks whole columns
 with C-level iterators, so it runs no Python loop per term or posting.
-It rejects with DataError:
+The decoder checks the bytes and columns; `load` then reports the
+constructor's errors as a malformed snapshot too. The decoder rejects
+with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
 - a table whose lengths disagree with its blob, or whose blob is not
   UTF-8;
 - analyzer languages, field names, terms or raw values that are not
   strictly ascending;
-- a language with no analyzer profile, a stage table that is not its
-  language's profile (with or without the stopword stage), or a field
-  whose language has no chain;
-- a repeated doc_id;
+- a language with no analyzer profile, or a stage table that is not its
+  language's profile (with or without the stopword stage);
 - offsets (`starts`, `pos_starts`, raw-value starts) that do not have
   one more entry than their table, do not start at 0, descend, or do
   not end at their column's length;
@@ -198,15 +205,25 @@ class Index:
     def __init__(
         self,
         doc_ids: Sequence[str],
-        postings: Mapping[str, Mapping[str, Columns]],
-        raw_values: Mapping[str, Mapping[str, Sequence[int]]],
+        fields: Mapping[str, _FieldColumns],
+        raw_values: Mapping[str, Mapping[str, tuple[int, ...]]],
         chains: Mapping[str, AnalyzerChain],
     ):
+        """Store finished field columns and raw-value maps as given.
+
+        Raises DuplicateDocumentError for a repeated doc_id and DataError
+        for a field whose language has no chain."""
         self._doc_ids = tuple(doc_ids)
-        self._fields = {f: _concatenate(terms) for f, terms in postings.items()}
-        self._raw_values = {
-            f: {v: tuple(ds) for v, ds in vals.items()} for f, vals in raw_values.items()
-        }
+        seen: set[str] = set()
+        for doc_id in self._doc_ids:
+            if doc_id in seen:
+                raise DuplicateDocumentError(f"repeated doc_id {doc_id!r}")
+            seen.add(doc_id)
+        for name in fields:
+            if name.rpartition("-")[2] not in chains:
+                raise DataError(f"no analyzer chain for field {name!r}")
+        self._fields = dict(fields)
+        self._raw_values = dict(raw_values)
         self._chains = dict(chains)
         self._doc_rank: list[int] | None = None
 
@@ -283,11 +300,6 @@ class Index:
                 f"term {raw_term!r} analyzed to {len(tokens)} tokens for field {field!r}"
             )
         return tokens[0]
-
-    def df(self, field: str, raw_term: str) -> int:
-        """Document frequency of a raw term; 0 for unseen terms."""
-        columns = self._columns(field, self._analyzed_single(field, raw_term), 1)
-        return len(columns[0]) if columns else 0
 
     def doc_set(self, field: str, raw_terms: Sequence[str], mode: str = "all") -> frozenset[int]:
         """Doc ordinals matching all (intersection) or any (union) of the terms."""
@@ -408,12 +420,18 @@ class Index:
         if data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
             raise DataError(f"{path}: not an index snapshot")
         try:
-            return cls._decode(data, path)
+            parts = cls._decode(data, path)
         except (struct.error, UnicodeDecodeError, IndexError) as exc:
             raise DataError(f"{path}: malformed index snapshot: {exc}") from None
+        try:
+            return cls(*parts)
+        except DataError as exc:
+            raise DataError(f"{path}: malformed index snapshot: {exc}") from None
 
-    @classmethod
-    def _decode(cls, data: bytes, path: str | Path) -> "Index":
+    @staticmethod
+    def _decode(data: bytes, path: str | Path) -> tuple:
+        """The constructor's arguments, read from a snapshot whose bytes
+        and columns are checked."""
         offset = len(SNAPSHOT_MAGIC)
         view = memoryview(data)
 
@@ -481,15 +499,11 @@ class Index:
 
         doc_ids = take_table()
         n_docs = len(doc_ids)
-        if len(set(doc_ids)) != n_docs:
-            raise bad("repeated doc_id")
 
         names = take_sorted_table("field names")
         fields: dict[str, _FieldColumns] = {}
         raw_values: dict[str, dict[str, tuple[int, ...]]] = {}
         for name in names:
-            if name.rpartition("-")[2] not in chains:
-                raise bad(f"no analyzer chain for field {name!r}")
             terms = take_sorted_table(f"terms of field {name!r}")
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
             pos_starts = take_offsets(f"position start of field {name!r}", len(terms))
@@ -520,9 +534,7 @@ class Index:
 
         if offset != len(data):
             raise bad(f"ends at byte {offset} of {len(data)}")
-        index = cls(doc_ids, {}, {}, chains)
-        index._fields, index._raw_values = fields, raw_values  # already checked and built
-        return index
+        return doc_ids, fields, raw_values, chains
 
 
 def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
@@ -583,7 +595,6 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     postings: dict[str, dict[str, Columns]] = {}
     raw_values: dict[str, dict[str, set[int]]] = {}
     doc_ids: list[str] = []
-    seen: set[str] = set()
 
     def add_segment(
         per_term: dict[str, list[int]], tokens: Sequence[str], start: int
@@ -605,9 +616,6 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     for ordinal, doc in enumerate(docs):
         if doc.lang not in chains:
             raise DataError(f"no analyzer chain for language {doc.lang!r}")
-        if doc.doc_id in seen:
-            raise DuplicateDocumentError(f"repeated doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
         chain = chains[doc.lang]
         doc_ids.append(doc.doc_id)
 
@@ -635,8 +643,8 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
         add_postings(f"{ALL_FIELD}-{doc.lang}", ordinal, all_terms)
 
     return Index(
-        doc_ids=doc_ids,
-        postings=postings,
-        raw_values={f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
-        chains=chains,
+        doc_ids,
+        {f: _concatenate(terms) for f, terms in postings.items()},
+        {f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
+        chains,
     )

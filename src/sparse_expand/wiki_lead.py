@@ -155,7 +155,6 @@ def _link_targets(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class LeadExtract:
-    lead: str
     links: tuple[str, ...]
     used_full_article: bool
 
@@ -180,7 +179,7 @@ def extract_lead(wikitext: str, min_links: int = DEFAULT_MIN_LINKS) -> LeadExtra
         if len(full) > len(links):
             links = full
             used_full_article = True
-    return LeadExtract(lead=lead, links=tuple(links), used_full_article=used_full_article)
+    return LeadExtract(links=tuple(links), used_full_article=used_full_article)
 
 
 @dataclass(frozen=True)
@@ -198,9 +197,14 @@ class ArticleStore:
     words only matches a title that carries them too.
     """
 
-    def __init__(self, articles: dict[str, str], lang: str = "en"):
+    def __init__(self, articles: Iterable[tuple[str, str]], lang: str = "en"):
+        """Index (title, wikitext) pairs; a repeated title is a DataError."""
         self.lang = lang
-        self._articles = dict(articles)
+        self._articles: dict[str, str] = {}
+        for title, wikitext in articles:
+            if title in self._articles:
+                raise DataError(f"duplicate article title {title!r}")
+            self._articles[title] = wikitext
         docs = [
             Document(doc_id=title, lang=lang, fields={"title": (title,)})
             for title in sorted(self._articles)
@@ -215,16 +219,7 @@ class ArticleStore:
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":
         """Load `<percent-encoded-title>.wiki` files from a directory."""
-        return cls.from_pairs(read_titled_files(path, ".wiki"), lang=lang)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]], lang: str = "en") -> "ArticleStore":
-        articles: dict[str, str] = {}
-        for title, wikitext in pairs:
-            if title in articles:
-                raise DataError(f"duplicate article title {title!r}")
-            articles[title] = wikitext
-        return cls(articles, lang=lang)
+        return cls(read_titled_files(path, ".wiki"), lang=lang)
 
     @property
     def titles(self) -> list[str]:

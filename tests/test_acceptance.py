@@ -178,7 +178,7 @@ def test_criterion_05_metric_oracle():
 
 @criterion(6, "worked example: lead-link expansion serializes to the golden query file")
 def test_criterion_06_worked_example_expansion(tmp_path):
-    store = ArticleStore.from_pairs([("Moby-Dick", MOBY_WIKITEXT)])
+    store = ArticleStore([("Moby-Dick", MOBY_WIKITEXT)])
     topic = Topic("CHIC-012", "moby dick", "en")
     suggestions = suggest_wiki_lead(store, topic, k=10)
     query = build_query(topic, suggestions)

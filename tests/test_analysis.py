@@ -10,7 +10,6 @@ from sparse_expand import analysis
 from sparse_expand.analysis import (
     LANGUAGES,
     AnalyzerChain,
-    analyze,
     chain_for,
     de_light_stem,
     de_normalize,
@@ -18,6 +17,8 @@ from sparse_expand.analysis import (
     query_tokens,
     tokenize,
 )
+from sparse_expand.corpus import Document
+from sparse_expand.index import build_index
 from sparse_expand.porter import porter_stem
 from sparse_expand.stopwords import ENGLISH, GERMAN, load_stopwords
 
@@ -152,33 +153,48 @@ def test_de_light_stem_rule_table():
     assert de_light_stem("eis") == "eis"
 
 
+def _indexed(chain: AnalyzerChain, text: str) -> list[tuple[str, int]]:
+    """(term, position) pairs of `text` indexed as a one-value title, in
+    position order, read back from the index's postings."""
+    field = f"dc:title-{chain.lang}"
+    idx = build_index([Document("d", chain.lang, {"dc:title": (text,)})], {chain.lang: chain})
+    pairs = [
+        (term, position)
+        for term in idx.terms(field)
+        for posting in idx.postings(field, term)
+        for position in posting.positions
+    ]
+    return sorted(pairs, key=lambda pair: pair[1])
+
+
 def test_analyze_en_chain(en_chain):
     # tokenize, strip possessive, lowercase, stopwords, stem
-    tokens = analyze(en_chain, "Moby Dick's Whale")
-    assert [(t.text, t.position) for t in tokens] == [("mobi", 0), ("dick", 1), ("whale", 2)]
+    assert en_chain.run("Moby Dick's Whale") == ["mobi", "dick", "whale"]
+    assert _indexed(en_chain, "Moby Dick's Whale") == [("mobi", 0), ("dick", 1), ("whale", 2)]
 
 
 def test_analyze_all_stopwords(en_chain):
-    assert analyze(en_chain, "the of and") == []
+    assert en_chain.run("the of and") == []
 
 
 def test_analyze_de_chain(de_chain):
-    tokens = analyze(de_chain, "Gemälde Straße")
-    assert [(t.text, t.position) for t in tokens] == [("gemald", 0), ("strass", 1)]
+    assert de_chain.run("Gemälde Straße") == ["gemald", "strass"]
+    assert _indexed(de_chain, "Gemälde Straße") == [("gemald", 0), ("strass", 1)]
 
 
 def test_analyze_empty_input(en_chain):
-    assert analyze(en_chain, "") == []
+    assert en_chain.run("") == []
 
 
 def test_positions_contract(en_chain):
-    tokens = analyze(en_chain, "the whale and the captain of the ship")
-    assert [t.position for t in tokens] == list(range(len(tokens)))
+    # positions are assigned after stopword removal
+    text = "the whale and the captain of the ship"
+    assert _indexed(en_chain, text) == [("whale", 0), ("captain", 1), ("ship", 2)]
 
 
 def test_determinism(en_chain):
     text = "The Pequod's crew hunted whales across both oceans."
-    assert analyze(en_chain, text) == analyze(en_chain, text)
+    assert en_chain.run(text) == en_chain.run(text) == chain_for("en").run(text)
 
 
 def test_stage_idempotence_individually():
@@ -196,9 +212,9 @@ def test_stage_idempotence_individually():
 @given(st.text(max_size=80))
 def test_positions_consecutive_for_any_input(s):
     chain = chain_for("en")
-    tokens = analyze(chain, s)
-    assert [t.position for t in tokens] == list(range(len(tokens)))
-    assert all(t.text for t in tokens)
+    terms = chain.run(s)
+    assert _indexed(chain, s) == [(term, i) for i, term in enumerate(terms)]
+    assert all(terms)
 
 
 @settings(max_examples=100)

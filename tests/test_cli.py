@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pipeline_workspace, write_docs_file, write_topics_file
+from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
 from sparse_expand.corpus import Document, Topic
+from sparse_expand.index import SNAPSHOT_FILENAME, build_index
 
 
 def _coverage_fixture(tmp_path) -> Path:
@@ -518,6 +520,62 @@ def test_index_search_on_a_repeated_topic_id_exits_2(tmp_path, capsys):
     assert not run_file.exists()
 
 
+def test_index_search_on_a_topic_id_with_a_space_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(ship)\nT 1\tchic_all-en:(whale)\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
+    assert main(args) == 2
+    assert "queries.tsv:2: topic id 'T 1' contains whitespace" in capsys.readouterr().err
+    assert not run_file.exists()
+
+
+@pytest.mark.parametrize("doc_id", ["a b", ""])
+def test_index_search_on_a_doc_id_the_run_file_cannot_hold_exits_2(tmp_path, capsys, doc_id):
+    # Ingest rejects such ids; a library caller can still build and save them.
+    docs = [Document(doc_id, "en", {"dc:title": ("whale",)}), Document("c", "en", {"dc:title": ("whale",)})]
+    (tmp_path / "idx").mkdir()
+    build_index(docs, {"en": chain_for("en")}).save(tmp_path / "idx" / SNAPSHOT_FILENAME)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T1\tchic_all-en:(whale)\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", str(tmp_path / "idx"), "--query-file", str(queries)]
+    assert main(args + ["--out", str(run_file)]) == 2
+    assert f"run id {doc_id!r} is empty or contains whitespace" in capsys.readouterr().err
+    assert not run_file.exists()
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_adhoc_on_a_repeated_qrels_line_exits_2(tmp_path, capsys):
+    run = tmp_path / "run.trec"
+    run.write_text("T1 Q0 a 1 1.0 t\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("T1 0 a 2\nT2 0 a 1\nT1 0 b 1\nT1 0 a 0\n", encoding="utf-8")
+    assert main(["eval", "adhoc", "--run", str(run), "--qrels", str(qrels)]) == 2
+    assert "qrels.txt:4: repeated doc 'a' for topic 'T1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "judgments, message",
+    [
+        ("T1\t1\t2\nT2\t1\t1\nT1\t1\t0\n", "judg.tsv:3: repeated rank 1 for topic 'T1'"),
+        ("T1\t0\t2\n", "judg.tsv:1: rank must be at least 1"),
+        ("T1\t1\t2\nT1\t-3\t1\n", "judg.tsv:2: rank must be at least 1"),
+    ],
+)
+def test_eval_se_on_a_repeated_or_non_positive_rank_exits_2(tmp_path, capsys, judgments, message):
+    suggestions = tmp_path / "sugg.tsv"
+    suggestions.write_text("T1\t1\talpha\t1.000000\tSTR\n", encoding="utf-8")
+    (tmp_path / "judg.tsv").write_text(judgments, encoding="utf-8")
+    argv = ["eval", "se", "--suggestions", str(suggestions), "--judgments", str(tmp_path / "judg.tsv")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["wiki-lead", "docsim"])
 def test_suggest_lang_outside_the_analyzer_profiles_is_a_usage_error(tmp_path, capsys, command):
     workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
@@ -678,7 +736,12 @@ def index_inputs(tmp_path_factory):
     search = ["index", "search", "--index", str(index_dir), "--query-file", str(queries),
               "--out", str(root / "run.trec")]
     assert main(search) == 0
-    return {"docs": Path(workspace["docs"]), "index": index_dir / "index.bin", "queries": queries}
+    return {
+        "docs": Path(workspace["docs"]),
+        "index": index_dir / "index.bin",
+        "queries": queries,
+        "topics": Path(workspace["topics"]),
+    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -729,6 +792,44 @@ def test_corpus_stats_on_mutated_docs_exits_with_a_documented_code(
     docs.write_bytes(_mutated(index_inputs["docs"].read_bytes(), doc_edits))
     argv = ["corpus", "stats", "--docs", str(docs)] + (["--lax"] if lax else [])
     assert main(argv) in (0, 1, 2)
+
+
+def _suggest_str_exit_code(work: Path, snapshot: bytes, topics: bytes) -> int:
+    (work / "idx").mkdir()
+    (work / "idx" / "index.bin").write_bytes(snapshot)
+    (work / "topics.jsonl").write_bytes(topics)
+    return main(["suggest", "str", "--index", str(work / "idx"), "--topics",
+                 str(work / "topics.jsonl"), "--out", str(work / "out.tsv")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(snapshot_edits=_EDITS)
+def test_suggest_str_on_a_mutated_snapshot_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, snapshot_edits
+):
+    snapshot = _mutated(index_inputs["index"].read_bytes(), snapshot_edits)
+    topics = index_inputs["topics"].read_bytes()
+    assert _suggest_str_exit_code(tmp_path_factory.mktemp("case"), snapshot, topics) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topic_edits=_EDITS)
+def test_suggest_str_on_a_mutated_topics_file_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, topic_edits
+):
+    snapshot = index_inputs["index"].read_bytes()
+    topics = _mutated(index_inputs["topics"].read_bytes(), topic_edits)
+    assert _suggest_str_exit_code(tmp_path_factory.mktemp("case"), snapshot, topics) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topic_edits=_EDITS)
+def test_corpus_topic_stats_on_a_mutated_topics_file_exits_with_a_documented_code(
+    tmp_path_factory, index_inputs, topic_edits
+):
+    topics = tmp_path_factory.mktemp("case") / "topics.jsonl"
+    topics.write_bytes(_mutated(index_inputs["topics"].read_bytes(), topic_edits))
+    assert main(["corpus", "topic-stats", "--topics", str(topics)]) in (0, 1, 2)
 
 
 @pytest.fixture(scope="module")

@@ -42,7 +42,7 @@ def test_ingest_three_valid_lines(tmp_path):
         [_record(i, **{"dc:title": [f"title {i}"]}) for i in range(3)],
     )
     result = ingest_documents(f)
-    assert result.accepted == 3
+    assert len(result.documents) == 3
     assert result.rejected == 0
     assert [d.doc_id for d in result.documents] == ["d0", "d1", "d2"]
 
@@ -92,7 +92,7 @@ def test_ingest_lax_skips_and_counts(tmp_path):
         encoding="utf-8",
     )
     result = ingest_documents(f, lax=True)
-    assert result.accepted == 2
+    assert len(result.documents) == 2
     assert result.rejected == 2
     assert sum(result.reject_reasons.values()) == 2
 

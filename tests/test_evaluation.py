@@ -18,7 +18,6 @@ from sparse_expand.evaluation import (
     read_qrels_file,
     read_run_file,
     se_precision,
-    write_qrels_file,
     write_run_file,
 )
 from sparse_expand.index import ScoredDoc
@@ -254,12 +253,16 @@ def test_run_file_rejects_non_finite_scores(tmp_path, score):
         read_run_file(path)
 
 
+def _write_qrels(path, qrels):
+    lines = [f"{topic} 0 {doc} {grade}\n" for topic, grades in qrels.items() for doc, grade in grades.items()]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def test_qrels_round_trip(tmp_path):
     qrels = {"T1": {"a": 2, "b": 0}, "T2": {"c": 1}}
     path = tmp_path / "qrels.txt"
-    write_qrels_file(path, qrels)
+    _write_qrels(path, qrels)
     assert read_qrels_file(path) == qrels
-    assert path.read_text().splitlines()[0] == "T1 0 a 2"
 
 
 _IDS = st.text(min_size=1, max_size=8).filter(lambda s: not any(map(str.isspace, s)))
@@ -273,7 +276,7 @@ _IDS = st.text(min_size=1, max_size=8).filter(lambda s: not any(map(str.isspace,
 )
 def test_qrels_round_trip_property(tmp_path_factory, qrels):
     path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
-    write_qrels_file(path, qrels)
+    _write_qrels(path, qrels)
     assert read_qrels_file(path) == qrels
 
 
@@ -288,6 +291,23 @@ def test_judgments_file(tmp_path):
     path = tmp_path / "judg.tsv"
     path.write_text("T1\t1\t2\nT1\t2\t0\nT2\t1\t1\n", encoding="utf-8")
     assert read_judgments_file(path) == {"T1": {1: 2, 2: 0}, "T2": {1: 1}}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        {"T 1": [ScoredDoc("a", 1.0)]},
+        {"": [ScoredDoc("a", 1.0)]},
+        {"T1": [ScoredDoc("a", 2.0), ScoredDoc("a b", 1.0)]},
+        {"T1": [ScoredDoc("", 1.0)]},
+        {"T1": [ScoredDoc("a\u2028", 1.0)]},
+    ],
+)
+def test_run_writer_rejects_an_id_the_reader_could_not_split(tmp_path, run):
+    path = tmp_path / "run.trec"
+    with pytest.raises(DataError, match="is empty or contains whitespace"):
+        write_run_file(path, run, "t")
+    assert not path.exists()
 
 
 def test_evaluate_suggestions_rejects_mixed_systems():

@@ -27,6 +27,7 @@ from sparse_expand.index import (
     Query,
     ScoredDoc,
     Term,
+    _concatenate,
     build_index,
 )
 from sparse_expand.stopwords import load_stopwords
@@ -45,7 +46,7 @@ def _doc(i, **fields):
 
 def test_build_single_doc_all_field():
     idx = _index([_doc(0, **{"dc:title": ["moby dick"]})])
-    assert idx.df("chic_all-en", "moby") == 1
+    assert len(idx.doc_set("chic_all-en", ["moby"])) == 1
     (posting,) = idx.postings("chic_all-en", "mobi")
     assert posting.positions == (0,)
 
@@ -59,7 +60,7 @@ def test_df_counts_documents():
     idx = _index(
         [_doc(0, **{"dc:title": ["map of town"]}), _doc(1, **{"dc:title": ["old map"]})]
     )
-    assert idx.df("dc:title-en", "map") == 2
+    assert len(idx.doc_set("dc:title-en", ["map"])) == 2
 
 
 def test_missing_chain_for_language():
@@ -105,7 +106,7 @@ def test_search_matches_bruteforce_on_three_docs():
 
 def test_df_unseen_term_zero():
     idx = _index([_doc(0, **{"dc:title": ["whale"]})])
-    assert idx.df("chic_all-en", "zebra") == 0
+    assert len(idx.doc_set("chic_all-en", ["zebra"])) == 0
 
 
 def test_df_fixture_count():
@@ -114,20 +115,20 @@ def test_df_fixture_count():
         for i in range(20)
     ]
     idx = _index(docs)
-    assert idx.df("dc:title-en", "harbor") == 5
+    assert len(idx.doc_set("dc:title-en", ["harbor"])) == 5
 
 
 def test_df_analyzes_raw_term():
     idx = _index([_doc(0, **{"dc:title": ["dick the sailor"]})])
-    assert idx.df("dc:title-en", "Dick's") == 1
+    assert len(idx.doc_set("dc:title-en", ["Dick's"])) == 1
 
 
 def test_df_multi_token_raises():
     idx = _index([_doc(0, **{"dc:title": ["whale"]})])
     with pytest.raises(AnalysisError):
-        idx.df("dc:title-en", "two words")
+        idx.doc_set("dc:title-en", ["two words"])
     with pytest.raises(AnalysisError):
-        idx.df("dc:title-en", "the")
+        idx.doc_set("dc:title-en", ["the"])
 
 
 def test_doc_set_modes():
@@ -161,7 +162,7 @@ def test_doc_set_bad_mode():
 def test_unknown_field_errors():
     idx = _index([_doc(0, **{"dc:title": ["whale"]})])
     with pytest.raises(UnknownFieldError):
-        idx.df("dc:subject-en", "whale")
+        idx.doc_set("dc:subject-en", ["whale"])
     with pytest.raises(UnknownFieldError):
         idx.search(Query((Term("nope-en", "whale"),)), 5)
 
@@ -414,13 +415,13 @@ _INCONSISTENT = [
     (_columns([0, 1], [1, 2], [0, 1]), (0,), "t-en", None),  # tfs != positions
     (_GOOD, (0, 2), "t-en", None),  # raw-value ordinal >= n_docs
     (_GOOD, (1, 0), "t-en", None),  # raw-value ordinals not ascending
-    (_GOOD, (0,), "t-fr", None),  # no chain for the field
     (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 5, 4), "bad posting start")),
     (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
     (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
     (_GOOD, (0,), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
     (_GOOD, (0,), "t-en", (b"porter_stem", b"porter_stom", "stage table of language 'en' is not its profile")),
     (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en", _u32s(1, 2, 2) + b"fr", "no analyzer profile for language 'fr'")),
+    (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
 ]
 _PATCHED_IDS = [
     "descending-offsets",
@@ -429,6 +430,7 @@ _PATCHED_IDS = [
     "lengths-disagree-with-blob",
     "renamed-stage",
     "language-without-profile",
+    "field-without-chain",
 ]
 
 
@@ -436,19 +438,21 @@ _PATCHED_IDS = [
     "columns, raw_docs, field, patch",
     _INCONSISTENT,
     # The unpatched cases keep the ids they had when each case also named
-    # a stage list; the one that tested an unknown stage is "renamed-stage".
+    # a stage list. The unknown-stage case became "renamed-stage", and the
+    # field-without-chain case, which the constructor now rejects,
+    # "field-without-chain".
     ids=[
         f"columns{i}-raw_docs{i}-stages{i}-{case[2]}"
-        for i, case in zip((0, 1, 2, 3, 4, 5, 6, 8), _INCONSISTENT[:8])
+        for i, case in zip(range(7), _INCONSISTENT[:7])
     ]
     + _PATCHED_IDS,
 )
 def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, field, patch):
     idx = Index(
-        doc_ids=["d0", "d1"],
-        postings={field: {"x": columns, "y": _GOOD}},
-        raw_values={field: {"x": raw_docs}},
-        chains={"en": chain_for("en")},
+        ["d0", "d1"],
+        {field: _concatenate({"x": columns, "y": _GOOD})},
+        {field: {"x": raw_docs}},
+        {"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
@@ -458,29 +462,40 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, fie
         data = path.read_bytes()
         assert data.count(old) == 1
         path.write_bytes(data.replace(old, new))
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=match) as raised:
         Index.load(path)
+    assert str(raised.value).startswith(f"{path}: malformed index snapshot: ")
 
 
 def test_snapshot_rejects_repeated_doc_ids(tmp_path):
-    idx = Index(
-        doc_ids=["d0", "d0"],
-        postings={"t-en": {"x": _GOOD}},
-        raw_values={},
-        chains={"en": chain_for("en")},
-    )
     path = tmp_path / SNAPSHOT_FILENAME
-    idx.save(path)
-    with pytest.raises(DataError, match="repeated doc_id"):
+    _index([_doc(0, **{"dc:title": ["whale"]}), _doc(1, **{"dc:title": ["ship"]})]).save(path)
+    data = path.read_bytes()
+    assert data.count(b"d0d1") == 1
+    path.write_bytes(data.replace(b"d0d1", b"d0d0"))
+    with pytest.raises(DataError) as raised:
         Index.load(path)
+    assert str(raised.value) == f"{path}: malformed index snapshot: repeated doc_id 'd0'"
+
+
+def test_constructor_rejects_a_repeated_doc_id():
+    fields = {"t-en": _concatenate({"x": _GOOD})}
+    with pytest.raises(DuplicateDocumentError, match="^repeated doc_id 'd1'$"):
+        Index(["d0", "d1", "d2", "d1"], fields, {}, {"en": chain_for("en")})
+
+
+def test_constructor_rejects_a_field_whose_language_has_no_chain():
+    fields = {"t-en": _concatenate({"x": _GOOD}), "t-de": _concatenate({"x": _GOOD})}
+    with pytest.raises(DataError, match="^no analyzer chain for field 't-de'$"):
+        Index(["d0", "d1"], fields, {}, {"en": chain_for("en")})
 
 
 def test_snapshot_accepts_the_valid_columns(tmp_path):
     idx = Index(
-        doc_ids=["d0", "d1"],
-        postings={"t-en": {"x": _GOOD}},
-        raw_values={"t-en": {"x": (0,)}},
-        chains={"en": chain_for("en")},
+        ["d0", "d1"],
+        {"t-en": _concatenate({"x": _GOOD})},
+        {"t-en": {"x": (0,)}},
+        {"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)

@@ -215,7 +215,7 @@ def test_extract_lead_strips_markup_first():
 
 @pytest.fixture
 def store():
-    return ArticleStore.from_pairs(
+    return ArticleStore(
         [
             ("Moby-Dick", "[[Herman Melville]] novel"),
             ("Falkland Islands", "[[Atlantic Ocean]] archipelago"),
@@ -275,7 +275,7 @@ def test_match_stage_a_skips_later_stages(store):
 
 def test_store_rejects_duplicates():
     with pytest.raises(DataError):
-        ArticleStore.from_pairs([("A", "x"), ("A", "y")])
+        ArticleStore([("A", "x"), ("A", "y")])
 
 
 def test_store_from_dir(tmp_path):
@@ -303,7 +303,7 @@ MOBY_WIKITEXT = (
 
 
 def test_suggest_wiki_lead_paper_example_order():
-    store = ArticleStore.from_pairs([("Moby-Dick", MOBY_WIKITEXT)])
+    store = ArticleStore([("Moby-Dick", MOBY_WIKITEXT)])
     topic = Topic("CHIC-012", "moby dick", "en")
     result = suggest_wiki_lead(store, topic, k=10)
     assert result.texts() == [
@@ -327,13 +327,13 @@ def test_suggest_wiki_lead_no_match_is_empty(store):
 
 def test_suggest_wiki_lead_uses_fallback_links():
     wikitext = "[[Only]] one.\n== More ==\n[[Extra]] [[Links]] [[Here]]"
-    store = ArticleStore.from_pairs([("Only Article", wikitext)])
+    store = ArticleStore([("Only Article", wikitext)])
     result = suggest_wiki_lead(store, Topic("T", "only article", "en"), k=10)
     assert result.texts() == ["Only", "Extra", "Links", "Here"]
 
 
 def test_suggest_wiki_lead_caps_at_k():
     wikitext = " ".join(f"[[Link {i:02d}]]" for i in range(20))
-    store = ArticleStore.from_pairs([("Many", wikitext)])
+    store = ArticleStore([("Many", wikitext)])
     result = suggest_wiki_lead(store, Topic("T", "many", "en"), k=10)
     assert len(result.suggestions) == 10
