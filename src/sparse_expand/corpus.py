@@ -125,8 +125,12 @@ class Topic:
 @dataclass
 class IngestResult:
     documents: list[Document]
-    rejected: int
     reject_reasons: Counter
+
+    @property
+    def rejected(self) -> int:
+        """Lines skipped in lax mode."""
+        return sum(self.reject_reasons.values())
 
 
 def _json_object(line: str) -> dict:
@@ -208,13 +212,11 @@ def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
     documents: list[Document] = []
     seen: set[str] = set()
     reasons: Counter = Counter()
-    rejected = 0
     for lineno, line in read_lines(path):
         try:
             doc = _parse_document(_json_object(line), lax)
         except DataError as exc:
             if lax:
-                rejected += 1
                 reasons[str(exc)] += 1
                 continue
             raise DataError(f"{path}:{lineno}: {exc}") from None
@@ -222,7 +224,7 @@ def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
             raise DuplicateDocumentError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
         documents.append(doc)
-    return IngestResult(documents=documents, rejected=rejected, reject_reasons=reasons)
+    return IngestResult(documents=documents, reject_reasons=reasons)
 
 
 def _parse_topic(obj: dict) -> Topic:

@@ -10,7 +10,8 @@ Serialized queries group consecutive clauses sharing field and boost:
 
     chic_all-en:(moby OR dick)^2 OR chic_all-en:("Herman Melville" OR literature)
 
-Parsing inverts serialization exactly.
+Parsing inverts serialization exactly: serialization raises DataError
+for a clause the parser would read back as another one.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def build_query(
         if len(words) == 1:
             clauses.append(Term(field, words[0], 1.0))
         else:
-            clauses.append(Phrase(field, tuple(text.split()), 1.0))
+            # A phrase word holds no quote, so the query file can quote it;
+            # analysis splits at quotes anyway.
+            clauses.append(Phrase(field, tuple(text.replace('"', " ").split()), 1.0))
     return Query(tuple(clauses))
 
 
@@ -122,6 +125,10 @@ _is_text = partial(is_not, None)
 
 # -- query surface syntax ---------------------------------------------
 
+_FIELD_RE = re.compile(r'([^\s()"]+):\(')
+_BARE_RE = re.compile(r'[^\s()"]+')
+_PHRASE_WORD_RE = re.compile(r'[^\s"]+')
+
 
 def _format_boost(boost: float) -> str:
     """`^2`-style text, or the exact repr where `:g` would lose digits."""
@@ -134,13 +141,27 @@ def _format_boost(boost: float) -> str:
 
 
 def _format_clause(clause: Clause) -> str:
+    """A clause's text inside its group; DataError if `parse_query` would
+    not read it back as the same clause."""
+    if not _BARE_RE.fullmatch(clause.field):
+        raise DataError(f"query field {clause.field!r} is not one bare word")
     if isinstance(clause, Phrase):
-        return '"%s"' % " ".join(clause.terms).replace('"', "")
+        bad = [word for word in clause.terms if not _PHRASE_WORD_RE.fullmatch(word)]
+        if bad:
+            raise DataError(f"phrase word {bad[0]!r} is empty or holds a quote or whitespace")
+        return '"%s"' % " ".join(clause.terms)
+    if not _BARE_RE.fullmatch(clause.text):
+        raise DataError(f"query term {clause.text!r} is not one bare word")
     return clause.text
 
 
 def serialize_query(query: Query) -> str:
-    """Render a query, grouping runs of clauses with equal field and boost."""
+    """Render a query, grouping runs of clauses with equal field and boost.
+
+    Raises DataError for a clause the parser could not read back: a field
+    or term that is not one bare word (no whitespace, quote or
+    parenthesis), or a phrase word that is empty or holds a quote or
+    whitespace."""
     groups: list[tuple[str, float, list[Clause]]] = []
     for clause in query.clauses:
         if groups and groups[-1][0] == clause.field and groups[-1][1] == clause.boost:
@@ -154,8 +175,6 @@ def serialize_query(query: Query) -> str:
     return " OR ".join(rendered)
 
 
-_FIELD_RE = re.compile(r'([^\s()"]+):\(')
-_BARE_RE = re.compile(r'[^\s()"]+')
 _BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
 
 
@@ -230,8 +249,19 @@ def parse_query(expression: str) -> Query:
 
 
 def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> None:
-    """One `topic_id <TAB> expression` line per query."""
-    lines = [f"{topic_id}\t{serialize_query(query)}" for topic_id, query in queries]
+    """One `topic_id <TAB> expression` line per query.
+
+    Raises DataError, before anything is written, for a topic id that
+    `read_query_file` would reject (empty, holding whitespace, or
+    repeated) and for a query `serialize_query` rejects."""
+    lines, seen = [], set()
+    for topic_id, query in queries:
+        if topic_id.split() != [topic_id]:
+            raise DataError(f"topic id {topic_id!r} is empty or contains whitespace")
+        if topic_id in seen:
+            raise DataError(f"repeated topic id {topic_id!r}")
+        seen.add(topic_id)
+        lines.append(f"{topic_id}\t{serialize_query(query)}")
     write_lines(path, lines)
 
 

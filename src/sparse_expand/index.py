@@ -23,6 +23,13 @@ For a phrase clause, tf is the number of consecutive-position
 occurrences in the field and df the number of documents with at least
 one occurrence.
 
+Expanded queries repeat the same phrases, so each `Index` keeps a memo
+from (field, analyzed tokens) to a phrase's matching docs and tfs, and
+matches each distinct phrase once. An entry costs 1 plus its matched-doc
+count; once `PHRASE_MEMO_BUDGET` units are spent, a new phrase is matched
+but not stored. The memo starts empty in the constructor and lives and
+dies with its `Index`.
+
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
 other field keeps none.
@@ -89,6 +96,13 @@ SNAPSHOT_FILENAME = "index.bin"
 if array("I").itemsize != 4:
     raise ImportError("sparse_expand.index needs array('I') items of 4 bytes")
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# Units of the per-index phrase memo: an entry costs 1 plus its matched
+# docs. A `run` at about 2.6k distinct phrases of 2.3 docs each fits.
+PHRASE_MEMO_BUDGET = 2**16
+
+# The docs and tfs of a phrase that matches no document, shared by all.
+_NO_MATCH = (array("I"), array("I"))
 
 # Field name -> its place in the union field's order.
 _SCHEMA_ORDER = {name: i for i, name in enumerate(DEFAULT_SCHEMA)}
@@ -200,7 +214,9 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
 
 
 class Index:
-    """Sealed index; no mutation after construction."""
+    """Sealed index: its contents do not change after construction. Its
+    only internal state is the phrase memo that `search` fills (beside the
+    doc-id rank it builds once); neither changes a result."""
 
     def __init__(
         self,
@@ -226,6 +242,8 @@ class Index:
         self._raw_values = dict(raw_values)
         self._chains = dict(chains)
         self._doc_rank: list[int] | None = None
+        self._phrase_memo: dict[tuple[str, ...], tuple[array, array]] = {}
+        self._phrase_memo_room = PHRASE_MEMO_BUDGET
 
     @property
     def n_docs(self) -> int:
@@ -316,7 +334,7 @@ class Index:
             result = (result & s) if mode == "all" else (result | s)
         return frozenset(result)
 
-    def _phrase_matches(self, field: str, tokens: Sequence[str]) -> tuple[list[int], list[int]]:
+    def _phrase_matches(self, field: str, tokens: Sequence[str]) -> tuple[array, array]:
         """Ascending docs with consecutive-position matches, and the match
         count in each. Doc columns are intersected rarest token first;
         positions are read only for the docs that survive."""
@@ -324,7 +342,7 @@ class Index:
         for token in tokens:
             found = self._columns(field, token)
             if found is None:
-                return [], []
+                return _NO_MATCH
             columns[token] = found
         rarest_first = sorted(columns, key=lambda token: len(columns[token][0]))
         docs = columns[rarest_first[0]][0]
@@ -343,7 +361,7 @@ class Index:
             if starts:
                 matched.append(doc)
                 counts.append(len(starts))
-        return matched, counts
+        return (array("I", matched), array("I", counts)) if matched else _NO_MATCH
 
     def _rank(self) -> list[int]:
         """doc ordinal -> place of its doc_id in sorted order, built once."""
@@ -362,6 +380,7 @@ class Index:
             raise ValueError(f"k must be at least 1, got {k}")
         scores: dict[int, float] = {}
         get = scores.get
+        memo = self._phrase_memo
         for clause in query.clauses:
             tokens = self.chain_for_field(clause.field).run(clause.text)
             if len(tokens) == 1:
@@ -370,7 +389,15 @@ class Index:
                     continue
                 docs, tfs = columns
             elif tokens:
-                docs, tfs = self._phrase_matches(clause.field, tokens)
+                key = (clause.field, *tokens)
+                found = memo.get(key)
+                if found is None:
+                    found = self._phrase_matches(clause.field, tokens)
+                    cost = 1 + len(found[0])
+                    if cost <= self._phrase_memo_room:
+                        memo[key] = found
+                        self._phrase_memo_room -= cost
+                docs, tfs = found
             else:
                 continue
             if not docs:

@@ -859,6 +859,50 @@ def test_suggest_wiki_lead_on_mutated_inputs_exits_with_a_documented_code(
 
 
 @pytest.fixture(scope="module")
+def suggestion_inputs(tmp_path_factory):
+    """A topics file and two systems' suggestion files for it."""
+    root = tmp_path_factory.mktemp("suggestion-fuzz")
+    workspace = build_pipeline_workspace(root, n_docs=30, n_topics=4)
+    wiki, sim = root / "wiki.tsv", root / "sim.tsv"
+    assert main(["suggest", "wiki-lead", "--articles", workspace["articles"], "--topics",
+                 workspace["topics"], "--min-links", "1", "--out", str(wiki)]) == 0
+    assert main(["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds",
+                 workspace["seeds"], "--out", str(sim)]) == 0
+    assert wiki.stat().st_size and sim.stat().st_size
+    return {"topics": Path(workspace["topics"]), "suggestions": [wiki, sim]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=_EDITS, which=st.integers(0, 1), k=st.integers(1, 20))
+def test_combo_on_a_mutated_suggestion_file_exits_with_a_documented_code(
+    tmp_path_factory, suggestion_inputs, edits, which, k
+):
+    work = tmp_path_factory.mktemp("case")
+    inputs = []
+    for i, source in enumerate(suggestion_inputs["suggestions"]):
+        data = source.read_bytes()
+        inputs += ["--inputs", str(work / source.name)]
+        (work / source.name).write_bytes(_mutated(data, edits) if i == which else data)
+    argv = ["combo", *inputs, "--k", str(k), "--out", str(work / "combo.tsv")]
+    assert main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topic_edits=_EDITS, suggestion_edits=_EDITS)
+def test_expand_on_mutated_topics_and_suggestions_exits_with_a_documented_code(
+    tmp_path_factory, suggestion_inputs, topic_edits, suggestion_edits
+):
+    work = tmp_path_factory.mktemp("case")
+    topics, suggestions = work / "topics.jsonl", work / "suggestions.tsv"
+    topics.write_bytes(_mutated(suggestion_inputs["topics"].read_bytes(), topic_edits))
+    suggestion_file = suggestion_inputs["suggestions"][0]
+    suggestions.write_bytes(_mutated(suggestion_file.read_bytes(), suggestion_edits))
+    argv = ["expand", "--topics", str(topics), "--suggestions", str(suggestions),
+            "--out", str(work / "queries.tsv")]
+    assert main(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
 def eval_inputs(tmp_path_factory):
     """A run, its qrels, a suggestion file and its judgments, from `run`."""
     root = tmp_path_factory.mktemp("eval-fuzz")

@@ -1,9 +1,11 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError, EmptyQueryError
 from sparse_expand.expand import (
@@ -279,6 +281,72 @@ def test_query_file_round_trip(tmp_path):
     path = tmp_path / "queries.tsv"
     write_query_file(path, [("CHIC-012", query)])
     assert read_query_file(path) == [("CHIC-012", query)]
+
+
+def test_a_concept_with_a_quote_keeps_its_phrase_through_a_query_file(tmp_path):
+    query = build_query(Topic("T1", "whale", "en"), _set("T1", "STR", ['O"Brien family']))
+    assert query.clauses[1] == Phrase("chic_all-en", ("O", "Brien", "family"), 1.0)
+    chain = chain_for("en")
+    tokens = chain.run(query.clauses[1].text)
+    assert tokens == chain.run('O"Brien family') == ["o", "brien", "famili"]
+    assert serialize_query(query) == 'chic_all-en:(whale)^2 OR chic_all-en:("O Brien family")'
+    path = tmp_path / "queries.tsv"
+    write_query_file(path, [("T1", query)])
+    assert read_query_file(path) == [("T1", query)]
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [
+        Term("f-en", "a b"),
+        Term("f-en", ""),
+        Term("f-en", "a(b"),
+        Term("f-en", "a)"),
+        Term("f-en", 'O"Brien'),
+        Term("f en", "a"),
+        Phrase("f-en", ('O"Brien',)),
+        Phrase("f-en", ("a b",)),
+        Phrase("f-en", ("a\tb", "c")),
+        Phrase("f-en", ("a", "")),
+        Phrase("f(en", ("a", "b")),
+    ],
+)
+def test_serialize_rejects_a_clause_the_parser_would_read_differently(clause):
+    with pytest.raises(DataError):
+        serialize_query(Query((Term("f-en", "ok"), clause)))
+
+
+# Quotes, parentheses and every kind of whitespace, among any other text.
+_SUGGESTION_CHARS = st.sampled_from('aB9 "()\t\x1c\u2028-\'’^:é') | st.characters(
+    blacklist_categories=("Cs",)
+)
+_SUGGESTION_TEXTS = st.lists(st.text(_SUGGESTION_CHARS, max_size=16), max_size=12, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=_SUGGESTION_TEXTS, lang=st.sampled_from(["en", "de"]))
+def test_expanded_queries_parse_back_from_their_text(texts, lang):
+    topic = Topic("T", "moby dick", lang)
+    query = build_query(topic, make_suggestion_set("T", "STR", [(t, 1.0) for t in texts]))
+    assert parse_query(serialize_query(query)) == query
+
+
+@pytest.mark.parametrize(
+    "topic_ids,message",
+    [
+        (["T1", ""], "topic id '' is empty or contains whitespace"),
+        (["T 1"], "topic id 'T 1' is empty or contains whitespace"),
+        (["T\t1"], "topic id 'T\\t1' is empty or contains whitespace"),
+        (["T1\n"], "topic id 'T1\\n' is empty or contains whitespace"),
+        (["T1", "T2", "T1"], "repeated topic id 'T1'"),
+    ],
+)
+def test_query_file_writer_rejects_an_id_the_reader_would_reject(tmp_path, topic_ids, message):
+    query = Query((Term("chic_all-en", "whale"),))
+    path = tmp_path / "queries.tsv"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_query_file(path, [(topic_id, query) for topic_id in topic_ids])
+    assert not path.exists()
 
 
 def test_expansion_config_validation():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import WORDS, random_corpus
 from oracles import field_token_positions, naive_search, naive_str_scores
+from sparse_expand import index as index_module
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic, ingest_documents
 from sparse_expand.errors import (
@@ -668,3 +669,98 @@ def test_phrase_search_oracle_on_repeated_words(seed):
         query = Query(tuple(clauses))
         got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
         assert got == naive_search(docs, CHAINS, query, 1000)
+
+
+# -- phrase memo --------------------------------------------------------
+
+_MEMO_DOCS = random_corpus(31, 30)
+_MEMO_FIELDS = ("chic_all-en", "dc:title-en", "dc:description-en")
+
+
+def _adjacent_pairs(docs):
+    """Pairs of `WORDS` that occur next to each other in some value."""
+    pairs = set()
+    for doc in docs:
+        for values in doc.fields.values():
+            for value in values:
+                words = value.split()
+                pairs.update(p for p in zip(words, words[1:]) if set(p) <= set(WORDS))
+    return sorted(pairs)
+
+
+# Phrases that match (adjacent pairs, some widened to three words) and
+# phrases that do not (a pair reversed is rarely adjacent too).
+_MEMO_PHRASES = _adjacent_pairs(_MEMO_DOCS)[::4][:12]
+_MEMO_PHRASES += [pair + (WORDS[i],) for i, pair in enumerate(_MEMO_PHRASES[:3])]
+_MEMO_PHRASES += [(b, a) for a, b in _MEMO_PHRASES[:4]]
+
+_MEMO_CLAUSES = st.one_of(
+    st.builds(
+        Phrase,
+        st.sampled_from(_MEMO_FIELDS),
+        st.sampled_from(_MEMO_PHRASES),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    ),
+    st.builds(Term, st.sampled_from(_MEMO_FIELDS), st.sampled_from(WORDS[:12])),
+)
+_MEMO_QUERIES = st.lists(
+    st.lists(_MEMO_CLAUSES, min_size=1, max_size=3).map(Query), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries=_MEMO_QUERIES)
+def test_repeated_phrases_score_as_on_a_fresh_index(tmp_path_factory, queries):
+    built = _index(_MEMO_DOCS)
+    path = tmp_path_factory.mktemp("memo") / SNAPSHOT_FILENAME
+    built.save(path)
+    loaded = Index.load(path)
+    for query in queries:
+        expected = naive_search(_MEMO_DOCS, CHAINS, query, 1000)
+        assert [(r.doc_id, r.score) for r in _index(_MEMO_DOCS).search(query, 1000)] == expected
+        assert [(r.doc_id, r.score) for r in built.search(query, 1000)] == expected
+        assert [(r.doc_id, r.score) for r in loaded.search(query, 1000)] == expected
+
+
+def test_phrase_memo_keeps_fields_and_indexes_apart():
+    docs = [
+        _doc(0, **{"dc:title": ["whale ship"], "dc:description": ["ship whale"]}),
+        _doc(1, **{"dc:title": ["old map"], "dc:description": ["whale ship"]}),
+        _doc(2, **{"dc:title": ["whale ship harbor"]}),
+    ]
+    other_docs = [
+        _doc(5, **{"dc:title": ["a whale ship"]}),
+        _doc(6, **{"dc:title": ["ship"], "dc:description": ["whale"]}),
+    ]
+    idx, other = _index(docs), _index(other_docs)
+    queries = [
+        Query((Phrase(field, ("whale", "ship")),)) for field in ("dc:title-en", "dc:description-en")
+    ]
+    for query in queries * 2:
+        for index, its_docs in ((idx, docs), (other, other_docs)):
+            got = [(r.doc_id, r.score) for r in index.search(query, 10)]
+            assert got == naive_search(its_docs, CHAINS, query, 10)
+    assert [r.doc_id for r in idx.search(queries[0], 10)] == ["d0", "d2"]
+    assert [r.doc_id for r in idx.search(queries[1], 10)] == ["d1"]
+    assert [r.doc_id for r in other.search(queries[0], 10)] == ["d5"]
+    assert other.search(queries[1], 10) == []
+
+
+def test_phrase_memo_stops_growing_once_its_budget_is_spent(monkeypatch):
+    monkeypatch.setattr(index_module, "PHRASE_MEMO_BUDGET", 6)
+    docs = random_corpus(32, 40)
+    idx = _index(docs)
+    phrases = _adjacent_pairs(docs)
+    phrases += [(b, a) for a, b in phrases]
+    queries = [Query((Phrase("chic_all-en", terms),)) for terms in phrases]
+    for query in queries:
+        got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
+        assert got == naive_search(docs, CHAINS, query, 1000)
+        assert sum(1 + len(docs_) for docs_, _ in idx._phrase_memo.values()) <= 6
+    full = dict(idx._phrase_memo)
+    assert 0 < len(full) < len(queries)
+    assert idx._phrase_memo_room == 0
+    for query in queries + [Query((Phrase("chic_all-en", ("film", "whale", "map")),))]:
+        got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
+        assert got == naive_search(docs, CHAINS, query, 1000)
+    assert idx._phrase_memo == full
