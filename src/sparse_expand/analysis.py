@@ -71,8 +71,8 @@ def de_light_stem(term: str) -> str:
     return term
 
 
-# Each built-in profile's stages, in order: README "Analysis" and the
-# snapshot's stage tables name them. `AnalyzerChain` applies them in code.
+# Each built-in profile's stages, in order, as README "Analysis" names
+# them. `AnalyzerChain` applies them in code.
 _PROFILES = {
     "en": ("tokenize", "en_possessive", "lowercase", "stopwords", "porter_stem"),
     "de": ("tokenize", "lowercase", "stopwords", "de_normalize", "de_light_stem"),
@@ -149,14 +149,15 @@ def chain_for(
 
 
 def query_tokens(chain: AnalyzerChain, text: str) -> list[str]:
-    """Surface tokens of `text` minus stopwords, unstemmed and case-kept.
+    """Surface tokens of `text` (possessive stripped, unstemmed and
+    case-kept) that the chain analyzes to a term.
 
     These are the raw words a query is assembled from; full analysis
-    happens again at match time, token by token.
+    happens again at match time, token by token, and gives each exactly
+    one term. Stopwords are dropped, and so are `it's's` (a stopword after
+    a second possessive strip) and `s` (which stems to nothing).
     """
     terms = tokenize(text)
     if chain.lang == "en":
         terms = [en_possessive(t) for t in terms]
-    if not chain.keep_stopwords:
-        terms = [t for t in terms if t.lower() not in chain.stopword_list]
-    return terms
+    return [t for t in terms if len(chain.run(t)) == 1]

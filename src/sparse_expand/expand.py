@@ -42,6 +42,10 @@ logger = logging.getLogger(__name__)
 
 _SYSTEM_ORDER = {name: i for i, name in enumerate(GENERATOR_SYSTEMS)}
 
+# One chain per language for every `build_query` call: `query_tokens`
+# analyzes each word, and a shared cache does so once per process.
+_CHAINS = {lang: chain_for(lang) for lang in LANGUAGES}
+
 
 @dataclass(frozen=True)
 class ExpansionConfig:
@@ -62,11 +66,11 @@ def build_query(
 ) -> Query:
     """OR together boosted title words and suggested concepts."""
     cfg = cfg or ExpansionConfig()
-    if topic.lang not in LANGUAGES:
+    chain = _CHAINS.get(topic.lang)
+    if chain is None:
         raise EmptyQueryError(
             f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
         )
-    chain = chain_for(topic.lang)
     field = f"{ALL_FIELD}-{topic.lang}"
 
     title_tokens = query_tokens(chain, topic.title)

@@ -4,14 +4,15 @@ Documents are indexed per language: a document's tokens go into
 "<field>-<lang>" composite fields plus a union field "chic_all-<lang>"
 that concatenates every analyzed field in `DEFAULT_SCHEMA` order.
 Multi-valued fields are concatenated with a one-position gap between
-values so that phrases never match across value boundaries.
+values so that phrases never match across value boundaries. Documents
+are numbered in doc_id order, so ordinal order is doc_id order.
 
 Each composite field keeps its postings as one set of `array("I")`
 columns. Its terms are numbered in sorted order; term i owns
 `docs[starts[i]:starts[i+1]]` (doc ordinals, strictly ascending), the
 same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
-(every posting's positions, in doc order). A term's slices are cut only
-when a caller asks for them.
+(every posting's positions, in doc order; `pos_starts` is the running
+sum of `tfs` at `starts`). A term's slices are cut when a caller asks.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -37,13 +38,14 @@ other field keeps none.
 Every `Index` is made by one constructor, from finished field columns
 and raw-value maps; `build_index` and `Index.load` both call it. The
 constructor checks what holds for any index, however it was made: it
-raises DuplicateDocumentError for a repeated doc_id and DataError for a
-field whose language has no chain. So `save` cannot write a snapshot
-that `load` rejects for either reason.
+raises DuplicateDocumentError for a repeated doc_id, and DataError for
+doc_ids otherwise not ascending or a field whose language has no chain.
+So `save` cannot write a snapshot that `load` rejects for these reasons.
 
-The version 4 snapshot (README "Snapshot format") stores every string
+The version 5 snapshot (README "Snapshot format") stores every string
 list as a table, a u32 length column and one UTF-8 blob, and every
-column as a u32 count and its values. `Index.load` decodes each blob
+column as a u32 count and its values; it stores no `pos_starts`, and
+per language only a keep-stopwords flag. `Index.load` decodes each blob
 once, reads each column with one `frombytes`, and checks whole columns
 with C-level iterators, so it runs no Python loop per term or posting.
 The decoder checks the bytes and columns; `load` then reports the
@@ -55,13 +57,13 @@ with DataError:
   UTF-8;
 - analyzer languages, field names, terms or raw values that are not
   strictly ascending;
-- a language with no analyzer profile, or a stage table that is not its
-  language's profile (with or without the stopword stage);
-- offsets (`starts`, `pos_starts`, raw-value starts) that do not have
-  one more entry than their table, do not start at 0, descend, or do
-  not end at their column's length;
-- tfs and docs columns of different lengths, a tf of 0, or a term whose
-  tfs do not sum to its `pos_starts` difference;
+- a language with no analyzer profile, or a keep-stopwords flag that is
+  not 0 or 1;
+- offsets (`starts`, raw-value starts) that do not have one more entry
+  than their table, do not start at 0, descend, or do not end at their
+  column's length;
+- tfs and docs columns of different lengths, a tf of 0, or tfs that do
+  not sum to the length of the positions column;
 - a doc ordinal not below the document count, or not strictly ascending
   within a term or a raw value.
 """
@@ -76,7 +78,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, count
-from operator import eq, ge, le, lt, sub
+from operator import attrgetter, eq, ge, le, lt
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -89,7 +91,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 SNAPSHOT_FILENAME = "index.bin"
 
 # Columns are written and read as raw little-endian u32 arrays.
@@ -188,7 +190,7 @@ _scored_doc = partial(tuple.__new__, ScoredDoc)
 class _FieldColumns(NamedTuple):
     """One composite field's postings: term i (in sorted order) owns
     docs and tfs [starts[i]:starts[i+1]] and positions
-    [pos_starts[i]:pos_starts[i+1]]."""
+    [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts."""
 
     ordinals: dict[str, int]
     starts: array
@@ -215,8 +217,8 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
-    only internal state is the phrase memo that `search` fills (beside the
-    doc-id rank it builds once); neither changes a result."""
+    only internal state is the phrase memo that `search` fills, which
+    does not change a result."""
 
     def __init__(
         self,
@@ -227,21 +229,20 @@ class Index:
     ):
         """Store finished field columns and raw-value maps as given.
 
-        Raises DuplicateDocumentError for a repeated doc_id and DataError
-        for a field whose language has no chain."""
+        Raises DuplicateDocumentError for a repeated doc_id, and DataError
+        for doc_ids otherwise not ascending or a field without a chain."""
         self._doc_ids = tuple(doc_ids)
-        seen: set[str] = set()
-        for doc_id in self._doc_ids:
-            if doc_id in seen:
+        if not all(map(lt, self._doc_ids, self._doc_ids[1:])):
+            ordered = sorted(self._doc_ids)
+            for doc_id in compress(ordered, map(eq, ordered, ordered[1:])):
                 raise DuplicateDocumentError(f"repeated doc_id {doc_id!r}")
-            seen.add(doc_id)
+            raise DataError("doc_ids are not in ascending order")
         for name in fields:
             if name.rpartition("-")[2] not in chains:
                 raise DataError(f"no analyzer chain for field {name!r}")
         self._fields = dict(fields)
         self._raw_values = dict(raw_values)
         self._chains = dict(chains)
-        self._doc_rank: list[int] | None = None
         self._phrase_memo: dict[tuple[str, ...], tuple[array, array]] = {}
         self._phrase_memo_room = PHRASE_MEMO_BUDGET
 
@@ -267,11 +268,7 @@ class Index:
     def chain_for_field(self, field: str) -> AnalyzerChain:
         if field not in self._fields:
             raise UnknownFieldError(f"unknown field: {field!r}")
-        _, _, lang = field.rpartition("-")
-        try:
-            return self._chains[lang]
-        except KeyError:
-            raise UnknownFieldError(f"no analyzer for field {field!r}") from None
+        return self._chains[field.rpartition("-")[2]]
 
     def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
         """The first `width` of a term's columns (docs, tfs, positions),
@@ -363,16 +360,6 @@ class Index:
                 counts.append(len(starts))
         return (array("I", matched), array("I", counts)) if matched else _NO_MATCH
 
-    def _rank(self) -> list[int]:
-        """doc ordinal -> place of its doc_id in sorted order, built once."""
-        if self._doc_rank is None:
-            rank = [0] * self.n_docs
-            by_id = sorted(range(self.n_docs), key=self._doc_ids.__getitem__)
-            for place, doc in enumerate(by_id):
-                rank[doc] = place
-            self._doc_rank = rank
-        return self._doc_rank
-
     def search(self, query: Query, k: int) -> list[ScoredDoc]:
         """The top `k` (at least 1) documents for a disjunctive query; raw
         clause text is analyzed with the field's chain at query time."""
@@ -407,7 +394,7 @@ class Index:
             weight = {tf: boost * tf_weight(tf) * idf for tf in set(tfs)}
             for doc, tf in zip(docs, tfs):
                 scores[doc] = get(doc, 0.0) + weight[tf]
-        ranked = sorted(scores, key=self._rank().__getitem__)
+        ranked = sorted(scores)  # ordinal order is doc_id order
         ranked.sort(key=scores.__getitem__, reverse=True)
         del ranked[k:]
         pairs = zip(map(self._doc_ids.__getitem__, ranked), map(scores.__getitem__, ranked))
@@ -422,15 +409,15 @@ class Index:
         langs = sorted(self._chains)
         _put_table(out, langs)
         for lang in langs:
-            _put_table(out, self._chains[lang].stages)
+            out += struct.pack("<I", self._chains[lang].keep_stopwords)
             _put_table(out, sorted(self._chains[lang].stopword_list))
         _put_table(out, self._doc_ids)
         names = sorted(self._fields)
         _put_table(out, names)
         for name in names:
-            field_columns = self._fields[name]
-            _put_table(out, field_columns.ordinals)
-            for column in field_columns[1:]:  # starts, pos_starts, docs, tfs, positions
+            ordinals, starts, _, docs, tfs, positions = self._fields[name]
+            _put_table(out, ordinals)
+            for column in (starts, docs, tfs, positions):  # load derives pos_starts
                 _put_column(out, column)
             values = self._raw_values.get(name, {})
             sorted_values = sorted(values)
@@ -518,11 +505,10 @@ class Index:
         for lang in take_sorted_table("analyzer languages"):
             if lang not in LANGUAGES:
                 raise bad(f"no analyzer profile for language {lang!r}")
-            stages = tuple(take_table())
-            words = frozenset(take_table())
-            chain = chains[lang] = AnalyzerChain(lang, words, "stopwords" not in stages)
-            if chain.stages != stages:
-                raise bad(f"stage table of language {lang!r} is not its profile")
+            keep_stopwords = take_u32()
+            if keep_stopwords > 1:
+                raise bad(f"keep-stopwords flag of language {lang!r} is not 0 or 1")
+            chains[lang] = AnalyzerChain(lang, frozenset(take_table()), keep_stopwords == 1)
 
         doc_ids = take_table()
         n_docs = len(doc_ids)
@@ -533,15 +519,16 @@ class Index:
         for name in names:
             terms = take_sorted_table(f"terms of field {name!r}")
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
-            pos_starts = take_offsets(f"position start of field {name!r}", len(terms))
             docs, tfs, positions = take_column(), take_column(), take_column()
-            if starts[-1] != len(docs) or len(tfs) != len(docs) or pos_starts[-1] != len(positions):
+            if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
+            # Per-term sums, not a running sum per posting: that many ints
+            # per load fragment the heap of a process that reloads.
             term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
-            if min(tfs, default=1) < 1 or not all(
-                map(eq, map(sum, term_tfs), map(sub, pos_starts[1:], pos_starts))
-            ):
+            ends = list(accumulate(map(sum, term_tfs), initial=0))
+            if min(tfs, default=1) < 1 or ends[-1] != len(positions):
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
+            pos_starts = array("I", ends)
             if not _ascending_runs_below(docs, starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
             fields[name] = _FieldColumns(
@@ -611,11 +598,12 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     """Analyze and index a document stream.
 
     Raises on an empty corpus, a repeated doc_id, or a document whose
-    language has no chain. Field order inside the union field is
-    `DEFAULT_SCHEMA` order, then any extra (lax-ingested) fields
-    lexicographically. Raw values are kept for the concept fields only.
+    language has no chain. Documents are numbered in doc_id order. Field
+    order inside the union field is `DEFAULT_SCHEMA` order, then any
+    extra (lax-ingested) fields lexicographically. Raw values are kept
+    for the concept fields only.
     """
-    docs = list(corpus)
+    docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:
         raise EmptyCorpusError("empty corpus")
 

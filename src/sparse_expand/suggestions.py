@@ -9,7 +9,8 @@ A suggestion is a (text, score) NamedTuple built without a Python-level
 call: its rank is its position in the set, and its system is the set's.
 A set checks its scores and texts as whole columns, so building and
 validating a set runs no Python loop over its suggestions. The file
-reader checks the ranks it reads before it drops them.
+writer rejects a topic id or text that would not read back as written;
+the reader checks the ranks it reads before it drops them.
 """
 
 from __future__ import annotations
@@ -89,12 +90,15 @@ def format_score(score: float | Fraction) -> str:
 
 
 def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
-    """The suggestion file's lines, sorted by topic then rank."""
+    """The suggestion file's lines, sorted by topic then rank; DataError,
+    before any is written, for a tab, `\\n` or `\\r` inside a column."""
     lines = []
     for sset in sorted(sets, key=lambda s: s.topic_id):
         for rank, (text, score) in enumerate(sset.suggestions, 1):
-            text = text.replace("\t", " ")
-            lines.append(f"{sset.topic_id}\t{rank}\t{text}\t{format_score(score)}\t{sset.system}")
+            line = f"{sset.topic_id}\t{rank}\t{text}\t{format_score(score)}\t{sset.system}"
+            if line.count("\t") != 4 or "\n" in line or "\r" in line:
+                raise DataError(f"topic {sset.topic_id!r}, suggestion {text!r}: tab or line break")
+            lines.append(line)
     return lines
 
 

@@ -265,6 +265,9 @@ def test_query_tokens_surface_forms(en_chain):
     assert query_tokens(en_chain, "The Great American Novel") == ["Great", "American", "Novel"]
     assert query_tokens(en_chain, "Dick's whale") == ["Dick", "whale"]
     assert query_tokens(en_chain, "the of and") == []
+    assert query_tokens(en_chain, "it's's whale") == ["whale"]
+    assert query_tokens(en_chain, "it’s’s Ahab's's") == ["Ahab's"]
+    assert query_tokens(en_chain, "U.S. whale") == ["U", "whale"]  # "s" stems to ""
 
 
 # Words that exercise every stage: stopwords in mixed case, possessives
@@ -301,6 +304,18 @@ def test_chain_matches_stage_by_stage_oracle(profile, texts):
     warm = _CHAINS[profile]()
     for text in reversed(texts):
         assert warm.run(text) == naive_chain_run(warm, text)
+
+
+@pytest.mark.parametrize("profile", sorted(_CHAINS))
+@settings(max_examples=150)
+@given(text=_chain_text)
+def test_every_query_token_analyzes_to_exactly_one_term(profile, text):
+    chain = _CHAINS[profile]()
+    tokens = query_tokens(chain, text)
+    assert all(len(chain.run(token)) == 1 for token in tokens)
+    # nothing but a token that analyzes to no term is dropped
+    surface = [en_possessive(t) if chain.lang == "en" else t for t in tokenize(text)]
+    assert tokens == [t for t in surface if chain.run(t)]
 
 
 def test_chains_with_different_stopwords_do_not_share_results():

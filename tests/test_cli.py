@@ -11,6 +11,7 @@ from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
 from sparse_expand.corpus import Document, Topic
 from sparse_expand.index import SNAPSHOT_FILENAME, build_index
+from sparse_expand.suggestions import SYSTEMS
 
 
 def _coverage_fixture(tmp_path) -> Path:
@@ -243,6 +244,23 @@ def test_run_pipeline_command(tmp_path):
     assert (Path(workspace["out"]) / "en" / "STR" / "run.trec").exists()
 
 
+@pytest.mark.parametrize("title", ["it's's whale", "it’s’s whale"])
+def test_str_on_a_title_token_that_analyzes_to_no_term_exits_0(tmp_path, title):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
+    topics = Path(workspace["topics"])
+    topics.write_text(json.dumps({"id": "T-000", "lang": "en", "title": title}) + "\n", encoding="utf-8")
+    args = ["--docs", workspace["docs"], "--topics", str(topics), "--out", workspace["out"]]
+    assert main(["run", *args, "--system", "STR"]) == 0
+    written = Path(workspace["out"]) / "en" / "STR" / "suggestions.tsv"
+    assert written.read_text(encoding="utf-8")
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    out_file = tmp_path / "str.tsv"
+    assert main(["suggest", "str", "--index", index_dir, "--topics", str(topics),
+                 "--out", str(out_file)]) == 0
+    assert out_file.read_text(encoding="utf-8") == written.read_text(encoding="utf-8")
+
+
 def test_exit_code_usage_error():
     assert main(["corpus", "stats"]) == 1  # --docs missing
     assert main(["no-such-command"]) == 1
@@ -291,6 +309,16 @@ def test_index_search_on_a_version_3_snapshot_exits_2(tmp_path, capsys):
     code = main(["index", "search", "--index", str(v3), "--query-file", str(queries)])
     assert code == 2
     assert "unsupported snapshot version 3" in capsys.readouterr().err
+
+
+def test_index_search_on_a_version_4_snapshot_exits_2(tmp_path, capsys):
+    # tests/data/index_v4/index.bin: six documents, written by the version 4 format
+    v4 = Path(__file__).parent / "data" / "index_v4"
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+    code = main(["index", "search", "--index", str(v4), "--query-file", str(queries)])
+    assert code == 2
+    assert "unsupported snapshot version 4" in capsys.readouterr().err
 
 
 def test_exit_code_combo_prerequisite(tmp_path):
@@ -946,6 +974,52 @@ def test_eval_se_on_mutated_inputs_exits_with_a_documented_code(
     suggestions.write_bytes(_mutated(eval_inputs["suggestions"].read_bytes(), suggestion_edits))
     judgments.write_bytes(_mutated(eval_inputs["judgments"].read_bytes(), judgment_edits))
     argv = ["eval", "se", "--suggestions", str(suggestions), "--judgments", str(judgments)]
+    assert main(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """Every input of a five-system `run`, and a config naming them."""
+    root = tmp_path_factory.mktemp("run-fuzz")
+    workspace = build_pipeline_workspace(root, n_docs=30, n_topics=2)
+    keys = ("docs", "topics", "articles", "sim_corpus", "back_corpus", "seeds", "qrels", "lang")
+    config = root / "config.json"
+    config.write_text(
+        json.dumps({"version": 1, **{k: workspace[k] for k in keys}, "k": 4, "min_links": 1}),
+        encoding="utf-8",
+    )
+    assert main(_run_argv(config, root / "out")) == 0
+    return {"config": config, "docs": Path(workspace["docs"]), "topics": Path(workspace["topics"])}
+
+
+def _run_argv(config: Path, out: Path, *overrides: str) -> list[str]:
+    """A five-system `run` on `config`; `--out` is given on the command
+    line, so no edit of the config can send the output elsewhere."""
+    systems = [arg for system in SYSTEMS for arg in ("--system", system)]
+    return ["run", "--config", str(config), "--out", str(out), *overrides, *systems]
+
+
+@settings(max_examples=30, deadline=None)
+@given(config_edits=_EDITS)
+def test_run_on_a_mutated_config_exits_with_a_documented_code(
+    tmp_path_factory, run_inputs, config_edits
+):
+    work = tmp_path_factory.mktemp("case")
+    config = work / "config.json"
+    config.write_bytes(_mutated(run_inputs["config"].read_bytes(), config_edits))
+    assert main(_run_argv(config, work / "out")) in (0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc_edits=_EDITS, topic_edits=_EDITS)
+def test_run_on_mutated_docs_and_topics_exits_with_a_documented_code(
+    tmp_path_factory, run_inputs, doc_edits, topic_edits
+):
+    work = tmp_path_factory.mktemp("case")
+    docs, topics = work / "docs.jsonl", work / "topics.jsonl"
+    docs.write_bytes(_mutated(run_inputs["docs"].read_bytes(), doc_edits))
+    topics.write_bytes(_mutated(run_inputs["topics"].read_bytes(), topic_edits))
+    argv = _run_argv(run_inputs["config"], work / "out", "--docs", str(docs), "--topics", str(topics))
     assert main(argv) in (0, 1, 2)
 
 

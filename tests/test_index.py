@@ -405,7 +405,8 @@ def _u32s(*values):
 # Each case is (columns of term "x", raw-value docs of "x", field, patch).
 # Term "y" always holds _GOOD, so in a valid snapshot the field's `starts`
 # column is [0, 2, 4] and its terms table is lengths [1, 1] with blob "xy";
-# the one language table is lengths [2] with blob "en". A patch is (old
+# the one language table is lengths [2] with blob "en", and that language's
+# keep-stopwords flag, 0, follows it. A patch is (old
 # bytes, new bytes, expected error): the test saves a valid snapshot and
 # replaces the one place holding the old bytes.
 _INCONSISTENT = [
@@ -420,7 +421,7 @@ _INCONSISTENT = [
     (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
     (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
     (_GOOD, (0,), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
-    (_GOOD, (0,), "t-en", (b"porter_stem", b"porter_stom", "stage table of language 'en' is not its profile")),
+    (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en" + _u32s(0), _u32s(1, 2, 2) + b"en" + _u32s(2), "keep-stopwords flag of language 'en' is not 0 or 1")),
     (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en", _u32s(1, 2, 2) + b"fr", "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
 ]
@@ -429,7 +430,7 @@ _PATCHED_IDS = [
     "last-offset-not-column-length",
     "repeated-term",
     "lengths-disagree-with-blob",
-    "renamed-stage",
+    "keep-stopwords-flag-2",
     "language-without-profile",
     "field-without-chain",
 ]
@@ -439,9 +440,8 @@ _PATCHED_IDS = [
     "columns, raw_docs, field, patch",
     _INCONSISTENT,
     # The unpatched cases keep the ids they had when each case also named
-    # a stage list. The unknown-stage case became "renamed-stage", and the
-    # field-without-chain case, which the constructor now rejects,
-    # "field-without-chain".
+    # a stage list. The field-without-chain case, which the constructor
+    # rejects, is "field-without-chain".
     ids=[
         f"columns{i}-raw_docs{i}-stages{i}-{case[2]}"
         for i, case in zip(range(7), _INCONSISTENT[:7])
@@ -468,6 +468,19 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, fie
     assert str(raised.value).startswith(f"{path}: malformed index snapshot: ")
 
 
+def test_snapshot_rejects_positions_beyond_what_the_tfs_cover(tmp_path):
+    idx = Index(
+        ["d0", "d1"],
+        {"t-en": _concatenate({"x": _columns([0, 1], [1, 1], [0, 0, 2])})},
+        {},
+        {"en": chain_for("en")},
+    )
+    path = tmp_path / SNAPSHOT_FILENAME
+    idx.save(path)
+    with pytest.raises(DataError, match="tfs of field 't-en' hold a 0 or disagree with its positions"):
+        Index.load(path)
+
+
 def test_snapshot_rejects_repeated_doc_ids(tmp_path):
     path = tmp_path / SNAPSHOT_FILENAME
     _index([_doc(0, **{"dc:title": ["whale"]}), _doc(1, **{"dc:title": ["ship"]})]).save(path)
@@ -483,6 +496,24 @@ def test_constructor_rejects_a_repeated_doc_id():
     fields = {"t-en": _concatenate({"x": _GOOD})}
     with pytest.raises(DuplicateDocumentError, match="^repeated doc_id 'd1'$"):
         Index(["d0", "d1", "d2", "d1"], fields, {}, {"en": chain_for("en")})
+
+
+def test_constructor_rejects_unique_doc_ids_out_of_order():
+    fields = {"t-en": _concatenate({"x": _GOOD})}
+    with pytest.raises(DataError, match="^doc_ids are not in ascending order$") as raised:
+        Index(["d0", "d2", "d1"], fields, {}, {"en": chain_for("en")})
+    assert not isinstance(raised.value, DuplicateDocumentError)
+
+
+def test_build_numbers_documents_in_doc_id_order(tmp_path):
+    docs = random_corpus(21, 40)
+    shuffled = list(docs)
+    random.Random(21).shuffle(shuffled)
+    built = _index(shuffled)
+    assert list(built.doc_ids) == sorted(d.doc_id for d in docs)
+    _index(docs).save(tmp_path / "a.bin")
+    built.save(tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_constructor_rejects_a_field_whose_language_has_no_chain():
@@ -527,17 +558,27 @@ def test_snapshot_of_version_3_is_rejected():
         Index.load(path)
 
 
-def test_snapshot_of_version_4_still_loads(tmp_path):
-    # tests/data/index_v4: `index build --stopwords stopwords.txt` over
-    # docs.jsonl (three en and three de documents), written by the code
-    # before chains became fixed profiles
-    data = Path(__file__).parent / "data" / "index_v4"
-    path = data / SNAPSHOT_FILENAME
+def test_snapshot_of_version_4_is_rejected():
+    # tests/data/index_v4/index.bin: the six documents of
+    # tests/data/index_v5/docs.jsonl, written by the version 4 format
+    path = Path(__file__).parent / "data" / "index_v4" / SNAPSHOT_FILENAME
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 4)
+    with pytest.raises(DataError, match="unsupported snapshot version 4"):
+        Index.load(path)
+
+
+def test_snapshot_of_version_5_loads(tmp_path):
+    # tests/data/index_v5: `index build --stopwords stopwords.txt` over
+    # docs.jsonl (three en and three de documents, not in doc_id order);
+    # a fresh build must write the same bytes
+    data = Path(__file__).parent / "data" / "index_v5"
+    path = data / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 5)
     stopwords = load_stopwords(data / "stopwords.txt")
     chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
     loaded = Index.load(path)
     assert loaded.chains == chains
+    assert loaded.doc_ids == ("de-1", "de-2", "de-3", "en-1", "en-2", "en-3")
     fresh = build_index(ingest_documents(data / "docs.jsonl").documents, chains)
     fresh.save(tmp_path / SNAPSHOT_FILENAME)
     assert (tmp_path / SNAPSHOT_FILENAME).read_bytes() == path.read_bytes()

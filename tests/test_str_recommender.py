@@ -347,3 +347,13 @@ def test_cooccur_config_validation():
         CooccurConfig(similarity="cosine")
     assert CooccurConfig().input_fields == ("dc:title", "dc:description")
     assert CooccurConfig().concept_fields == CONCEPT_FIELDS == ("dc:subject", "enrichment:concept_label")
+
+
+@pytest.mark.parametrize("title", ["it's's whale", "it’s’s whale"])
+def test_str_drops_a_title_token_that_analyzes_to_no_term(title):
+    # "it's's" loses one possessive in query_tokens and a second in
+    # analysis, which leaves the stopword "it"
+    index = build_index(random_corpus(5, 80), EN)
+    expected = suggest_str(index, Topic("T", "whale", "en"))
+    assert expected.suggestions
+    assert suggest_str(index, Topic("T", title, "en")).suggestions == expected.suggestions

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sparse_expand.suggestions import (
     SuggestionSet,
     make_suggestion_set,
     read_suggestion_file,
+    write_suggestion_file,
 )
 
 _SCORES = st.one_of(
@@ -102,3 +104,16 @@ def test_suggestion_set_rejects_a_non_finite_score(scores):
     pairs = [(f"c{i}", score) for i, score in enumerate(scores)]
     with pytest.raises(DataError, match="suggestion scores for topic 'T' must be finite"):
         make_suggestion_set("T", "STR", pairs)
+
+
+@pytest.mark.parametrize("text", ["a\nb", "c\td", "e\rf"])
+def test_suggestion_writer_rejects_a_text_it_cannot_write_back(tmp_path, text):
+    path = tmp_path / "suggestions.tsv"
+    sets = [make_suggestion_set("T1", "STR", [("whale", 0.5)]),
+            make_suggestion_set("T2", "STR", [("ship", 0.5), (text, 0.25)])]
+    with pytest.raises(DataError, match=re.escape(f"topic 'T2', suggestion {text!r}: tab or line break")):
+        write_suggestion_file(path, sets)
+    assert not path.exists()
+    with pytest.raises(DataError, match=": tab or line break$"):
+        write_suggestion_file(path, [make_suggestion_set(text, "STR", [("whale", 0.5)])])
+    assert not path.exists()
