@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import count, repeat, starmap
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -51,11 +51,12 @@ def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]
     bad = [i for i in ids if i.split() != [i]]
     if bad:
         raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
-    return [
-        f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}"
-        for topic_id, hits in run.items()
-        for rank, (doc_id, score) in enumerate(hits, 1)
-    ]
+    lines: list[str] = []
+    for topic_id, hits in run.items():  # one C-level formatting pass per topic
+        doc_ids, scores = map(itemgetter(0), hits), map(itemgetter(1), hits)
+        fields = zip(repeat(topic_id), doc_ids, count(1), scores, repeat(run_tag))
+        lines += map("%s Q0 %s %d %.6f %s".__mod__, fields)
+    return lines
 
 
 def write_run_file(path: str | Path, run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> None:

@@ -7,8 +7,9 @@ Multi-valued fields are concatenated with a one-position gap between
 values so that phrases never match across value boundaries. Documents
 are numbered in doc_id order, so ordinal order is doc_id order.
 
-Each composite field keeps its postings as one set of `array("I")`
-columns. Its terms are numbered in sorted order; term i owns
+Each composite field keeps its postings as one set of `array` columns,
+each at the narrowest of 1, 2 or 4 bytes per value that holds it. Its
+terms are numbered in sorted order; term i owns
 `docs[starts[i]:starts[i+1]]` (doc ordinals, strictly ascending), the
 same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
 (every posting's positions, in doc order; `pos_starts` is the running
@@ -42,17 +43,21 @@ raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
 So `save` cannot write a snapshot that `load` rejects for these reasons.
 
-The version 5 snapshot (README "Snapshot format") stores every string
-list as a table, a u32 length column and one UTF-8 blob, and every
-column as a u32 count and its values; it stores no `pos_starts`, and
-per language only a keep-stopwords flag. `Index.load` decodes each blob
-once, reads each column with one `frombytes`, and checks whole columns
-with C-level iterators, so it runs no Python loop per term or posting.
-The decoder checks the bytes and columns; `load` then reports the
-constructor's errors as a malformed snapshot too. The decoder rejects
-with DataError:
+The version 6 snapshot (README "Snapshot format") stores every string
+list as a table, a length column and one UTF-8 blob, and every column as
+a u32 item width (1, 2 or 4), a u32 count and its little-endian values
+at that width. `save` writes each column at the narrowest width that
+holds it, whatever width it is held at, so the bytes depend only on the
+documents; a width fits when the high bytes it drops are all zero. The
+snapshot stores no `pos_starts`, and per language only a keep-stopwords
+flag. `Index.load` decodes each blob once, reads each column with one
+`frombytes`, and checks whole columns with C-level iterators, so it runs
+no Python loop per term or posting. The decoder checks the bytes and
+columns; `load` then reports the constructor's errors as a malformed
+snapshot too. The decoder rejects with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
+- a column width other than 1, 2 or 4;
 - a table whose lengths disagree with its blob, or whose blob is not
   UTF-8;
 - analyzer languages, field names, terms or raw values that are not
@@ -91,12 +96,14 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 SNAPSHOT_FILENAME = "index.bin"
 
-# Columns are written and read as raw little-endian u32 arrays.
-if array("I").itemsize != 4:
-    raise ImportError("sparse_expand.index needs array('I') items of 4 bytes")
+# Column item width in bytes -> its array typecode. Columns are written
+# and read as raw little-endian arrays of these.
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+if any(array(code).itemsize != width for width, code in _TYPECODES.items()):
+    raise ImportError("sparse_expand.index needs array items of 1, 2 and 4 bytes")
 _BIG_ENDIAN = sys.byteorder == "big"
 
 # Units of the per-index phrase memo: an entry costs 1 plus its matched
@@ -190,7 +197,9 @@ _scored_doc = partial(tuple.__new__, ScoredDoc)
 class _FieldColumns(NamedTuple):
     """One composite field's postings: term i (in sorted order) owns
     docs and tfs [starts[i]:starts[i+1]] and positions
-    [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts."""
+    [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts.
+    `starts`, `docs`, `tfs` and `positions` are each held at the
+    narrowest width, `pos_starts` in 4 bytes."""
 
     ordinals: dict[str, int]
     starts: array
@@ -212,6 +221,7 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
         positions.extend(term_positions)
         starts.append(len(docs))
         pos_starts.append(len(positions))
+    starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
     return _FieldColumns(dict(zip(names, count())), starts, pos_starts, docs, tfs, positions)
 
 
@@ -466,11 +476,10 @@ class Index:
             return value
 
         def take_column() -> array:
-            values = array("I")
-            values.frombytes(take(4 * take_u32()))
-            if _BIG_ENDIAN:
-                values.byteswap()
-            return values
+            width = take_u32()
+            if width not in _TYPECODES:
+                raise bad(f"column width {width} is not 1, 2 or 4")
+            return _from_little_endian(width, take(width * take_u32()))
 
         def take_table() -> list[str]:
             lengths = take_column()
@@ -561,13 +570,46 @@ def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
     return max(values) < limit and set(starts).issuperset(descents)
 
 
-def _put_column(out: bytearray, values: array) -> None:
-    """Append a column: its u32 count, then its little-endian u32 values."""
-    out += struct.pack("<I", len(values))
+def _narrowest(values: array) -> tuple[int, bytes]:
+    """The narrowest width of 1, 2 or 4 bytes that holds every value, and
+    the values as little-endian bytes at that width."""
+    width = values.itemsize
     if _BIG_ENDIAN:
-        values = array("I", values)
+        values = array(values.typecode, values)
         values.byteswap()
-    out += values.tobytes()
+    raw = values.tobytes()
+    n = len(values)
+    narrow = width
+    # Halve the width while the high bytes it would drop are all zero.
+    while narrow > 1 and all(raw[k::width].count(0) == n for k in range(narrow // 2, narrow)):
+        narrow //= 2
+    if narrow == width:
+        return width, raw
+    kept = bytearray(narrow * n)
+    for k in range(narrow):
+        kept[k::narrow] = raw[k::width]
+    return narrow, kept
+
+
+def _from_little_endian(width: int, raw: bytes) -> array:
+    values = array(_TYPECODES[width])
+    values.frombytes(raw)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values
+
+
+def _narrowed(values: array) -> array:
+    """The same values at the narrowest width that holds them."""
+    return _from_little_endian(*_narrowest(values))
+
+
+def _put_column(out: bytearray, values: array) -> None:
+    """Append a column: its u32 item width and count, then its values as
+    little-endian integers of that width, the narrowest that holds them."""
+    width, raw = _narrowest(values)
+    out += struct.pack("<II", width, len(values))
+    out += raw
 
 
 def _put_table(out: bytearray, strings: Iterable[str]) -> None:

@@ -265,8 +265,10 @@ def test_query_tokens_surface_forms(en_chain):
     assert query_tokens(en_chain, "The Great American Novel") == ["Great", "American", "Novel"]
     assert query_tokens(en_chain, "Dick's whale") == ["Dick", "whale"]
     assert query_tokens(en_chain, "the of and") == []
-    assert query_tokens(en_chain, "it's's whale") == ["whale"]
-    assert query_tokens(en_chain, "it’s’s Ahab's's") == ["Ahab's"]
+    # a double possessive keeps both: "it's's" is indexed as "it'", "it's" as nothing
+    assert query_tokens(en_chain, "it's's whale") == ["it's's", "whale"]
+    assert query_tokens(en_chain, "it’s’s Ahab's's") == ["it’s’s", "Ahab's's"]
+    assert query_tokens(en_chain, "xx's's Dick’s") == ["xx's's", "Dick"]
     assert query_tokens(en_chain, "U.S. whale") == ["U", "whale"]  # "s" stems to ""
 
 
@@ -313,9 +315,39 @@ def test_every_query_token_analyzes_to_exactly_one_term(profile, text):
     chain = _CHAINS[profile]()
     tokens = query_tokens(chain, text)
     assert all(len(chain.run(token)) == 1 for token in tokens)
-    # nothing but a token that analyzes to no term is dropped
-    surface = [en_possessive(t) if chain.lang == "en" else t for t in tokenize(text)]
-    assert tokens == [t for t in surface if chain.run(t)]
+    # nothing but a token that analyzes to no term is dropped, and a token
+    # loses a possessive only if that leaves its term as it is
+    expected = []
+    for surface in tokenize(text):
+        if chain.run(surface):
+            word = en_possessive(surface) if chain.lang == "en" else surface
+            expected.append(word if chain.run(word) == chain.run(surface) else surface)
+    assert tokens == expected
+
+
+# Words with up to three possessives, straight, typographic or upper case.
+_possessive_text = st.lists(
+    st.one_of(
+        st.builds(
+            "".join,
+            st.tuples(
+                st.sampled_from(("it", "Ahab", "xx", "the", "s", "a", "whale", "Häuser", "Dick")),
+                st.lists(st.sampled_from(("'s", "’s", "ʼs", "'S")), max_size=3).map("".join),
+            ),
+        ),
+        st.sampled_from(_CHAIN_WORDS),
+        st.text(alphabet="aäsS'’ .", max_size=8),
+    ),
+    max_size=8,
+).map(" ".join)
+
+
+@pytest.mark.parametrize("profile", ["en", "en_keep_stopwords", "de"])
+@settings(max_examples=300)
+@given(text=_possessive_text)
+def test_query_words_analyze_to_the_terms_of_their_text(profile, text):
+    chain = _CHAINS[profile]()
+    assert [x for word in query_tokens(chain, text) for x in chain.run(word)] == chain.run(text)
 
 
 def test_chains_with_different_stopwords_do_not_share_results():

@@ -321,6 +321,16 @@ def test_index_search_on_a_version_4_snapshot_exits_2(tmp_path, capsys):
     assert "unsupported snapshot version 4" in capsys.readouterr().err
 
 
+def test_index_search_on_a_version_5_snapshot_exits_2(tmp_path, capsys):
+    # tests/data/index_v5/index.bin: six documents, written by the version 5 format
+    v5 = Path(__file__).parent / "data" / "index_v5"
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
+    code = main(["index", "search", "--index", str(v5), "--query-file", str(queries)])
+    assert code == 2
+    assert "unsupported snapshot version 5" in capsys.readouterr().err
+
+
 def test_exit_code_combo_prerequisite(tmp_path):
     workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
     code = main(

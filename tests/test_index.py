@@ -12,6 +12,7 @@ from conftest import WORDS, random_corpus
 from oracles import field_token_positions, naive_search, naive_str_scores
 from sparse_expand import index as index_module
 from sparse_expand.analysis import chain_for
+from sparse_expand.cli import main
 from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic, ingest_documents
 from sparse_expand.errors import (
     AnalysisError,
@@ -402,11 +403,17 @@ def _u32s(*values):
     return struct.pack(f"<{len(values)}I", *values)
 
 
+def _byte_column(*values):
+    """A column of values below 256 as written: width 1, count, bytes."""
+    return _u32s(1, len(values)) + bytes(values)
+
+
 # Each case is (columns of term "x", raw-value docs of "x", field, patch).
 # Term "y" always holds _GOOD, so in a valid snapshot the field's `starts`
 # column is [0, 2, 4] and its terms table is lengths [1, 1] with blob "xy";
 # the one language table is lengths [2] with blob "en", and that language's
-# keep-stopwords flag, 0, follows it. A patch is (old
+# keep-stopwords flag, 0, follows it. Every column holds values below 256,
+# so each is written 1 byte per value. A patch is (old
 # bytes, new bytes, expected error): the test saves a valid snapshot and
 # replaces the one place holding the old bytes.
 _INCONSISTENT = [
@@ -417,12 +424,12 @@ _INCONSISTENT = [
     (_columns([0, 1], [1, 2], [0, 1]), (0,), "t-en", None),  # tfs != positions
     (_GOOD, (0, 2), "t-en", None),  # raw-value ordinal >= n_docs
     (_GOOD, (1, 0), "t-en", None),  # raw-value ordinals not ascending
-    (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 5, 4), "bad posting start")),
-    (_GOOD, (0,), "t-en", (_u32s(3, 0, 2, 4), _u32s(3, 0, 2, 3), "disagree with their offsets")),
+    (_GOOD, (0,), "t-en", (_byte_column(0, 2, 4), _byte_column(0, 5, 4), "bad posting start")),
+    (_GOOD, (0,), "t-en", (_byte_column(0, 2, 4), _byte_column(0, 2, 3), "disagree with their offsets")),
     (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
-    (_GOOD, (0,), "t-en", (_u32s(2, 1, 1, 2) + b"xy", _u32s(2, 1, 2, 2) + b"xy", "string lengths")),
-    (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en" + _u32s(0), _u32s(1, 2, 2) + b"en" + _u32s(2), "keep-stopwords flag of language 'en' is not 0 or 1")),
-    (_GOOD, (0,), "t-en", (_u32s(1, 2, 2) + b"en", _u32s(1, 2, 2) + b"fr", "no analyzer profile for language 'fr'")),
+    (_GOOD, (0,), "t-en", (_byte_column(1, 1) + _u32s(2) + b"xy", _byte_column(1, 2) + _u32s(2) + b"xy", "string lengths")),
+    (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en" + _u32s(0), _byte_column(2) + _u32s(2) + b"en" + _u32s(2), "keep-stopwords flag of language 'en' is not 0 or 1")),
+    (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en", _byte_column(2) + _u32s(2) + b"fr", "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
 ]
 _PATCHED_IDS = [
@@ -535,6 +542,166 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
     assert [(p.doc, p.positions) for p in loaded.postings("t-en", "x")] == [(0, (0,)), (1, (0, 2))]
 
 
+def _stored_columns(data):
+    """(width, values) of every column of a version 6 snapshot, in file
+    order: read by walking the layout README "Snapshot format" gives."""
+    offset = len(SNAPSHOT_MAGIC) + 4
+    columns = []
+
+    def u32():
+        nonlocal offset
+        offset += 4
+        return struct.unpack_from("<I", data, offset - 4)[0]
+
+    def column():
+        nonlocal offset
+        width, n = u32(), u32()
+        code = {1: "B", 2: "H", 4: "I"}[width]
+        values = struct.unpack_from(f"<{n}{code}", data, offset)
+        offset += width * n
+        columns.append((width, values))
+        return values
+
+    def table():
+        nonlocal offset
+        lengths = column()
+        size = u32()
+        offset += size
+        return len(lengths)
+
+    for _ in range(table()):  # languages
+        u32()  # keep-stopwords flag
+        table()  # stopwords
+    table()  # doc_ids
+    for _ in range(table()):  # fields
+        table()  # terms
+        for _ in range(4):  # starts, docs, tfs, positions
+            column()
+        table()  # raw values
+        column()  # raw-value starts
+        column()  # raw-value docs
+    assert offset == len(data)
+    return columns
+
+
+def _smallest_width(values):
+    return min(w for w in (1, 2, 4) if max(values, default=0) < 256**w)
+
+
+# Column maxima on both sides of each width's limit.
+_ORDINAL_COUNTS = st.sampled_from([1, 2, 256, 257, 65536, 65537])
+_TFS = st.sampled_from([1, 2, 255, 256, 65535, 65536])
+_TOP_POSITIONS = st.sampled_from([0, 1, 255, 256, 65535, 65536, 2**32 - 2, 2**32 - 1])
+_VALUE_LENGTHS = st.sampled_from([1, 255, 256, 65535, 65536])
+
+
+@st.composite
+def _wide_indexes(draw):
+    """An index of one field "t-en" whose terms "x" and "y" (and "z" on
+    every doc, if drawn) and raw values hold column maxima drawn from
+    both sides of 255/256, 65,535/65,536 and 2**32 - 1."""
+    n_docs = draw(_ORDINAL_COUNTS)
+    ordinals = sorted({0, 1, n_docs // 2, n_docs - 2, n_docs - 1} & set(range(n_docs)))
+    terms = {}
+    for term in ("x", "y"):
+        docs = draw(st.lists(st.sampled_from(ordinals), min_size=1, unique=True).map(sorted))
+        tfs, positions = [], []
+        for _ in docs:
+            tf, top = draw(_TFS), draw(_TOP_POSITIONS)
+            first = max(0, top - tf + 1)
+            tfs.append(tf)
+            positions.extend(range(first, first + tf))
+        terms[term] = _columns(docs, tfs, positions)
+    if draw(st.booleans()):
+        terms["z"] = _columns(range(n_docs), [1] * n_docs, [0] * n_docs)
+    values = {
+        "v" * draw(_VALUE_LENGTHS): tuple(sorted(draw(st.sets(st.sampled_from(ordinals), min_size=1)))),
+        "w": (n_docs - 1,),
+    }
+    doc_ids = [f"d{i:05d}" for i in range(n_docs)]
+    return Index(doc_ids, {"t-en": _concatenate(terms)}, {"t-en": values}, {"en": chain_for("en")})
+
+
+@settings(max_examples=40, deadline=None)
+@given(idx=_wide_indexes())
+def test_snapshot_stores_each_column_at_the_smallest_width_that_fits(tmp_path_factory, idx):
+    directory = tmp_path_factory.mktemp("widths")
+    idx.save(directory / "a.bin")
+    data = (directory / "a.bin").read_bytes()
+    loaded = Index.load(directory / "a.bin")
+
+    for term in ("x", "y"):  # "z" is one position per doc, left to search
+        assert loaded.postings("t-en", term) == idx.postings("t-en", term)
+    queries = [Query((Term("t-en", term),)) for term in idx.terms("t-en")]
+    queries.append(Query((Phrase("t-en", ("x", "y")),)))
+    for query in queries:
+        assert loaded.search(query, 10) == idx.search(query, 10)
+    assert loaded.raw_values("t-en") == idx.raw_values("t-en")
+
+    for width, values in _stored_columns(data):
+        assert width == _smallest_width(values)
+    # a built index and a loaded one hold each column at the same width
+    built, read = idx._fields["t-en"], loaded._fields["t-en"]
+    for name in ("starts", "docs", "tfs", "positions"):
+        column = getattr(built, name)
+        assert column.itemsize == getattr(read, name).itemsize == _smallest_width(column)
+
+    loaded.save(directory / "b.bin")
+    assert (directory / "b.bin").read_bytes() == data
+    # the bytes do not depend on the width a column is held at
+    wide = built._replace(**{name: array("I", getattr(built, name)) for name in ("starts", "docs", "tfs", "positions")})
+    Index(idx.doc_ids, {"t-en": wide}, {"t-en": idx.raw_values("t-en")}, idx.chains).save(directory / "c.bin")
+    assert (directory / "c.bin").read_bytes() == data
+
+
+def _narrow_snapshot(tmp_path):
+    """A valid snapshot whose every column is 1 byte per value."""
+    idx = Index(
+        ["d0", "d1"],
+        {"t-en": _concatenate({"x": _GOOD, "y": _GOOD})},
+        {"t-en": {"x": (0,)}},
+        {"en": chain_for("en")},
+    )
+    path = tmp_path / "index" / SNAPSHOT_FILENAME
+    path.parent.mkdir()
+    idx.save(path)
+    return path
+
+
+def _assert_malformed(path, capsys, match):
+    """`Index.load` raises a DataError naming the snapshot, and `index
+    search` on it exits 2 with that message."""
+    with pytest.raises(DataError, match=match) as raised:
+        Index.load(path)
+    assert str(raised.value).startswith(f"{path}: malformed index snapshot: ")
+    queries = path.parent.parent / "queries.tsv"
+    queries.write_text("T-000\tt-en:(x)\n", encoding="utf-8")
+    code = main(["index", "search", "--index", str(path.parent), "--query-file", str(queries)])
+    assert code == 2
+    assert str(raised.value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0, 3, 8])
+def test_snapshot_rejects_a_column_width_other_than_1_2_or_4(tmp_path, capsys, width):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    starts = _byte_column(0, 2, 4)
+    assert data.count(starts) == 1
+    path.write_bytes(data.replace(starts, _u32s(width, 3) + bytes([0, 2, 4])))
+    _assert_malformed(path, capsys, f"column width {width} is not 1, 2 or 4$")
+
+
+def test_snapshot_rejects_a_narrow_column_that_runs_past_the_end(tmp_path, capsys):
+    # The last column, the raw-value docs (0,), holds one byte; at width 2
+    # its one value needs two.
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    assert data.endswith(_byte_column(0))
+    path.write_bytes(data[:-9] + _u32s(2, 1) + b"\0")
+    end = len(data)
+    _assert_malformed(path, capsys, f"2 bytes at byte {end - 1} run past byte {end}$")
+
+
 def test_snapshot_of_version_1_is_rejected():
     path = Path(__file__).parent / "data" / "index_v1" / SNAPSHOT_FILENAME
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 1)
@@ -560,20 +727,29 @@ def test_snapshot_of_version_3_is_rejected():
 
 def test_snapshot_of_version_4_is_rejected():
     # tests/data/index_v4/index.bin: the six documents of
-    # tests/data/index_v5/docs.jsonl, written by the version 4 format
+    # tests/data/index_v6/docs.jsonl, written by the version 4 format
     path = Path(__file__).parent / "data" / "index_v4" / SNAPSHOT_FILENAME
     assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 4)
     with pytest.raises(DataError, match="unsupported snapshot version 4"):
         Index.load(path)
 
 
-def test_snapshot_of_version_5_loads(tmp_path):
-    # tests/data/index_v5: `index build --stopwords stopwords.txt` over
+def test_snapshot_of_version_5_is_rejected():
+    # tests/data/index_v5/index.bin: the six documents of
+    # tests/data/index_v6/docs.jsonl, written by the version 5 format
+    path = Path(__file__).parent / "data" / "index_v5" / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 5)
+    with pytest.raises(DataError, match="unsupported snapshot version 5"):
+        Index.load(path)
+
+
+def test_snapshot_of_version_6_loads(tmp_path):
+    # tests/data/index_v6: `index build --stopwords stopwords.txt` over
     # docs.jsonl (three en and three de documents, not in doc_id order);
     # a fresh build must write the same bytes
-    data = Path(__file__).parent / "data" / "index_v5"
+    data = Path(__file__).parent / "data" / "index_v6"
     path = data / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 5)
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 6)
     stopwords = load_stopwords(data / "stopwords.txt")
     chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
     loaded = Index.load(path)

@@ -351,8 +351,8 @@ def test_cooccur_config_validation():
 
 @pytest.mark.parametrize("title", ["it's's whale", "it’s’s whale"])
 def test_str_drops_a_title_token_that_analyzes_to_no_term(title):
-    # "it's's" loses one possessive in query_tokens and a second in
-    # analysis, which leaves the stopword "it"
+    # "it's's" stays a title word, whose term "it'" is in no document,
+    # so STR falls back to the union: the documents of "whale"
     index = build_index(random_corpus(5, 80), EN)
     expected = suggest_str(index, Topic("T", "whale", "en"))
     assert expected.suggestions
