@@ -30,7 +30,7 @@ from .analysis import LANGUAGES, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
 from .files import read_lines, write_lines
-from .index import ALL_FIELD, Clause, Phrase, Query, Term
+from .index import ALL_FIELD, Clause, Phrase, Query, Term, _check_boost
 from .suggestions import (
     GENERATOR_SYSTEMS,
     SuggestionSet,
@@ -53,8 +53,7 @@ class ExpansionConfig:
     max_concepts: int = 10
 
     def __post_init__(self):
-        if self.title_boost <= 0:
-            raise ValueError("title_boost must be positive")
+        _check_boost(self.title_boost)
         if self.max_concepts < 0:
             raise ValueError("max_concepts must be >= 0")
 

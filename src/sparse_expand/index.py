@@ -14,6 +14,8 @@ terms are numbered in sorted order; term i owns
 same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
 (every posting's positions, in doc order; `pos_starts` is the running
 sum of `tfs` at `starts`). A term's slices are cut when a caller asks.
+`build_index` appends each token straight to its term's columns, and one
+function derives `pos_starts` for both build and load.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -209,10 +211,18 @@ class _FieldColumns(NamedTuple):
     positions: array
 
 
+def _pos_starts(starts: array, tfs: array) -> list[int]:
+    """Each term's first position, then the end of the last: the running
+    sum of per-term tf sums. Not a running sum per posting: that many ints
+    per load fragment the heap of a process that reloads."""
+    term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
+    return list(accumulate(map(sum, term_tfs), initial=0))
+
+
 def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
     """One field's columns from per-term columns."""
     names = sorted(terms)
-    starts, pos_starts = array("I", [0]), array("I", [0])
+    starts = array("I", [0])
     docs, tfs, positions = array("I"), array("I"), array("I")
     for name in names:
         term_docs, term_tfs, term_positions = terms[name]
@@ -220,7 +230,7 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
         tfs.extend(term_tfs)
         positions.extend(term_positions)
         starts.append(len(docs))
-        pos_starts.append(len(positions))
+    pos_starts = array("I", _pos_starts(starts, tfs))
     starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
     return _FieldColumns(dict(zip(names, count())), starts, pos_starts, docs, tfs, positions)
 
@@ -531,10 +541,7 @@ class Index:
             docs, tfs, positions = take_column(), take_column(), take_column()
             if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
-            # Per-term sums, not a running sum per posting: that many ints
-            # per load fragment the heap of a process that reloads.
-            term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
-            ends = list(accumulate(map(sum, term_tfs), initial=0))
+            ends = _pos_starts(starts, tfs)
             if min(tfs, default=1) < 1 or ends[-1] != len(positions):
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
             pos_starts = array("I", ends)
@@ -644,6 +651,9 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     order inside the union field is `DEFAULT_SCHEMA` order, then any
     extra (lax-ingested) fields lexicographically. Raw values are kept
     for the concept fields only.
+
+    Each token goes straight into its term's columns, in its field and
+    the union field; `pos_starts` is derived as `load` derives it.
     """
     docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:
@@ -651,56 +661,43 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
 
     postings: dict[str, dict[str, Columns]] = {}
     raw_values: dict[str, dict[str, set[int]]] = {}
-    doc_ids: list[str] = []
 
-    def add_segment(
-        per_term: dict[str, list[int]], tokens: Sequence[str], start: int
-    ) -> int:
-        for i, token in enumerate(tokens):
-            per_term.setdefault(token, []).append(start + i)
-        return start + len(tokens) + SEGMENT_GAP
-
-    def add_postings(field: str, ordinal: int, per_term: dict[str, list[int]]) -> None:
-        field_postings = postings.setdefault(field, {})
-        for term, positions in per_term.items():
-            columns = field_postings.get(term)
+    def add(terms: dict[str, Columns], ordinal: int, tokens: Sequence[str], start: int) -> int:
+        """Append one value's tokens, from position `start`, to their
+        terms' columns; the next value's start."""
+        for position, token in enumerate(tokens, start):
+            columns = terms.get(token)
             if columns is None:
-                columns = field_postings[term] = (array("I"), array("I"), array("I"))
-            columns[0].append(ordinal)
-            columns[1].append(len(positions))
-            columns[2].extend(positions)
+                columns = terms[token] = (array("I"), array("I"), array("I"))
+            term_docs, tfs, positions = columns
+            if term_docs and term_docs[-1] == ordinal:
+                tfs[-1] += 1
+            else:
+                term_docs.append(ordinal)
+                tfs.append(1)
+            positions.append(position)
+        return start + len(tokens) + SEGMENT_GAP
 
     for ordinal, doc in enumerate(docs):
         if doc.lang not in chains:
             raise DataError(f"no analyzer chain for language {doc.lang!r}")
         chain = chains[doc.lang]
-        doc_ids.append(doc.doc_id)
-
-        names = sorted(doc.fields, key=lambda n: (_SCHEMA_ORDER.get(n, len(_SCHEMA_ORDER)), n))
-        all_terms: dict[str, list[int]] = {}
+        all_terms = postings.setdefault(f"{ALL_FIELD}-{doc.lang}", {})
         all_pos = 0
-
-        for name in names:
+        for name in sorted(doc.fields, key=lambda n: (_SCHEMA_ORDER.get(n, len(_SCHEMA_ORDER)), n)):
             composite = f"{name}-{doc.lang}"
-            per_term: dict[str, list[int]] = {}
+            terms = postings.setdefault(composite, {})
             pos = 0
-            keep_raw = name in CONCEPT_FIELDS
             for value in doc.fields[name]:
+                if name in CONCEPT_FIELDS and (trimmed := value.strip()):
+                    raw_values.setdefault(composite, {}).setdefault(trimmed, set()).add(ordinal)
                 tokens = chain.run(value)
-                trimmed = value.strip()
-                if keep_raw and trimmed:
-                    raw_values.setdefault(composite, {}).setdefault(trimmed, set()).add(
-                        ordinal
-                    )
-                if not tokens:
-                    continue
-                pos = add_segment(per_term, tokens, pos)
-                all_pos = add_segment(all_terms, tokens, all_pos)
-            add_postings(composite, ordinal, per_term)
-        add_postings(f"{ALL_FIELD}-{doc.lang}", ordinal, all_terms)
+                if tokens:
+                    pos = add(terms, ordinal, tokens, pos)
+                    all_pos = add(all_terms, ordinal, tokens, all_pos)
 
     return Index(
-        doc_ids,
+        [doc.doc_id for doc in docs],
         {f: _concatenate(terms) for f, terms in postings.items()},
         {f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
         chains,

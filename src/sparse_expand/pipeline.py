@@ -154,9 +154,11 @@ def read_seeds_file(path: str | Path) -> dict[str, str]:
     seeds: dict[str, str] = {}
     for lineno, line in read_lines(path):
         topic_id, sep, title = line.partition("\t")
-        if not sep or not topic_id.strip() or not title.strip():
-            raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>seed title'")
         topic_id = topic_id.strip()
+        if not sep or not topic_id or not title.strip():
+            raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>seed title'")
+        if any(map(str.isspace, topic_id)):
+            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
         if topic_id in seeds:
             raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
         seeds[topic_id] = title.strip()

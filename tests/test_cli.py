@@ -692,6 +692,18 @@ def test_suggest_docsim_on_a_repeated_seed_topic_id_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_suggest_docsim_on_a_seed_topic_id_with_whitespace_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    seeds = Path(workspace["seeds"])
+    seeds.write_text("T 1\tWhale\n", encoding="utf-8")
+    out_file = tmp_path / "docsim.tsv"
+    args = ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", str(seeds),
+            "--out", str(out_file)]
+    assert main(args) == 2
+    assert "seeds.tsv:1: topic id 'T 1' contains whitespace" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_expand_skips_a_topic_whose_language_has_no_profile(tmp_path, caplog):
     topics = tmp_path / "topics.jsonl"
     topics.write_text(

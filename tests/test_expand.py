@@ -350,8 +350,9 @@ def test_query_file_writer_rejects_an_id_the_reader_would_reject(tmp_path, topic
 
 
 def test_expansion_config_validation():
-    with pytest.raises(ValueError):
-        ExpansionConfig(title_boost=0)
+    for title_boost in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="boost must be positive and finite"):
+            ExpansionConfig(title_boost=title_boost)
     with pytest.raises(ValueError):
         ExpansionConfig(max_concepts=-1)
 

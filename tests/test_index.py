@@ -431,6 +431,7 @@ _INCONSISTENT = [
     (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en" + _u32s(0), _byte_column(2) + _u32s(2) + b"en" + _u32s(2), "keep-stopwords flag of language 'en' is not 0 or 1")),
     (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en", _byte_column(2) + _u32s(2) + b"fr", "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
+    (_GOOD, (0,), "t-en", (_byte_column(1, 2, 1, 2), _u32s(4, 4, 2**31, 2**31, 1, 2), "tfs of field 't-en' hold a 0 or disagree")),
 ]
 _PATCHED_IDS = [
     "descending-offsets",
@@ -440,6 +441,7 @@ _PATCHED_IDS = [
     "keep-stopwords-flag-2",
     "language-without-profile",
     "field-without-chain",
+    "tf-sum-beyond-u32",
 ]
 
 
@@ -825,6 +827,44 @@ def test_postings_are_read_back_from_the_columns():
         (2, (1, 3)),  # schema order: description "old whale", gap, title "whale"
     ]
     assert idx.postings("dc:title-en", "zebra") == ()
+
+
+# A few words, so that terms repeat within a value and across values and
+# fields ("whales" stems to "whale"); "the", "der" and "--" analyze to
+# nothing; "a:note" is a lax field outside the schema, so it goes last
+# in the union field although its name sorts first.
+_ORACLE_WORDS = st.sampled_from(["whale", "whales", "ship", "sea", "Haus", "the", "der", "--"])
+_ORACLE_DOCUMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["en", "de"]),
+        st.dictionaries(
+            st.sampled_from(["dc:title", "dc:description", "dc:subject", "a:note"]),
+            st.lists(st.lists(_ORACLE_WORDS, max_size=4).map(" ".join), min_size=1, max_size=3).map(tuple),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ORACLE_DOCUMENTS)
+def test_postings_match_the_oracle_token_streams(drawn):
+    docs = [Document(f"d{i}", lang, fields) for i, (lang, fields) in enumerate(drawn)]
+    idx = _index(docs)
+    expected: dict[str, dict[str, dict[int, list[int]]]] = {}
+    for ordinal, doc in enumerate(sorted(docs, key=lambda doc: doc.doc_id)):
+        for field, pairs in field_token_positions(doc, CHAINS[doc.lang]).items():
+            terms = expected.setdefault(field, {})
+            for term, position in pairs:
+                terms.setdefault(term, {}).setdefault(ordinal, []).append(position)
+    assert idx.fields == sorted(expected)
+    for field, terms in expected.items():
+        assert idx.terms(field) == sorted(terms)
+        for term, per_doc in terms.items():
+            postings = [(p.doc, p.positions, p.tf) for p in idx.postings(field, term)]
+            assert postings == [(doc, tuple(ps), len(ps)) for doc, ps in per_doc.items()]
 
 
 def test_phrase_of_a_repeated_token_counts_overlapping_matches():
