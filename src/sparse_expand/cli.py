@@ -29,7 +29,7 @@ from .evaluation import (
     run_lines,
 )
 from .expand import ExpansionConfig, write_query_file, read_query_file
-from .files import write_lines
+from .files import is_id, write_lines
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
     PipelineConfig,
@@ -82,7 +82,7 @@ def _emit_lines(lines: list[str], out_file: str | None) -> None:
 
 
 def _run_tag(ctx, param, value: str) -> str:
-    if not value or any(map(str.isspace, value)):
+    if not is_id(value):
         raise click.BadParameter("must be non-empty and contain no whitespace")
     return value
 

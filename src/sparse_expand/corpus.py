@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .analysis import LANGUAGES
 from .errors import DataError, DuplicateDocumentError, EmptyCorpusError
-from .files import read_lines
+from .files import is_id, read_lines
 
 # Fields of a typical cultural-heritage metadata record: the only fields
 # a strict ingest accepts, the column order of coverage reports and the
@@ -167,7 +167,7 @@ def _parse_document(obj: dict, lax: bool) -> Document:
     doc_id = doc_id.strip()
     if not doc_id:
         raise DataError("missing or empty 'id'")
-    if any(map(str.isspace, doc_id)):
+    if not is_id(doc_id):
         raise DataError(f"document id {doc_id!r} contains whitespace")
     lang = obj.get("lang", "")
     if type(lang) is not str:
@@ -240,7 +240,7 @@ def _parse_topic(obj: dict) -> Topic:
     topic_id, title, lang = topic_id.strip(), title.strip(), lang.strip()
     if not topic_id or not title or not lang:
         raise DataError("topic needs non-empty 'id', 'title' and 'lang'")
-    if any(map(str.isspace, topic_id)):
+    if not is_id(topic_id):
         raise DataError(f"topic id {topic_id!r} contains whitespace")
     return Topic(topic_id=topic_id, title=title, lang=lang, description=description)
 

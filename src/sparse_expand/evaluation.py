@@ -8,7 +8,7 @@ File formats follow the TREC conventions:
 
 A qrels file grades each (topic, doc) once, and a judgments file each
 (topic, rank) once, with ranks from 1; a repeat is a data error, not a
-silent override. Run ids are non-empty and hold no whitespace.
+silent override. Topic and doc ids follow the id rule of `files`.
 
 In memory a run is `{topic_id: [ScoredDoc, ...]}`, each topic's hits in
 rank order, as `Index.search` returns them. The writer numbers the ranks
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .files import read_lines, write_lines
+from .files import is_id, line_id, read_lines, write_lines
 from .index import ScoredDoc
 from .suggestions import SuggestionSet
 
@@ -42,18 +42,31 @@ DEFAULT_RUN_DEPTH = 1000
 RELEVANCE_THRESHOLD = 1
 
 
+def _check_hits(topic_id: str, docs: Sequence[str], scores: Sequence[float]) -> None:
+    """DataError for a topic's hits that a run file may not hold: a
+    non-finite score, a repeated doc id, or scores rising with rank."""
+    if not all(map(math.isfinite, scores)):
+        raise DataError(f"run for topic {topic_id!r}: score must be finite")
+    if len(set(docs)) != len(docs):
+        raise DataError(f"run for topic {topic_id!r}: duplicate doc_id")
+    if any(map(lt, scores, scores[1:])):
+        raise DataError(f"run for topic {topic_id!r}: scores increase with rank")
+
+
 def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]:
     """The run file's lines: topics in mapping order, hits in rank order.
 
-    Raises DataError for an empty topic or doc id, or one holding
-    whitespace, which `read_run_file` could not split back."""
-    ids = set(run).union(*(map(itemgetter(0), hits) for hits in run.values()))
-    bad = [i for i in ids if i.split() != [i]]
+    Raises DataError, before any line is made, for what `read_run_file`
+    would reject: a run tag, topic id or doc id that is empty or holds
+    whitespace, and hits that `_check_hits` rejects."""
+    ids = {run_tag}.union(run, *(map(itemgetter(0), hits) for hits in run.values()))
+    bad = [i for i in ids if not is_id(i)]
     if bad:
         raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
     lines: list[str] = []
     for topic_id, hits in run.items():  # one C-level formatting pass per topic
-        doc_ids, scores = map(itemgetter(0), hits), map(itemgetter(1), hits)
+        doc_ids, scores = list(map(itemgetter(0), hits)), list(map(itemgetter(1), hits))
+        _check_hits(topic_id, doc_ids, scores)
         fields = zip(repeat(topic_id), doc_ids, count(1), scores, repeat(run_tag))
         lines += map("%s Q0 %s %d %.6f %s".__mod__, fields)
     return lines
@@ -83,10 +96,7 @@ def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
         ranks, docs, scores = zip(*sorted(entries))
         if ranks != tuple(range(1, len(ranks) + 1)):
             raise DataError(f"run for topic {topic_id!r}: ranks must be contiguous from 1")
-        if len(set(docs)) != len(docs):
-            raise DataError(f"run for topic {topic_id!r}: duplicate doc_id")
-        if any(map(lt, scores, scores[1:])):
-            raise DataError(f"run for topic {topic_id!r}: scores increase with rank")
+        _check_hits(topic_id, docs, scores)
         run[topic_id] = list(starmap(ScoredDoc, zip(docs, scores)))
     return run
 
@@ -219,6 +229,7 @@ def read_judgments_file(path: str | Path) -> dict[str, dict[int, int]]:
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
         topic_id, rank_s, grade_s = parts
+        topic_id = line_id(path, lineno, topic_id)
         try:
             rank, grade = int(rank_s), int(grade_s)
         except ValueError:

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .analysis import LANGUAGES, chain_for, query_tokens
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
-from .files import read_lines, write_lines
+from .files import is_id, read_keyed_lines, write_lines
 from .index import ALL_FIELD, Clause, Phrase, Query, Term, _check_boost
 from .suggestions import (
     GENERATOR_SYSTEMS,
@@ -259,7 +259,7 @@ def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> 
     repeated) and for a query `serialize_query` rejects."""
     lines, seen = [], set()
     for topic_id, query in queries:
-        if topic_id.split() != [topic_id]:
+        if not is_id(topic_id):
             raise DataError(f"topic id {topic_id!r} is empty or contains whitespace")
         if topic_id in seen:
             raise DataError(f"repeated topic id {topic_id!r}")
@@ -269,17 +269,5 @@ def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> 
 
 
 def read_query_file(path: str | Path) -> list[tuple[str, Query]]:
-    """(topic id, query) per line; a topic id holds no whitespace and
-    may appear only once."""
-    queries: dict[str, Query] = {}
-    for lineno, line in read_lines(path):
-        topic_id, sep, expression = line.partition("\t")
-        topic_id = topic_id.strip()
-        if not sep or not topic_id:
-            raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>expression'")
-        if any(map(str.isspace, topic_id)):
-            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
-        if topic_id in queries:
-            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
-        queries[topic_id] = parse_query(expression)
-    return list(queries.items())
+    """(topic id, query) per `topic_id<TAB>expression` line."""
+    return list(read_keyed_lines(path, parse_query).items())

@@ -15,9 +15,11 @@ import os
 import tempfile
 import urllib.parse
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
+
+T = TypeVar("T")
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -73,6 +75,41 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError:
         read_text(path)  # raises the DataError that names the line
         raise
+
+
+def is_id(text: str) -> bool:
+    """Whether `text` is a valid id (of a topic, a document or a run):
+    non-empty, with no whitespace, so a split line gives it back whole."""
+    return text.split() == [text]
+
+
+def line_id(path: str | Path, lineno: int, text: str) -> str:
+    """`text` stripped, as the topic id on line `lineno` of `path`;
+    DataError if that is empty or holds whitespace."""
+    text = text.strip()
+    if not is_id(text):
+        problem = "contains whitespace" if text else "is empty"
+        raise DataError(f"{path}:{lineno}: topic id {text!r} {problem}")
+    return text
+
+
+def read_keyed_lines(path: str | Path, parse: Callable[[str], T]) -> dict[str, T]:
+    """topic id -> parsed value, per `topic_id<TAB>value` line. DataError
+    naming the line for a missing tab, a bad id (`line_id`), an id seen
+    on an earlier line, or a value that `parse` rejects."""
+    values: dict[str, T] = {}
+    for lineno, line in read_lines(path):
+        topic_id, sep, value = line.partition("\t")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected a tab after the topic id")
+        topic_id = line_id(path, lineno, topic_id)
+        if topic_id in values:
+            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
+        try:
+            values[topic_id] = parse(value)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 def read_titled_files(directory: str | Path, suffix: str) -> list[tuple[str, str]]:

@@ -646,11 +646,12 @@ def _positions_of(columns: Columns, docs: Sequence[int]) -> list[array]:
 def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain]) -> Index:
     """Analyze and index a document stream.
 
-    Raises on an empty corpus, a repeated doc_id, or a document whose
-    language has no chain. Documents are numbered in doc_id order. Field
-    order inside the union field is `DEFAULT_SCHEMA` order, then any
-    extra (lax-ingested) fields lexicographically. Raw values are kept
-    for the concept fields only.
+    Raises on an empty corpus, a repeated doc_id, a document whose
+    language has no chain, or one with a field named `chic_all`, which
+    the union field's name reserves. Documents are numbered in doc_id
+    order. Field order inside the union field is `DEFAULT_SCHEMA` order,
+    then any extra (lax-ingested) fields lexicographically. Raw values
+    are kept for the concept fields only.
 
     Each token goes straight into its term's columns, in its field and
     the union field; `pos_starts` is derived as `load` derives it.
@@ -681,6 +682,8 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     for ordinal, doc in enumerate(docs):
         if doc.lang not in chains:
             raise DataError(f"no analyzer chain for language {doc.lang!r}")
+        if ALL_FIELD in doc.fields:
+            raise DataError(f"document {doc.doc_id!r}: field {ALL_FIELD!r} is reserved for the union field")
         chain = chains[doc.lang]
         all_terms = postings.setdefault(f"{ALL_FIELD}-{doc.lang}", {})
         all_pos = 0

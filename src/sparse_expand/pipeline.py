@@ -34,7 +34,7 @@ from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
 from .evaluation import evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
-from .files import read_lines, read_text, write_lines
+from .files import read_keyed_lines, read_text, write_lines
 from .index import ALL_FIELD, Index, Query, ScoredDoc, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
@@ -149,20 +149,15 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
     return problems
 
 
+def _seed_title(text: str) -> str:
+    if not text.strip():
+        raise DataError("empty seed title")
+    return text.strip()
+
+
 def read_seeds_file(path: str | Path) -> dict[str, str]:
-    """topic_id -> seed document title, one tab-separated pair per line."""
-    seeds: dict[str, str] = {}
-    for lineno, line in read_lines(path):
-        topic_id, sep, title = line.partition("\t")
-        topic_id = topic_id.strip()
-        if not sep or not topic_id or not title.strip():
-            raise DataError(f"{path}:{lineno}: expected 'topic_id<TAB>seed title'")
-        if any(map(str.isspace, topic_id)):
-            raise DataError(f"{path}:{lineno}: topic id {topic_id!r} contains whitespace")
-        if topic_id in seeds:
-            raise DataError(f"{path}:{lineno}: repeated topic id {topic_id!r}")
-        seeds[topic_id] = title.strip()
-    return seeds
+    """topic_id -> seed document title, per `topic_id<TAB>seed title` line."""
+    return read_keyed_lines(path, _seed_title)
 
 
 # -- the steps from topics to a run, shared with the CLI subcommands ------

@@ -4,229 +4,160 @@ Implements steps 1a through 5b exactly as published, including the
 ABLI -> ABLE rule of step 2 (no LOGI rule, which later revisions added)
 and no special-casing of very short words. Input is expected to be a
 lowercase token; the function is total and never raises.
+
+Every condition reads a word's letter classes, one `c` or `v` per
+letter: a, e, i, o, u and a y after a consonant are vowels, all else
+consonants. The measure m of [C](VC)^m[V] counts the `vc` pairs, *v* is
+any `v`, and *d and *o read the last classes and letters. Steps 1a, 2, 3
+and 4 list their rules longest suffix first: the first suffix a word
+ends with is the one the step considers, and if its condition fails no
+shorter suffix is tried.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+
+def _classes(word: str) -> str:
+    """`c` or `v` per letter of `word`."""
+    classes = ""
+    for ch in word:
+        classes += "v" if ch in "aeiou" or (ch == "y" and classes[-1:] == "c") else "c"
+    return classes
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant at the start or after a vowel
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _ends_cvc(word: str, classes: str) -> bool:
+    """*o: consonant-vowel-consonant, the last consonant not w, x or y."""
+    return classes.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _measure(stem: str) -> int:
-    """Count VC sequences in [C](VC)^m[V]."""
-    n = len(stem)
-    i = 0
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    m = 0
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
+_STEP1A = (
+    ("sses", "ss"),
+    ("ies", "i"),
+    ("ss", "ss"),
+    ("s", ""),
+)
 
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(stem: str) -> bool:
-    # consonant-vowel-consonant where the final consonant is not w, x or y
-    if len(stem) < 3:
-        return False
-    return (
-        _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
-
-
-def _longest_rule(word: str, rules: list[tuple[str, str]]) -> tuple[str, str] | None:
-    """Pick the rule with the longest suffix matching `word`, or None.
-
-    Only one rule per step may be considered; if its condition later
-    fails, no shorter suffix is retried.
-    """
-    best = None
-    for suffix, repl in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl)
-    return best
-
-
-_STEP2 = [
+_STEP2 = (
     ("ational", "ate"),
+    ("ization", "ize"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
     ("tional", "tion"),
+    ("biliti", "ble"),
+    ("entli", "ent"),
+    ("ousli", "ous"),
+    ("ation", "ate"),
+    ("alism", "al"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
     ("enci", "ence"),
     ("anci", "ance"),
     ("izer", "ize"),
     ("abli", "able"),
     ("alli", "al"),
-    ("entli", "ent"),
-    ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"),
-    ("ation", "ate"),
     ("ator", "ate"),
-    ("alism", "al"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("biliti", "ble"),
-]
+    ("eli", "e"),
+)
 
-_STEP3 = [
+_STEP3 = (
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
     ("iciti", "ic"),
     ("ical", "ic"),
-    ("ful", ""),
     ("ness", ""),
-]
+    ("ful", ""),
+)
 
-_STEP4 = [
-    ("al", ""),
+_STEP4 = (
+    ("ement", ""),
     ("ance", ""),
     ("ence", ""),
-    ("er", ""),
-    ("ic", ""),
     ("able", ""),
     ("ible", ""),
-    ("ant", ""),
-    ("ement", ""),
     ("ment", ""),
+    ("ant", ""),
     ("ent", ""),
     ("ion", ""),
-    ("ou", ""),
     ("ism", ""),
     ("ate", ""),
     ("iti", ""),
     ("ous", ""),
     ("ive", ""),
     ("ize", ""),
-]
+    ("al", ""),
+    ("er", ""),
+    ("ic", ""),
+    ("ou", ""),
+)
 
 
-def _step1a(w: str) -> str:
-    if w.endswith("sses"):
-        return w[:-2]
-    if w.endswith("ies"):
-        return w[:-2]
-    if w.endswith("ss"):
-        return w
-    if w.endswith("s"):
-        return w[:-1]
-    return w
+def _replace_suffix(word: str, rules: tuple[tuple[str, str], ...], min_measure: int) -> str:
+    """Replace the first suffix of `rules` that `word` ends with, if the
+    stem left has a measure of at least `min_measure` (and, for ION,
+    ends in S or T); else `word` unchanged."""
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if min_measure and _classes(stem).count("vc") < min_measure:
+                return word
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem + replacement
+    return word
 
 
 def _step1b(w: str) -> str:
     if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            return w[:-1]
-        return w
+        return w[:-1] if "vc" in _classes(w[:-3]) else w
     if w.endswith("ed"):
         stem = w[:-2]
-        if not _has_vowel(stem):
-            return w
     elif w.endswith("ing"):
         stem = w[:-3]
-        if not _has_vowel(stem):
-            return w
     else:
+        return w
+    classes = _classes(stem)
+    if "v" not in classes:
         return w
     # ED or ING was removed; tidy up the stem
     if stem.endswith(("at", "bl", "iz")):
         return stem + "e"
-    if _ends_double_consonant(stem) and stem[-1] not in "lsz":
+    if stem[-1] == stem[-2:-1] and classes[-1] == "c" and stem[-1] not in "lsz":
         return stem[:-1]
-    if _measure(stem) == 1 and _ends_cvc(stem):
+    if classes.count("vc") == 1 and _ends_cvc(stem, classes):
         return stem + "e"
     return stem
 
 
 def _step1c(w: str) -> str:
-    if w.endswith("y") and _has_vowel(w[:-1]):
+    if w.endswith("y") and "v" in _classes(w[:-1]):
         return w[:-1] + "i"
-    return w
-
-
-def _step2(w: str) -> str:
-    rule = _longest_rule(w, _STEP2)
-    if rule is not None:
-        stem = w[: -len(rule[0])]
-        if _measure(stem) > 0:
-            return stem + rule[1]
-    return w
-
-
-def _step3(w: str) -> str:
-    rule = _longest_rule(w, _STEP3)
-    if rule is not None:
-        stem = w[: -len(rule[0])]
-        if _measure(stem) > 0:
-            return stem + rule[1]
-    return w
-
-
-def _step4(w: str) -> str:
-    rule = _longest_rule(w, _STEP4)
-    if rule is not None:
-        stem = w[: -len(rule[0])]
-        if _measure(stem) > 1:
-            if rule[0] == "ion" and not stem.endswith(("s", "t")):
-                return w
-            return stem
     return w
 
 
 def _step5a(w: str) -> str:
     if w.endswith("e"):
         stem = w[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        classes = _classes(stem)
+        m = classes.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, classes)):
             return stem
     return w
 
 
 def _step5b(w: str) -> str:
-    if w.endswith("l") and _ends_double_consonant(w) and _measure(w) > 1:
+    # *d and L: the word ends in LL, and L is always a consonant
+    if w.endswith("ll") and _classes(w).count("vc") > 1:
         return w[:-1]
     return w
 
 
 def porter_stem(term: str) -> str:
     """Stem one lowercase English token."""
-    w = term
-    w = _step1a(w)
-    w = _step1b(w)
-    w = _step1c(w)
-    w = _step2(w)
-    w = _step3(w)
-    w = _step4(w)
-    w = _step5b(_step5a(w))
-    return w
+    w = _replace_suffix(term, _STEP1A, 0)
+    w = _step1c(_step1b(w))
+    w = _replace_suffix(w, _STEP2, 1)
+    w = _replace_suffix(w, _STEP3, 1)
+    w = _replace_suffix(w, _STEP4, 2)
+    return _step5b(_step5a(w))

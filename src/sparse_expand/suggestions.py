@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
-from .files import read_lines, write_lines
+from .files import is_id, line_id, read_lines, write_lines
 
 # The one registry of system names. Generator order is COMBO's merge
 # order; COMBO comes last because it consumes the generators' output.
@@ -91,9 +91,12 @@ def format_score(score: float | Fraction) -> str:
 
 def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
     """The suggestion file's lines, sorted by topic then rank; DataError,
-    before any is written, for a tab, `\\n` or `\\r` inside a column."""
+    before any is written, for a topic id that is empty or holds
+    whitespace, and for a tab, `\\n` or `\\r` inside a column."""
     lines = []
     for sset in sorted(sets, key=lambda s: s.topic_id):
+        if not is_id(sset.topic_id):
+            raise DataError(f"topic id {sset.topic_id!r} is empty or contains whitespace")
         for rank, (text, score) in enumerate(sset.suggestions, 1):
             line = f"{sset.topic_id}\t{rank}\t{text}\t{format_score(score)}\t{sset.system}"
             if line.count("\t") != 4 or "\n" in line or "\r" in line:
@@ -114,6 +117,7 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 tab-separated columns")
         topic_id, rank_s, text, score_s, system = parts
+        topic_id = line_id(path, lineno, topic_id)
         try:
             rank, score = int(rank_s), float(score_s)
         except ValueError:

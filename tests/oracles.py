@@ -4,8 +4,9 @@ Everything here recomputes results straight from raw documents (or raw
 ranked lists), deliberately avoiding the index / recommender / metric
 code paths under test. Only the analyzer chains are shared, since every
 route needs identical tokenization (`naive_chain_run` checks them against
-their stage functions), and the media-link pattern, which defines what
-the stripper oracle recognises.
+their stage functions, with `naive_porter_stem` in place of the
+production stemmer), and the media-link pattern, which defines what the
+stripper oracle recognises.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 from sparse_expand.analysis import de_light_stem, de_normalize, en_possessive, tokenize
 from sparse_expand.corpus import DEFAULT_SCHEMA
 from sparse_expand.index import Term
-from sparse_expand.porter import porter_stem
 from sparse_expand.wiki_lead import _MEDIA_LINK_RE
 
 SEGMENT_GAP = 1
@@ -36,7 +36,7 @@ def naive_chain_run(chain, text):
         elif stage == "stopwords":
             terms = [t for t in terms if t.lower() not in chain.stopword_list]
         elif stage == "porter_stem":
-            terms = [porter_stem(t) for t in terms]
+            terms = [naive_porter_stem(t) for t in terms]
         elif stage == "de_normalize":
             terms = [de_normalize(t) for t in terms]
         elif stage == "de_light_stem":
@@ -335,3 +335,231 @@ def naive_se_precision(grades_in_rank_order):
     weak = sum(1 for g in grades_in_rank_order if g >= 1)
     strong = sum(1 for g in grades_in_rank_order if g == 2)
     return (weak / n, strong / n)
+
+
+# -- Porter's 1980 stemmer step by step, as published: a recursive
+# consonant test, loops over letters and a scan for the longest rule --
+
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        # y is a consonant at the start or after a vowel
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Count VC sequences in [C](VC)^m[V]."""
+    n = len(stem)
+    i = 0
+    while i < n and _is_consonant(stem, i):
+        i += 1
+    m = 0
+    while i < n:
+        while i < n and not _is_consonant(stem, i):
+            i += 1
+        if i >= n:
+            break
+        m += 1
+        while i < n and _is_consonant(stem, i):
+            i += 1
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(stem: str) -> bool:
+    # consonant-vowel-consonant where the final consonant is not w, x or y
+    if len(stem) < 3:
+        return False
+    return (
+        _is_consonant(stem, len(stem) - 3)
+        and not _is_consonant(stem, len(stem) - 2)
+        and _is_consonant(stem, len(stem) - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+def _longest_rule(word: str, rules: list[tuple[str, str]]) -> tuple[str, str] | None:
+    """Pick the rule with the longest suffix matching `word`, or None.
+
+    Only one rule per step may be considered; if its condition later
+    fails, no shorter suffix is retried.
+    """
+    best = None
+    for suffix, repl in rules:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
+            best = (suffix, repl)
+    return best
+
+
+_STEP2 = [
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("abli", "able"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+]
+
+_STEP3 = [
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+]
+
+_STEP4 = [
+    ("al", ""),
+    ("ance", ""),
+    ("ence", ""),
+    ("er", ""),
+    ("ic", ""),
+    ("able", ""),
+    ("ible", ""),
+    ("ant", ""),
+    ("ement", ""),
+    ("ment", ""),
+    ("ent", ""),
+    ("ion", ""),
+    ("ou", ""),
+    ("ism", ""),
+    ("ate", ""),
+    ("iti", ""),
+    ("ous", ""),
+    ("ive", ""),
+    ("ize", ""),
+]
+
+
+def _step1a(w: str) -> str:
+    if w.endswith("sses"):
+        return w[:-2]
+    if w.endswith("ies"):
+        return w[:-2]
+    if w.endswith("ss"):
+        return w
+    if w.endswith("s"):
+        return w[:-1]
+    return w
+
+
+def _step1b(w: str) -> str:
+    if w.endswith("eed"):
+        if _measure(w[:-3]) > 0:
+            return w[:-1]
+        return w
+    if w.endswith("ed"):
+        stem = w[:-2]
+        if not _has_vowel(stem):
+            return w
+    elif w.endswith("ing"):
+        stem = w[:-3]
+        if not _has_vowel(stem):
+            return w
+    else:
+        return w
+    # ED or ING was removed; tidy up the stem
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if _ends_double_consonant(stem) and stem[-1] not in "lsz":
+        return stem[:-1]
+    if _measure(stem) == 1 and _ends_cvc(stem):
+        return stem + "e"
+    return stem
+
+
+def _step1c(w: str) -> str:
+    if w.endswith("y") and _has_vowel(w[:-1]):
+        return w[:-1] + "i"
+    return w
+
+
+def _step2(w: str) -> str:
+    rule = _longest_rule(w, _STEP2)
+    if rule is not None:
+        stem = w[: -len(rule[0])]
+        if _measure(stem) > 0:
+            return stem + rule[1]
+    return w
+
+
+def _step3(w: str) -> str:
+    rule = _longest_rule(w, _STEP3)
+    if rule is not None:
+        stem = w[: -len(rule[0])]
+        if _measure(stem) > 0:
+            return stem + rule[1]
+    return w
+
+
+def _step4(w: str) -> str:
+    rule = _longest_rule(w, _STEP4)
+    if rule is not None:
+        stem = w[: -len(rule[0])]
+        if _measure(stem) > 1:
+            if rule[0] == "ion" and not stem.endswith(("s", "t")):
+                return w
+            return stem
+    return w
+
+
+def _step5a(w: str) -> str:
+    if w.endswith("e"):
+        stem = w[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            return stem
+    return w
+
+
+def _step5b(w: str) -> str:
+    if w.endswith("l") and _ends_double_consonant(w) and _measure(w) > 1:
+        return w[:-1]
+    return w
+
+
+def naive_porter_stem(term: str) -> str:
+    """Stem one lowercase English token."""
+    w = term
+    w = _step1a(w)
+    w = _step1b(w)
+    w = _step1c(w)
+    w = _step2(w)
+    w = _step3(w)
+    w = _step4(w)
+    w = _step5b(_step5a(w))
+    return w

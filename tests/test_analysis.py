@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_chain_run
+import oracles
+from oracles import naive_chain_run, naive_porter_stem
 from sparse_expand import analysis
 from sparse_expand.analysis import (
     LANGUAGES,
@@ -115,6 +116,24 @@ def test_porter_total_on_odd_input():
     # no exceptions on digits, apostrophes, empty strings
     for term in ("", "1914", "o'brien", "x"):
         porter_stem(term)
+
+
+# Every suffix some step tests, taken from the oracle's tables, so a rule
+# missing from the production tables still shows up in the words.
+_PORTER_SUFFIXES = sorted(
+    {suffix for table in (oracles._STEP2, oracles._STEP3, oracles._STEP4) for suffix, _ in table}
+    | {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"}
+)
+
+
+@settings(max_examples=1000)
+@given(
+    st.text(alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz" + "aeiouyyy"), max_size=8),
+    st.lists(st.sampled_from(_PORTER_SUFFIXES), max_size=2),
+)
+def test_porter_stem_matches_the_published_steps(letters, suffixes):
+    word = letters + "".join(suffixes)
+    assert porter_stem(word) == naive_porter_stem(word)
 
 
 def test_tokenize_splits_non_alphanumeric():

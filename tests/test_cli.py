@@ -291,6 +291,19 @@ def test_index_build_on_an_id_with_whitespace_exits_2(tmp_path, capsys):
     assert main(lax) == 0
 
 
+def test_index_build_lax_on_a_field_named_chic_all_exits_2(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(
+        '{"id": "a", "lang": "en", "fields": {"dc:title": ["whale"]}}\n'
+        '{"id": "b", "lang": "en", "fields": {"chic_all": ["whale"], "dc:title": ["ship"]}}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "idx"
+    assert main(["index", "build", "--docs", str(docs), "--out", str(out), "--lax"]) == 2
+    assert "document 'b': field 'chic_all' is reserved for the union field" in capsys.readouterr().err
+    assert not (out / SNAPSHOT_FILENAME).exists()
+
+
 def test_index_search_on_a_version_1_snapshot_exits_2(tmp_path, capsys):
     # tests/data/index_v1/index.bin: two documents, written by the version 1 format
     v1 = Path(__file__).parent / "data" / "index_v1"
@@ -568,6 +581,20 @@ def test_index_search_on_a_topic_id_with_a_space_exits_2(tmp_path, capsys):
     args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
     assert main(args) == 2
     assert "queries.tsv:2: topic id 'T 1' contains whitespace" in capsys.readouterr().err
+    assert not run_file.exists()
+
+
+def test_index_search_on_a_malformed_expression_names_its_line(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("T-000\tchic_all-en:(ship)\nT-001\tchic_all-en:(whale\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{queries}:2: bad query expression at offset 18: expected OR or ): 'chic_all-en:(whale'" in err
     assert not run_file.exists()
 
 

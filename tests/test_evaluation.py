@@ -1,5 +1,7 @@
 import logging
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -289,8 +291,12 @@ def test_qrels_rejects_bad_grade(tmp_path):
 
 def test_judgments_file(tmp_path):
     path = tmp_path / "judg.tsv"
-    path.write_text("T1\t1\t2\nT1\t2\t0\nT2\t1\t1\n", encoding="utf-8")
+    path.write_text("T1\t1\t2\nT1\t2\t0\n T2 \t1\t1\n", encoding="utf-8")
     assert read_judgments_file(path) == {"T1": {1: 2, 2: 0}, "T2": {1: 1}}
+    for topic_id, problem in (("T 1", "contains whitespace"), ("", "is empty")):
+        path.write_text(f"T1\t1\t2\n{topic_id}\t1\t1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"judg.tsv:2: topic id {topic_id!r} {problem}")):
+            read_judgments_file(path)
 
 
 @pytest.mark.parametrize(
@@ -306,6 +312,31 @@ def test_judgments_file(tmp_path):
 def test_run_writer_rejects_an_id_the_reader_could_not_split(tmp_path, run):
     path = tmp_path / "run.trec"
     with pytest.raises(DataError, match="is empty or contains whitespace"):
+        write_run_file(path, run, "t")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("run_tag", ["a b", "", "t\n"])
+def test_run_writer_rejects_a_run_tag_the_reader_could_not_split(tmp_path, run_tag):
+    path = tmp_path / "run.trec"
+    with pytest.raises(DataError, match=re.escape(f"run id {run_tag!r} is empty or contains whitespace")):
+        write_run_file(path, {"T1": [ScoredDoc("a", 1.0)]}, run_tag)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "hits,message",
+    [
+        ([ScoredDoc("a", math.nan)], "score must be finite"),
+        ([ScoredDoc("a", 2.0), ScoredDoc("b", math.inf)], "score must be finite"),
+        ([ScoredDoc("a", 2.0), ScoredDoc("a", 1.0)], "duplicate doc_id"),
+        ([ScoredDoc("a", 1.0), ScoredDoc("b", 2.0)], "scores increase with rank"),
+    ],
+)
+def test_run_writer_rejects_hits_the_reader_would_reject(tmp_path, hits, message):
+    path = tmp_path / "run.trec"
+    run = {"T0": [ScoredDoc("x", 1.0)], "T1": hits}
+    with pytest.raises(DataError, match=re.escape(f"run for topic 'T1': {message}")):
         write_run_file(path, run, "t")
     assert not path.exists()
 

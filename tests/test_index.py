@@ -71,6 +71,13 @@ def test_missing_chain_for_language():
         build_index([doc], CHAINS)
 
 
+def test_build_rejects_a_field_named_as_the_union_field():
+    # Its composite name would be the union field's, chic_all-en.
+    doc = Document("d0", "en", {"chic_all": ("whale",), "dc:title": ("ship",)})
+    with pytest.raises(DataError, match="^document 'd0': field 'chic_all' is reserved for the union field$"):
+        build_index([_doc(1, **{"dc:title": ["sea"]}), doc], CHAINS)
+
+
 def test_build_rejects_a_repeated_doc_id():
     docs = [_doc(0, **{"dc:title": ["whale"]}), _doc(1, **{"dc:title": ["ship"]})]
     docs.append(Document("d0", "de", {"dc:title": ("Schiff",)}))

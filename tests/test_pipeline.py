@@ -187,6 +187,9 @@ def test_read_seeds_file(tmp_path):
     bad.write_text("T-1\tCastle\nT 2\tWhale\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"bad\.tsv:2: topic id 'T 2' contains whitespace"):
         read_seeds_file(bad)
+    bad.write_text(" \tWhale\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.tsv:1: topic id '' is empty"):
+        read_seeds_file(bad)
 
 
 def test_atomic_write_replaces_the_file_with_a_plain_file_mode(tmp_path):

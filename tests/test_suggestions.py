@@ -79,6 +79,8 @@ def test_suggestion_set_accepts_exactly_what_the_naive_predicate_accepts(tmp_pat
         ["T\t1\ta\t1.0\tSTR", "T\t2\tb\tnan\tSTR", "T\t3\tc\t5.0\tSTR"],  # nan hides a rise
         ["T\t1\ta\tinf\tSTR", "T\t2\tb\t0.4\tSTR"],  # infinite score
         ["T\t1\ta\t0.5\tSTR", "T\t2\tb\t-inf\tSTR"],  # infinite score
+        ["T 1\t1\ta\t0.5\tSTR"],  # topic id with whitespace
+        ["\t1\ta\t0.5\tSTR"],  # empty topic id
     ],
 )
 def test_suggestion_file_rejects_a_malformed_set(tmp_path, lines):
@@ -86,6 +88,16 @@ def test_suggestion_file_rejects_a_malformed_set(tmp_path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(DataError):
         read_suggestion_file(path)
+
+
+@pytest.mark.parametrize("topic_id,problem", [("T 1", "contains whitespace"), (" ", "is empty")])
+def test_suggestion_file_names_the_line_of_a_bad_topic_id(tmp_path, topic_id, problem):
+    path = tmp_path / "suggestions.tsv"
+    path.write_text(f" T0 \t1\ta\t0.5\tSTR\n{topic_id}\t1\tb\t0.5\tSTR\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"suggestions.tsv:2: topic id {topic_id.strip()!r} {problem}")):
+        read_suggestion_file(path)
+    path.write_text(" T0 \t1\ta\t0.5\tSTR\n", encoding="utf-8")
+    assert [s.topic_id for s in read_suggestion_file(path)] == ["T0"]
 
 
 def test_make_suggestion_set_keeps_text_and_score_in_rank_order():
@@ -114,6 +126,7 @@ def test_suggestion_writer_rejects_a_text_it_cannot_write_back(tmp_path, text):
     with pytest.raises(DataError, match=re.escape(f"topic 'T2', suggestion {text!r}: tab or line break")):
         write_suggestion_file(path, sets)
     assert not path.exists()
-    with pytest.raises(DataError, match=": tab or line break$"):
-        write_suggestion_file(path, [make_suggestion_set(text, "STR", [("whale", 0.5)])])
-    assert not path.exists()
+    for topic_id in (text, "T 1", " T1", ""):
+        with pytest.raises(DataError, match=re.escape(f"topic id {topic_id!r} is empty or contains whitespace")):
+            write_suggestion_file(path, [sets[0], make_suggestion_set(topic_id, "STR", [("whale", 0.5)])])
+        assert not path.exists()
