@@ -331,12 +331,7 @@ def eval_group():
 def eval_adhoc(run_file, qrels, depth, fmt):
     """MAP and R-Precision of a TREC run."""
     report = evaluate_run(read_run_file(run_file), read_qrels_file(qrels), depth=depth)
-    rows = [
-        (topic_id, f"{report.per_topic[topic_id]['ap']:.4f}", f"{report.per_topic[topic_id]['r_precision']:.4f}")
-        for topic_id in report.topic_ids
-    ]
-    rows.append(("mean", f"{report.means['ap']:.4f}", f"{report.means['r_precision']:.4f}"))
-    _echo_rows(rows, ("topic", "ap", "r_precision"), fmt)
+    _echo_rows(report.rows(places=4), ("topic", "ap", "r_precision"), fmt)
 
 
 @eval_group.command("se")
@@ -347,12 +342,7 @@ def eval_se(suggestions, judgments, fmt):
     """Weak/strong precision of a suggestion file."""
     sets = read_suggestion_file(suggestions)
     report = evaluate_suggestions(sets, read_judgments_file(judgments))
-    rows = [
-        (topic_id, f"{report.per_topic[topic_id]['weak']:.4f}", f"{report.per_topic[topic_id]['strong']:.4f}")
-        for topic_id in report.topic_ids
-    ]
-    rows.append(("mean", f"{report.means['weak']:.4f}", f"{report.means['strong']:.4f}"))
-    _echo_rows(rows, ("topic", "weak", "strong"), fmt)
+    _echo_rows(report.rows(places=4), ("topic", "weak", "strong"), fmt)
 
 
 def main(argv=None) -> int:

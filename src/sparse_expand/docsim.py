@@ -166,7 +166,8 @@ def suggest_docsim(
     top = int.from_bytes(lanes[seed : seed + width], "little")
     lanes[seed : seed + width] = bytes(width)
     titles = corpus._titles
-    ranked = islice(_ranked(lanes, width, top), k)
+    # islice takes no stop past sys.maxsize, and no more than n_docs can rank.
+    ranked = islice(_ranked(lanes, width, top), min(k, corpus.n_docs))
     return make_suggestion_set(
         topic_id, source, [(titles[ordinal], scores[value]) for ordinal, value in ranked]
     )

@@ -182,9 +182,26 @@ class MetricReport:
     per_topic: dict[str, dict[str, float]]  # topic -> metric -> value
     means: dict[str, float]
 
+    @classmethod
+    def of(cls, per_topic: dict[str, dict[str, float]]) -> "MetricReport":
+        """The report of non-empty per-topic values, with each metric's
+        mean over the topics."""
+        n = len(per_topic)
+        metrics = next(iter(per_topic.values()))
+        means = {m: sum(values[m] for values in per_topic.values()) / n for m in metrics}
+        return cls(per_topic=per_topic, means=means)
+
     @property
     def topic_ids(self) -> list[str]:
         return sorted(self.per_topic)
+
+    def rows(self, places: int) -> list[tuple[str, ...]]:
+        """One row per topic in id order, then a `mean` row: the label,
+        then each metric in `means` order with `places` decimals."""
+        labelled = [(t, self.per_topic[t]) for t in self.topic_ids] + [("mean", self.means)]
+        return [
+            (label, *(f"{values[m]:.{places}f}" for m in self.means)) for label, values in labelled
+        ]
 
 
 def evaluate_run(
@@ -213,12 +230,7 @@ def evaluate_run(
         }
     if not per_topic:
         raise DataError("no qrels topic has relevant documents")
-    n = len(per_topic)
-    means = {
-        "ap": sum(v["ap"] for v in per_topic.values()) / n,
-        "r_precision": sum(v["r_precision"] for v in per_topic.values()) / n,
-    }
-    return MetricReport(per_topic=per_topic, means=means)
+    return MetricReport.of(per_topic)
 
 
 def read_judgments_file(path: str | Path) -> dict[str, dict[int, int]]:
@@ -263,9 +275,4 @@ def evaluate_suggestions(
         per_topic[sset.topic_id] = {"weak": weak, "strong": strong}
     if not per_topic:
         raise DataError("no suggestion sets to evaluate")
-    n = len(per_topic)
-    means = {
-        "weak": sum(v["weak"] for v in per_topic.values()) / n,
-        "strong": sum(v["strong"] for v in per_topic.values()) / n,
-    }
-    return MetricReport(per_topic=per_topic, means=means)
+    return MetricReport.of(per_topic)

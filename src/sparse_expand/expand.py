@@ -119,7 +119,7 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
     lowered = list(map(str.lower, texts))
     # The first text of each lowered form, in the order the forms appear.
     first = dict(zip(reversed(lowered), reversed(texts)))
-    merged = map(first.__getitem__, itertools.islice(dict.fromkeys(lowered), max_concepts))
+    merged = map(first.__getitem__, list(dict.fromkeys(lowered))[:max_concepts])
     return make_suggestion_set(sets[0].topic_id, "COMBO", zip(merged, reciprocal_rank_scores()))
 
 

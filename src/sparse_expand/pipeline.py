@@ -32,7 +32,7 @@ from .analysis import LANGUAGES, chain_for
 from .corpus import Topic, ingest_documents, read_topics
 from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
-from .evaluation import evaluate_run, read_qrels_file, write_run_file
+from .evaluation import MetricReport, evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
 from .files import read_keyed_lines, read_text, write_lines
 from .index import ALL_FIELD, Index, Query, ScoredDoc, build_index
@@ -122,7 +122,11 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
         problems.append("missing out (output directory)")
     if cfg.lang not in LANGUAGES:
         problems.append(f"lang must be one of {sorted(LANGUAGES)}, got {cfg.lang!r}")
-    if not math.isfinite(cfg.boost):
+    try:
+        finite = math.isfinite(cfg.boost)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         problems.append("boost must be finite")
     elif cfg.boost <= 0:
         problems.append("boost must be positive")
@@ -332,13 +336,8 @@ def _combo_inputs(
     return group_by_topic(s for s in sets if s.topic_id in ids)
 
 
-def _write_metrics(path: Path, report) -> None:
-    lines = ["topic\tap\tr_precision"]
-    for topic_id in report.topic_ids:
-        values = report.per_topic[topic_id]
-        lines.append(f"{topic_id}\t{values['ap']:.6f}\t{values['r_precision']:.6f}")
-    lines.append(f"mean\t{report.means['ap']:.6f}\t{report.means['r_precision']:.6f}")
-    write_lines(path, lines)
+def _write_metrics(path: Path, report: MetricReport) -> None:
+    write_lines(path, ["topic\tap\tr_precision", *map("\t".join, report.rows(places=6))])
 
 
 def _write_manifest(path: Path, cfg: PipelineConfig, systems: Sequence[str]) -> None:

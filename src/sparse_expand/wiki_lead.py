@@ -6,11 +6,12 @@ kept); a lead extractor that collects link targets above the first
 heading, in appearance order; and a title matcher that resolves a topic
 to an article through four fallback stages.
 
-The stripper is defensive, never raises, and repeats its stage pipeline
-until no opener (`<!--`, `{{`, `{|`, a media link) is left, which is a
-fixpoint of the pipeline, so stripping is idempotent even on
-pathological nesting. Unbalanced openers swallow text to the end of the
-input and set the `truncated` flag.
+The stripper is defensive and never raises. `_STAGES` is the one list
+of its openers (`<!--`, `{{`, media and category links, `{|`). It
+repeats the stages until no opener is left, a fixpoint of the pipeline,
+so stripping is idempotent even on pathological nesting. Unbalanced
+openers swallow text to the end of the input and set the `truncated`
+flag.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
 _LINK_RE = re.compile(r"\[\[(.*?)\]\]", re.S)
 _INTERLANGUAGE_RE = re.compile(r"^[a-z]{2,3}(?:-[a-z0-9]+)*:")
 
+# strip_markup's stages in pass order: a region's opener, the token that
+# nests inside it (None: comments do not nest) and its closer.
+_STAGES = (
+    (re.compile("<!--"), None, "-->"),
+    (re.compile(r"\{\{"), "{{", "}}"),
+    (_MEDIA_LINK_RE, "[[", "]]"),
+    (re.compile(r"\{\|"), "{|", "|}"),
+)
+
 MAX_PERMUTATION_TOKENS = 6
 DEFAULT_MIN_LINKS = 3
 
@@ -41,28 +51,13 @@ class StripResult(NamedTuple):
     truncated: bool
 
 
-def _strip_comments(text: str) -> tuple[str, bool]:
-    """Drop <!-- ... --> comments, which do not nest; an unclosed one
-    drops the rest. Text joined across a dropped comment is left for the
-    next pass, even where it spells a new opener."""
-    kept: list[str] = []
-    i = 0
-    while (start := text.find("<!--", i)) != -1:
-        kept.append(text[i:start])
-        end = text.find("-->", start + 4)
-        if end == -1:
-            return "".join(kept), True
-        i = end + 3
-    kept.append(text[i:])
-    return "".join(kept), False
-
-
-def _past_close(text: str, i: int, open_tok: str, close_tok: str) -> int:
+def _past_close(text: str, i: int, open_tok: str | None, close_tok: str) -> int:
     """Index just past the closer that balances an opener ending at i, or
     -1 when it never closes. Jumps between delimiters; where an opener
-    and a closer start at the same place, the opener wins."""
+    and a closer start at the same place, the opener wins. With no
+    `open_tok`, nothing nests and the first closer ends the region."""
     depth = 1
-    opener = text.find(open_tok, i)
+    opener = -1 if open_tok is None else text.find(open_tok, i)
     closer = text.find(close_tok, i)
     while closer != -1:
         if opener != -1 and opener <= closer:
@@ -80,40 +75,20 @@ def _past_close(text: str, i: int, open_tok: str, close_tok: str) -> int:
     return -1
 
 
-def _strip_pairs(text: str, open_tok: str, close_tok: str) -> tuple[str, bool]:
-    """Drop balanced, possibly nested open..close regions.
-
-    An opener that never closes drops everything to the end of the text.
-    Stray closers are ordinary text.
-    """
+def _strip(text: str, opener: re.Pattern[str], open_tok: str | None, close_tok: str) -> tuple[str, bool]:
+    """Drop each region from `opener` to the closer that balances it; one
+    never closed drops the rest and sets the flag. Stray closers are text.
+    Text joined across a dropped region waits for the next pass, even
+    where it spells a new opener."""
     kept: list[str] = []
     i = 0
-    while (start := text.find(open_tok, i)) != -1:
-        kept.append(text[i:start])
-        i = _past_close(text, start + len(open_tok), open_tok, close_tok)
-        if i == -1:
-            return "".join(kept), True
-    kept.append(text[i:])
-    return "".join(kept), False
-
-
-def _strip_media_links(text: str) -> tuple[str, bool]:
-    kept: list[str] = []
-    i = 0
-    while (match := _MEDIA_LINK_RE.search(text, i)) is not None:
+    while (match := opener.search(text, i)) is not None:
         kept.append(text[i : match.start()])
-        i = _past_close(text, match.end(), "[[", "]]")
+        i = _past_close(text, match.end(), open_tok, close_tok)
         if i == -1:
             return "".join(kept), True
     kept.append(text[i:])
     return "".join(kept), False
-
-
-def _has_opener(text: str) -> bool:
-    """Whether some stage of strip_markup would drop part of the text."""
-    return (
-        "<!--" in text or "{{" in text or "{|" in text or _MEDIA_LINK_RE.search(text) is not None
-    )
 
 
 def strip_markup(wikitext: str) -> StripResult:
@@ -125,32 +100,22 @@ def strip_markup(wikitext: str) -> StripResult:
     """
     text = wikitext
     truncated = False
-    while _has_opener(text):
-        for stage in (
-            _strip_comments,
-            lambda t: _strip_pairs(t, "{{", "}}"),
-            _strip_media_links,
-            lambda t: _strip_pairs(t, "{|", "|}"),
-        ):
-            text, flag = stage(text)
+    while any(opener.search(text) for opener, _, _ in _STAGES):
+        for stage in _STAGES:
+            text, flag = _strip(text, *stage)
             truncated |= flag
     return StripResult(text, truncated)
 
 
 def _link_targets(text: str) -> list[str]:
     """Targets of plain links, first occurrence order, deduplicated."""
-    targets: list[str] = []
-    seen: set[str] = set()
+    targets = []
     for match in _LINK_RE.finditer(text):
-        target = match.group(1).split("|", 1)[0]
-        target = target.split("#", 1)[0]
+        target = match.group(1).split("|", 1)[0].split("#", 1)[0]
         target = " ".join(target.split())
-        if not target or _INTERLANGUAGE_RE.match(target):
-            continue
-        if target not in seen:
-            seen.add(target)
+        if target and not _INTERLANGUAGE_RE.match(target):
             targets.append(target)
-    return targets
+    return list(dict.fromkeys(targets))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ stripper oracle recognises.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from sparse_expand.analysis import de_light_stem, de_normalize, en_possessive, tokenize
@@ -275,22 +276,44 @@ def naive_strip_comments(text: str) -> tuple[str, bool]:
     return "".join(out), False
 
 
+# The one-character strippers, in the production stage order.
+NAIVE_STRIP_STAGES = (
+    naive_strip_comments,
+    lambda t: naive_strip_pairs(t, "{{", "}}"),
+    naive_strip_media_links,
+    lambda t: naive_strip_pairs(t, "{|", "|}"),
+)
+
+
 def naive_strip_markup(text: str) -> tuple[str, bool]:
     """Repeat the one-character strippers, in the production stage
     order, until a whole pass changes nothing."""
     truncated = False
     while True:
         before = text
-        for stage in (
-            naive_strip_comments,
-            lambda t: naive_strip_pairs(t, "{{", "}}"),
-            naive_strip_media_links,
-            lambda t: naive_strip_pairs(t, "{|", "|}"),
-        ):
+        for stage in NAIVE_STRIP_STAGES:
             text, flag = stage(text)
             truncated = truncated or flag
         if text == before:
             return text, truncated
+
+
+def naive_link_targets(text: str) -> list[str]:
+    """Targets of plain [[...]] links in first occurrence order, each kept
+    once: the text before any pipe and any '#', whitespace collapsed;
+    empty and interlanguage (`xx:`, `xx-yy:`) targets are dropped."""
+    targets: list[str] = []
+    seen: set[str] = set()
+    for match in re.finditer(r"\[\[(.*?)\]\]", text, re.S):
+        target = match.group(1).split("|", 1)[0]
+        target = target.split("#", 1)[0]
+        target = " ".join(target.split())
+        if not target or re.match(r"^[a-z]{2,3}(?:-[a-z0-9]+)*:", target):
+            continue
+        if target not in seen:
+            seen.add(target)
+            targets.append(target)
+    return targets
 
 
 def naive_suggestion_set_ok(rows) -> bool:

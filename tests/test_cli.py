@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,32 @@ def test_run_rejects_out_of_range_numeric_options(tmp_path, capsys, option, valu
     assert main(args + [option, value]) == 1
     assert option in capsys.readouterr().err
     assert not Path(workspace["out"]).exists()
+
+
+@pytest.mark.parametrize("command", ["combo", "expand", "docsim", "run"])
+def test_a_k_beyond_sys_maxsize_writes_what_k_1000_writes(tmp_path, command):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=3)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    str_file, wiki_file = str(tmp_path / "str.tsv"), str(tmp_path / "wiki.tsv")
+    topics = ["--topics", workspace["topics"]]
+    assert main(["suggest", "str", "--index", index_dir, *topics, "--out", str_file]) == 0
+    assert main(["suggest", "wiki-lead", "--articles", workspace["articles"], *topics, "--out", wiki_file]) == 0
+    argv = {
+        "combo": ["combo", "--inputs", str_file, "--inputs", wiki_file, "--out"],
+        "expand": ["expand", *topics, "--suggestions", str_file, "--suggestions", wiki_file, "--out"],
+        "docsim": ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"], "--out"],
+        "run": ["run", "--docs", workspace["docs"], *topics, "--system", "STR", "--system", "COMBO", "--out"],
+    }[command]
+    written = []
+    for k in ("1000", str(sys.maxsize + 1)):
+        out = tmp_path / f"k{k}"
+        out.mkdir()
+        assert main([*argv, str(out if command == "run" else out / "out.tsv"), "--k", k]) == 0
+        # The manifest's config hash covers --k and --out.
+        files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+        written.append({p.relative_to(out): p.read_bytes() for p in files})
+    assert written[0] and written[0] == written[1]
 
 
 def _repeat_first_topic(workspace) -> None:
@@ -1081,4 +1108,15 @@ def test_run_on_a_config_with_min_links_below_one_is_a_usage_error(tmp_path, cap
     )
     assert main(["run", "--config", str(config), "--system", "WIKI_ENTITY"]) == 1
     assert "min_links must be >= 1" in capsys.readouterr().err
+    assert not Path(workspace["out"]).exists()
+
+
+def test_run_on_a_config_boost_beyond_the_float_range_exits_1(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    config = tmp_path / "config.json"
+    keys = json.dumps({k: workspace[k] for k in ("docs", "topics", "out")})
+    config.write_text(f'{keys[:-1]}, "boost": {"9" * 401}}}', encoding="utf-8")
+    assert main(["run", "--config", str(config), "--system", "STR"]) == 1
+    err = capsys.readouterr().err
+    assert "boost must be finite" in err and "Traceback" not in err
     assert not Path(workspace["out"]).exists()

@@ -241,6 +241,7 @@ def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
         ("min_links", "-4", ["min_links must be >= 1"]),
         ("min_links", "0", ["min_links must be >= 1"]),
         ("min_links", "1", []),
+        pytest.param("boost", "9" * 401, ["boost must be finite"], id="boost-401-digits"),
     ],
 )
 def test_load_config_checks_field_types(tmp_path, key, literal, outcome):

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_strip_markup, naive_strip_media_links, naive_strip_pairs
+from oracles import NAIVE_STRIP_STAGES, naive_link_targets, naive_strip_markup
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
+    _STAGES,
     ArticleStore,
-    _strip_media_links,
-    _strip_pairs,
+    _link_targets,
+    _strip,
     extract_lead,
     strip_markup,
     suggest_wiki_lead,
@@ -134,14 +135,12 @@ _DELIMITERS = st.sampled_from(
 
 
 @settings(max_examples=1000)
-@given(st.lists(_DELIMITERS, max_size=30).map("".join))
+@given(st.lists(_DELIMITERS | st.sampled_from(["<!", "--", "-", "<"]), max_size=30).map("".join))
 def test_strippers_match_one_character_oracle(text):
-    # text and the truncated flag, for both pair kinds and media links
-    for open_tok, close_tok in (("{{", "}}"), ("{|", "|}")):
-        assert _strip_pairs(text, open_tok, close_tok) == naive_strip_pairs(
-            text, open_tok, close_tok
-        )
-    assert _strip_media_links(text) == naive_strip_media_links(text)
+    # text and the truncated flag, for every stage in pass order
+    assert len(_STAGES) == len(NAIVE_STRIP_STAGES)
+    for stage, oracle in zip(_STAGES, NAIVE_STRIP_STAGES):
+        assert _strip(text, *stage) == oracle(text)
 
 
 @settings(max_examples=1000)
@@ -203,6 +202,17 @@ def test_extract_lead_stable_under_body_growth():
     before = extract_lead(lead_part + "== S ==\nbody", min_links=3)
     after = extract_lead(lead_part + "== S ==\nbody [[D]] [[E]] more", min_links=3)
     assert before.links == after.links == ("A", "B", "C")
+
+
+_LINK_FRAGMENTS = st.sampled_from(
+    ["[[", "]]", "|", "#", "de:", "pt-br:", "en:", "x:", "A", "b c", " ", "  ", "\n", "\t", "[", "]"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_LINK_FRAGMENTS, max_size=30).map("".join))
+def test_link_targets_match_oracle(text):
+    assert _link_targets(text) == naive_link_targets(text)
 
 
 def test_extract_lead_strips_markup_first():
