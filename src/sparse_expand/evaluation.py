@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import count, repeat, starmap
+from itertools import count, repeat
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -97,7 +97,7 @@ def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
         if ranks != tuple(range(1, len(ranks) + 1)):
             raise DataError(f"run for topic {topic_id!r}: ranks must be contiguous from 1")
         _check_hits(topic_id, docs, scores)
-        run[topic_id] = list(starmap(ScoredDoc, zip(docs, scores)))
+        run[topic_id] = list(map(tuple.__new__, repeat(ScoredDoc), zip(docs, scores)))
     return run
 
 

@@ -25,7 +25,12 @@ Scoring is a documented TF*IDF sum with no length normalization:
 
 For a phrase clause, tf is the number of consecutive-position
 occurrences in the field and df the number of documents with at least
-one occurrence.
+one occurrence. A doc score adds its clause scores in clause order from
+0.0. Since 0.0 + w is w for any non-negative w, `search` fills the empty
+score map from the first clause that matches in one C-level pass (a
+clause lists each doc once); later clauses add into it one doc at a
+time. Hits are `ScoredDoc` rows made by `tuple.__new__` mapped over
+(doc_id, score) pairs, with no Python-level call per hit.
 
 Expanded queries repeat the same phrases, so each `Index` keeps a memo
 from (field, analyzed tokens) to a phrase's matching docs and tfs, and
@@ -83,8 +88,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, eq, ge, le, lt
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -190,10 +194,6 @@ class Query:
 class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
-
-
-# ScoredDoc from a (doc_id, score) pair without a Python-level call.
-_scored_doc = partial(tuple.__new__, ScoredDoc)
 
 
 class _FieldColumns(NamedTuple):
@@ -412,13 +412,16 @@ class Index:
             idf = idf_weight(self.n_docs, len(docs))
             boost = clause.boost
             weight = {tf: boost * tf_weight(tf) * idf for tf in set(tfs)}
-            for doc, tf in zip(docs, tfs):
-                scores[doc] = get(doc, 0.0) + weight[tf]
+            if scores:
+                for doc, tf in zip(docs, tfs):
+                    scores[doc] = get(doc, 0.0) + weight[tf]
+            else:  # the first matching clause: 0.0 + w is w, and each doc is listed once
+                scores.update(zip(docs, map(weight.__getitem__, tfs)))
         ranked = sorted(scores)  # ordinal order is doc_id order
         ranked.sort(key=scores.__getitem__, reverse=True)
         del ranked[k:]
         pairs = zip(map(self._doc_ids.__getitem__, ranked), map(scores.__getitem__, ranked))
-        return list(map(_scored_doc, pairs))
+        return list(map(tuple.__new__, repeat(ScoredDoc), pairs))
 
     # -- persistence ----------------------------------------------------
 

@@ -11,7 +11,9 @@ consonants. The measure m of [C](VC)^m[V] counts the `vc` pairs, *v* is
 any `v`, and *d and *o read the last classes and letters. Steps 1a, 2, 3
 and 4 list their rules longest suffix first: the first suffix a word
 ends with is the one the step considers, and if its condition fails no
-shorter suffix is tried.
+shorter suffix is tried. Each table also holds its suffixes as one
+tuple, built at import, so a word that ends with none of them leaves
+the step after a single `endswith` call.
 """
 
 from __future__ import annotations
@@ -30,14 +32,22 @@ def _ends_cvc(word: str, classes: str) -> bool:
     return classes.endswith("cvc") and word[-1] not in "wxy"
 
 
-_STEP1A = (
+_Rules = tuple[tuple[str, str], ...]
+
+
+def _table(*rules: tuple[str, str]) -> tuple[tuple[str, ...], _Rules]:
+    """A step's suffixes, for one `endswith` test, and its rules."""
+    return tuple(suffix for suffix, _ in rules), rules
+
+
+_STEP1A = _table(
     ("sses", "ss"),
     ("ies", "i"),
     ("ss", "ss"),
     ("s", ""),
 )
 
-_STEP2 = (
+_STEP2 = _table(
     ("ational", "ate"),
     ("ization", "ize"),
     ("iveness", "ive"),
@@ -60,7 +70,7 @@ _STEP2 = (
     ("eli", "e"),
 )
 
-_STEP3 = (
+_STEP3 = _table(
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
@@ -70,7 +80,7 @@ _STEP3 = (
     ("ful", ""),
 )
 
-_STEP4 = (
+_STEP4 = _table(
     ("ement", ""),
     ("ance", ""),
     ("ence", ""),
@@ -93,10 +103,13 @@ _STEP4 = (
 )
 
 
-def _replace_suffix(word: str, rules: tuple[tuple[str, str], ...], min_measure: int) -> str:
-    """Replace the first suffix of `rules` that `word` ends with, if the
-    stem left has a measure of at least `min_measure` (and, for ION,
-    ends in S or T); else `word` unchanged."""
+def _replace_suffix(word: str, table: tuple[tuple[str, ...], _Rules], min_measure: int) -> str:
+    """Replace the first suffix of the table's rules that `word` ends
+    with, if the stem left has a measure of at least `min_measure` (and,
+    for ION, ends in S or T); else `word` unchanged."""
+    suffixes, rules = table
+    if not word.endswith(suffixes):
+        return word
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]

@@ -6,11 +6,12 @@ rank:
     topic_id <TAB> rank <TAB> concept_text <TAB> score <TAB> system
 
 A suggestion is a (text, score) NamedTuple built without a Python-level
-call: its rank is its position in the set, and its system is the set's.
-A set checks its scores and texts as whole columns, so building and
-validating a set runs no Python loop over its suggestions. The file
-writer rejects a topic id or text that would not read back as written;
-the reader checks the ranks it reads before it drops them.
+call, by `tuple.__new__` mapped over the pairs: its rank is its position
+in the set, and its system is the set's. A set checks its scores and
+texts as whole columns, so building and validating a set runs no Python
+loop over its suggestions. The file writer rejects a topic id or text
+that would not read back as written; the reader checks the ranks it
+reads before it drops them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import count, repeat
 from operator import lt, truediv
 from pathlib import Path
@@ -37,9 +37,6 @@ class ConceptSuggestion(NamedTuple):
     text: str
     score: float | Fraction
 
-
-# ConceptSuggestion from a (text, score) pair without a Python-level call.
-_suggestion = partial(tuple.__new__, ConceptSuggestion)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ def make_suggestion_set(
     topic_id: str, system: str, texts_scores: Iterable[tuple[str, float | Fraction]]
 ) -> SuggestionSet:
     """Build a set from (text, score) tuples already in rank order."""
-    return SuggestionSet(topic_id, system, tuple(map(_suggestion, texts_scores)))
+    suggestions = tuple(map(tuple.__new__, repeat(ConceptSuggestion), texts_scores))
+    return SuggestionSet(topic_id, system, suggestions)
 
 
 def reciprocal_rank_scores() -> Iterator[float]:
@@ -130,5 +128,6 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
             raise DataError(
                 f"{path}: suggestion ranks for topic {topic_id!r} must be 1..k, got {list(ranks)}"
             )
-        sets.append(SuggestionSet(topic_id, system, tuple(map(_suggestion, zip(texts, scores)))))
+        suggestions = tuple(map(tuple.__new__, repeat(ConceptSuggestion), zip(texts, scores)))
+        sets.append(SuggestionSet(topic_id, system, suggestions))
     return sets

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import naive_chain_run, naive_porter_stem
-from sparse_expand import analysis
+from sparse_expand import analysis, porter
 from sparse_expand.analysis import (
     LANGUAGES,
     AnalyzerChain,
@@ -134,6 +134,36 @@ _PORTER_SUFFIXES = sorted(
 def test_porter_stem_matches_the_published_steps(letters, suffixes):
     word = letters + "".join(suffixes)
     assert porter_stem(word) == naive_porter_stem(word)
+
+
+# Per suffix table: its step in the oracle, a stem whose measure passes
+# the step's condition and one whose measure fails it. "tr", "bat" and
+# "adopt" have measures 0, 1 and 2; "bat" and "adopt" end in T, as ION
+# asks. Step 1a has no condition, so both its stems pass.
+_PORTER_TABLES = {
+    "_STEP1A": (oracles._step1a, "bat", "tr"),
+    "_STEP2": (oracles._step2, "bat", "tr"),
+    "_STEP3": (oracles._step3, "bat", "tr"),
+    "_STEP4": (oracles._step4, "adopt", "bat"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_PORTER_TABLES))
+def test_porter_stem_matches_the_published_steps_on_every_table_suffix(table):
+    step, passing, failing = _PORTER_TABLES[table]
+    for suffix, replacement in getattr(porter, table)[1]:
+        assert step(passing + suffix) == passing + replacement
+        unchanged = failing + (replacement if table == "_STEP1A" else suffix)
+        assert step(failing + suffix) == unchanged
+        for word in (passing + suffix, failing + suffix):
+            assert porter_stem(word) == naive_porter_stem(word), word
+
+
+@pytest.mark.parametrize("table", sorted(_PORTER_TABLES))
+def test_porter_table_suffixes_are_its_rules_suffixes(table):
+    # The early exit tests the suffix tuple; a rule it missed would never run.
+    suffixes, rules = getattr(porter, table)
+    assert suffixes == tuple(suffix for suffix, _ in rules)
 
 
 def test_tokenize_splits_non_alphanumeric():

@@ -266,6 +266,64 @@ def test_search_oracle_mixed_languages():
     assert {d for d, _ in got} == {"de-0", "de-1"}
 
 
+def _assert_search_matches_oracle(idx, docs, query, k=1000):
+    """Same hits as the oracle, each score to the bit, each a ScoredDoc."""
+    hits = idx.search(query, k)
+    expected = naive_search(docs, CHAINS, query, k)
+    assert hits == expected
+    assert [(d, repr(s)) for d, s in hits] == [(d, repr(s)) for d, s in expected]
+    assert all(type(h) is ScoredDoc for h in hits)
+
+
+# Clauses that match nothing in `random_corpus(31, 80)`: the first clause
+# that matches then comes later in the query.
+_UNMATCHED_CLAUSES = {
+    "unseen term": Term("chic_all-en", "zebra"),
+    "stopword-only term": Term("chic_all-en", "the"),
+    "unmatched phrase": Phrase("dc:title-en", ("lighthouse", "lighthouse", "lighthouse")),
+}
+
+
+@pytest.mark.parametrize("lead", sorted(_UNMATCHED_CLAUSES))
+def test_search_oracle_when_the_first_clause_matches_nothing(lead):
+    docs = random_corpus(31, 80)
+    idx = _index(docs)
+    clause = _UNMATCHED_CLAUSES[lead]
+    assert idx.search(Query((clause,)), 10) == []
+    rng = random.Random(31)
+    for _ in range(12):
+        _assert_search_matches_oracle(idx, docs, Query((clause, *_random_query(rng).clauses)))
+    others = [c for c in _UNMATCHED_CLAUSES.values() if c != clause]
+    _assert_search_matches_oracle(idx, docs, Query((clause, *others, Term("chic_all-en", "whale"))))
+
+
+def test_search_oracle_with_a_repeated_clause():
+    docs = random_corpus(32, 80)
+    idx = _index(docs)
+    term = Term("chic_all-en", "whale", 2.0)
+    phrase = Phrase("chic_all-en", ("railway", "film"))
+    for clauses in ((term, term), (term, term, term), (phrase, term, phrase), (term, phrase, term)):
+        _assert_search_matches_oracle(idx, docs, Query(clauses))
+
+
+@pytest.mark.parametrize("boost", [5e-324, 1e308])
+def test_search_oracle_with_subnormal_and_overflowing_weights(boost):
+    docs = random_corpus(33, 80)
+    idx = _index(docs)
+    extreme = Term("chic_all-en", "whale", boost)
+    plain = Term("chic_all-en", "map")
+    phrase = Phrase("chic_all-en", ("film", "poster"), boost)
+    for clauses in (
+        (extreme,),
+        (extreme, plain),
+        (plain, extreme),
+        (extreme, plain, extreme),
+        (phrase, extreme, plain),
+        (Term("chic_all-en", "whale", 5e-324), Term("chic_all-en", "whale", 1e308)),
+    ):
+        _assert_search_matches_oracle(idx, docs, Query(clauses))
+
+
 def test_snapshot_round_trip(tmp_path):
     docs = random_corpus(5, 50)
     idx = _index(docs)
