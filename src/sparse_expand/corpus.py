@@ -14,7 +14,8 @@ and its field names must come from the one built-in 55-field
 Ids may not contain whitespace, since run files separate their columns
 by whitespace, and a topic id may appear only once in its file. No
 string may hold a lone surrogate (a JSON escape such as `\\ud800`
-without its pair), since no UTF-8 writer can emit one. A document's
+without its pair), since no UTF-8 writer can emit one, and no object may
+repeat a key: `files.json_object` reads every line. A document's
 `id` and `lang` must be JSON strings, and each field a list of values or
 one string (read as a one-value list; a bare number is rejected). Each
 value is a string or a number (not `true`, `false`, `null`, an array or
@@ -25,7 +26,6 @@ tabs in the suggestion file.
 
 from __future__ import annotations
 
-import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .analysis import LANGUAGES
 from .errors import DataError, DuplicateDocumentError, EmptyCorpusError
-from .files import is_id, read_lines
+from .files import is_id, json_object, read_lines
 
 # Fields of a typical cultural-heritage metadata record: the only fields
 # a strict ingest accepts, the column order of coverage reports and the
@@ -133,24 +133,6 @@ class IngestResult:
         return sum(self.reject_reasons.values())
 
 
-def _json_object(line: str) -> dict:
-    """Parse a line holding one JSON object whose strings UTF-8 can encode."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-        raise DataError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError("line is not a JSON object")
-    # Only a JSON escape such as \ud800 puts a lone surrogate into a decoded
-    # string; a one-character search keeps lines without escapes cheap.
-    if "\\" in line:
-        try:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError("a string holds a lone surrogate (\\ud800-\\udfff)") from None
-    return obj
-
-
 # JSON type names; a field value must be a string or a number (a JSON
 # true or false decodes to a bool, which is an int but not a number here).
 _JSON_TYPES = {
@@ -160,21 +142,21 @@ _JSON_TYPES = {
 _VALUE_TYPES = frozenset((str, int, float))
 
 
+def _string(obj: dict, key: str, where: str = "") -> str:
+    """`obj[key]` stripped, "" if absent; DataError, prefixed by `where`, if not a JSON string."""
+    value = obj.get(key, "")
+    if type(value) is not str:
+        raise DataError(f"{where}{key!r} must be a string, not a JSON {_JSON_TYPES[type(value)]}")
+    return value.strip()
+
+
 def _parse_document(obj: dict, lax: bool) -> Document:
-    doc_id = obj.get("id", "")
-    if type(doc_id) is not str:
-        raise DataError(f"'id' must be a string, not a JSON {_JSON_TYPES[type(doc_id)]}")
-    doc_id = doc_id.strip()
+    doc_id = _string(obj, "id")
     if not doc_id:
         raise DataError("missing or empty 'id'")
     if not is_id(doc_id):
         raise DataError(f"document id {doc_id!r} contains whitespace")
-    lang = obj.get("lang", "")
-    if type(lang) is not str:
-        raise DataError(
-            f"document {doc_id!r}: 'lang' must be a string, not a JSON {_JSON_TYPES[type(lang)]}"
-        )
-    lang = lang.strip()
+    lang = _string(obj, "lang", f"document {doc_id!r}: ")
     if not lang:
         raise DataError(f"document {doc_id!r}: missing or empty 'lang'")
     if lang not in LANGUAGES:
@@ -214,7 +196,7 @@ def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
     reasons: Counter = Counter()
     for lineno, line in read_lines(path):
         try:
-            doc = _parse_document(_json_object(line), lax)
+            doc = _parse_document(json_object(line), lax)
         except DataError as exc:
             if lax:
                 reasons[str(exc)] += 1
@@ -228,16 +210,12 @@ def ingest_documents(path: str | Path, lax: bool = False) -> IngestResult:
 
 
 def _parse_topic(obj: dict) -> Topic:
-    topic_id, title, lang = (obj.get(key, "") for key in ("id", "title", "lang"))
-    for key, value in (("id", topic_id), ("title", title), ("lang", lang)):
-        if type(value) is not str:
-            raise DataError(f"{key!r} must be a string, not a JSON {_JSON_TYPES[type(value)]}")
+    topic_id, title, lang = (_string(obj, key) for key in ("id", "title", "lang"))
     description = obj.get("description")
     if description is not None and type(description) is not str:
         raise DataError(
             f"'description' must be a string or null, not a JSON {_JSON_TYPES[type(description)]}"
         )
-    topic_id, title, lang = topic_id.strip(), title.strip(), lang.strip()
     if not topic_id or not title or not lang:
         raise DataError("topic needs non-empty 'id', 'title' and 'lang'")
     if not is_id(topic_id):
@@ -251,7 +229,7 @@ def read_topics(path: str | Path) -> list[Topic]:
     topics: dict[str, Topic] = {}
     for lineno, line in read_lines(path):
         try:
-            topic = _parse_topic(_json_object(line))
+            topic = _parse_topic(json_object(line))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if topic.topic_id in topics:

@@ -26,12 +26,12 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import count, repeat
-from operator import itemgetter, lt
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .files import is_id, line_id, read_lines, write_lines
+from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_lines
 from .index import ScoredDoc
 from .suggestions import SuggestionSet
 
@@ -42,23 +42,12 @@ DEFAULT_RUN_DEPTH = 1000
 RELEVANCE_THRESHOLD = 1
 
 
-def _check_hits(topic_id: str, docs: Sequence[str], scores: Sequence[float]) -> None:
-    """DataError for a topic's hits that a run file may not hold: a
-    non-finite score, a repeated doc id, or scores rising with rank."""
-    if not all(map(math.isfinite, scores)):
-        raise DataError(f"run for topic {topic_id!r}: score must be finite")
-    if len(set(docs)) != len(docs):
-        raise DataError(f"run for topic {topic_id!r}: duplicate doc_id")
-    if any(map(lt, scores, scores[1:])):
-        raise DataError(f"run for topic {topic_id!r}: scores increase with rank")
-
-
 def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]:
     """The run file's lines: topics in mapping order, hits in rank order.
 
     Raises DataError, before any line is made, for what `read_run_file`
     would reject: a run tag, topic id or doc id that is empty or holds
-    whitespace, and hits that `_check_hits` rejects."""
+    whitespace, and hits that `check_ranked` rejects."""
     ids = {run_tag}.union(run, *(map(itemgetter(0), hits) for hits in run.values()))
     bad = [i for i in ids if not is_id(i)]
     if bad:
@@ -66,7 +55,7 @@ def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]
     lines: list[str] = []
     for topic_id, hits in run.items():  # one C-level formatting pass per topic
         doc_ids, scores = list(map(itemgetter(0), hits)), list(map(itemgetter(1), hits))
-        _check_hits(topic_id, doc_ids, scores)
+        check_ranked(f"run for topic {topic_id!r}", doc_ids, scores, "doc_id")
         fields = zip(repeat(topic_id), doc_ids, count(1), scores, repeat(run_tag))
         lines += map("%s Q0 %s %d %.6f %s".__mod__, fields)
     return lines
@@ -79,13 +68,9 @@ def write_run_file(path: str | Path, run: Mapping[str, Sequence[ScoredDoc]], run
 def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
     """Parse and validate a run; returns topic -> hits in rank order."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 whitespace-separated columns")
-        topic_id, _, doc_id, rank_s, score_s, _ = parts
+    for lineno, (topic_id, _, doc_id, rank_s, score_s, _) in read_rows(path, 6):
         try:
-            rank, score = int(rank_s), float(score_s)
+            rank, score = ascii_number(rank_s), ascii_number(score_s, float)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or score") from None
         if not math.isfinite(score):
@@ -94,9 +79,9 @@ def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
     run = {}
     for topic_id, entries in rows.items():
         ranks, docs, scores = zip(*sorted(entries))
-        if ranks != tuple(range(1, len(ranks) + 1)):
-            raise DataError(f"run for topic {topic_id!r}: ranks must be contiguous from 1")
-        _check_hits(topic_id, docs, scores)
+        what = f"{path}: run for topic {topic_id!r}"
+        check_ranks(what, ranks)
+        check_ranked(what, docs, scores, "doc_id")
         run[topic_id] = list(map(tuple.__new__, repeat(ScoredDoc), zip(docs, scores)))
     return run
 
@@ -104,13 +89,9 @@ def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
 def read_qrels_file(path: str | Path) -> dict[str, dict[str, int]]:
     """topic -> doc -> grade; grades restricted to 0, 1, 2."""
     qrels: dict[str, dict[str, int]] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 whitespace-separated columns")
-        topic_id, _, doc_id, grade_s = parts
+    for lineno, (topic_id, _, doc_id, grade_s) in read_rows(path, 4):
         try:
-            grade = int(grade_s)
+            grade = ascii_number(grade_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad grade") from None
         if grade not in GRADES:
@@ -236,14 +217,10 @@ def evaluate_run(
 def read_judgments_file(path: str | Path) -> dict[str, dict[int, int]]:
     """Suggestion judgments: topic -> rank -> grade."""
     judgments: dict[str, dict[int, int]] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
-        topic_id, rank_s, grade_s = parts
+    for lineno, (topic_id, rank_s, grade_s) in read_rows(path, 3, "\t"):
         topic_id = line_id(path, lineno, topic_id)
         try:
-            rank, grade = int(rank_s), int(grade_s)
+            rank, grade = ascii_number(rank_s), ascii_number(grade_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or grade") from None
         if grade not in GRADES:

@@ -1,4 +1,5 @@
-"""The file boundary: every output write and every text-file read.
+"""The file boundary: every output write, every text-file read and the
+rules of the records those files hold.
 
 Every output file is written to a unique temporary file in its
 directory, flushed to disk and renamed over the target, so a failed
@@ -7,15 +8,27 @@ input text file is UTF-8; a file that is not raises `DataError` naming
 the file and line. Line files hold one record per line, split as `open()`
 splits them (at `\\n`, `\\r` and `\\r\\n` only); readers skip blank lines
 and number the rest from 1 for their error messages.
+
+The record rules live here, each once: a JSON record (document, topic,
+`run` config) is one object with no repeated key and no lone surrogate
+(`json_object`); a delimited row has its reader's column count
+(`read_rows`) and ASCII numerals (`ascii_number`); an id holds no
+whitespace (`is_id`); a ranked list (a run topic, a suggestion set) has
+finite scores that never rise, no key twice (`check_ranked`) and, in a
+file, ranks 1..k (`check_ranks`).
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import tempfile
 import urllib.parse
+from collections import Counter
+from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
@@ -75,6 +88,71 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError:
         read_text(path)  # raises the DataError that names the line
         raise
+
+
+def read_rows(path: str | Path, n: int, sep: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each non-blank line, split at `sep` or, if
+    None, at whitespace; DataError naming a line without `n` columns."""
+    for lineno, line in read_lines(path):
+        parts = line.split(sep)
+        if len(parts) != n:
+            raise DataError(f"{path}:{lineno}: expected {n} {'tab' if sep else 'whitespace'}-separated columns")
+        yield lineno, parts
+
+
+def ascii_number(text: str, kind: Callable[[str], T] = int) -> T:
+    """`kind(text)` for a numeral written in ASCII without `_`; ValueError
+    for `1_0` or a digit of another script, which `int` and `float` take."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII numeral: {text!r}")
+    return kind(text)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise DataError(f"repeated key {Counter(k for k, _ in pairs).most_common(1)[0][0]!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # `json.loads` would build one per call
+
+
+def json_object(text: str) -> dict:
+    """`text` parsed as one JSON object; DataError for invalid JSON (too deep
+    or too many digits included), a non-object, a key repeated within an
+    object, and a lone surrogate, which no UTF-8 writer can emit."""
+    try:
+        obj = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError("not a JSON object")
+    # Only a JSON escape such as \ud800 decodes to a lone surrogate.
+    if "\\" in text:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError("a string holds a lone surrogate (\\ud800-\\udfff)") from None
+    return obj
+
+
+def check_ranked(what: str, keys: Sequence[str], scores: Sequence[float], key: str) -> None:
+    """DataError, prefixed by `what`, for a ranked list no file may hold: a
+    score that is not finite, a `key` seen twice, or scores rising with rank."""
+    if not all(map(math.isfinite, scores)):
+        raise DataError(f"{what}: score must be finite")
+    if len(set(keys)) != len(keys):
+        raise DataError(f"{what}: duplicate {key} {Counter(keys).most_common(1)[0][0]!r}")
+    if any(map(lt, scores, scores[1:])):
+        raise DataError(f"{what}: scores increase with rank")
+
+
+def check_ranks(what: str, ranks: Sequence[int]) -> None:
+    """DataError, prefixed by `what`, unless the sorted `ranks` are 1..k."""
+    if tuple(ranks) != tuple(range(1, len(ranks) + 1)):
+        place, rank = next((i, rank) for i, rank in enumerate(ranks, 1) if rank != i)
+        raise DataError(f"{what}: ranks must be contiguous from 1, got {rank} in place of {place}")
 
 
 def is_id(text: str) -> bool:

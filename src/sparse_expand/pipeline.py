@@ -34,7 +34,7 @@ from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
 from .evaluation import MetricReport, evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
-from .files import read_keyed_lines, read_text, write_lines
+from .files import json_object, read_keyed_lines, read_text, write_lines
 from .index import ALL_FIELD, Index, Query, ScoredDoc, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
@@ -82,17 +82,15 @@ _JSON_TYPES = {
 
 def load_config(path: str | Path, **overrides) -> PipelineConfig:
     """Read a versioned JSON config; explicit keyword overrides win."""
+    text = read_text(path)
     try:
-        raw = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-        raise DataError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+        raw = json_object(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     version = raw.pop("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
         raise DataError(f"{path}: unsupported config version {version}")
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(PipelineConfig.__dataclass_fields__)
     if unknown:
         raise DataError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():

@@ -16,16 +16,15 @@ reads before it drops them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-from operator import lt, truediv
+from operator import truediv
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
-from .files import is_id, line_id, read_lines, write_lines
+from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_lines
 
 # The one registry of system names. Generator order is COMBO's merge
 # order; COMBO comes last because it consumes the generators' output.
@@ -47,16 +46,9 @@ class SuggestionSet:
 
     def __post_init__(self):
         object.__setattr__(self, "suggestions", tuple(self.suggestions))
-        if not self.suggestions:
-            return
-        texts, scores = zip(*self.suggestions)
-        floats = tuple(map(float, scores))
-        if not all(map(math.isfinite, floats)):
-            raise DataError(f"suggestion scores for topic {self.topic_id!r} must be finite")
-        if any(map(lt, floats, floats[1:])):
-            raise DataError(f"suggestion scores for topic {self.topic_id!r} increase with rank")
-        if len(set(texts)) != len(texts):
-            raise DataError(f"duplicate suggestion text for topic {self.topic_id!r}")
+        if self.suggestions:
+            texts, scores = zip(*self.suggestions)
+            check_ranked(f"suggestions for topic {self.topic_id!r}", texts, tuple(map(float, scores)), "text")
 
     def texts(self) -> list[str]:
         return [s.text for s in self.suggestions]
@@ -83,10 +75,6 @@ def reciprocal_rank_scores() -> Iterator[float]:
     return map(truediv, repeat(1.0), count(1))
 
 
-def format_score(score: float | Fraction) -> str:
-    return f"{float(score):.6f}"
-
-
 def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
     """The suggestion file's lines, sorted by topic then rank; DataError,
     before any is written, for a topic id that is empty or holds
@@ -96,7 +84,7 @@ def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
         if not is_id(sset.topic_id):
             raise DataError(f"topic id {sset.topic_id!r} is empty or contains whitespace")
         for rank, (text, score) in enumerate(sset.suggestions, 1):
-            line = f"{sset.topic_id}\t{rank}\t{text}\t{format_score(score)}\t{sset.system}"
+            line = f"{sset.topic_id}\t{rank}\t{text}\t{float(score):.6f}\t{sset.system}"
             if line.count("\t") != 4 or "\n" in line or "\r" in line:
                 raise DataError(f"topic {sset.topic_id!r}, suggestion {text!r}: tab or line break")
             lines.append(line)
@@ -110,24 +98,16 @@ def write_suggestion_file(path: str | Path, sets: Iterable[SuggestionSet]) -> No
 def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
     """Parse and validate a suggestion file; one set per (topic, system)."""
     rows: dict[tuple[str, str], list[tuple[int, str, float]]] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 tab-separated columns")
-        topic_id, rank_s, text, score_s, system = parts
+    for lineno, (topic_id, rank_s, text, score_s, system) in read_rows(path, 5, "\t"):
         topic_id = line_id(path, lineno, topic_id)
         try:
-            rank, score = int(rank_s), float(score_s)
+            rank, score = ascii_number(rank_s), ascii_number(score_s, float)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad rank or score") from None
         rows.setdefault((topic_id, system), []).append((rank, text, score))
     sets = []
     for (topic_id, system), entries in rows.items():
         ranks, texts, scores = zip(*sorted(entries))
-        if ranks != tuple(range(1, len(ranks) + 1)):
-            raise DataError(
-                f"{path}: suggestion ranks for topic {topic_id!r} must be 1..k, got {list(ranks)}"
-            )
-        suggestions = tuple(map(tuple.__new__, repeat(ConceptSuggestion), zip(texts, scores)))
-        sets.append(SuggestionSet(topic_id, system, suggestions))
+        check_ranks(f"{path}: suggestions for topic {topic_id!r}", ranks)
+        sets.append(make_suggestion_set(topic_id, system, zip(texts, scores)))
     return sets

@@ -231,7 +231,7 @@ def test_eval_se_rejects_a_non_finite_score(tmp_path, capsys):
     judgments.write_text("T1\t1\t2\nT1\t2\t1\nT1\t3\t0\n", encoding="utf-8")
     argv = ["eval", "se", "--suggestions", str(suggestions), "--judgments", str(judgments)]
     assert main(argv) == 2
-    assert "suggestion scores for topic 'T1' must be finite" in capsys.readouterr().err
+    assert "suggestions for topic 'T1': score must be finite" in capsys.readouterr().err
 
 
 def test_run_pipeline_command(tmp_path):
@@ -462,7 +462,7 @@ def test_suggest_str_on_a_topic_line_that_is_not_an_object_exits_2(tmp_path, cap
     topics = tmp_path / "topics.jsonl"
     topics.write_text("[1]\n", encoding="utf-8")
     assert main(["suggest", "str", "--index", index_dir, "--topics", str(topics)]) == 2
-    assert "line is not a JSON object" in capsys.readouterr().err
+    assert "topics.jsonl:1: not a JSON object" in capsys.readouterr().err
 
 
 def test_eval_adhoc_on_a_nan_score_exits_2(tmp_path, capsys):
@@ -1097,6 +1097,18 @@ def test_run_on_mutated_docs_and_topics_exits_with_a_documented_code(
     topics.write_bytes(_mutated(run_inputs["topics"].read_bytes(), topic_edits))
     argv = _run_argv(run_inputs["config"], work / "out", "--docs", str(docs), "--topics", str(topics))
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("edit", ['"out": "o\\ud800"', '"k": 5, "k": 0'])
+def test_run_on_a_malformed_config_exits_2_naming_it(tmp_path, capsys, edit):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    config = tmp_path / "config.json"
+    keys = json.dumps({k: workspace[k] for k in ("docs", "topics")})
+    config.write_text(f"{keys[:-1]}, {edit}}}", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--system", "STR"]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: " in err and "Traceback" not in err
+    assert not Path(workspace["out"]).exists()
 
 
 def test_run_on_a_config_with_min_links_below_one_is_a_usage_error(tmp_path, capsys):

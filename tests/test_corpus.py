@@ -417,7 +417,7 @@ def test_read_topics_requires_string_values(tmp_path, capsys, record, message):
 def test_read_topics_rejects_a_line_that_is_not_an_object(tmp_path, line):
     f = tmp_path / "topics.jsonl"
     f.write_text('{"id": "T", "lang": "en", "title": "whale"}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=":2: line is not a JSON object"):
+    with pytest.raises(DataError, match=":2: not a JSON object"):
         read_topics(f)
 
 
@@ -431,6 +431,33 @@ def test_read_topics_rejects_a_repeated_topic_id(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DataError, match=r"topics\.jsonl:4: repeated topic id 'T-000'"):
+        read_topics(f)
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ('{"id": "d1", "id": "d2", "lang": "en", "fields": {"dc:title": ["Moby"]}}', "id"),
+        ('{"id": "d1", "lang": "en", "fields": {"dc:title": ["Moby"], "dc:title": ["Whale"]}}', "dc:title"),
+    ],
+)
+def test_ingest_rejects_a_repeated_key_as_a_malformed_line(tmp_path, capsys, line, key):
+    f = tmp_path / "docs.jsonl"
+    f.write_text('{"id": "d0", "lang": "en", "fields": {"dc:title": ["Ship"]}}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"docs.jsonl:2: repeated key {key!r}")):
+        ingest_documents(f)
+    assert main(["corpus", "stats", "--docs", str(f)]) == 2
+    assert f"docs.jsonl:2: repeated key {key!r}" in capsys.readouterr().err
+    result = ingest_documents(f, lax=True)
+    assert [d.doc_id for d in result.documents] == ["d0"]
+    assert result.reject_reasons == {f"repeated key {key!r}": 1}
+    assert main(["corpus", "stats", "--docs", str(f), "--lax"]) == 0
+
+
+def test_read_topics_rejects_a_repeated_key(tmp_path):
+    f = tmp_path / "topics.jsonl"
+    f.write_text('{"id": "T", "lang": "en", "title": "whale", "title": "ship"}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape("topics.jsonl:1: repeated key 'title'")):
         read_topics(f)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import sparse_expand
 from sparse_expand.errors import DataError
+from sparse_expand.evaluation import read_judgments_file, read_qrels_file, read_run_file
 from sparse_expand.files import read_lines, read_text, read_titled_files, write_lines
+from sparse_expand.suggestions import read_suggestion_file
 
 PACKAGE = Path(sparse_expand.__file__).parent
 WRITE_METHODS = {"write_text", "write_bytes"}
@@ -120,6 +122,30 @@ def test_write_guard_sees_every_direct_write():
         ]
     )
     assert _writes(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+# Each delimited reader with a line, holding {} where a number goes, and
+# the message of a line whose number it cannot read.
+_NUMBER_COLUMNS = [
+    (read_run_file, "T1 Q0 a {} 1.0 t", "bad rank or score"),
+    (read_run_file, "T1 Q0 a 1 {} t", "bad rank or score"),
+    (read_qrels_file, "T1 0 a {}", "bad grade"),
+    (read_suggestion_file, "T1\t{}\tWhale\t0.5\tSTR", "bad rank or score"),
+    (read_suggestion_file, "T1\t1\tWhale\t{}\tSTR", "bad rank or score"),
+    (read_judgments_file, "T1\t{}\t1", "bad rank or grade"),
+    (read_judgments_file, "T1\t1\t{}", "bad rank or grade"),
+]
+
+
+@pytest.mark.parametrize("number", ["\u0661", "1_0", "\uff11", "1\u0660"])
+@pytest.mark.parametrize("read,line,message", _NUMBER_COLUMNS)
+def test_delimited_readers_take_only_ascii_numerals(tmp_path, read, line, message, number):
+    path = tmp_path / "rows.txt"
+    path.write_text(line.format(1) + "\n", encoding="utf-8")
+    read(path)
+    path.write_text(line.format(number) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"rows.txt:1: {message}$"):
+        read(path)
 
 
 def test_write_lines_then_read_lines(tmp_path):

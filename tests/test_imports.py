@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import sparse_expand
+
+PACKAGE = Path(sparse_expand.__file__).parent
 
 # Imports every module of the package in a fresh interpreter and prints the
 # top-level names of the modules that importing them loaded.
@@ -28,3 +31,47 @@ def test_the_package_loads_only_the_standard_library_and_click():
     loaded = set(json.loads(done.stdout))
     assert "sparse_expand" in loaded and "click" in loaded
     assert loaded - sys.stdlib_module_names - {"sparse_expand", "click"} == set()
+
+
+_JSON_PARSERS = {"load", "loads", "JSONDecoder"}
+
+
+def _json_reads(source: str) -> list[int]:
+    """Line numbers where `source` uses or imports a JSON parser of `json`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _JSON_PARSERS:
+            if getattr(node.value, "id", None) == "json":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {alias.name for alias in node.names} & _JSON_PARSERS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_files_module_parses_json():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "files.py" and (lines := _json_reads(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}, "parse JSON records with sparse_expand.files.json_object"
+    assert _json_reads((PACKAGE / "files.py").read_text(encoding="utf-8"))
+
+
+def test_json_read_guard_sees_every_json_read():
+    source = "\n".join(
+        [
+            "json.loads(text)",
+            "json.load(handle)",
+            "from json import loads",
+            "from json import dumps, load",
+            "parse = json.loads",
+            "json.JSONDecoder(object_pairs_hook=hook)",
+            "from json import JSONDecoder",
+            "json.dumps(obj)",
+            "from json import dumps",
+            "obj.loads(text)",
+        ]
+    )
+    assert sorted(_json_reads(source)) == [1, 2, 3, 4, 5, 6, 7]

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pipeline_workspace
 from sparse_expand import evaluation
@@ -160,6 +162,46 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.k == 7
     assert cfg.boost == 3.0
     assert cfg.docs == paths["docs"]
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+_VALUES = {
+    "str": _TEXT,
+    "int": st.integers(-(10**30), 10**30),
+    "float": st.one_of(st.integers(-(10**6), 10**6), st.floats(allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A PipelineConfig and the JSON of its keys, a subset in any order."""
+    fields = PipelineConfig.__dataclass_fields__
+    values = {key: draw(_VALUES[field.type]) for key, field in fields.items()}
+    keys = draw(st.permutations([*draw(st.sets(st.sampled_from(list(fields)))), "version"]))
+    defaults = {key: value for key, value in values.items() if key in keys}
+    items = [(key, 1 if key == "version" else values[key]) for key in keys]
+    return PipelineConfig(**defaults), "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_load_config_reads_back_any_valid_config(tmp_path_factory, case):
+    cfg, text = case
+    config_file = tmp_path_factory.mktemp("cfg") / "config.json"
+    config_file.write_text(text, encoding="utf-8")
+    read = load_config(config_file)
+    assert read == cfg
+    assert [type(getattr(read, key)) for key in PipelineConfig.__dataclass_fields__] == [
+        type(getattr(cfg, key)) for key in PipelineConfig.__dataclass_fields__
+    ]
+
+
+@pytest.mark.parametrize("text,key", [('{"k": 5, "k": 0}', "k"), ('{"version": 1, "out": "a", "out": "b"}', "out")])
+def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{config_file}: repeated key {key!r}")):
+        load_config(config_file)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

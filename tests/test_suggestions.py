@@ -114,8 +114,32 @@ def test_make_suggestion_set_keeps_text_and_score_in_rank_order():
 @pytest.mark.parametrize("scores", [(1.0, math.nan, 5.0), (math.inf, 0.5), (0.5, -math.inf), (math.nan,)])
 def test_suggestion_set_rejects_a_non_finite_score(scores):
     pairs = [(f"c{i}", score) for i, score in enumerate(scores)]
-    with pytest.raises(DataError, match="suggestion scores for topic 'T' must be finite"):
+    with pytest.raises(DataError, match="suggestions for topic 'T': score must be finite"):
         make_suggestion_set("T", "STR", pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ([("a", 0.5), ("b", 0.25), ("a", 0.125)], "duplicate text 'a'"),
+        ([("a", 0.25), ("b", Fraction(1, 2))], "scores increase with rank"),
+    ],
+)
+def test_suggestion_set_names_its_topic_and_fault(pairs, message):
+    with pytest.raises(DataError, match=re.escape(f"suggestions for topic 'T': {message}")):
+        make_suggestion_set("T", "STR", pairs)
+
+
+@pytest.mark.parametrize(
+    "ranks,message", [("1 3", "got 3 in place of 2"), ("0 1", "got 0 in place of 1"), ("2 2", "got 2 in place of 1")]
+)
+def test_suggestion_file_names_the_first_rank_out_of_place(tmp_path, ranks, message):
+    path = tmp_path / "suggestions.tsv"
+    lines = [f"T\t{rank}\t{text}\t0.5\tSTR\n" for rank, text in zip(ranks.split(), "ab")]
+    path.write_text("T0\t1\tz\t0.5\tSTR\n" + "".join(lines), encoding="utf-8")
+    expected = f"suggestions.tsv: suggestions for topic 'T': ranks must be contiguous from 1, {message}"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        read_suggestion_file(path)
 
 
 @pytest.mark.parametrize("text", ["a\nb", "c\td", "e\rf"])
