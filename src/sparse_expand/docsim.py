@@ -154,6 +154,8 @@ def suggest_docsim(
     The seed itself is excluded and zero-score documents are omitted,
     so fewer than k suggestions may come back.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if seed_title not in corpus:
         raise SeedNotFoundError(f"seed not found: {seed_title!r}")
     words = corpus.important_words(seed_title, n)

@@ -10,8 +10,13 @@ Serialized queries group consecutive clauses sharing field and boost:
 
     chic_all-en:(moby OR dick)^2 OR chic_all-en:("Herman Melville" OR literature)
 
-Parsing inverts serialization exactly: serialization raises DataError
-for a clause the parser would read back as another one.
+One token pattern, `_TOKEN`, is the whole grammar: optional spaces, then
+a group opening `field:(`, a quoted phrase, a `)` with its optional
+`^boost`, or a bare word (no whitespace, `"`, `(` or `)`). `OR` joins
+groups, and clauses within a group, only as a word of its own: a
+trailing `OR`, or one glued to a word (`f:(a ORb)`, `f:(a)ORg:(b)`), is
+malformed. Parsing inverts serialization exactly: serialization raises
+DataError for a clause the parser would read back as another one.
 """
 
 from __future__ import annotations
@@ -107,6 +112,8 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
     occurrence; merged suggestions get synthetic 1/rank scores since the
     source scores are not comparable across systems.
     """
+    if max_concepts < 0:
+        raise ValueError(f"max_concepts must be >= 0, got {max_concepts}")
     if not sets:
         raise DataError("combo needs at least one input suggestion set")
     topic_ids = {s.topic_id for s in sets}
@@ -128,9 +135,12 @@ _is_text = partial(is_not, None)
 
 # -- query surface syntax ---------------------------------------------
 
-_FIELD_RE = re.compile(r'([^\s()"]+):\(')
-_BARE_RE = re.compile(r'[^\s()"]+')
-_PHRASE_WORD_RE = re.compile(r'[^\s"]+')
+# The whole query grammar: optional spaces, then one token. `none` is
+# the empty match where no token starts.
+_TOKEN = re.compile(
+    r' *(?:(?P<open>[^\s()"]+):\(|(?P<phrase>"[^"]*")|(?P<word>[^\s()"]+)'
+    r'|(?P<close>\)(?:\^(?P<boost>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))?)|(?P<none>))'
+)
 
 
 def _format_boost(boost: float) -> str:
@@ -144,18 +154,15 @@ def _format_boost(boost: float) -> str:
 
 
 def _format_clause(clause: Clause) -> str:
-    """A clause's text inside its group; DataError if `parse_query` would
-    not read it back as the same clause."""
-    if not _BARE_RE.fullmatch(clause.field):
-        raise DataError(f"query field {clause.field!r} is not one bare word")
-    if isinstance(clause, Phrase):
-        bad = [word for word in clause.terms if not _PHRASE_WORD_RE.fullmatch(word)]
-        if bad:
-            raise DataError(f"phrase word {bad[0]!r} is empty or holds a quote or whitespace")
-        return '"%s"' % " ".join(clause.terms)
-    if not _BARE_RE.fullmatch(clause.text):
-        raise DataError(f"query term {clause.text!r} is not one bare word")
-    return clause.text
+    """A term's or phrase's text; DataError unless `_TOKEN` reads it back as written."""
+    is_phrase = isinstance(clause, Phrase)
+    text = f'"{clause.text}"' if is_phrase else clause.text
+    token = _TOKEN.fullmatch(text)
+    if is_phrase and not (token and tuple(text[1:-1].split()) == clause.terms):
+        raise DataError(f"phrase {clause.terms!r} has a word that is empty or holds a quote or whitespace")
+    if not is_phrase and not (token and token["word"] == text):
+        raise DataError(f"query term {text!r} is not one bare word")
+    return text
 
 
 def serialize_query(query: Query) -> str:
@@ -171,84 +178,53 @@ def serialize_query(query: Query) -> str:
             groups[-1][2].append(clause)
         else:
             groups.append((clause.field, clause.boost, [clause]))
-    rendered = [
-        f"{field}:({' OR '.join(_format_clause(c) for c in clauses)}){_format_boost(boost)}"
-        for field, boost, clauses in groups
-    ]
+    rendered = []
+    for field, boost, clauses in groups:
+        opening = _TOKEN.fullmatch(f"{field}:(")
+        if not opening or opening["open"] != field:
+            raise DataError(f"query field {field!r} is not one bare word")
+        rendered.append(f"{field}:({' OR '.join(map(_format_clause, clauses))}){_format_boost(boost)}")
     return " OR ".join(rendered)
 
 
-_BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
-
-
 def parse_query(expression: str) -> Query:
-    """Parse the surface syntax back into a Query."""
-    clauses: list[Clause] = []
-    pos = 0
+    """Parse the surface syntax back into a Query, one `_TOKEN` at a time."""
     text = expression.strip()
-
-    def syntax_error(what: str) -> DataError:
-        return DataError(f"bad query expression at offset {pos}: {what}: {text!r}")
-
-    while pos < len(text):
-        match = _FIELD_RE.match(text, pos)
-        if not match:
-            raise syntax_error("expected field:(...)")
-        field = match.group(1)
-        pos = match.end()
-        items: list[Clause] = []
-        while True:
-            while pos < len(text) and text[pos] == " ":
-                pos += 1
-            if pos >= len(text):
-                raise syntax_error("unterminated group")
-            if text[pos] == '"':
-                end = text.find('"', pos + 1)
-                if end == -1:
-                    raise syntax_error("unterminated phrase quote")
-                words = text[pos + 1 : end].split()
-                if not words:
-                    raise syntax_error("empty phrase")
-                items.append(Phrase(field, tuple(words)))
-                pos = end + 1
-            else:
-                word = _BARE_RE.match(text, pos)
-                if not word:
-                    raise syntax_error("expected a term")
-                items.append(Term(field, word.group(0)))
-                pos = word.end()
-            while pos < len(text) and text[pos] == " ":
-                pos += 1
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            if text.startswith("OR", pos):
-                pos += 2
-                continue
-            raise syntax_error("expected OR or )")
-        boost = 1.0
-        boost_match = _BOOST_RE.match(text, pos)
-        if boost_match:
-            boost = float(boost_match.group(1))
-            if not 0 < boost < math.inf:
-                raise syntax_error("boost must be positive and finite")
-            pos = boost_match.end()
-        clauses.extend(
-            Term(field, c.text, boost) if isinstance(c, Term) else Phrase(field, c.terms, boost)
-            for c in items
-        )
-        while pos < len(text) and text[pos] == " ":
-            pos += 1
-        if pos < len(text):
-            if text.startswith("OR", pos):
-                pos += 2
-                while pos < len(text) and text[pos] == " ":
-                    pos += 1
-            else:
-                raise syntax_error("expected OR between groups")
-    if not clauses:
+    if not text:
         raise DataError(f"empty query expression: {expression!r}")
-    return Query(tuple(clauses))
+
+    def syntax_error(at: int, what: str) -> DataError:
+        return DataError(f"bad query expression at offset {at}: {what}: {text!r}")
+
+    clauses: list[Clause] = []
+    expect, pos = "field:(...)", 0  # what may come next
+    while True:
+        token = _TOKEN.match(text, pos)
+        kind, at, pos = token.lastgroup, token.start(token.lastgroup), token.end()
+        if expect == "a term" and kind in ("word", "phrase"):
+            item = token["word"] or token["phrase"][1:-1].split()
+            if not item:
+                raise syntax_error(at, "empty phrase")
+            items.append(item)
+            expect = "OR or )"
+        elif token["word"] == "OR" and expect in ("OR or )", "OR between groups"):
+            expect = "a term" if expect == "OR or )" else "field:(...)"
+        elif kind == "open" and expect == "field:(...)":
+            field, items, expect = token["open"], [], "a term"
+        elif kind == "close" and expect == "OR or )":
+            boost = float(token["boost"] or 1)
+            if not 0 < boost < math.inf:
+                raise syntax_error(at + 1, "boost must be positive and finite")
+            clauses += [Term(field, i, boost) if type(i) is str else Phrase(field, i, boost) for i in items]
+            expect = "OR between groups"
+        elif at == len(text) and expect == "OR between groups":
+            return Query(tuple(clauses))
+        elif kind == "open" and expect == "a term":  # `field:` is a term; the `(` after it is not
+            raise syntax_error(pos - 1, "expected OR or )")
+        elif expect == "a term" and text[at : at + 1] in ("", '"'):
+            raise syntax_error(at, "unterminated phrase quote" if text[at:] else "unterminated group")
+        else:
+            raise syntax_error(at, f"expected {expect}")
 
 
 def write_query_file(path: str | Path, queries: Iterable[tuple[str, Query]]) -> None:

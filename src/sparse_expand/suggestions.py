@@ -109,5 +109,8 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
     for (topic_id, system), entries in rows.items():
         ranks, texts, scores = zip(*sorted(entries))
         check_ranks(f"{path}: suggestions for topic {topic_id!r}", ranks)
-        sets.append(make_suggestion_set(topic_id, system, zip(texts, scores)))
+        try:
+            sets.append(make_suggestion_set(topic_id, system, zip(texts, scores)))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return sets

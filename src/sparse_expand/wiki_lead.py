@@ -132,7 +132,9 @@ def extract_lead(wikitext: str, min_links: int = DEFAULT_MIN_LINKS) -> LeadExtra
     """
     cleaned = strip_markup(wikitext).text
     lead_lines: list[str] = []
-    for line in cleaned.splitlines():
+    # A line ends at `\n` only, as in every file the repo reads; `splitlines`
+    # would also end one at `\x0b`, `\x1c` or U+2028 inside the lead.
+    for line in cleaned.split("\n"):
         if line.startswith("=="):
             break
         lead_lines.append(line)
@@ -237,6 +239,8 @@ def suggest_wiki_lead(
 ) -> SuggestionSet:
     """Lead-section link targets of the matched article, ranked by
     appearance order with a synthetic 1/rank score."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     match = store.match(topic.title)
     if match is None:
         return make_suggestion_set(topic.topic_id, "WIKI_ENTITY", [])

@@ -1,8 +1,8 @@
 """Independent brute-force scorers used to cross-check the real code.
 
 Everything here recomputes results straight from raw documents (or raw
-ranked lists), deliberately avoiding the index / recommender / metric
-code paths under test. Only the analyzer chains are shared, since every
+ranked lists, or raw query text), deliberately avoiding the index /
+recommender / metric / query-parser code paths under test. Only the analyzer chains are shared, since every
 route needs identical tokenization (`naive_chain_run` checks them against
 their stage functions, with `naive_porter_stem` in place of the
 production stemmer), and the media-link pattern, which defines what the
@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from sparse_expand.analysis import de_light_stem, de_normalize, en_possessive, tokenize
 from sparse_expand.corpus import DEFAULT_SCHEMA
-from sparse_expand.index import Term
+from sparse_expand.errors import DataError
+from sparse_expand.index import Phrase, Query, Term
 from sparse_expand.wiki_lead import _MEDIA_LINK_RE
 
 SEGMENT_GAP = 1
@@ -329,6 +330,91 @@ def naive_suggestion_set_ok(rows) -> bool:
         if any(text == earlier for earlier, _, _ in rows[:i]):
             return False
     return True
+
+
+_QUERY_FIELD_RE = re.compile(r'([^\s()"]+):\(')
+_QUERY_BARE_RE = re.compile(r'[^\s()"]+')
+_QUERY_BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
+
+
+def _is_or(text: str, pos: int) -> bool:
+    """Whether `OR` stands as a word of its own at `pos`."""
+    return text.startswith("OR", pos) and not _QUERY_BARE_RE.match(text, pos + 2)
+
+
+def naive_parse_query(expression: str) -> Query:
+    """The query surface syntax read a character at a time, building
+    each clause twice: once unboosted, again once its group's boost is
+    read. `OR` separates only as a word of its own, and one between
+    groups must be followed by another group."""
+    clauses = []
+    pos = 0
+    text = expression.strip()
+
+    def syntax_error(what):
+        return DataError(f"bad query expression at offset {pos}: {what}: {text!r}")
+
+    while pos < len(text):
+        match = _QUERY_FIELD_RE.match(text, pos)
+        if not match:
+            raise syntax_error("expected field:(...)")
+        field = match.group(1)
+        pos = match.end()
+        items = []
+        while True:
+            while pos < len(text) and text[pos] == " ":
+                pos += 1
+            if pos >= len(text):
+                raise syntax_error("unterminated group")
+            if text[pos] == '"':
+                end = text.find('"', pos + 1)
+                if end == -1:
+                    raise syntax_error("unterminated phrase quote")
+                words = text[pos + 1 : end].split()
+                if not words:
+                    raise syntax_error("empty phrase")
+                items.append(Phrase(field, tuple(words)))
+                pos = end + 1
+            else:
+                word = _QUERY_BARE_RE.match(text, pos)
+                if not word:
+                    raise syntax_error("expected a term")
+                items.append(Term(field, word.group(0)))
+                pos = word.end()
+            while pos < len(text) and text[pos] == " ":
+                pos += 1
+            if pos < len(text) and text[pos] == ")":
+                pos += 1
+                break
+            if _is_or(text, pos):
+                pos += 2
+                continue
+            raise syntax_error("expected OR or )")
+        boost = 1.0
+        boost_match = _QUERY_BOOST_RE.match(text, pos)
+        if boost_match:
+            boost = float(boost_match.group(1))
+            if not 0 < boost < math.inf:
+                raise syntax_error("boost must be positive and finite")
+            pos = boost_match.end()
+        clauses.extend(
+            Term(field, c.text, boost) if isinstance(c, Term) else Phrase(field, c.terms, boost)
+            for c in items
+        )
+        while pos < len(text) and text[pos] == " ":
+            pos += 1
+        if pos < len(text):
+            if _is_or(text, pos):
+                pos += 2
+                while pos < len(text) and text[pos] == " ":
+                    pos += 1
+                if pos == len(text):
+                    raise syntax_error("expected field:(...)")
+            else:
+                raise syntax_error("expected OR between groups")
+    if not clauses:
+        raise DataError(f"empty query expression: {expression!r}")
+    return Query(tuple(clauses))
 
 
 def naive_average_precision(ranked_docs, judgments, threshold=1):

@@ -234,6 +234,24 @@ def test_eval_se_rejects_a_non_finite_score(tmp_path, capsys):
     assert "suggestions for topic 'T1': score must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows,fault",
+    [
+        ("T1\t1\talpha\tnan\tSTR\n", "score must be finite"),
+        ("T1\t1\talpha\t1.0\tSTR\nT1\t2\talpha\t0.5\tSTR\n", "duplicate text 'alpha'"),
+        ("T1\t1\talpha\t0.5\tSTR\nT1\t2\tbeta\t1.0\tSTR\n", "scores increase with rank"),
+    ],
+)
+def test_combo_names_the_suggestion_file_that_holds_a_faulty_set(tmp_path, capsys, rows, fault):
+    ok, bad = tmp_path / "ok.tsv", tmp_path / "bad.tsv"
+    ok.write_text("T1\t1\twhale\t1.0\tWIKI_ENTITY\n", encoding="utf-8")
+    bad.write_text(rows, encoding="utf-8")
+    argv = ["combo", "--inputs", str(ok), "--inputs", str(bad), "--out", str(tmp_path / "combo.tsv")]
+    assert main(argv) == 2
+    assert f"{bad}: suggestions for topic 'T1': {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "combo.tsv").exists()
+
+
 def test_run_pipeline_command(tmp_path):
     workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
     config = tmp_path / "config.json"
@@ -622,6 +640,20 @@ def test_index_search_on_a_malformed_expression_names_its_line(tmp_path, capsys)
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"{queries}:2: bad query expression at offset 18: expected OR or ): 'chic_all-en:(whale'" in err
+    assert not run_file.exists()
+
+
+@pytest.mark.parametrize("expression", ["f:(a) OR", "f:(a ORb)", "f:(a)ORg:(b)"])
+def test_index_search_on_an_or_that_is_not_a_word_of_its_own_exits_2(tmp_path, capsys, expression):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(f"T-000\tchic_all-en:(ship)\nT-001\t{expression}\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
+    assert main(args) == 2
+    assert f"{queries}:2: bad query expression at offset" in capsys.readouterr().err
     assert not run_file.exists()
 
 

@@ -112,6 +112,13 @@ def test_suggest_excludes_seed():
     assert "Article 003" not in result.texts()
 
 
+def test_suggest_rejects_a_negative_k():
+    corpus = _bodies_corpus({"A": "whale ship", "B": "whale harbor"})
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        suggest_docsim(corpus, "A", k=-1)
+    assert suggest_docsim(corpus, "A", k=0).suggestions == ()
+
+
 def test_suggest_unknown_seed():
     corpus = _bodies_corpus({"A": "whale", "B": "ship"})
     with pytest.raises(SeedNotFoundError):

@@ -1,10 +1,13 @@
 import logging
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_parse_query
+from sparse_expand import expand
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError, EmptyQueryError
@@ -171,6 +174,13 @@ def test_combo_needs_input():
         combo_merge([])
 
 
+def test_combo_rejects_a_negative_max_concepts():
+    sets = [_set("T", "STR", ["x", "y"])]
+    with pytest.raises(ValueError, match="max_concepts must be >= 0, got -1"):
+        combo_merge(sets, max_concepts=-1)
+    assert combo_merge(sets, max_concepts=0).suggestions == ()
+
+
 # -- surface syntax -----------------------------------------------------
 
 
@@ -226,6 +236,61 @@ def test_parse_rejects_malformed(bad):
         parse_query(bad)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("f:(a) OR", "offset 8: expected field:(...)"),
+        ("f:(a ORb)", "offset 5: expected OR or )"),
+        ("f:(a)ORg:(b)", "offset 5: expected OR between groups"),
+    ],
+)
+def test_parse_rejects_an_or_that_is_not_a_word_of_its_own(bad, message):
+    with pytest.raises(DataError, match=re.escape(f"bad query expression at {message}: {bad!r}")):
+        parse_query(bad)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DataError as exc:
+        return str(exc)
+
+
+# Characters and whole tokens of the query alphabet, so that random
+# strings reach every state of the grammar.
+_QUERY_PIECES = st.lists(
+    st.sampled_from(
+        ["f", "a", "O", "R", "OR", " OR ", ":", "(", ")", '"', " ", "  ", "\t", "^", "2", "0", ".", "e",
+         "-", "\u0661", "f:(", ")^2", ")^0", ")^1e999", '"a b"', '""']
+    ),
+    max_size=16,
+).map("".join)
+# Groups and separators in the shapes the writer emits, and in shapes close to them.
+_SEPARATORS = st.sampled_from([" OR ", "OR", " OR", "OR ", " ", "  OR  ", " ORb ", "\tOR "])
+_GROUPS = st.builds(
+    lambda opening, items, sep, closing: opening + sep.join(items) + closing,
+    st.sampled_from(["f:(", "f:( ", "a:b:(", "OR:(", "f :("]),
+    st.lists(
+        st.sampled_from(["a", "OR", "ORb", "aOR", "x:", "y:(", "b^2", '"a b"', '""', '"a', "a(", "\u0661"]),
+        max_size=3,
+    ),
+    _SEPARATORS,
+    st.sampled_from([")", " )", ")^2", ")^0", ")^1e999", ")^1.5e-3", ")^x", "", ")^\u0661"]),
+)
+_QUERY_LIKE = st.builds(
+    lambda groups, sep, tail: sep.join(groups) + tail,
+    st.lists(_GROUPS, min_size=1, max_size=3),
+    _SEPARATORS,
+    st.sampled_from(["", " OR", "OR", " x"]),
+)
+
+
+@settings(max_examples=2000)
+@given(st.one_of(_QUERY_LIKE, _QUERY_PIECES))
+def test_parse_query_agrees_with_the_naive_scanner(text):
+    assert _outcome(parse_query, text) == _outcome(naive_parse_query, text)
+
+
 _WORD = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEF0123456789", min_size=1, max_size=8
 )
@@ -273,6 +338,40 @@ def test_boost_text_round_trips(boost, text):
 def test_serialize_parse_round_trip_any_positive_boost(clauses):
     query = Query(clauses)
     assert parse_query(serialize_query(query)) == query
+
+
+# Letters, whitespace, quotes, parentheses, `:`, `^` and `OR`: each
+# character the grammar gives a meaning to.
+_WIDE = st.lists(
+    st.sampled_from(["a", "b", "O", "R", "OR", " ", "\t", '"', "(", ")", ":", "^"]), max_size=6
+).map("".join)
+_WIDE_FIELDS = st.one_of(st.just("f-en"), _WIDE)
+_WIDE_CLAUSES = st.one_of(
+    st.builds(Term, _WIDE_FIELDS, _WIDE, _BOOSTS),
+    st.builds(Phrase, _WIDE_FIELDS, st.lists(_WIDE, min_size=1, max_size=3).map(tuple), _BOOSTS),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_WIDE_CLAUSES, min_size=1, max_size=4).map(tuple))
+def test_serialize_writes_only_what_parse_reads_back(clauses):
+    query = Query(clauses)
+    try:
+        text = serialize_query(query)
+    except DataError:
+        return
+    assert parse_query(text) == query
+
+
+def test_the_documented_query_examples_read_back_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    row = next(line for line in readme.splitlines() if line.startswith("| queries |"))
+    examples = [
+        re.search(r"e\.g\. `([^`]+)`", row)[1],
+        re.search(r"^    (\S.*)$", expand.__doc__, re.MULTILINE)[1],
+    ]
+    for example in examples:
+        assert serialize_query(parse_query(example)) == example
 
 
 def test_query_file_round_trip(tmp_path):

@@ -197,6 +197,14 @@ def test_extract_lead_discards_interlanguage_links():
     assert extract_lead(text, min_links=1).links == ("Whale",)
 
 
+# `str.splitlines` ends a line at each of these; a lead ends only at `\n`.
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_extract_lead_ends_only_at_a_newline(separator):
+    lead = extract_lead(f"[[C]]{separator}== H == [[D]]", min_links=1)
+    assert lead.links == ("C", "D")
+    assert lead.used_full_article is False
+
+
 def test_extract_lead_stable_under_body_growth():
     lead_part = "[[A]] [[B]] [[C]] intro.\n"
     before = extract_lead(lead_part + "== S ==\nbody", min_links=3)
@@ -340,6 +348,13 @@ def test_suggest_wiki_lead_uses_fallback_links():
     store = ArticleStore([("Only Article", wikitext)])
     result = suggest_wiki_lead(store, Topic("T", "only article", "en"), k=10)
     assert result.texts() == ["Only", "Extra", "Links", "Here"]
+
+
+def test_suggest_wiki_lead_rejects_a_negative_k():
+    store = ArticleStore([("Many", "[[A]] [[B]]")])
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        suggest_wiki_lead(store, Topic("T", "many", "en"), k=-1)
+    assert suggest_wiki_lead(store, Topic("T", "many", "en"), k=0).suggestions == ()
 
 
 def test_suggest_wiki_lead_caps_at_k():
