@@ -2,7 +2,7 @@
 possessive stripping, stemming and German character normalization.
 
 A chain is one of two built-in language profiles plus its stopword list,
-with the stopword stage either applied or dropped:
+and nothing else; an empty list drops no token:
 
     en: tokenize -> en_possessive -> lowercase -> stopwords -> porter_stem
     de: tokenize -> lowercase -> stopwords -> de_normalize -> de_light_stem
@@ -71,21 +71,13 @@ def de_light_stem(term: str) -> str:
     return term
 
 
-# Each built-in profile's stages, in order, as README "Analysis" names
-# them. `AnalyzerChain` applies them in code.
-_PROFILES = {
-    "en": ("tokenize", "en_possessive", "lowercase", "stopwords", "porter_stem"),
-    "de": ("tokenize", "lowercase", "stopwords", "de_normalize", "de_light_stem"),
-}
-
 # Languages with a built-in profile, the only ones a chain accepts.
-LANGUAGES = frozenset(_PROFILES)
+LANGUAGES = frozenset({"en", "de"})
 
 
 @dataclass(frozen=True)
 class AnalyzerChain:
-    """One language's built-in profile with its stopword list; with
-    `keep_stopwords` the stopword stage is dropped.
+    """One language's built-in profile with its stopword list.
 
     Every stage after `tokenize` maps one token to one token (or drops
     it), so each chain caches the result per surface token.
@@ -93,22 +85,13 @@ class AnalyzerChain:
 
     lang: str
     stopword_list: frozenset[str] = field(default_factory=frozenset)
-    keep_stopwords: bool = False
     _cache: dict[str, str] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
     def __post_init__(self):
-        if self.lang not in _PROFILES:
+        if self.lang not in LANGUAGES:
             raise ValueError(f"no analyzer profile for language: {self.lang!r}")
-
-    @property
-    def stages(self) -> tuple[str, ...]:
-        """The profile's stage names, without `stopwords` if they are kept."""
-        stages = _PROFILES[self.lang]
-        if self.keep_stopwords:
-            return tuple(s for s in stages if s != "stopwords")
-        return stages
 
     def run(self, text: str) -> list[str]:
         """Apply every stage; returns surviving token texts in order."""
@@ -134,26 +117,17 @@ class AnalyzerChain:
         """The stages after `tokenize` on one token; "" if it is dropped."""
         en = self.lang == "en"
         term = (en_possessive(term) if en else term).lower()
-        if not self.keep_stopwords and term in self.stopword_list:
+        if term in self.stopword_list:
             return ""
         return porter_stem(term) if en else de_light_stem(de_normalize(term))
 
 
-def chain_for(
-    lang: str,
-    stopword_list: frozenset[str] | None = None,
-    *,
-    keep_stopwords: bool = False,
-) -> AnalyzerChain:
+def chain_for(lang: str, stopword_list: frozenset[str] | None = None) -> AnalyzerChain:
     """The chain for a language profile, with its bundled stopwords unless
-    a list is given.
-
-    `keep_stopwords` drops the stopword stage; used for exact title
-    matching where function words must stay significant.
-    """
+    a list is given; exact title matching gives an empty one."""
     if stopword_list is None:
         stopword_list = _stopwords.BY_LANG.get(lang, frozenset())  # AnalyzerChain checks lang
-    return AnalyzerChain(lang, stopword_list, keep_stopwords)
+    return AnalyzerChain(lang, stopword_list)
 
 
 def query_tokens(chain: AnalyzerChain, text: str) -> list[str]:

@@ -77,8 +77,7 @@ def _emit_lines(lines: list[str], out_file: str | None) -> None:
     if out_file:
         write_lines(out_file, lines)
     else:
-        for line in lines:
-            click.echo(line)
+        click.echo("".join(line + "\n" for line in lines), nl=False)
 
 
 def _run_tag(ctx, param, value: str) -> str:

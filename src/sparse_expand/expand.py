@@ -12,11 +12,12 @@ Serialized queries group consecutive clauses sharing field and boost:
 
 One token pattern, `_TOKEN`, is the whole grammar: optional spaces, then
 a group opening `field:(`, a quoted phrase, a `)` with its optional
-`^boost`, or a bare word (no whitespace, `"`, `(` or `)`). `OR` joins
-groups, and clauses within a group, only as a word of its own: a
-trailing `OR`, or one glued to a word (`f:(a ORb)`, `f:(a)ORg:(b)`), is
-malformed. Parsing inverts serialization exactly: serialization raises
-DataError for a clause the parser would read back as another one.
+`^boost` in ASCII digits, or a bare word (no whitespace, `"`, `(` or
+`)`). `OR` joins groups, and clauses within a group, only as a word of
+its own: a trailing `OR`, or one glued to a word (`f:(a ORb)`,
+`f:(a)ORg:(b)`), is malformed. Parsing inverts serialization exactly:
+serialization raises DataError for a clause the parser would read back
+as another one.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ _is_text = partial(is_not, None)
 # the empty match where no token starts.
 _TOKEN = re.compile(
     r' *(?:(?P<open>[^\s()"]+):\(|(?P<phrase>"[^"]*")|(?P<word>[^\s()"]+)'
-    r'|(?P<close>\)(?:\^(?P<boost>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))?)|(?P<none>))'
+    r'|(?P<close>\)(?:\^(?P<boost>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?))?)|(?P<none>))'
 )
 
 

@@ -50,14 +50,14 @@ raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
 So `save` cannot write a snapshot that `load` rejects for these reasons.
 
-The version 6 snapshot (README "Snapshot format") stores every string
+The version 7 snapshot (README "Snapshot format") stores every string
 list as a table, a length column and one UTF-8 blob, and every column as
 a u32 item width (1, 2 or 4), a u32 count and its little-endian values
 at that width. `save` writes each column at the narrowest width that
 holds it, whatever width it is held at, so the bytes depend only on the
 documents; a width fits when the high bytes it drops are all zero. The
-snapshot stores no `pos_starts`, and per language only a keep-stopwords
-flag. `Index.load` decodes each blob once, reads each column with one
+snapshot stores no `pos_starts`, and per language only its stopword
+table. `Index.load` decodes each blob once, reads each column with one
 `frombytes`, and checks whole columns with C-level iterators, so it runs
 no Python loop per term or posting. The decoder checks the bytes and
 columns; `load` then reports the constructor's errors as a malformed
@@ -67,10 +67,9 @@ snapshot too. The decoder rejects with DataError:
 - a column width other than 1, 2 or 4;
 - a table whose lengths disagree with its blob, or whose blob is not
   UTF-8;
-- analyzer languages, field names, terms or raw values that are not
-  strictly ascending;
-- a language with no analyzer profile, or a keep-stopwords flag that is
-  not 0 or 1;
+- analyzer languages, stopwords, field names, terms or raw values that
+  are not strictly ascending;
+- a language with no analyzer profile;
 - offsets (`starts`, raw-value starts) that do not have one more entry
   than their table, do not start at 0, descend, or do not end at their
   column's length;
@@ -102,7 +101,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 SNAPSHOT_FILENAME = "index.bin"
 
 # Column item width in bytes -> its array typecode. Columns are written
@@ -432,7 +431,6 @@ class Index:
         langs = sorted(self._chains)
         _put_table(out, langs)
         for lang in langs:
-            out += struct.pack("<I", self._chains[lang].keep_stopwords)
             _put_table(out, sorted(self._chains[lang].stopword_list))
         _put_table(out, self._doc_ids)
         names = sorted(self._fields)
@@ -527,10 +525,8 @@ class Index:
         for lang in take_sorted_table("analyzer languages"):
             if lang not in LANGUAGES:
                 raise bad(f"no analyzer profile for language {lang!r}")
-            keep_stopwords = take_u32()
-            if keep_stopwords > 1:
-                raise bad(f"keep-stopwords flag of language {lang!r} is not 0 or 1")
-            chains[lang] = AnalyzerChain(lang, frozenset(take_table()), keep_stopwords == 1)
+            stopwords = take_sorted_table(f"stopwords of language {lang!r}")
+            chains[lang] = AnalyzerChain(lang, frozenset(stopwords))
 
         doc_ids = take_table()
         n_docs = len(doc_ids)

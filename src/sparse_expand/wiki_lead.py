@@ -160,8 +160,8 @@ class ArticleStore:
     """Immutable set of (title, wikitext) articles with a title matcher.
 
     Titles are indexed twice: once with the language's standard chain
-    and once with stopwords kept, so that a query carrying function
-    words only matches a title that carries them too.
+    and once with an empty stopword list, so that a query carrying
+    function words only matches a title that carries them too.
     """
 
     def __init__(self, articles: Iterable[tuple[str, str]], lang: str = "en"):
@@ -181,7 +181,7 @@ class ArticleStore:
         self._chain = chain_for(lang)
         self._title_field = f"title-{lang}"
         self._index = build_index(docs, {lang: self._chain})
-        self._index_exact = build_index(docs, {lang: chain_for(lang, keep_stopwords=True)})
+        self._index_exact = build_index(docs, {lang: chain_for(lang, frozenset())})
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":

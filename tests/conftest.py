@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Document, Topic
+from sparse_expand.index import SNAPSHOT_VERSION
 
 WORDS = (
     "film canada poster map whale ship ocean harbor castle painting museum "
@@ -33,6 +34,18 @@ SUBJECTS = (
     "navigation",
     "photography",
 )
+
+# Every tests/data/index_v<N> with N below the current version: a snapshot
+# written by the version N format (two documents up to version 3, the six
+# of index_v7/docs.jsonl after that), as pytest params with ids "v<N>".
+OLDER_SNAPSHOTS = [
+    pytest.param(version, directory, id=f"v{version}")
+    for version, directory in sorted(
+        (int(directory.name.removeprefix("index_v")), directory)
+        for directory in (Path(__file__).parent / "data").glob("index_v*")
+    )
+    if version < SNAPSHOT_VERSION
+]
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ stripper oracle recognises.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
 
-from sparse_expand.analysis import de_light_stem, de_normalize, en_possessive, tokenize
+from sparse_expand.analysis import chain_for, de_light_stem, de_normalize, en_possessive, tokenize
 from sparse_expand.corpus import DEFAULT_SCHEMA
 from sparse_expand.errors import DataError
 from sparse_expand.index import Phrase, Query, Term
@@ -24,11 +25,19 @@ from sparse_expand.wiki_lead import _MEDIA_LINK_RE
 SEGMENT_GAP = 1
 
 
+# Each built-in profile's stages, in order, as README "Analysis" names
+# them: the specification `naive_chain_run` applies.
+PROFILE_STAGES = {
+    "en": ("tokenize", "en_possessive", "lowercase", "stopwords", "porter_stem"),
+    "de": ("tokenize", "lowercase", "stopwords", "de_normalize", "de_light_stem"),
+}
+
+
 def naive_chain_run(chain, text):
-    """A chain's stages applied stage by stage to the whole token list,
+    """A chain's profile applied stage by stage to the whole token list,
     with no per-token cache."""
     terms = tokenize(text)
-    for stage in chain.stages:
+    for stage in PROFILE_STAGES[chain.lang]:
         if stage == "tokenize":
             continue
         if stage == "en_possessive":
@@ -317,6 +326,56 @@ def naive_link_targets(text: str) -> list[str]:
     return targets
 
 
+def _naive_query_words(chain, text):
+    """The surface tokens of `text` that analyze to a term, each without
+    its possessive when that leaves its term as it is."""
+    words = []
+    for surface in tokenize(text):
+        term = naive_chain_run(chain, surface)
+        if term:
+            word = en_possessive(surface) if chain.lang == "en" else surface
+            words.append(word if naive_chain_run(chain, word) == term else surface)
+    return words
+
+
+def _occurrences(terms, phrase):
+    """How many starts in `terms` begin a consecutive `phrase`."""
+    return sum(1 for i in range(len(terms)) if terms[i : i + len(phrase)] == phrase)
+
+
+def naive_article_match(titles, topic_title, lang="en"):
+    """WIKI_ENTITY's title match by brute force: (title, stage, score) or
+    None. Each stage's texts are analyzed and counted against every
+    title's tokens, one text at a time, with the bundled stopwords, or
+    with none for the words as given; the first stage with a hit wins."""
+    if not tokenize(topic_title):
+        return None
+    standard, exact = chain_for(lang), chain_for(lang, frozenset())
+    words = _naive_query_words(standard, topic_title)
+    distinct = sorted(set(words))
+    orderings = itertools.permutations(distinct) if 2 <= len(distinct) <= 6 else ()
+    stages = (
+        ("original", exact, [topic_title]),
+        ("stopword_free", standard, [" ".join(words)]),
+        ("permutation", standard, [" ".join(ordering) for ordering in orderings]),
+        ("single_word", standard, words),
+    )
+    for stage, chain, texts in stages:
+        title_terms = {title: naive_chain_run(chain, title) for title in titles}
+        hits = []
+        for text in texts:
+            phrase = naive_chain_run(chain, text)
+            if not phrase:
+                continue
+            tfs = {title: tf for title, terms in title_terms.items() if (tf := _occurrences(terms, phrase))}
+            idf = 1.0 + math.log(len(titles) / (1.0 + len(tfs)))
+            hits.extend((1.0 * math.sqrt(tf) * idf, title) for title, tf in tfs.items())
+        if hits:
+            score, title = min(hits, key=lambda hit: (-hit[0], len(hit[1]), hit[1]))
+            return title, stage, score
+    return None
+
+
 def naive_suggestion_set_ok(rows) -> bool:
     """Whether (text, rank, score) rows in list order form a valid set:
     ranks 1..k, scores finite and non-increasing as floats, texts unique."""
@@ -334,7 +393,7 @@ def naive_suggestion_set_ok(rows) -> bool:
 
 _QUERY_FIELD_RE = re.compile(r'([^\s()"]+):\(')
 _QUERY_BARE_RE = re.compile(r'[^\s()"]+')
-_QUERY_BOOST_RE = re.compile(r"\^(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
+_QUERY_BOOST_RE = re.compile(r"\^([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)")
 
 
 def _is_or(text: str, pos: int) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import naive_chain_run, naive_porter_stem
+from oracles import PROFILE_STAGES, naive_chain_run, naive_porter_stem
 from sparse_expand import analysis, porter
 from sparse_expand.analysis import (
     LANGUAGES,
@@ -285,13 +285,9 @@ def test_chain_profiles_are_fixed():
         chain_for("fr", frozenset({"le"}))
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     listed = dict(re.findall(r"- `(\w+)`: tokenize .*?Stage\s+names:\s+`([^`]+)`", readme, re.S))
-    assert sorted(listed) == sorted(LANGUAGES) == ["de", "en"]
+    assert sorted(listed) == sorted(LANGUAGES) == sorted(PROFILE_STAGES) == ["de", "en"]
     for lang, names in listed.items():
-        stages = tuple(names.split())
-        assert chain_for(lang).stages == stages
-        kept = chain_for(lang, keep_stopwords=True)
-        assert kept.stages == tuple(s for s in stages if s != "stopwords")
-        assert kept.keep_stopwords and not chain_for(lang).keep_stopwords
+        assert tuple(names.split()) == PROFILE_STAGES[lang]
 
 
 def test_builtin_list_sizes():
@@ -308,6 +304,7 @@ def test_stopword_file_loader(tmp_path):
 def test_custom_stopwords_flow_through():
     chain = chain_for("en", stopword_list=frozenset({"whale"}))
     assert chain.run("the whale") == ["the"]
+    assert chain_for("en", frozenset()).run("The whale of a tale") == ["the", "whale", "of", "a", "tale"]
 
 
 def test_query_tokens_surface_forms(en_chain):
@@ -331,8 +328,8 @@ _CHAIN_WORDS = (
 _CHAINS = {
     "en": lambda: chain_for("en"),
     "de": lambda: chain_for("de"),
-    "en_keep_stopwords": lambda: chain_for("en", keep_stopwords=True),
-    "de_keep_stopwords": lambda: chain_for("de", keep_stopwords=True),
+    "en_no_stopwords": lambda: chain_for("en", frozenset()),
+    "de_no_stopwords": lambda: chain_for("de", frozenset()),
     "de_custom_stopwords": lambda: chain_for(
         "de", stopword_list=frozenset({"whale", "gemälde", "s"})
     ),
@@ -391,7 +388,7 @@ _possessive_text = st.lists(
 ).map(" ".join)
 
 
-@pytest.mark.parametrize("profile", ["en", "en_keep_stopwords", "de"])
+@pytest.mark.parametrize("profile", ["en", "en_no_stopwords", "de"])
 @settings(max_examples=300)
 @given(text=_possessive_text)
 def test_query_words_analyze_to_the_terms_of_their_text(profile, text):

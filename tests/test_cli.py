@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pipeline_workspace, write_docs_file, write_topics_file
+from conftest import OLDER_SNAPSHOTS, build_pipeline_workspace, write_docs_file, write_topics_file
 from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
 from sparse_expand.corpus import Document, Topic
@@ -323,44 +323,13 @@ def test_index_build_lax_on_a_field_named_chic_all_exits_2(tmp_path, capsys):
     assert not (out / SNAPSHOT_FILENAME).exists()
 
 
-def test_index_search_on_a_version_1_snapshot_exits_2(tmp_path, capsys):
-    # tests/data/index_v1/index.bin: two documents, written by the version 1 format
-    v1 = Path(__file__).parent / "data" / "index_v1"
+@pytest.mark.parametrize("version, directory", OLDER_SNAPSHOTS)
+def test_index_search_on_an_older_snapshot_exits_2(tmp_path, capsys, version, directory):
     queries = tmp_path / "queries.tsv"
     queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
-    code = main(["index", "search", "--index", str(v1), "--query-file", str(queries)])
+    code = main(["index", "search", "--index", str(directory), "--query-file", str(queries)])
     assert code == 2
-    assert "unsupported snapshot version 1" in capsys.readouterr().err
-
-
-def test_index_search_on_a_version_3_snapshot_exits_2(tmp_path, capsys):
-    # tests/data/index_v3/index.bin: two documents, written by the version 3 format
-    v3 = Path(__file__).parent / "data" / "index_v3"
-    queries = tmp_path / "queries.tsv"
-    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
-    code = main(["index", "search", "--index", str(v3), "--query-file", str(queries)])
-    assert code == 2
-    assert "unsupported snapshot version 3" in capsys.readouterr().err
-
-
-def test_index_search_on_a_version_4_snapshot_exits_2(tmp_path, capsys):
-    # tests/data/index_v4/index.bin: six documents, written by the version 4 format
-    v4 = Path(__file__).parent / "data" / "index_v4"
-    queries = tmp_path / "queries.tsv"
-    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
-    code = main(["index", "search", "--index", str(v4), "--query-file", str(queries)])
-    assert code == 2
-    assert "unsupported snapshot version 4" in capsys.readouterr().err
-
-
-def test_index_search_on_a_version_5_snapshot_exits_2(tmp_path, capsys):
-    # tests/data/index_v5/index.bin: six documents, written by the version 5 format
-    v5 = Path(__file__).parent / "data" / "index_v5"
-    queries = tmp_path / "queries.tsv"
-    queries.write_text("T-000\tchic_all-en:(whale)\n", encoding="utf-8")
-    code = main(["index", "search", "--index", str(v5), "--query-file", str(queries)])
-    assert code == 2
-    assert "unsupported snapshot version 5" in capsys.readouterr().err
+    assert f"unsupported snapshot version {version} (expected" in capsys.readouterr().err
 
 
 def test_exit_code_combo_prerequisite(tmp_path):
@@ -386,9 +355,14 @@ def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, capsys):
         "T-000\tchic_all-en:(film OR canada)^2\nT-001\tchic_all-en:(whale OR ship)\n",
         encoding="utf-8",
     )
+    no_match = tmp_path / "no-match.tsv"
+    no_match.write_text("T-000\tchic_all-en:(zyzzyva)\n", encoding="utf-8")
     commands = [
         ["suggest", "str", "--index", index_dir, "--topics", workspace["topics"]],
+        ["suggest", "wiki-lead", "--articles", workspace["articles"], "--topics", workspace["topics"]],
+        ["suggest", "docsim", "--corpus", workspace["sim_corpus"], "--seeds", workspace["seeds"]],
         ["index", "search", "--index", index_dir, "--query-file", str(queries), "-k", "20"],
+        ["index", "search", "--index", index_dir, "--query-file", str(no_match)],
     ]
     for i, command in enumerate(commands):
         capsys.readouterr()
@@ -396,7 +370,7 @@ def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, capsys):
         printed = capsys.readouterr().out
         out_file = tmp_path / f"out-{i}.txt"
         assert main(command + ["--out", str(out_file)]) == 0
-        assert printed, command
+        assert bool(printed) == (command[-1] != str(no_match)), command
         assert printed.encode("utf-8") == out_file.read_bytes(), command
         assert capsys.readouterr().out == ""
 
@@ -654,6 +628,21 @@ def test_index_search_on_an_or_that_is_not_a_word_of_its_own_exits_2(tmp_path, c
     args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
     assert main(args) == 2
     assert f"{queries}:2: bad query expression at offset" in capsys.readouterr().err
+    assert not run_file.exists()
+
+
+@pytest.mark.parametrize("expression", ["f:(a)^\u0662", "f:(a)^\uff13"])
+def test_index_search_on_a_boost_not_in_ascii_digits_exits_2(tmp_path, capsys, expression):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(f"T-000\tchic_all-en:(ship)\nT-001\t{expression}\n", encoding="utf-8")
+    run_file = tmp_path / "run.trec"
+    args = ["index", "search", "--index", index_dir, "--query-file", str(queries), "--out", str(run_file)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{queries}:2: bad query expression at offset 5: expected OR between groups" in err
     assert not run_file.exists()
 
 

@@ -249,6 +249,16 @@ def test_parse_rejects_an_or_that_is_not_a_word_of_its_own(bad, message):
         parse_query(bad)
 
 
+# An Arabic-Indic two, a fullwidth three, and such digits after ASCII ones.
+_NON_ASCII_BOOSTS = ["f:(a)^\u0662", "f:(a)^\uff13", "f:(a)^2.\u0665", "f:(a)^1e\u0663"]
+
+
+@pytest.mark.parametrize("bad", _NON_ASCII_BOOSTS)
+def test_parse_rejects_a_boost_not_in_ascii_digits(bad):
+    with pytest.raises(DataError, match="expected OR between groups"):
+        parse_query(bad)
+
+
 def _outcome(parse, text):
     try:
         return parse(text)

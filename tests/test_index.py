@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORDS, random_corpus
+from conftest import OLDER_SNAPSHOTS, WORDS, random_corpus
 from oracles import field_token_positions, naive_search, naive_str_scores
 from sparse_expand import index as index_module
 from sparse_expand.analysis import chain_for
@@ -24,6 +24,7 @@ from sparse_expand.errors import (
 from sparse_expand.index import (
     SNAPSHOT_FILENAME,
     SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     Index,
     Phrase,
     Query,
@@ -477,7 +478,7 @@ def _byte_column(*values):
 # Term "y" always holds _GOOD, so in a valid snapshot the field's `starts`
 # column is [0, 2, 4] and its terms table is lengths [1, 1] with blob "xy";
 # the one language table is lengths [2] with blob "en", and that language's
-# keep-stopwords flag, 0, follows it. Every column holds values below 256,
+# stopword table follows it. Every column holds values below 256,
 # so each is written 1 byte per value. A patch is (old
 # bytes, new bytes, expected error): the test saves a valid snapshot and
 # replaces the one place holding the old bytes.
@@ -493,7 +494,6 @@ _INCONSISTENT = [
     (_GOOD, (0,), "t-en", (_byte_column(0, 2, 4), _byte_column(0, 2, 3), "disagree with their offsets")),
     (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
     (_GOOD, (0,), "t-en", (_byte_column(1, 1) + _u32s(2) + b"xy", _byte_column(1, 2) + _u32s(2) + b"xy", "string lengths")),
-    (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en" + _u32s(0), _byte_column(2) + _u32s(2) + b"en" + _u32s(2), "keep-stopwords flag of language 'en' is not 0 or 1")),
     (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en", _byte_column(2) + _u32s(2) + b"fr", "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
     (_GOOD, (0,), "t-en", (_byte_column(1, 2, 1, 2), _u32s(4, 4, 2**31, 2**31, 1, 2), "tfs of field 't-en' hold a 0 or disagree")),
@@ -503,7 +503,6 @@ _PATCHED_IDS = [
     "last-offset-not-column-length",
     "repeated-term",
     "lengths-disagree-with-blob",
-    "keep-stopwords-flag-2",
     "language-without-profile",
     "field-without-chain",
     "tf-sum-beyond-u32",
@@ -610,7 +609,7 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
 
 
 def _stored_columns(data):
-    """(width, values) of every column of a version 6 snapshot, in file
+    """(width, values) of every column of a version 7 snapshot, in file
     order: read by walking the layout README "Snapshot format" gives."""
     offset = len(SNAPSHOT_MAGIC) + 4
     columns = []
@@ -637,7 +636,6 @@ def _stored_columns(data):
         return len(lengths)
 
     for _ in range(table()):  # languages
-        u32()  # keep-stopwords flag
         table()  # stopwords
     table()  # doc_ids
     for _ in range(table()):  # fields
@@ -721,13 +719,13 @@ def test_snapshot_stores_each_column_at_the_smallest_width_that_fits(tmp_path_fa
     assert (directory / "c.bin").read_bytes() == data
 
 
-def _narrow_snapshot(tmp_path):
+def _narrow_snapshot(tmp_path, stopwords=None):
     """A valid snapshot whose every column is 1 byte per value."""
     idx = Index(
         ["d0", "d1"],
         {"t-en": _concatenate({"x": _GOOD, "y": _GOOD})},
         {"t-en": {"x": (0,)}},
-        {"en": chain_for("en")},
+        {"en": chain_for("en", stopwords)},
     )
     path = tmp_path / "index" / SNAPSHOT_FILENAME
     path.parent.mkdir()
@@ -769,54 +767,35 @@ def test_snapshot_rejects_a_narrow_column_that_runs_past_the_end(tmp_path, capsy
     _assert_malformed(path, capsys, f"2 bytes at byte {end - 1} run past byte {end}$")
 
 
-def test_snapshot_of_version_1_is_rejected():
-    path = Path(__file__).parent / "data" / "index_v1" / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 1)
-    with pytest.raises(DataError, match="unsupported snapshot version 1"):
+@pytest.mark.parametrize(
+    "lengths, blob", [((3, 2), b"theof"), ((2, 2), b"ofof")], ids=["out-of-order", "repeated-word"]
+)
+def test_snapshot_rejects_a_stopword_table_not_strictly_ascending(tmp_path, capsys, lengths, blob):
+    path = _narrow_snapshot(tmp_path, frozenset({"of", "the"}))
+    data = path.read_bytes()
+    table = _byte_column(2, 3) + _u32s(5) + b"ofthe"
+    assert data.count(table) == 1
+    path.write_bytes(data.replace(table, _byte_column(*lengths) + _u32s(len(blob)) + blob))
+    _assert_malformed(path, capsys, "stopwords of language 'en' not strictly ascending$")
+
+
+@pytest.mark.parametrize("version, directory", OLDER_SNAPSHOTS)
+def test_snapshot_of_an_older_version_is_rejected(version, directory):
+    assert len(OLDER_SNAPSHOTS) == SNAPSHOT_VERSION - 1  # one fixture per older version
+    path = directory / SNAPSHOT_FILENAME
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", version)
+    with pytest.raises(DataError, match=rf"unsupported snapshot version {version} \(expected {SNAPSHOT_VERSION};"):
         Index.load(path)
 
 
-def test_snapshot_of_version_2_is_rejected():
-    # tests/data/index_v2/index.bin: two documents, written by the version 2 format
-    path = Path(__file__).parent / "data" / "index_v2" / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 2)
-    with pytest.raises(DataError, match="unsupported snapshot version 2"):
-        Index.load(path)
-
-
-def test_snapshot_of_version_3_is_rejected():
-    # tests/data/index_v3/index.bin: two documents, written by the version 3 format
-    path = Path(__file__).parent / "data" / "index_v3" / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 3)
-    with pytest.raises(DataError, match="unsupported snapshot version 3"):
-        Index.load(path)
-
-
-def test_snapshot_of_version_4_is_rejected():
-    # tests/data/index_v4/index.bin: the six documents of
-    # tests/data/index_v6/docs.jsonl, written by the version 4 format
-    path = Path(__file__).parent / "data" / "index_v4" / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 4)
-    with pytest.raises(DataError, match="unsupported snapshot version 4"):
-        Index.load(path)
-
-
-def test_snapshot_of_version_5_is_rejected():
-    # tests/data/index_v5/index.bin: the six documents of
-    # tests/data/index_v6/docs.jsonl, written by the version 5 format
-    path = Path(__file__).parent / "data" / "index_v5" / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 5)
-    with pytest.raises(DataError, match="unsupported snapshot version 5"):
-        Index.load(path)
-
-
-def test_snapshot_of_version_6_loads(tmp_path):
-    # tests/data/index_v6: `index build --stopwords stopwords.txt` over
+def test_snapshot_of_version_7_loads(tmp_path):
+    # tests/data/index_v7: `index build --stopwords stopwords.txt` over
     # docs.jsonl (three en and three de documents, not in doc_id order);
     # a fresh build must write the same bytes
-    data = Path(__file__).parent / "data" / "index_v6"
+    data = Path(__file__).parent / "data" / "index_v7"
     path = data / SNAPSHOT_FILENAME
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 6)
+    assert SNAPSHOT_VERSION == 7
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 7)
     stopwords = load_stopwords(data / "stopwords.txt")
     chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
     loaded = Index.load(path)
@@ -836,15 +815,14 @@ def test_snapshot_of_version_6_loads(tmp_path):
     assert [len(loaded.search(query, 10)) for query in queries] == [3, 1, 2, 2]
 
 
-def test_a_chain_that_keeps_stopwords_survives_save_and_load(tmp_path):
-    chains = {"en": chain_for("en", keep_stopwords=True)}
+def test_a_chain_with_no_stopwords_survives_save_and_load(tmp_path):
+    chains = {"en": chain_for("en", frozenset())}
     docs = [_doc(0, **{"dc:title": ["the whale"]}), _doc(1, **{"dc:title": ["a whale"]})]
     fresh = build_index(docs, chains)
     fresh.save(tmp_path / SNAPSHOT_FILENAME)
     loaded = Index.load(tmp_path / SNAPSHOT_FILENAME)
     assert loaded.chains == chains
-    assert loaded.chains["en"].keep_stopwords
-    assert "stopwords" not in loaded.chains["en"].stages
+    assert loaded.chains["en"].stopword_list == frozenset()
     query = Query((Phrase("dc:title-en", ("the", "whale")),))
     assert [hit.doc_id for hit in loaded.search(query, 10)] == ["d0"]
     assert loaded.search(query, 10) == fresh.search(query, 10)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NAIVE_STRIP_STAGES, naive_link_targets, naive_strip_markup
+from oracles import NAIVE_STRIP_STAGES, naive_article_match, naive_link_targets, naive_strip_markup
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
@@ -289,6 +289,30 @@ def test_match_stage_a_skips_later_stages(store):
     match = store.match("whale shark")
     assert match.stage == "original"
     assert match.title == "Whale Shark"
+
+
+# Title words: stopwords, possessives (straight and typographic, one
+# that stems to nothing), case variants and words sharing a stem, so that
+# every stage fires and scores tie.
+_TITLE_WORDS = st.sampled_from(
+    ["the", "The", "of", "and", "a", "whale", "Whale", "whales", "Dick's", "Dick", "dick’s",
+     "Moby", "s", "it's's", "shark", "Islands", "island", "Falkland"]
+)
+_TITLES = st.lists(_TITLE_WORDS, min_size=1, max_size=4).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    titles=st.lists(_TITLES, min_size=1, max_size=6, unique=True),
+    topics=st.lists(_TITLES, min_size=1, max_size=4),
+)
+def test_match_agrees_with_the_brute_force_oracle(titles, topics):
+    store = ArticleStore((title, "") for title in titles)
+    for topic_title in topics:
+        match = store.match(topic_title)
+        expected = naive_article_match(titles, topic_title)
+        got = (match.title, match.stage, match.score.hex()) if match else None
+        assert got == ((expected[0], expected[1], expected[2].hex()) if expected else None)
 
 
 def test_store_rejects_duplicates():
