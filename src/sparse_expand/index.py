@@ -57,11 +57,14 @@ at that width. `save` writes each column at the narrowest width that
 holds it, whatever width it is held at, so the bytes depend only on the
 documents; a width fits when the high bytes it drops are all zero. The
 snapshot stores no `pos_starts`, and per language only its stopword
-table. `Index.load` decodes each blob once, reads each column with one
-`frombytes`, and checks whole columns with C-level iterators, so it runs
-no Python loop per term or posting. The decoder checks the bytes and
-columns; `load` then reports the constructor's errors as a malformed
-snapshot too. The decoder rejects with DataError:
+table. `Index.load` decodes each blob once and reads each column with
+one `frombytes`. It checks the doc-ordinal and tf columns with byte
+arithmetic on their little-endian bytes (`_rises`, `_holds_zero`), then
+makes one C-level map per term over the run ends and one over the tfs
+for the position offsets; it runs no Python loop per term or posting.
+The decoder checks the bytes and columns; `load` then reports the
+constructor's errors as a malformed snapshot too. The decoder rejects
+with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
 - a column width other than 1, 2 or 4;
@@ -88,7 +91,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import attrgetter, eq, ge, le, lt
+from operator import attrgetter, eq, le, lt, sub
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -114,6 +117,9 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # Units of the per-index phrase memo: an entry costs 1 plus its matched
 # docs. A `run` at about 2.6k distinct phrases of 2.3 docs each fits.
 PHRASE_MEMO_BUDGET = 2**16
+
+# Items per step of `_rises`: the big ints it makes span at most this many.
+_RISE_CHUNK = 4096
 
 # The docs and tfs of a phrase that matches no document, shared by all.
 _NO_MATCH = (array("I"), array("I"))
@@ -486,11 +492,15 @@ class Index:
             (value,) = struct.unpack("<I", take(4))
             return value
 
-        def take_column() -> array:
+        def take_raw_column() -> tuple[int, memoryview]:
+            """A column's item width and little-endian bytes."""
             width = take_u32()
             if width not in _TYPECODES:
                 raise bad(f"column width {width} is not 1, 2 or 4")
-            return _from_little_endian(width, take(width * take_u32()))
+            return width, take(width * take_u32())
+
+        def take_column() -> array:
+            return _from_little_endian(*take_raw_column())
 
         def take_table() -> list[str]:
             lengths = take_column()
@@ -537,14 +547,15 @@ class Index:
         for name in names:
             terms = take_sorted_table(f"terms of field {name!r}")
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
-            docs, tfs, positions = take_column(), take_column(), take_column()
+            raw_docs, raw_tfs, positions = take_raw_column(), take_raw_column(), take_column()
+            docs, tfs = _from_little_endian(*raw_docs), _from_little_endian(*raw_tfs)
             if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
             ends = _pos_starts(starts, tfs)
-            if min(tfs, default=1) < 1 or ends[-1] != len(positions):
+            if _holds_zero(*raw_tfs) or ends[-1] != len(positions):
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
             pos_starts = array("I", ends)
-            if not _ascending_runs_below(docs, starts, n_docs):
+            if not _ascending_runs_below(docs, raw_docs[1], starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
             fields[name] = _FieldColumns(
                 dict(zip(terms, count())), starts, pos_starts, docs, tfs, positions
@@ -552,10 +563,11 @@ class Index:
 
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
-            value_docs = take_column()
+            raw_value_docs = take_raw_column()
+            value_docs = _from_little_endian(*raw_value_docs)
             if value_starts[-1] != len(value_docs):
                 raise bad(f"raw values of field {name!r} disagree with their offsets")
-            if not _ascending_runs_below(value_docs, value_starts, n_docs):
+            if not _ascending_runs_below(value_docs, raw_value_docs[1], value_starts, n_docs):
                 raise bad(f"bad doc ordinals for the raw values of field {name!r}")
             ordinals = value_docs.tolist()
             value_slices = map(slice, value_starts, value_starts[1:])
@@ -566,14 +578,61 @@ class Index:
         return doc_ids, fields, raw_values, chains
 
 
-def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
-    """True if every value is below `limit` and every run
-    `values[starts[i]:starts[i+1]]` is strictly ascending."""
+def _ascending_runs_below(values: array, raw: bytes, starts: array, limit: int) -> bool:
+    """True if every run `values[starts[i]:starts[i+1]]` is strictly
+    ascending and every value is below `limit`. `raw` holds `values` as
+    little-endian bytes; `starts` begins at 0, does not descend and ends
+    at len(values)."""
     if not values:
         return True
-    # Indices k + 1 where values[k] >= values[k + 1]: each must begin a run.
-    descents = compress(count(1), map(ge, values, values[1:]))
-    return max(values) < limit and set(starts).issuperset(descents)
+    rises = _rises(values.itemsize, raw)
+    rises.append(0)  # a byte for the last item, which ends the last run
+    ends = set(starts)  # one past the last item of each nonempty run, and 0
+    ends.discard(0)
+    lasts = list(map(sub, ends, repeat(1)))
+    # Every item that does not rise must be the last of its run; then each
+    # run's last item is its largest.
+    return (
+        rises.count(0) == len(lasts) - sum(map(rises.__getitem__, lasts))
+        and max(map(values.__getitem__, lasts)) < limit
+    )
+
+
+def _rises(width: int, raw: bytes) -> bytearray:
+    """Byte j is 1 if item j + 1 is greater than item j, else 0, for the
+    column of little-endian `width`-byte items in `raw`.
+
+    Each chunk of `_RISE_CHUNK` items, and the item after it, is packed
+    into lanes one byte wider than an item, as two ints: `current` holds
+    items j and `following` items j + 1. A lane of following +
+    (256**width - 1) - current lies in [0, 2 * 256**width - 2], so no
+    lane carries or borrows, and its top byte is 1 exactly where the
+    following item is greater. Chunks bound the size of these ints."""
+    lane = width + 1
+    n_pairs = len(raw) // width - 1
+    out = bytearray()
+    for first in range(0, n_pairs, _RISE_CHUNK):
+        pairs = min(_RISE_CHUNK, n_pairs - first)
+        # As bytes: a strided slice of a memoryview copies slowly.
+        items = bytes(raw[first * width : (first + pairs + 1) * width])
+        lanes = bytearray(lane * (pairs + 1))
+        for k in range(width):
+            lanes[k::lane] = items[k::width]
+        current = int.from_bytes(lanes[:-lane], "little")
+        following = int.from_bytes(lanes[lane:], "little")
+        item_max = int.from_bytes((b"\xff" * width + b"\0") * pairs, "little")
+        out += (following + item_max - current).to_bytes(lane * pairs, "little")[width::lane]
+    return out
+
+
+def _holds_zero(width: int, raw: bytes) -> bool:
+    """True if the column of little-endian `width`-byte items in `raw`
+    holds a 0: the OR of each item's bytes is then a zero byte."""
+    raw = bytes(raw)
+    merged = 0
+    for k in range(width):
+        merged |= int.from_bytes(raw[k::width], "little")
+    return 0 in merged.to_bytes(len(raw) // width, "little")
 
 
 def _narrowest(values: array) -> tuple[int, bytes]:

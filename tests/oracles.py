@@ -132,6 +132,21 @@ def naive_search(documents, chains, query, k, schema=DEFAULT_SCHEMA, all_field="
     return [(documents[i].doc_id, score) for i, score in ranked[:k]]
 
 
+def naive_ascending_runs_below(values, starts, limit):
+    """True if every run values[starts[i]:starts[i+1]] is strictly
+    ascending and holds no value of `limit` or more, checked run by run
+    and pair by pair."""
+    for lo, hi in zip(starts, starts[1:]):
+        run = list(values[lo:hi])
+        for value in run:
+            if value >= limit:
+                return False
+        for before, after in zip(run, run[1:]):
+            if before >= after:
+                return False
+    return True
+
+
 def naive_str_scores(documents, topic, chain, input_fields, concept_fields, log=False):
     """Suggestion scores recomputed by explicit set arithmetic."""
     from sparse_expand.analysis import query_tokens

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OLDER_SNAPSHOTS, WORDS, random_corpus
-from oracles import field_token_positions, naive_search, naive_str_scores
+from oracles import field_token_positions, naive_ascending_runs_below, naive_search, naive_str_scores
 from sparse_expand import index as index_module
 from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
@@ -30,7 +30,10 @@ from sparse_expand.index import (
     Query,
     ScoredDoc,
     Term,
+    _ascending_runs_below,
     _concatenate,
+    _holds_zero,
+    _rises,
     build_index,
 )
 from sparse_expand.stopwords import load_stopwords
@@ -608,11 +611,13 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
     assert [(p.doc, p.positions) for p in loaded.postings("t-en", "x")] == [(0, (0,)), (1, (0, 2))]
 
 
-def _stored_columns(data):
-    """(width, values) of every column of a version 7 snapshot, in file
-    order: read by walking the layout README "Snapshot format" gives."""
+def _column_spans(data):
+    """(start, end, width, values) of every column of a version 7
+    snapshot, in file order, where data[start:end] holds the column's
+    width, count and values: read by walking the layout README "Snapshot
+    format" gives."""
     offset = len(SNAPSHOT_MAGIC) + 4
-    columns = []
+    spans = []
 
     def u32():
         nonlocal offset
@@ -621,11 +626,12 @@ def _stored_columns(data):
 
     def column():
         nonlocal offset
+        start = offset
         width, n = u32(), u32()
         code = {1: "B", 2: "H", 4: "I"}[width]
         values = struct.unpack_from(f"<{n}{code}", data, offset)
         offset += width * n
-        columns.append((width, values))
+        spans.append((start, offset, width, values))
         return values
 
     def table():
@@ -646,7 +652,26 @@ def _stored_columns(data):
         column()  # raw-value starts
         column()  # raw-value docs
     assert offset == len(data)
-    return columns
+    return spans
+
+
+def _stored_columns(data):
+    """(width, values) of every column of a version 7 snapshot, in file
+    order."""
+    return [(width, values) for _, _, width, values in _column_spans(data)]
+
+
+def _widened(data, width):
+    """The snapshot `data` with every column narrower than `width` bytes
+    per value written at `width`: what a writer that does not narrow
+    would write."""
+    code = {2: "H", 4: "I"}[width]
+    out, done = bytearray(), 0
+    for start, end, stored, values in _column_spans(data):
+        if stored < width:
+            out += data[done:start] + _u32s(width, len(values)) + struct.pack(f"<{len(values)}{code}", *values)
+            done = end
+    return bytes(out + data[done:])
 
 
 def _smallest_width(values):
@@ -717,6 +742,145 @@ def test_snapshot_stores_each_column_at_the_smallest_width_that_fits(tmp_path_fa
     wide = built._replace(**{name: array("I", getattr(built, name)) for name in ("starts", "docs", "tfs", "positions")})
     Index(idx.doc_ids, {"t-en": wide}, {"t-en": idx.raw_values("t-en")}, idx.chains).save(directory / "c.bin")
     assert (directory / "c.bin").read_bytes() == data
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_snapshot_with_columns_wider_than_needed_loads_as_the_narrow_one(tmp_path, width):
+    idx = _index(random_corpus(5, 50))
+    narrow_path, wide_path = tmp_path / "narrow.bin", tmp_path / "wide.bin"
+    idx.save(narrow_path)
+    narrow = narrow_path.read_bytes()
+    wide_path.write_bytes(_widened(narrow, width))
+    assert {stored for stored, _ in _stored_columns(wide_path.read_bytes())} == {width}
+    loaded, wide = Index.load(narrow_path), Index.load(wide_path)
+
+    assert wide.doc_ids == loaded.doc_ids
+    assert wide.fields == loaded.fields
+    for field in loaded.fields:
+        assert wide.raw_values(field) == loaded.raw_values(field)
+        assert wide.terms(field) == loaded.terms(field)
+    assert any(loaded.raw_values(field) for field in loaded.fields)
+    rng = random.Random(width)
+    for _ in range(20):
+        query = _random_query(rng)
+        assert wide.search(query, 100) == loaded.search(query, 100)
+    wide.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == narrow
+
+
+def _wide_inconsistent(top):
+    """Cases of `test_snapshot_rejects_inconsistent_columns_written_wide`
+    for columns `width` bytes wide, given `top` = 256**(width - 1): only a
+    column's high byte tells top + j from j. Each is (docs of term "x",
+    its tfs, docs of raw value "v", expected error); "x" has positions
+    [0, 0, 1, 0] and term "y" holds each of the three documents once."""
+    docs, tfs, raw_docs = (0, 1, 2), (1, 2, 1), (0, 2)
+    ordinals = "bad doc ordinals in field 't-en'$"
+    return {
+        "descending-run": ((0, 2, 1), tfs, raw_docs, ordinals),
+        "repeated-doc": ((0, 1, 1), tfs, raw_docs, ordinals),
+        "ordinal-not-below-n_docs": ((0, 1, top + 2), tfs, raw_docs, ordinals),
+        "ordinal-not-below-n_docs-mid-run": ((0, top + 1, 2), tfs, raw_docs, ordinals),
+        "tf-0": (docs, (0, 3, 1), raw_docs, "tfs of field 't-en' hold a 0 or disagree with its positions$"),
+        "raw-value-ordinal-not-below-n_docs": (
+            docs, tfs, (0, top + 2), "bad doc ordinals for the raw values of field 't-en'$"
+        ),
+    }
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("case", list(_wide_inconsistent(1)))
+def test_snapshot_rejects_inconsistent_columns_written_wide(tmp_path, width, case):
+    docs, tfs, raw_docs, match = _wide_inconsistent(256 ** (width - 1))[case]
+    terms = {"x": _columns(docs, tfs, [0, 0, 1, 0]), "y": _columns([0, 1, 2], [1, 1, 1], [0, 0, 0])}
+    idx = Index(["d0", "d1", "d2"], {"t-en": _concatenate(terms)}, {"t-en": {"v": raw_docs}}, {"en": chain_for("en")})
+    path = tmp_path / SNAPSHOT_FILENAME
+    idx.save(path)
+    path.write_bytes(_widened(path.read_bytes(), width))
+    with pytest.raises(DataError, match=match) as raised:
+        Index.load(path)
+    assert str(raised.value).startswith(f"{path}: malformed index snapshot: ")
+
+
+def test_rises_reads_little_endian_items():
+    assert _rises(1, bytes([3, 5, 5, 4, 255, 0])) == bytes([1, 0, 0, 1, 0])
+    # 256, 255, 65535, 0
+    assert _rises(2, bytes.fromhex("0001" "ff00" "ffff" "0000")) == bytes([0, 1, 0])
+    # 2**24, 2**24 - 1, 2**32 - 1
+    assert _rises(4, bytes.fromhex("00000001" "ffffff00" "ffffffff")) == bytes([0, 1])
+    assert _rises(2, b"") == _rises(2, b"\1\0") == b""
+
+
+def test_holds_zero_reads_whole_items():
+    assert not _holds_zero(2, bytes.fromhex("0100" "0001"))  # 1, 256: zero bytes, no zero item
+    assert _holds_zero(2, bytes.fromhex("0001" "0000"))
+    assert not _holds_zero(4, bytes.fromhex("00000001" "00010000"))
+    assert _holds_zero(4, bytes.fromhex("01000000" "00000000" "ffffffff"))
+    assert _holds_zero(1, b"\1\0") and not _holds_zero(1, b"\1\2")
+    assert not _holds_zero(4, b"")
+
+
+def _little_endian(values):
+    return struct.pack(f"<{len(values)}{values.typecode}", *values)
+
+
+@st.composite
+def _runs(draw):
+    """(values, starts, limit): a column of typecode B, H or I cut into
+    runs, with values drawn toward 0 and the typecode's largest, empty
+    runs (repeated starts), and a limit often the column's largest value
+    or one more."""
+    code = draw(st.sampled_from("BHI"))
+    top = 256 ** array(code).itemsize - 1
+    item = st.sampled_from([0, 1, top - 1, top]) | st.integers(0, top)
+    ascending = draw(st.booleans())
+    values, starts = [], [0]
+    for run in draw(st.lists(st.lists(item, max_size=9), max_size=8)):
+        if ascending or draw(st.integers(0, 3)):
+            run = sorted(set(run))
+        values += run
+        starts.append(len(values))
+    largest = max(values, default=0)
+    limit = draw(st.sampled_from([largest, largest + 1]) | st.integers(0, top + 1))
+    return array(code, values), array("I", starts), limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=_runs(), chunk=st.sampled_from([1, 2, 3, 4, 4096]))
+def test_ascending_runs_below_agrees_with_the_oracle(runs, chunk):
+    values, starts, limit = runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_RISE_CHUNK", chunk)
+        got = _ascending_runs_below(values, _little_endian(values), starts, limit)
+    assert got == naive_ascending_runs_below(values, starts, limit)
+
+
+@pytest.mark.parametrize("code", ["B", "H", "I"])
+def test_ascending_runs_below_across_chunk_edges(code):
+    chunk = index_module._RISE_CHUNK
+    n = 3 * chunk + 2
+    scale = (256 ** array(code).itemsize - 1) // 255  # 1, 257 or 16843009: every byte varies
+    ascending = array(code, [(j % 200) * scale for j in range(n)])
+    starts = list(range(0, n, 200)) + [n]
+    limit = 199 * scale + 1
+    raw = _little_endian(ascending)
+    assert _ascending_runs_below(ascending, raw, array("I", starts), limit) is True
+    assert _ascending_runs_below(ascending, raw, array("I", starts), limit - 1) is False
+    # A descent at pair p (values[p + 1] <= values[p]) on or next to a
+    # chunk edge passes only where a run starts at p + 1.
+    for p in (chunk - 2, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 2):
+        values = array(code, ascending)
+        values[p + 1] = values[p]
+        raw = _little_endian(values)
+        assert _ascending_runs_below(values, raw, array("I", starts), limit) is False
+        cut = array("I", sorted(starts + [p + 1]))
+        assert _ascending_runs_below(values, raw, cut, limit) is True
+        assert naive_ascending_runs_below(values, cut, limit) is True
+    # Each item at a multiple of 200 is below the one before it: the
+    # first such item past a chunk edge needs its run start.
+    first_past_edge = next(start for start in starts if start > chunk)
+    without = array("I", [start for start in starts if start != first_past_edge])
+    assert _ascending_runs_below(ascending, raw, without, limit) is False
 
 
 def _narrow_snapshot(tmp_path, stopwords=None):
