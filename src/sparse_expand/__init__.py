@@ -47,7 +47,7 @@ from .expand import (
     parse_query,
     serialize_query,
 )
-from .index import Index, Phrase, Query, ScoredDoc, Term, build_index
+from .index import Hits, Index, Phrase, Query, ScoredDoc, Term, build_index
 from .pipeline import PipelineConfig, config_validate, load_config, run_pipeline
 from .str_recommender import CooccurConfig, jaccard, log_jaccard, suggest_str
 from .suggestions import ConceptSuggestion, SuggestionSet, make_suggestion_set

@@ -10,10 +10,12 @@ A qrels file grades each (topic, doc) once, and a judgments file each
 (topic, rank) once, with ranks from 1; a repeat is a data error, not a
 silent override. Topic and doc ids follow the id rule of `files`.
 
-In memory a run is `{topic_id: [ScoredDoc, ...]}`, each topic's hits in
-rank order, as `Index.search` returns them. The writer numbers the ranks
-and writes the run tag it is given; the reader checks the ranks, then
-drops them and the tags.
+In memory a run is `{topic_id: Hits}`, each topic's hits in rank order,
+as `Index.search` returns them. The writer reads the `doc_ids` and
+`scores` columns, never a row: it formats each topic with one `%`
+format, its line repeated once per hit, numbers the ranks and writes the
+run tag it is given. The reader checks the ranks, then drops them and
+the tags.
 
 A grade >= 1 counts as relevant for the ad-hoc metrics. Topics without
 any relevant document are excluded from means; topics with relevant
@@ -25,14 +27,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_lines
-from .index import ScoredDoc
+from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_atomic
+from .index import Hits
 from .suggestions import SuggestionSet
 
 logger = logging.getLogger(__name__)
@@ -40,32 +41,34 @@ logger = logging.getLogger(__name__)
 GRADES = (0, 1, 2)
 DEFAULT_RUN_DEPTH = 1000
 RELEVANCE_THRESHOLD = 1
+_NO_HITS = Hits()
 
 
-def run_lines(run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> list[str]:
-    """The run file's lines: topics in mapping order, hits in rank order.
+def run_text(run: Mapping[str, Hits], run_tag: str) -> str:
+    """The run file's text: topics in mapping order, hits in rank order.
 
-    Raises DataError, before any line is made, for what `read_run_file`
-    would reject: a run tag, topic id or doc id that is empty or holds
-    whitespace, and hits that `check_ranked` rejects."""
-    ids = {run_tag}.union(run, *(map(itemgetter(0), hits) for hits in run.values()))
+    Raises DataError, so that no caller writes any of it, for what
+    `read_run_file` would reject: a run tag, topic id or doc id that is
+    empty or holds whitespace, and hits that `check_ranked` rejects."""
+    ids = {run_tag}.union(run, *(hits.doc_ids for hits in run.values()))
     bad = [i for i in ids if not is_id(i)]
     if bad:
         raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
-    lines: list[str] = []
-    for topic_id, hits in run.items():  # one C-level formatting pass per topic
-        doc_ids, scores = list(map(itemgetter(0), hits)), list(map(itemgetter(1), hits))
-        check_ranked(f"run for topic {topic_id!r}", doc_ids, scores, "doc_id")
-        fields = zip(repeat(topic_id), doc_ids, count(1), scores, repeat(run_tag))
-        lines += map("%s Q0 %s %d %.6f %s".__mod__, fields)
-    return lines
+    tag = run_tag.replace("%", "%%")  # an id may hold `%`, which the format would read
+    blocks = []
+    for topic_id, hits in run.items():  # one `%` format per topic, over its hits' fields
+        check_ranked(f"run for topic {topic_id!r}", hits.doc_ids, hits.scores, "doc_id")
+        line = f"{topic_id.replace('%', '%%')} Q0 %s %d %.6f {tag}\n"
+        n = len(hits.doc_ids)
+        blocks.append((line * n) % tuple(chain.from_iterable(zip(hits.doc_ids, range(1, n + 1), hits.scores))))
+    return "".join(blocks)
 
 
-def write_run_file(path: str | Path, run: Mapping[str, Sequence[ScoredDoc]], run_tag: str) -> None:
-    write_lines(path, run_lines(run, run_tag))
+def write_run_file(path: str | Path, run: Mapping[str, Hits], run_tag: str) -> None:
+    write_atomic(path, run_text(run, run_tag).encode("utf-8"))
 
 
-def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
+def read_run_file(path: str | Path) -> dict[str, Hits]:
     """Parse and validate a run; returns topic -> hits in rank order."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
     for lineno, (topic_id, _, doc_id, rank_s, score_s, _) in read_rows(path, 6):
@@ -82,7 +85,7 @@ def read_run_file(path: str | Path) -> dict[str, list[ScoredDoc]]:
         what = f"{path}: run for topic {topic_id!r}"
         check_ranks(what, ranks)
         check_ranked(what, docs, scores, "doc_id")
-        run[topic_id] = list(map(tuple.__new__, repeat(ScoredDoc), zip(docs, scores)))
+        run[topic_id] = Hits(docs, scores)
     return run
 
 
@@ -186,7 +189,7 @@ class MetricReport:
 
 
 def evaluate_run(
-    run: Mapping[str, Sequence[ScoredDoc]],
+    run: Mapping[str, Hits],
     qrels: Mapping[str, Mapping[str, int]],
     depth: int = DEFAULT_RUN_DEPTH,
 ) -> MetricReport:
@@ -204,7 +207,7 @@ def evaluate_run(
         judgments = qrels[topic_id]
         if not _relevant_docs(judgments):
             continue
-        ranked = [doc_id for doc_id, _ in run.get(topic_id, ())[:depth]]
+        ranked = run.get(topic_id, _NO_HITS).doc_ids[:depth]
         per_topic[topic_id] = {
             "ap": average_precision(ranked, judgments),
             "r_precision": r_precision(ranked, judgments),

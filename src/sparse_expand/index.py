@@ -29,8 +29,11 @@ one occurrence. A doc score adds its clause scores in clause order from
 0.0. Since 0.0 + w is w for any non-negative w, `search` fills the empty
 score map from the first clause that matches in one C-level pass (a
 clause lists each doc once); later clauses add into it one doc at a
-time. Hits are `ScoredDoc` rows made by `tuple.__new__` mapped over
-(doc_id, score) pairs, with no Python-level call per hit.
+time. The result is a `Hits`: two tuples, doc ids and scores in rank
+order, each made from the ranked ordinals by one C-level map, so no
+object is made per hit. `ScoredDoc` rows exist only when a caller
+indexes or iterates the hits; the run writer, `evaluate_run` and
+`ArticleStore.match` read the columns.
 
 Expanded queries repeat the same phrases, so each `Index` keeps a memo
 from (field, analyzed tokens) to a phrase's matching docs and tfs, and
@@ -89,11 +92,12 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, eq, le, lt, sub
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .analysis import LANGUAGES, AnalyzerChain
 from .corpus import CONCEPT_FIELDS, DEFAULT_SCHEMA, Document
@@ -199,6 +203,42 @@ class Query:
 class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
+
+
+class Hits(Sequence):
+    """A ranked result list as two parallel columns: `doc_ids` and
+    `scores`, in rank order. It reads as a sequence of `ScoredDoc` rows
+    (a slice is a list of them), made only when asked for; it equals
+    another `Hits` with equal columns and a list of the same rows."""
+
+    __slots__ = ("doc_ids", "scores")
+
+    def __init__(self, doc_ids: Iterable[str] = (), scores: Iterable[float] = ()):
+        self.doc_ids = tuple(doc_ids)
+        self.scores = tuple(scores)
+        if len(self.doc_ids) != len(self.scores):
+            raise ValueError(f"{len(self.doc_ids)} doc ids for {len(self.scores)} scores")
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(Hits(self.doc_ids[i], self.scores[i]))
+        return ScoredDoc(self.doc_ids[i], self.scores[i])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(ScoredDoc), zip(self.doc_ids, self.scores))
+
+    def __eq__(self, other):
+        if isinstance(other, Hits):
+            return self.doc_ids == other.doc_ids and self.scores == other.scores
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Hits(doc_ids={self.doc_ids!r}, scores={self.scores!r})"
 
 
 class _FieldColumns(NamedTuple):
@@ -385,7 +425,7 @@ class Index:
                 counts.append(len(starts))
         return (array("I", matched), array("I", counts)) if matched else _NO_MATCH
 
-    def search(self, query: Query, k: int) -> list[ScoredDoc]:
+    def search(self, query: Query, k: int) -> Hits:
         """The top `k` (at least 1) documents for a disjunctive query; raw
         clause text is analyzed with the field's chain at query time."""
         if k < 1:
@@ -425,8 +465,7 @@ class Index:
         ranked = sorted(scores)  # ordinal order is doc_id order
         ranked.sort(key=scores.__getitem__, reverse=True)
         del ranked[k:]
-        pairs = zip(map(self._doc_ids.__getitem__, ranked), map(scores.__getitem__, ranked))
-        return list(map(tuple.__new__, repeat(ScoredDoc), pairs))
+        return Hits(tuple(map(self._doc_ids.__getitem__, ranked)), tuple(map(scores.__getitem__, ranked)))
 
     # -- persistence ----------------------------------------------------
 

@@ -35,7 +35,7 @@ from .errors import ConfigError, DataError, EmptyQueryError
 from .evaluation import MetricReport, evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
 from .files import json_object, read_keyed_lines, read_text, write_lines
-from .index import ALL_FIELD, Index, Query, ScoredDoc, build_index
+from .index import ALL_FIELD, Hits, Index, Query, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
     GENERATOR_SYSTEMS,
@@ -235,7 +235,7 @@ def expanded_queries(
 
 def search_run(
     index: Index, queries: Iterable[tuple[str, Query]], depth: int
-) -> dict[str, list[ScoredDoc]]:
+) -> dict[str, Hits]:
     """Each query's top `depth` hits, by topic id in query order: a run."""
     return {topic_id: index.search(query, depth) for topic_id, query in queries}
 

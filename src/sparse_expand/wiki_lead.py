@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import neg
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -224,10 +225,15 @@ class ArticleStore:
         )
         k = len(self._articles)
         for stage, index, clauses in stages:
-            hits = [hit for clause in clauses for hit in index.search(Query((clause,)), k)]
-            if hits:
-                title, score = min(hits, key=lambda hit: (-hit.score, len(hit.doc_id), hit.doc_id))
-                return MatchResult(title, stage, score)
+            # Each clause's best (-score, title length, title); the least wins.
+            bests = [
+                min(zip(map(neg, hits.scores), map(len, hits.doc_ids), hits.doc_ids))
+                for hits in (index.search(Query((clause,)), k) for clause in clauses)
+                if hits
+            ]
+            if bests:
+                neg_score, _, title = min(bests)
+                return MatchResult(title, stage, -neg_score)
         return None
 
 

@@ -511,6 +511,16 @@ def naive_r_precision(ranked_docs, judgments, threshold=1):
     return sum(1 for doc in ranked_docs[:r] if doc in relevant) / r
 
 
+def naive_run_file_text(run, run_tag):
+    """A TREC run file written one line at a time: `run` maps each topic
+    id to its (doc id, score) pairs in rank order."""
+    text = ""
+    for topic_id, pairs in run.items():
+        for rank, (doc_id, score) in enumerate(pairs, 1):
+            text += f"{topic_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n"
+    return text
+
+
 def naive_se_precision(grades_in_rank_order):
     if not grades_in_rank_order:
         return (0.0, 0.0)

@@ -19,7 +19,7 @@ from sparse_expand.corpus import (
 )
 from sparse_expand.errors import DataError, DuplicateDocumentError, EmptyCorpusError
 from sparse_expand.evaluation import read_run_file, write_run_file
-from sparse_expand.index import ScoredDoc, build_index
+from sparse_expand.index import Hits, build_index
 from sparse_expand.suggestions import (
     make_suggestion_set,
     read_suggestion_file,
@@ -241,7 +241,7 @@ def test_accepted_ids_round_trip_through_the_run_file(tmp_path_factory, doc_id, 
         topic_ids = [t.topic_id for t in read_topics(topics)]
     except DataError:
         topic_ids = []
-    run = {t: [ScoredDoc(d, 1.0) for d in accepted] for t in topic_ids}
+    run = {t: Hits(accepted, [1.0] * len(accepted)) for t in topic_ids}
     path = directory / "run.trec"
     write_run_file(path, run, "STR")
     assert read_run_file(path) == {t: hits for t, hits in run.items() if hits}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_average_precision, naive_r_precision, naive_se_precision
+from oracles import naive_average_precision, naive_r_precision, naive_run_file_text, naive_se_precision
 from sparse_expand.errors import DataError
 from sparse_expand.evaluation import (
     GRADES,
@@ -22,7 +22,7 @@ from sparse_expand.evaluation import (
     se_precision,
     write_run_file,
 )
-from sparse_expand.index import ScoredDoc
+from sparse_expand.index import Hits
 from sparse_expand.suggestions import make_suggestion_set
 
 
@@ -94,7 +94,7 @@ def test_se_precision_bad_grade():
 
 
 def _hits(docs):
-    return [ScoredDoc(doc, float(len(docs) - i)) for i, doc in enumerate(docs)]
+    return Hits(docs, [float(len(docs) - i) for i in range(len(docs))])
 
 
 def test_evaluate_run_two_topic_mean():
@@ -145,8 +145,8 @@ def test_evaluate_run_depth_cap():
 def test_metrics_invariant_under_score_rescaling():
     docs = ["a", "x", "b"]
     qrels = {"T": {"a": 1, "b": 2}}
-    low = {"T": [ScoredDoc(d, 3.0 - i) for i, d in enumerate(docs)]}
-    high = {"T": [ScoredDoc(d, 300.0 - i * 10) for i, d in enumerate(docs)]}
+    low = {"T": Hits(docs, [3.0 - i for i in range(len(docs))])}
+    high = {"T": Hits(docs, [300.0 - i * 10 for i in range(len(docs))])}
     assert evaluate_run(low, qrels).per_topic == evaluate_run(high, qrels).per_topic
 
 
@@ -213,8 +213,8 @@ def test_run_file_reader_orders_each_topic_by_rank(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("T1 Q0 b 2 1.0 t\nT2 Q0 x 1 5.0 u\nT1 Q0 a 1 2.0 t\n", encoding="utf-8")
     assert read_run_file(path) == {
-        "T1": [ScoredDoc("a", 2.0), ScoredDoc("b", 1.0)],
-        "T2": [ScoredDoc("x", 5.0)],
+        "T1": Hits(["a", "b"], [2.0, 1.0]),
+        "T2": Hits(["x"], [5.0]),
     }
 
 
@@ -299,14 +299,41 @@ def test_judgments_file(tmp_path):
             read_judgments_file(path)
 
 
+# Ids and tags the writer's `%` format must keep as they are.
+_RUN_IDS = st.one_of(st.sampled_from(["%", "%s", "%%", "a%d", "%.6f%"]), st.text("%sdQ0.-", min_size=1, max_size=5), _IDS)
+
+
+@st.composite
+def _runs(draw):
+    """Runs with `%` in their ids, tied scores and topics with no hits."""
+    run = {}
+    for topic_id in draw(st.lists(_RUN_IDS, unique=True, max_size=4)):
+        doc_ids = draw(st.lists(_RUN_IDS, unique=True, max_size=6))
+        score = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(allow_nan=False, allow_infinity=False)
+        scores = draw(st.lists(score, min_size=len(doc_ids), max_size=len(doc_ids)))
+        run[topic_id] = Hits(doc_ids, sorted(scores, reverse=True))
+    return run
+
+
+@settings(max_examples=300)
+@given(run=_runs(), run_tag=_RUN_IDS)
+def test_run_file_bytes_match_a_line_by_line_writer(tmp_path_factory, run, run_tag):
+    path = tmp_path_factory.mktemp("run") / "run.trec"
+    write_run_file(path, run, run_tag)
+    pairs = {topic_id: zip(hits.doc_ids, hits.scores) for topic_id, hits in run.items()}
+    assert path.read_bytes() == naive_run_file_text(pairs, run_tag).encode("utf-8")
+    read = read_run_file(path)
+    assert {t: hits.doc_ids for t, hits in read.items()} == {t: hits.doc_ids for t, hits in run.items() if hits}
+
+
 @pytest.mark.parametrize(
     "run",
     [
-        {"T 1": [ScoredDoc("a", 1.0)]},
-        {"": [ScoredDoc("a", 1.0)]},
-        {"T1": [ScoredDoc("a", 2.0), ScoredDoc("a b", 1.0)]},
-        {"T1": [ScoredDoc("", 1.0)]},
-        {"T1": [ScoredDoc("a\u2028", 1.0)]},
+        {"T 1": Hits(["a"], [1.0])},
+        {"": Hits(["a"], [1.0])},
+        {"T1": Hits(["a", "a b"], [2.0, 1.0])},
+        {"T1": Hits([""], [1.0])},
+        {"T1": Hits(["a\u2028"], [1.0])},
     ],
 )
 def test_run_writer_rejects_an_id_the_reader_could_not_split(tmp_path, run):
@@ -320,22 +347,22 @@ def test_run_writer_rejects_an_id_the_reader_could_not_split(tmp_path, run):
 def test_run_writer_rejects_a_run_tag_the_reader_could_not_split(tmp_path, run_tag):
     path = tmp_path / "run.trec"
     with pytest.raises(DataError, match=re.escape(f"run id {run_tag!r} is empty or contains whitespace")):
-        write_run_file(path, {"T1": [ScoredDoc("a", 1.0)]}, run_tag)
+        write_run_file(path, {"T1": Hits(["a"], [1.0])}, run_tag)
     assert not path.exists()
 
 
 @pytest.mark.parametrize(
     "hits,message",
     [
-        ([ScoredDoc("a", math.nan)], "score must be finite"),
-        ([ScoredDoc("a", 2.0), ScoredDoc("b", math.inf)], "score must be finite"),
-        ([ScoredDoc("a", 2.0), ScoredDoc("a", 1.0)], "duplicate doc_id"),
-        ([ScoredDoc("a", 1.0), ScoredDoc("b", 2.0)], "scores increase with rank"),
+        (Hits(["a"], [math.nan]), "score must be finite"),
+        (Hits(["a", "b"], [2.0, math.inf]), "score must be finite"),
+        (Hits(["a", "a"], [2.0, 1.0]), "duplicate doc_id"),
+        (Hits(["a", "b"], [1.0, 2.0]), "scores increase with rank"),
     ],
 )
 def test_run_writer_rejects_hits_the_reader_would_reject(tmp_path, hits, message):
     path = tmp_path / "run.trec"
-    run = {"T0": [ScoredDoc("x", 1.0)], "T1": hits}
+    run = {"T0": Hits(["x"], [1.0]), "T1": hits}
     with pytest.raises(DataError, match=re.escape(f"run for topic 'T1': {message}")):
         write_run_file(path, run, "t")
     assert not path.exists()

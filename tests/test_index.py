@@ -25,6 +25,7 @@ from sparse_expand.index import (
     SNAPSHOT_FILENAME,
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    Hits,
     Index,
     Phrase,
     Query,
@@ -252,10 +253,14 @@ def test_search_oracle_randomized(seed):
     rng = random.Random(1000 + seed)
     docs = random_corpus(seed, rng.randint(20, 120))
     idx = _index(docs)
+    cut = 0
     for _ in range(12):
         query = _random_query(rng)
-        got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
-        assert got == naive_search(docs, CHAINS, query, 1000)
+        for k in (1000, 3):
+            _assert_search_matches_oracle(idx, docs, query, k)
+        cut += len(idx.search(query, 1000)) > 3
+    assert cut, "no query had more hits than the smaller k"
+    _assert_search_matches_oracle(idx, docs, Query((Term("chic_all-en", "zebra"),)))
 
 
 def test_search_oracle_mixed_languages():
@@ -271,12 +276,68 @@ def test_search_oracle_mixed_languages():
 
 
 def _assert_search_matches_oracle(idx, docs, query, k=1000):
-    """Same hits as the oracle, each score to the bit, each a ScoredDoc."""
+    """Same hits as the oracle, each score to the bit, in the two columns
+    and as rows, each a ScoredDoc."""
     hits = idx.search(query, k)
     expected = naive_search(docs, CHAINS, query, k)
     assert hits == expected
     assert [(d, repr(s)) for d, s in hits] == [(d, repr(s)) for d, s in expected]
     assert all(type(h) is ScoredDoc for h in hits)
+    assert hits.doc_ids == tuple(d for d, _ in expected)
+    assert [s.hex() for s in hits.scores] == [s.hex() for _, s in expected]
+
+
+def test_hits_read_as_scored_doc_rows():
+    hits = Hits(["b", "a", "c"], [3.0, 2.0, 2.0])
+    assert (hits.doc_ids, hits.scores) == (("b", "a", "c"), (3.0, 2.0, 2.0))
+    assert len(hits) == 3
+    assert (hits[0], hits[2], hits[-1], hits[-3]) == (
+        ScoredDoc("b", 3.0), ScoredDoc("c", 2.0), ScoredDoc("c", 2.0), ScoredDoc("b", 3.0)
+    )
+    assert type(hits[1]) is ScoredDoc
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            hits[i]
+    tail = hits[1:]
+    assert type(tail) is list and tail == [ScoredDoc("a", 2.0), ScoredDoc("c", 2.0)]
+    assert all(type(row) is ScoredDoc for row in tail)
+    assert hits[::-2] == [ScoredDoc("c", 2.0), ScoredDoc("b", 3.0)] and hits[5:] == []
+    assert list(hits) == [ScoredDoc("b", 3.0), ScoredDoc("a", 2.0), ScoredDoc("c", 2.0)]
+    assert all(type(row) is ScoredDoc for row in hits)
+    assert [ScoredDoc("x", 9.0)] + hits[1:] == [ScoredDoc("x", 9.0), *tail]
+    assert not Hits() and len(Hits()) == 0 and list(Hits()) == []
+
+
+def test_hits_equal_hits_with_equal_columns_and_a_list_of_the_same_rows():
+    hits = Hits(["b", "a"], [3.0, 2.0])
+    rows = [ScoredDoc("b", 3.0), ScoredDoc("a", 2.0)]
+    assert hits == Hits(("b", "a"), (3.0, 2.0)) and hits == rows and rows == hits
+    assert hits == [("b", 3.0), ("a", 2.0)]
+    assert not hits != rows
+    for other in (
+        Hits(["b", "a"], [3.0, 2.5]),
+        Hits(["a", "b"], [3.0, 2.0]),
+        Hits(["b"], [3.0]),
+        [ScoredDoc("b", 3.0), ScoredDoc("a", 2.5)],
+        rows[:1],
+        [],
+        (("b", 3.0), ("a", 2.0)),
+    ):
+        assert hits != other and other != hits
+    assert Hits() == [] and Hits() == Hits() and Hits() != Hits(["a"], [1.0])
+
+
+def test_hits_repr_and_read_only():
+    hits = Hits(["a", "b"], [2.0, 1.0])
+    assert repr(hits) == "Hits(doc_ids=('a', 'b'), scores=(2.0, 1.0))"
+    assert eval(repr(hits), {"Hits": Hits}) == hits
+    with pytest.raises(TypeError):
+        hits[0] = ScoredDoc("c", 3.0)
+    with pytest.raises(TypeError):
+        del hits[0]
+    assert hits == [ScoredDoc("a", 2.0), ScoredDoc("b", 1.0)]
+    with pytest.raises(ValueError, match="2 doc ids for 1 scores"):
+        Hits(["a", "b"], [1.0])
 
 
 # Clauses that match nothing in `random_corpus(31, 80)`: the first clause

@@ -2,18 +2,21 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pipeline_workspace
 from sparse_expand import evaluation
-from sparse_expand.cli import main
+from sparse_expand.cli import cli, main
 from sparse_expand.errors import ConfigError, DataError
 from sparse_expand.files import write_atomic
+from sparse_expand.index import Hits
 from sparse_expand.pipeline import (
     PipelineConfig,
     _write_metrics,
@@ -374,3 +377,49 @@ def test_five_system_run_matches_the_golden_digests(tmp_path):
     run_pipeline(_config(paths), SYSTEMS)
     expected = GOLDEN_RUN.read_text(encoding="utf-8").splitlines()
     assert _tree_digests(Path(paths["out"])) == expected
+
+
+def _run_path_outputs(paths, tmp_path) -> list:
+    """The bytes of a five-system `run` with qrels, of `index search` to
+    stdout and with --out, and of `eval adhoc` on that run."""
+    out = Path(paths["out"])
+    shutil.rmtree(out, ignore_errors=True)
+    run_pipeline(_config(paths), SYSTEMS)
+    tree = {path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+    run_file = tmp_path / "searched.trec"
+    search = ["index", "search", "--index", str(tmp_path / "idx"), "--query-file", str(tmp_path / "queries.tsv")]
+    runner = CliRunner()
+    results = [
+        runner.invoke(cli, search),
+        runner.invoke(cli, [*search, "--out", str(run_file)]),
+        runner.invoke(cli, ["eval", "adhoc", "--run", str(run_file), "--qrels", paths["qrels"]]),
+    ]
+    for result in results:
+        assert result.exit_code == 0, result.exception
+    printed, _, scored = (result.stdout_bytes for result in results)
+    return [tree, printed, run_file.read_bytes(), scored]
+
+
+def test_the_run_path_reads_hit_columns_and_never_makes_a_row(tmp_path, monkeypatch):
+    paths = build_pipeline_workspace(tmp_path)
+    suggested = tmp_path / "str.tsv"
+    for argv in (
+        ["index", "build", "--docs", paths["docs"], "--out", str(tmp_path / "idx")],
+        ["suggest", "str", "--index", str(tmp_path / "idx"), "--topics", paths["topics"], "--out", str(suggested)],
+        ["expand", "--topics", paths["topics"], "--suggestions", str(suggested), "--out", str(tmp_path / "queries.tsv")],
+    ):
+        assert main(argv) == 0
+    expected = _run_path_outputs(paths, tmp_path)
+    tree, printed, written, scored = expected
+    assert len(tree) == 16 and all(tree.values())
+    assert printed == written and written
+    assert scored.splitlines()[-1].startswith(b"mean")
+
+    def no_rows(*_):
+        raise AssertionError("a ScoredDoc row was made")
+
+    monkeypatch.setattr(Hits, "__iter__", no_rows)
+    monkeypatch.setattr(Hits, "__getitem__", no_rows)
+    with pytest.raises(AssertionError, match="row was made"):
+        list(Hits(["a"], [1.0]))
+    assert _run_path_outputs(paths, tmp_path) == expected
