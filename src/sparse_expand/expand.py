@@ -22,13 +22,10 @@ as another one.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
-from operator import is_not
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -121,17 +118,15 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
     if len(topic_ids) != 1:
         raise DataError(f"combo inputs disagree on topic: {sorted(topic_ids)}")
     ordered = sorted(sets, key=lambda s: _SYSTEM_ORDER.get(s.system, len(_SYSTEM_ORDER)))
-    # Texts rank by rank, systems in merge order within a rank.
-    by_rank = itertools.zip_longest(*(s.texts() for s in ordered))
-    texts = list(filter(_is_text, itertools.chain.from_iterable(by_rank)))
-    lowered = list(map(str.lower, texts))
-    # The first text of each lowered form, in the order the forms appear.
-    first = dict(zip(reversed(lowered), reversed(texts)))
-    merged = map(first.__getitem__, list(dict.fromkeys(lowered))[:max_concepts])
+    lists = [s.texts() for s in ordered]
+    # Lowered form -> its first text; texts rank by rank, systems in merge order within a rank.
+    first: dict[str, str] = {}
+    for rank in range(max(map(len, lists))):
+        for texts in lists:
+            if rank < len(texts):
+                first.setdefault(texts[rank].lower(), texts[rank])
+    merged = list(first.values())[:max_concepts]
     return make_suggestion_set(sets[0].topic_id, "COMBO", zip(merged, reciprocal_rank_scores()))
-
-
-_is_text = partial(is_not, None)
 
 
 # -- query surface syntax ---------------------------------------------

@@ -32,15 +32,16 @@ clause lists each doc once); later clauses add into it one doc at a
 time. The result is a `Hits`: two tuples, doc ids and scores in rank
 order, each made from the ranked ordinals by one C-level map, so no
 object is made per hit. `ScoredDoc` rows exist only when a caller
-indexes or iterates the hits; the run writer, `evaluate_run` and
-`ArticleStore.match` read the columns.
+indexes or iterates the hits; the run writer and `evaluate_run` read
+the columns.
 
 Expanded queries repeat the same phrases, so each `Index` keeps a memo
 from (field, analyzed tokens) to a phrase's matching docs and tfs, and
 matches each distinct phrase once. An entry costs 1 plus its matched-doc
 count; once `PHRASE_MEMO_BUDGET` units are spent, a new phrase is matched
-but not stored. The memo starts empty in the constructor and lives and
-dies with its `Index`.
+but not stored. STR's concept table per language (`concept_table`) is
+built on first use. The memo and the tables start empty in the
+constructor and live and die with their `Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
@@ -282,8 +283,8 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
-    only internal state is the phrase memo that `search` fills, which
-    does not change a result."""
+    only internal state is the phrase memo that `search` fills and the
+    concept tables that `concept_table` fills, which change no result."""
 
     def __init__(
         self,
@@ -310,6 +311,7 @@ class Index:
         self._chains = dict(chains)
         self._phrase_memo: dict[tuple[str, ...], tuple[array, array]] = {}
         self._phrase_memo_room = PHRASE_MEMO_BUDGET
+        self._concept_tables: dict[str, tuple[dict[str, int], dict[int, tuple[str, ...]]]] = {}
 
     @property
     def n_docs(self) -> int:
@@ -372,6 +374,26 @@ class Index:
         `build_index` keeps raw values only for the concept fields
         (`corpus.CONCEPT_FIELDS`); any other field gives {}."""
         return dict(self._raw_values.get(field, {}))
+
+    def concept_table(self, lang: str) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
+        """Document frequency of each concept value over the concept fields
+        of one language combined, and the values of each document; built
+        on first use and kept for the life of the index."""
+        table = self._concept_tables.get(lang)
+        if table is None:
+            value_docs: dict[str, set[int]] = {}
+            for name in CONCEPT_FIELDS:
+                for value, docs in self._raw_values.get(f"{name}-{lang}", {}).items():
+                    value_docs.setdefault(value, set()).update(docs)
+            doc_values: dict[int, list[str]] = {}
+            for value, docs in value_docs.items():
+                for doc in docs:
+                    doc_values.setdefault(doc, []).append(value)
+            table = self._concept_tables[lang] = (
+                {value: len(docs) for value, docs in value_docs.items()},
+                {doc: tuple(values) for doc, values in doc_values.items()},
+            )
+        return table
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
         tokens = self.chain_for_field(field).run(raw_term)

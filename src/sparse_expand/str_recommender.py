@@ -14,7 +14,8 @@ or by its logarithmic variant that dampens large size differences.
 Only values that co-occur with the topic's documents can score above
 zero, so scoring walks the topic's documents through a doc -> values map
 (an inverted file turned around) instead of intersecting every value's
-document set. The maps are built once per index and language.
+document set. The map and each value's document frequency are built on
+first use and kept on the index (`Index.concept_table`), one per language.
 
 Jaccard candidates are ranked on the exact integer key
 floor(jaccard * N**2), N the number of indexed documents: every union is
@@ -26,7 +27,6 @@ for the suggestions returned.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,7 +124,7 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     else:
         similarity = rank_key = log_jaccard
 
-    value_df, doc_values = _concept_maps(index, topic.lang)
+    value_df, doc_values = index.concept_table(topic.lang)
     df_xy = Counter(itertools.chain.from_iterable(map(doc_values.get, ds_x, itertools.repeat(()))))
     df_x = len(ds_x)
     df_y = map(value_df.__getitem__, df_xy)
@@ -143,33 +143,3 @@ def _jaccard_key(df_x: int, df_y: int, df_xy: int, n_sq: int) -> int:
     if df_xy > min(df_x, df_y):
         raise ValueError("df_xy cannot exceed min(df_x, df_y)")
     return df_xy * n_sq // (df_x + df_y - df_xy)
-
-
-# index -> language -> (value -> df_y, doc -> its distinct values).
-# Weak keys: an index that is dropped or reloaded takes its maps with it.
-_CONCEPT_MAPS: weakref.WeakKeyDictionary[Index, dict] = weakref.WeakKeyDictionary()
-
-
-def _concept_maps(
-    index: Index, lang: str
-) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
-    """Document frequency of each concept value over the concept fields
-    of one language combined, and the values of each document; built on
-    first use."""
-    per_index = _CONCEPT_MAPS.get(index)
-    if per_index is not None and lang in per_index:
-        return per_index[lang]
-    value_docs: dict[str, set[int]] = {}
-    for name in CONCEPT_FIELDS:
-        for value, docs in index.raw_values(f"{name}-{lang}").items():
-            value_docs.setdefault(value, set()).update(docs)
-    doc_values: dict[int, list[str]] = {}
-    for value, docs in value_docs.items():
-        for doc in docs:
-            doc_values.setdefault(doc, []).append(value)
-    maps = (
-        {value: len(docs) for value, docs in value_docs.items()},
-        {doc: tuple(values) for doc, values in doc_values.items()},
-    )
-    _CONCEPT_MAPS.setdefault(index, {})[lang] = maps
-    return maps

@@ -4,7 +4,8 @@ Three parts: a markup stripper that removes comments, templates,
 media/category links and tables from wikitext (plain [[...]] links are
 kept); a lead extractor that collects link targets above the first
 heading, in appearance order; and a title matcher that resolves a topic
-to an article through four fallback stages.
+to an article through four fallback stages, each text of a stage looked
+up once in a table of every run of consecutive terms of every title.
 
 The stripper is defensive and never raises. `_STAGES` is the one list
 of its openers (`<!--`, `{{`, media and category links, `{|`). It
@@ -18,16 +19,16 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
-from operator import neg
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .analysis import chain_for, query_tokens, tokenize
-from .corpus import Document, Topic
+from .analysis import chain_for, query_tokens
+from .corpus import Topic
 from .errors import DataError
 from .files import read_titled_files
-from .index import Phrase, Query, Term, build_index
+from .index import idf_weight, tf_weight
 from .suggestions import SuggestionSet, make_suggestion_set, reciprocal_rank_scores
 
 _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
@@ -160,29 +161,30 @@ class MatchResult:
 class ArticleStore:
     """Immutable set of (title, wikitext) articles with a title matcher.
 
-    Titles are indexed twice: once with the language's standard chain
+    Titles are analyzed twice: once with the language's standard chain
     and once with an empty stopword list, so that a query carrying
-    function words only matches a title that carries them too.
+    function words only matches a title that carries them too. Per chain,
+    each run of a title's terms maps to the title once per occurrence.
     """
 
     def __init__(self, articles: Iterable[tuple[str, str]], lang: str = "en"):
-        """Index (title, wikitext) pairs; a repeated title is a DataError."""
+        """Store (title, wikitext) pairs; a repeated title is a DataError."""
         self.lang = lang
         self._articles: dict[str, str] = {}
         for title, wikitext in articles:
             if title in self._articles:
                 raise DataError(f"duplicate article title {title!r}")
             self._articles[title] = wikitext
-        docs = [
-            Document(doc_id=title, lang=lang, fields={"title": (title,)})
-            for title in sorted(self._articles)
-        ]
-        if not docs:
+        if not self._articles:
             raise DataError("article store is empty")
-        self._chain = chain_for(lang)
-        self._title_field = f"title-{lang}"
-        self._index = build_index(docs, {lang: self._chain})
-        self._index_exact = build_index(docs, {lang: chain_for(lang, frozenset())})
+        # Each pair is (chain, its run table).
+        self._standard = (chain_for(lang), {})
+        self._exact = (chain_for(lang, frozenset()), {})
+        for chain, runs in (self._standard, self._exact):
+            for title in self._articles:
+                terms = chain.run(title)
+                for i, j in itertools.combinations(range(len(terms) + 1), 2):
+                    runs.setdefault(tuple(terms[i:j]), []).append(title)
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":
@@ -201,16 +203,12 @@ class ArticleStore:
 
         (a) the words as given, in order; (b) the stopword-free words in
         order; (c) every ordering of the stopword-free word set; (d) each
-        single word. A stage searches each of its clauses on its own; the
-        first stage with a hit wins, and its winner is the hit with the
-        highest score, ties broken by shorter then lexicographically
-        smaller title.
+        single word. A stage looks up each of its texts on its own, a title
+        holding one tf times scoring sqrt(tf) * idf(df); the first stage
+        with a hit wins, and its winner is the hit with the highest score,
+        ties broken by shorter then lexicographically smaller title.
         """
-        field = self._title_field
-        surface = tokenize(topic_title)
-        if not surface:
-            return None
-        tokens = query_tokens(self._chain, topic_title)
+        tokens = query_tokens(self._standard[0], topic_title)
         token_set = sorted(set(tokens))
         orderings = (
             itertools.permutations(token_set)
@@ -218,19 +216,19 @@ class ArticleStore:
             else ()
         )
         stages = (
-            ("original", self._index_exact, [Phrase(field, surface)]),
-            ("stopword_free", self._index, [Phrase(field, tokens)] if tokens else []),
-            ("permutation", self._index, (Phrase(field, ordering) for ordering in orderings)),
-            ("single_word", self._index, [Term(field, token) for token in tokens]),
+            ("original", self._exact, [topic_title]),
+            ("stopword_free", self._standard, [" ".join(tokens)]),
+            ("permutation", self._standard, map(" ".join, orderings)),
+            ("single_word", self._standard, tokens),
         )
-        k = len(self._articles)
-        for stage, index, clauses in stages:
-            # Each clause's best (-score, title length, title); the least wins.
-            bests = [
-                min(zip(map(neg, hits.scores), map(len, hits.doc_ids), hits.doc_ids))
-                for hits in (index.search(Query((clause,)), k) for clause in clauses)
-                if hits
-            ]
+        for stage, (chain, runs), texts in stages:
+            # Each text's best (-score, title length, title); the least wins.
+            bests = []
+            for text in texts:
+                tfs = Counter(runs.get(tuple(chain.run(text)), ()))
+                if tfs:
+                    idf = idf_weight(len(self._articles), len(tfs))
+                    bests.append(min((-tf_weight(tf) * idf, len(title), title) for title, tf in tfs.items()))
             if bests:
                 neg_score, _, title = min(bests)
                 return MatchResult(title, stage, -neg_score)

@@ -391,6 +391,24 @@ def naive_article_match(titles, topic_title, lang="en"):
     return None
 
 
+# COMBO's merge order; any other system follows these, in input order.
+COMBO_ORDER = ("WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR")
+
+
+def naive_combo(sets, k):
+    """COMBO's merged texts by brute force: rank by rank, the sets of
+    `COMBO_ORDER`'s systems and then any others, each text kept unless
+    an earlier kept one equals it ignoring case; the first k of them."""
+    lists = [s.texts() for name in COMBO_ORDER for s in sets if s.system == name]
+    lists += [s.texts() for s in sets if s.system not in COMBO_ORDER]
+    merged = []
+    for rank in range(max((len(texts) for texts in lists), default=0)):
+        for texts in lists:
+            if rank < len(texts) and all(texts[rank].lower() != kept.lower() for kept in merged):
+                merged.append(texts[rank])
+    return merged[:k]
+
+
 def naive_suggestion_set_ok(rows) -> bool:
     """Whether (text, rank, score) rows in list order form a valid set:
     ranks 1..k, scores finite and non-increasing as floats, texts unique."""

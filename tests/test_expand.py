@@ -3,10 +3,10 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_parse_query
+from oracles import naive_combo, naive_parse_query
 from sparse_expand import expand
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Topic
@@ -179,6 +179,33 @@ def test_combo_rejects_a_negative_max_concepts():
     with pytest.raises(ValueError, match="max_concepts must be >= 0, got -1"):
         combo_merge(sets, max_concepts=-1)
     assert combo_merge(sets, max_concepts=0).suggestions == ()
+
+
+# Texts that collide under `str.lower`, texts that only `casefold` would
+# merge ("ß", "ss") and "İ", which lowers to two characters ("i̇"); and
+# systems COMBO does not order.
+_COMBO_TEXTS = st.sampled_from(
+    ["whale", "Whale", "WHALE", "Sea story", "sea Story", "ship", "ß", "SS", "ss", "İ", "i", "i̇"]
+)
+_COMBO_SETS = st.lists(
+    st.tuples(
+        st.sampled_from(["WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK", "STR", "COMBO", "OTHER"]),
+        st.lists(_COMBO_TEXTS, max_size=8, unique=True),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=_COMBO_SETS, k=st.integers(0, 40))
+@example(sets=[("STR", ["whale", "ship"]), ("WIKI_SIM", ["Whale"])], k=0)
+@example(sets=[("OTHER", ["ship"]), ("STR", ["whale", "ship", "Sea story"]), ("WIKI_ENTITY", [])], k=40)
+def test_combo_merge_agrees_with_the_naive_rule(sets, k):
+    sets = [_set("T", system, texts) for system, texts in sets]
+    merged = combo_merge(sets, max_concepts=k)
+    assert merged.texts() == naive_combo(sets, k)
+    assert [s.score for s in merged.suggestions] == [1 / rank for rank in range(1, len(merged.suggestions) + 1)]
 
 
 # -- surface syntax -----------------------------------------------------

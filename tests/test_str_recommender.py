@@ -12,8 +12,7 @@ from oracles import naive_str_scores
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic
 from sparse_expand.errors import EmptyQueryError
-from sparse_expand.index import build_index
-from sparse_expand import str_recommender
+from sparse_expand.index import Index, build_index
 from sparse_expand.str_recommender import (
     CooccurConfig,
     _jaccard_key,
@@ -152,7 +151,7 @@ def test_str_checks_the_counts_of_every_candidate(monkeypatch, similarity):
     # "ranked low" appears twice in the one topic document: df_xy = 2 > df_x = 1.
     # It would rank below "sea" and fall outside top_k = 1, yet must be caught.
     maps = ({"sea": 1, "ranked low": 100}, {0: ("sea", "ranked low", "ranked low")})
-    monkeypatch.setattr(str_recommender, "_concept_maps", lambda index, lang: maps)
+    monkeypatch.setattr(Index, "concept_table", lambda index, lang: maps)
     cfg = CooccurConfig(similarity=similarity, top_k=1)
     with pytest.raises(ValueError, match="df_xy cannot exceed"):
         suggest_str(idx, Topic("T", "whale", "en"), cfg)

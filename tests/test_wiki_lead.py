@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import NAIVE_STRIP_STAGES, naive_article_match, naive_link_targets, naive_strip_markup
+from sparse_expand import index
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
@@ -291,26 +292,49 @@ def test_match_stage_a_skips_later_stages(store):
     assert match.title == "Whale Shark"
 
 
-# Title words: stopwords, possessives (straight and typographic, one
-# that stems to nothing), case variants and words sharing a stem, so that
-# every stage fires and scores tie.
-_TITLE_WORDS = st.sampled_from(
-    ["the", "The", "of", "and", "a", "whale", "Whale", "whales", "Dick's", "Dick", "dick’s",
-     "Moby", "s", "it's's", "shark", "Islands", "island", "Falkland"]
-)
-_TITLES = st.lists(_TITLE_WORDS, min_size=1, max_size=4).map(" ".join)
+# Title words per language: stopwords, possessives (straight and
+# typographic, one that stems to nothing), case variants, words sharing a
+# stem, and German umlauts, ß and suffixes, so that every stage fires and
+# scores tie. "—" analyzes to nothing.
+_TITLE_WORDS = {
+    "en": ["the", "The", "of", "and", "a", "whale", "Whale", "whales", "Dick's", "Dick", "dick’s",
+           "Moby", "s", "it's's", "shark", "Islands", "island", "Falkland", "—"],
+    "de": ["der", "Die", "und", "von", "Straße", "STRASSE", "strassen", "Häuser", "Hauser", "Haus",
+           "Hauses", "Bücher", "Buches", "buch", "Fuß", "fuss", "über", "—"],
+}
+# Words of distinct terms: a topic of 7 or 8 of them skips the permutation stage.
+_DISTINCT_WORDS = {
+    "en": ["whale", "shark", "island", "ocean", "ship", "harbor", "captain", "Moby"],
+    "de": ["Haus", "Straße", "Buch", "München", "Fuß", "Wasser", "Berg", "Garten"],
+}
+
+
+@st.composite
+def _match_cases(draw):
+    """A language, its titles (one of them, at times, 40 words long) and
+    topic titles: short, repeated words whose occurrences overlap, or 7
+    to 8 distinct words."""
+    lang = draw(st.sampled_from(sorted(_TITLE_WORDS)))
+    words = st.sampled_from(_TITLE_WORDS[lang])
+    phrases = st.lists(words, min_size=1, max_size=4).map(" ".join)
+    repeats = st.builds(lambda word, n: " ".join([word] * n), words, st.integers(2, 4))
+    long_topics = st.lists(st.sampled_from(_DISTINCT_WORDS[lang]), min_size=7, max_size=8, unique=True)
+    titles = draw(st.lists(phrases | repeats, min_size=1, max_size=6, unique=True))
+    long_title = " ".join(draw(st.lists(words, min_size=40, max_size=40)))
+    if draw(st.booleans()) and long_title not in titles:
+        titles.append(long_title)
+    topics = draw(st.lists(phrases | repeats | long_topics.map(" ".join), min_size=1, max_size=4))
+    return lang, titles, topics
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    titles=st.lists(_TITLES, min_size=1, max_size=6, unique=True),
-    topics=st.lists(_TITLES, min_size=1, max_size=4),
-)
-def test_match_agrees_with_the_brute_force_oracle(titles, topics):
-    store = ArticleStore((title, "") for title in titles)
+@given(case=_match_cases())
+def test_match_agrees_with_the_brute_force_oracle(case):
+    lang, titles, topics = case
+    store = ArticleStore(((title, "") for title in titles), lang=lang)
     for topic_title in topics:
         match = store.match(topic_title)
-        expected = naive_article_match(titles, topic_title)
+        expected = naive_article_match(titles, topic_title, lang)
         got = (match.title, match.stage, match.score.hex()) if match else None
         assert got == ((expected[0], expected[1], expected[2].hex()) if expected else None)
 
@@ -379,6 +403,18 @@ def test_suggest_wiki_lead_rejects_a_negative_k():
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         suggest_wiki_lead(store, Topic("T", "many", "en"), k=-1)
     assert suggest_wiki_lead(store, Topic("T", "many", "en"), k=0).suggestions == ()
+
+
+def test_store_and_match_build_and_search_no_index(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the article store built or searched an index")
+
+    monkeypatch.setattr(index, "build_index", refuse)
+    monkeypatch.setattr(index.Index, "search", refuse)
+    store = ArticleStore([("Moby-Dick", MOBY_WIKITEXT), ("Whale", "[[Ocean]] mammal")])
+    assert store.match("moby dick").title == "Moby-Dick"
+    assert store.match("whale of the ocean").stage == "single_word"
+    assert suggest_wiki_lead(store, Topic("T", "whale", "en")).texts() == ["Ocean"]
 
 
 def test_suggest_wiki_lead_caps_at_k():
