@@ -14,8 +14,10 @@ terms are numbered in sorted order; term i owns
 same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
 (every posting's positions, in doc order; `pos_starts` is the running
 sum of `tfs` at `starts`). A term's slices are cut when a caller asks.
-`build_index` appends each token straight to its term's columns, and one
-function derives `pos_starts` for both build and load.
+`build_index` appends each token straight to its term's columns. Only
+phrase matching and `postings` read positions, so neither build nor
+load derives `pos_starts`: a field's offsets are derived on its first
+positional read and kept.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -39,9 +41,10 @@ Expanded queries repeat the same phrases, so each `Index` keeps a memo
 from (field, analyzed tokens) to a phrase's matching docs and tfs, and
 matches each distinct phrase once. An entry costs 1 plus its matched-doc
 count; once `PHRASE_MEMO_BUDGET` units are spent, a new phrase is matched
-but not stored. STR's concept table per language (`concept_table`) is
-built on first use. The memo and the tables start empty in the
-constructor and live and die with their `Index`.
+but not stored. STR's concept table per language (`concept_table`) and a
+field's position offsets are built on first use. The memo and the
+tables start empty in the constructor and live and die with their
+`Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
@@ -63,9 +66,9 @@ documents; a width fits when the high bytes it drops are all zero. The
 snapshot stores no `pos_starts`, and per language only its stopword
 table. `Index.load` decodes each blob once and reads each column with
 one `frombytes`. It checks the doc-ordinal and tf columns with byte
-arithmetic on their little-endian bytes (`_rises`, `_holds_zero`), then
-makes one C-level map per term over the run ends and one over the tfs
-for the position offsets; it runs no Python loop per term or posting.
+arithmetic on their little-endian bytes (`_rises`, `_holds_zero`) and
+sums the tfs in one C-level pass; it runs no Python loop per term or
+posting, and derives no position offsets.
 The decoder checks the bytes and columns; `load` then reports the
 constructor's errors as a malformed snapshot too. The decoder rejects
 with DataError:
@@ -247,11 +250,12 @@ class _FieldColumns(NamedTuple):
     docs and tfs [starts[i]:starts[i+1]] and positions
     [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts.
     `starts`, `docs`, `tfs` and `positions` are each held at the
-    narrowest width, `pos_starts` in 4 bytes."""
+    narrowest width. `pos_starts` is None until the field's first
+    positional read (`Index._columns`), then held in 4 bytes."""
 
     ordinals: dict[str, int]
     starts: array
-    pos_starts: array
+    pos_starts: array | None
     docs: array
     tfs: array
     positions: array
@@ -260,7 +264,7 @@ class _FieldColumns(NamedTuple):
 def _pos_starts(starts: array, tfs: array) -> list[int]:
     """Each term's first position, then the end of the last: the running
     sum of per-term tf sums. Not a running sum per posting: that many ints
-    per load fragment the heap of a process that reloads."""
+    per derivation fragment the heap of a process that reloads."""
     term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
     return list(accumulate(map(sum, term_tfs), initial=0))
 
@@ -276,15 +280,15 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
         tfs.extend(term_tfs)
         positions.extend(term_positions)
         starts.append(len(docs))
-    pos_starts = array("I", _pos_starts(starts, tfs))
     starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
-    return _FieldColumns(dict(zip(names, count())), starts, pos_starts, docs, tfs, positions)
+    return _FieldColumns(dict(zip(names, count())), starts, None, docs, tfs, positions)
 
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
-    only internal state is the phrase memo that `search` fills and the
-    concept tables that `concept_table` fills, which change no result."""
+    only internal state is the phrase memo that `search` fills, the
+    concept tables that `concept_table` fills and each field's position
+    offsets, derived on its first positional read; none changes a result."""
 
     def __init__(
         self,
@@ -339,7 +343,8 @@ class Index:
 
     def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
         """The first `width` of a term's columns (docs, tfs, positions),
-        cut from its field's columns; None if the term is unseen."""
+        cut from its field's columns; None if the term is unseen. The
+        field's position offsets are derived on its first read of width 3."""
         field_columns = self._fields.get(field)
         if field_columns is None:
             return None
@@ -352,6 +357,9 @@ class Index:
             return (docs[lo:hi],)
         if width == 2:
             return docs[lo:hi], tfs[lo:hi]
+        if pos_starts is None:
+            pos_starts = array("I", _pos_starts(starts, tfs))
+            self._fields[field] = field_columns._replace(pos_starts=pos_starts)
         return docs[lo:hi], tfs[lo:hi], positions[pos_starts[i] : pos_starts[i + 1]]
 
     def postings(self, field: str, analyzed_term: str) -> tuple[Posting, ...]:
@@ -505,7 +513,7 @@ class Index:
         for name in names:
             ordinals, starts, _, docs, tfs, positions = self._fields[name]
             _put_table(out, ordinals)
-            for column in (starts, docs, tfs, positions):  # load derives pos_starts
+            for column in (starts, docs, tfs, positions):  # pos_starts is derived on read
                 _put_column(out, column)
             values = self._raw_values.get(name, {})
             sorted_values = sorted(values)
@@ -612,15 +620,11 @@ class Index:
             docs, tfs = _from_little_endian(*raw_docs), _from_little_endian(*raw_tfs)
             if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
-            ends = _pos_starts(starts, tfs)
-            if _holds_zero(*raw_tfs) or ends[-1] != len(positions):
+            if _holds_zero(*raw_tfs) or sum(tfs) != len(positions):
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
-            pos_starts = array("I", ends)
             if not _ascending_runs_below(docs, raw_docs[1], starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
-            fields[name] = _FieldColumns(
-                dict(zip(terms, count())), starts, pos_starts, docs, tfs, positions
-            )
+            fields[name] = _FieldColumns(dict(zip(terms, count())), starts, None, docs, tfs, positions)
 
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
@@ -670,10 +674,16 @@ def _rises(width: int, raw: bytes) -> bytearray:
     lane carries or borrows, and its top byte is 1 exactly where the
     following item is greater. Chunks bound the size of these ints."""
     lane = width + 1
+    lane_max = b"\xff" * width + b"\0"
     n_pairs = len(raw) // width - 1
+    chunk = _RISE_CHUNK
+    # Every chunk but the last is full, so one int of lanes that each
+    # hold the largest item serves them all.
+    full_max = int.from_bytes(lane_max * chunk, "little") if n_pairs >= chunk else 0
     out = bytearray()
-    for first in range(0, n_pairs, _RISE_CHUNK):
-        pairs = min(_RISE_CHUNK, n_pairs - first)
+    for first in range(0, n_pairs, chunk):
+        pairs = min(chunk, n_pairs - first)
+        item_max = full_max if pairs == chunk else int.from_bytes(lane_max * pairs, "little")
         # As bytes: a strided slice of a memoryview copies slowly.
         items = bytes(raw[first * width : (first + pairs + 1) * width])
         lanes = bytearray(lane * (pairs + 1))
@@ -681,7 +691,6 @@ def _rises(width: int, raw: bytes) -> bytearray:
             lanes[k::lane] = items[k::width]
         current = int.from_bytes(lanes[:-lane], "little")
         following = int.from_bytes(lanes[lane:], "little")
-        item_max = int.from_bytes((b"\xff" * width + b"\0") * pairs, "little")
         out += (following + item_max - current).to_bytes(lane * pairs, "little")[width::lane]
     return out
 
@@ -773,7 +782,8 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     are kept for the concept fields only.
 
     Each token goes straight into its term's columns, in its field and
-    the union field; `pos_starts` is derived as `load` derives it.
+    the union field. No field's position offsets are derived here: as
+    after `load`, each field derives them on its first positional read.
     """
     docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:

@@ -147,6 +147,16 @@ def naive_ascending_runs_below(values, starts, limit):
     return True
 
 
+def naive_pos_starts(starts, tfs):
+    """Each term's first position, then the end of the last term: a
+    running sum of tfs posting by posting, read where each term's run of
+    postings starts and where the last ends."""
+    ends = [0]
+    for tf in tfs:
+        ends.append(ends[-1] + tf)
+    return [ends[start] for start in starts]
+
+
 def naive_str_scores(documents, topic, chain, input_fields, concept_fields, log=False):
     """Suggestion scores recomputed by explicit set arithmetic."""
     from sparse_expand.analysis import query_tokens

@@ -5,11 +5,17 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import OLDER_SNAPSHOTS, WORDS, random_corpus
-from oracles import field_token_positions, naive_ascending_runs_below, naive_search, naive_str_scores
+from oracles import (
+    field_token_positions,
+    naive_ascending_runs_below,
+    naive_pos_starts,
+    naive_search,
+    naive_str_scores,
+)
 from sparse_expand import index as index_module
 from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
@@ -34,6 +40,8 @@ from sparse_expand.index import (
     _ascending_runs_below,
     _concatenate,
     _holds_zero,
+    _narrowed,
+    _pos_starts,
     _rises,
     build_index,
 )
@@ -616,6 +624,36 @@ def test_snapshot_rejects_positions_beyond_what_the_tfs_cover(tmp_path):
     idx.save(path)
     with pytest.raises(DataError, match="tfs of field 't-en' hold a 0 or disagree with its positions"):
         Index.load(path)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_snapshot_rejects_tfs_one_off_their_positions_in_a_field_read_only_by_doc(tmp_path, delta):
+    # dc:description-en (a field with tfs of 2) is never read
+    # positionally here; load derives no offsets but still checks its tfs
+    docs = random_corpus(43, 30)
+    built = _index(docs)
+    field = "dc:description-en"
+    columns = built._fields[field]
+    tfs = array("I", columns.tfs)
+    i = next(j for j, tf in enumerate(tfs) if tf + delta > 0)
+    tfs[i] += delta
+    assert sum(tfs) == len(columns.positions) + delta
+    fields = {name: built._fields[name] for name in built.fields}
+    fields[field] = columns._replace(tfs=tfs)
+    raw_values = {name: built.raw_values(name) for name in built.fields}
+    path = tmp_path / SNAPSHOT_FILENAME
+    Index(built.doc_ids, fields, raw_values, built.chains).save(path)
+    with pytest.raises(DataError) as raised:
+        Index.load(path)
+    assert str(raised.value) == (
+        f"{path}: malformed index snapshot: tfs of field {field!r} hold a 0 or disagree with its positions"
+    )
+    # unpatched, the same snapshot loads and single-term reads of the field agree
+    built.save(path)
+    loaded = Index.load(path)
+    for term in built.terms(field):
+        query = Query((Term(field, term),))
+        assert loaded.search(query, 100) == built.search(query, 100)
 
 
 def test_snapshot_rejects_repeated_doc_ids(tmp_path):
@@ -1289,3 +1327,132 @@ def test_phrase_memo_stops_growing_once_its_budget_is_spent(monkeypatch):
         got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
         assert got == naive_search(docs, CHAINS, query, 1000)
     assert idx._phrase_memo == full
+
+
+# -- position offsets ---------------------------------------------------
+
+
+def _title_pairs(docs):
+    """Adjacent word pairs of the documents' titles."""
+    pairs = set()
+    for doc in docs:
+        words = doc.fields["dc:title"][0].split()
+        pairs.update(zip(words, words[1:]))
+    return sorted(pairs)
+
+
+def test_only_positional_reads_derive_position_offsets(tmp_path, monkeypatch):
+    calls = []
+    derive = index_module._pos_starts
+
+    def counted(starts, tfs):
+        calls.append(len(tfs))
+        return derive(starts, tfs)
+
+    monkeypatch.setattr(index_module, "_pos_starts", counted)
+    docs = random_corpus(42, 80)
+    built = _index(docs)
+    path = tmp_path / SNAPSHOT_FILENAME
+    built.save(path)
+    loaded = Index.load(path)
+    assert calls == []
+    assert all(columns.pos_starts is None for columns in loaded._fields.values())
+
+    terms = [Query((Term(field, word),)) for field in ("chic_all-en", "dc:title-en") for word in WORDS[:8]]
+    terms.append(Query((Term("dc:title-en", "whale"), Term("chic_all-en", "the whale"))))
+    for query in terms:
+        _assert_search_matches_oracle(loaded, docs, query)
+    assert loaded.doc_set("chic_all-en", ["whale", "ship"], "any")
+    assert any(loaded.raw_values(field) for field in loaded.fields)
+    assert loaded.concept_table("en")[0]
+    topic = Topic("T", "whale ship", "en")
+    assert suggest_str(loaded, topic).suggestions == suggest_str(built, topic).suggestions
+    assert calls == []
+
+    first, second = _title_pairs(docs)[:2]
+    phrases = [Query((Phrase("dc:title-en", first),)), Query((Phrase("dc:title-en", second),))]
+    for query in phrases:
+        _assert_search_matches_oracle(loaded, docs, query)
+    assert len(calls) == 1
+    derived = [name for name, columns in loaded._fields.items() if columns.pos_starts is not None]
+    assert derived == ["dc:title-en"]
+    phrases.append(Query((Phrase("chic_all-en", first),)))
+    _assert_search_matches_oracle(loaded, docs, phrases[-1])
+    assert len(calls) == 2
+
+    assert all(loaded.search(query, 1000) for query in phrases)
+    for query in terms + phrases:
+        hits, expected = loaded.search(query, 1000), built.search(query, 1000)
+        assert hits == expected
+        assert [s.hex() for s in hits.scores] == [s.hex() for s in expected.scores]
+    assert len(calls) == 2 + 2  # the built index derives its two fields' offsets once each
+
+
+def test_a_loaded_index_read_positionally_in_another_field_order_agrees(tmp_path):
+    docs = random_corpus(44, 50)
+    built = _index(docs)
+    built.save(tmp_path / SNAPSHOT_FILENAME)
+    loaded = Index.load(tmp_path / SNAPSHOT_FILENAME)
+    pair = _title_pairs(docs)[0]
+    # built reads field A before field B; loaded reads B first, then A
+    order = ["chic_all-en", "dc:description-en", "dc:title-en"]
+    reads = {}
+    for idx, fields in ((built, order), (loaded, order[::-1])):
+        for field in fields:
+            postings = {term: idx.postings(field, term) for term in idx.terms(field)}
+            hits = idx.search(Query((Phrase(field, pair),)), 1000)
+            reads.setdefault(field, []).append((postings, hits.doc_ids, [s.hex() for s in hits.scores]))
+        if idx is loaded:
+            unread = {name for name, columns in idx._fields.items() if columns.pos_starts is None}
+            assert unread == set(idx.fields) - set(order)
+    for field, (from_built, from_loaded) in reads.items():
+        assert from_loaded == from_built
+    assert any(hits for _, hits, _ in reads["dc:title-en"])
+
+
+_TFS = st.sampled_from([1, 255, 256]) | st.integers(1, 300)
+
+
+@st.composite
+def _tf_runs(draw):
+    """One field's tfs, term by term: drawn toward 1, 255 and 256, so the
+    column is 1 or 2 bytes wide, or all 1; with empty runs (terms with no
+    posting) and at times a single term."""
+    tf = st.just(1) if draw(st.booleans()) else _TFS
+    return draw(st.lists(st.lists(tf, max_size=6), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=_tf_runs())
+@example(runs=[[1, 1, 1]])
+@example(runs=[[255], [256, 1]])
+@example(runs=[[255, 255], [], [1]])
+@example(runs=[[]])
+def test_position_offsets_are_a_running_sum_of_tfs(tmp_path_factory, runs):
+    tfs = [tf for run in runs for tf in run]
+    starts = [0]
+    for run in runs:
+        starts.append(starts[-1] + len(run))
+    expected = naive_pos_starts(starts, tfs)
+    narrow_starts, narrow_tfs = _narrowed(array("I", starts)), _narrowed(array("I", tfs))
+    assert narrow_tfs.itemsize == (2 if any(tf > 255 for tf in tfs) else 1)
+    assert _pos_starts(narrow_starts, narrow_tfs) == expected
+
+    # the same columns as a field: every posting's positions read back
+    terms, offset = {}, 0
+    for i, run in enumerate(runs):
+        positions = [p for tf in run for p in range(offset, offset + tf)]
+        offset += 1
+        terms[f"t{i}"] = _columns(range(len(run)), run, positions)
+    n_docs = max(map(len, runs))
+    built = Index([f"d{i}" for i in range(n_docs)], {"t-en": _concatenate(terms)}, {}, {"en": chain_for("en")})
+    path = tmp_path_factory.mktemp("offsets") / SNAPSHOT_FILENAME
+    built.save(path)
+    for idx in (built, Index.load(path)):
+        assert idx._fields["t-en"].pos_starts is None
+        for term, (docs, term_tfs, positions) in terms.items():
+            postings = idx.postings("t-en", term)
+            assert [p.doc for p in postings] == list(docs)
+            assert [p.tf for p in postings] == list(term_tfs)
+            assert [q for p in postings for q in p.positions] == list(positions)
+        assert list(idx._fields["t-en"].pos_starts) == expected
