@@ -8,16 +8,18 @@ values so that phrases never match across value boundaries. Documents
 are numbered in doc_id order, so ordinal order is doc_id order.
 
 Each composite field keeps its postings as one set of `array` columns,
-each at the narrowest of 1, 2 or 4 bytes per value that holds it. Its
-terms are numbered in sorted order; term i owns
+each at the narrowest of 1, 2 or 4 bytes per value that holds it, and
+its terms as a sorted list; term i owns
 `docs[starts[i]:starts[i+1]]` (doc ordinals, strictly ascending), the
 same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
 (every posting's positions, in doc order; `pos_starts` is the running
 sum of `tfs` at `starts`). A term's slices are cut when a caller asks.
-`build_index` appends each token straight to its term's columns. Only
-phrase matching and `postings` read positions, so neither build nor
-load derives `pos_starts`: a field's offsets are derived on its first
-positional read and kept.
+`build_index` appends each token straight to its term's columns. Most
+readers look up terms in one or two fields, and only phrase matching and
+`postings` read positions, so neither build nor load makes a field's
+term -> ordinal dict or derives its `pos_starts`: the dict is built on
+the field's first term lookup, the offsets on its first positional read,
+and both are kept.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -41,17 +43,20 @@ Expanded queries repeat the same phrases, so each `Index` keeps a memo
 from (field, analyzed tokens) to a phrase's matching docs and tfs, and
 matches each distinct phrase once. An entry costs 1 plus its matched-doc
 count; once `PHRASE_MEMO_BUDGET` units are spent, a new phrase is matched
-but not stored. STR's concept table per language (`concept_table`) and a
-field's position offsets are built on first use. The memo and the
-tables start empty in the constructor and live and die with their
-`Index`.
+but not stored. STR's concept table per language (`concept_table`), and
+a field's term ordinals and position offsets, are built on first use.
+The memo and the tables start empty in the constructor and live and die
+with their `Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
-other field keeps none.
+other field keeps none. They are held as the snapshot stores them: the
+sorted values, an offsets column and a doc-ordinal column. `raw_values`
+builds a value -> docs dict from them on each call; `concept_table`
+reads the columns.
 
-Every `Index` is made by one constructor, from finished field columns
-and raw-value maps; `build_index` and `Index.load` both call it. The
+Every `Index` is made by one constructor, from finished field and
+raw-value columns; `build_index` and `Index.load` both call it. The
 constructor checks what holds for any index, however it was made: it
 raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
@@ -64,11 +69,13 @@ at that width. `save` writes each column at the narrowest width that
 holds it, whatever width it is held at, so the bytes depend only on the
 documents; a width fits when the high bytes it drops are all zero. The
 snapshot stores no `pos_starts`, and per language only its stopword
-table. `Index.load` decodes each blob once and reads each column with
-one `frombytes`. It checks the doc-ordinal and tf columns with byte
+table. `save` writes the terms and raw-value columns as held.
+`Index.load` decodes each blob once and reads each column with one
+`frombytes`. It checks the doc-ordinal and tf columns with byte
 arithmetic on their little-endian bytes (`_rises`, `_holds_zero`) and
 sums the tfs in one C-level pass; it runs no Python loop per term or
-posting, and derives no position offsets.
+posting, derives no position offsets and builds no lookup maps: it
+keeps the decoded term lists and raw-value columns.
 The decoder checks the bytes and columns; `load` then reports the
 constructor's errors as a malformed snapshot too. The decoder rejects
 with DataError:
@@ -96,6 +103,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
@@ -246,14 +254,16 @@ class Hits(Sequence):
 
 
 class _FieldColumns(NamedTuple):
-    """One composite field's postings: term i (in sorted order) owns
+    """One composite field's postings: term i of the sorted `terms` owns
     docs and tfs [starts[i]:starts[i+1]] and positions
     [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts.
     `starts`, `docs`, `tfs` and `positions` are each held at the
-    narrowest width. `pos_starts` is None until the field's first
-    positional read (`Index._columns`), then held in 4 bytes."""
+    narrowest width. `ordinals` (term -> i) is None until the field's
+    first term lookup, and `pos_starts` until its first positional read
+    (`Index._columns`), then held in 4 bytes."""
 
-    ordinals: dict[str, int]
+    terms: list[str]
+    ordinals: dict[str, int] | None
     starts: array
     pos_starts: array | None
     docs: array
@@ -281,23 +291,48 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
         positions.extend(term_positions)
         starts.append(len(docs))
     starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
-    return _FieldColumns(dict(zip(names, count())), starts, None, docs, tfs, positions)
+    return _FieldColumns(names, None, starts, None, docs, tfs, positions)
+
+
+class _RawValues(NamedTuple):
+    """One field's raw values, as the snapshot stores them: value i of
+    the sorted `values` is held by the doc ordinals [starts[i]:starts[i+1]]
+    of `docs`."""
+
+    values: list[str]
+    starts: array
+    docs: array
+
+
+_NO_RAW_VALUES = _RawValues([], array("I", [0]), array("I"))
+
+
+def _raw_value_columns(value_docs: Mapping[str, Iterable[int]]) -> _RawValues:
+    """Raw-value columns from value -> doc ordinals, each value's docs
+    kept in the order given, at the narrowest width."""
+    values = sorted(value_docs)
+    starts, docs = array("I", [0]), array("I")
+    for value in values:
+        docs.extend(value_docs[value])
+        starts.append(len(docs))
+    return _RawValues(values, _narrowed(starts), _narrowed(docs))
 
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
     only internal state is the phrase memo that `search` fills, the
-    concept tables that `concept_table` fills and each field's position
-    offsets, derived on its first positional read; none changes a result."""
+    concept tables that `concept_table` fills, and each field's term
+    ordinals and position offsets, built on its first term lookup and
+    first positional read; none changes a result."""
 
     def __init__(
         self,
         doc_ids: Sequence[str],
         fields: Mapping[str, _FieldColumns],
-        raw_values: Mapping[str, Mapping[str, tuple[int, ...]]],
+        raw_values: Mapping[str, _RawValues],
         chains: Mapping[str, AnalyzerChain],
     ):
-        """Store finished field columns and raw-value maps as given.
+        """Store finished field columns and raw-value columns as given.
 
         Raises DuplicateDocumentError for a repeated doc_id, and DataError
         for doc_ids otherwise not ascending or a field without a chain."""
@@ -344,11 +379,15 @@ class Index:
     def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
         """The first `width` of a term's columns (docs, tfs, positions),
         cut from its field's columns; None if the term is unseen. The
-        field's position offsets are derived on its first read of width 3."""
+        field's term ordinals are built on its first lookup, and its
+        position offsets derived on its first read of width 3."""
         field_columns = self._fields.get(field)
         if field_columns is None:
             return None
-        ordinals, starts, pos_starts, docs, tfs, positions = field_columns
+        terms, ordinals, starts, pos_starts, docs, tfs, positions = field_columns
+        if ordinals is None:
+            ordinals = dict(zip(terms, count()))
+            field_columns = self._fields[field] = field_columns._replace(ordinals=ordinals)
         i = ordinals.get(analyzed_term)
         if i is None:
             return None
@@ -374,34 +413,50 @@ class Index:
 
     def terms(self, field: str) -> list[str]:
         field_columns = self._fields.get(field)
-        return list(field_columns.ordinals) if field_columns else []
+        return list(field_columns.terms) if field_columns else []
 
     def raw_values(self, field: str) -> dict[str, tuple[int, ...]]:
-        """Verbatim stored value -> sorted doc ordinals, for one field.
+        """Verbatim stored value -> sorted doc ordinals, for one field,
+        built from its raw-value columns on every call.
 
         `build_index` keeps raw values only for the concept fields
         (`corpus.CONCEPT_FIELDS`); any other field gives {}."""
-        return dict(self._raw_values.get(field, {}))
+        values, starts, docs = self._raw_values.get(field, _NO_RAW_VALUES)
+        ordinals = docs.tolist()
+        return dict(zip(values, map(tuple, map(ordinals.__getitem__, map(slice, starts, starts[1:])))))
 
     def concept_table(self, lang: str) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
         """Document frequency of each concept value over the concept fields
         of one language combined, and the values of each document; built
-        on first use and kept for the life of the index."""
+        from the raw-value columns on first use and kept for the life of
+        the index. A value in both fields of a document counts once."""
         table = self._concept_tables.get(lang)
         if table is None:
-            value_docs: dict[str, set[int]] = {}
+            held: list[dict[str, None]] = []  # per doc, its values as dict keys
             for name in CONCEPT_FIELDS:
-                for value, docs in self._raw_values.get(f"{name}-{lang}", {}).items():
-                    value_docs.setdefault(value, set()).update(docs)
-            doc_values: dict[int, list[str]] = {}
-            for value, docs in value_docs.items():
-                for doc in docs:
-                    doc_values.setdefault(doc, []).append(value)
-            table = self._concept_tables[lang] = (
-                {value: len(docs) for value, docs in value_docs.items()},
-                {doc: tuple(values) for doc, values in doc_values.items()},
-            )
+                columns = self._raw_values.get(f"{name}-{lang}")
+                if columns is None:
+                    continue
+                held = held or [{} for _ in self._doc_ids]
+                values, starts, docs = columns
+                # value i, once for each doc of its run in `docs`; a value
+                # that a doc holds in both fields is one key of its dict
+                labels = chain.from_iterable(map(repeat, values, map(sub, starts[1:], starts)))
+                deque(map(dict.setdefault, map(held.__getitem__, docs), labels), 0)
+            doc_values = dict(compress(zip(count(), map(tuple, held)), held))
+            value_df = Counter(chain.from_iterable(doc_values.values()))
+            table = self._concept_tables[lang] = (dict(value_df), doc_values)
         return table
+
+    def term_docs(self, fields: Iterable[str], analyzed_term: str) -> set[int]:
+        """Doc ordinals of the documents holding an already-analyzed term
+        in any of `fields`; a field the index lacks adds none."""
+        docs: set[int] = set()
+        for field in fields:
+            columns = self._columns(field, analyzed_term, 1)
+            if columns:
+                docs.update(columns[0])
+        return docs
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
         tokens = self.chain_for_field(field).run(raw_term)
@@ -511,16 +566,14 @@ class Index:
         names = sorted(self._fields)
         _put_table(out, names)
         for name in names:
-            ordinals, starts, _, docs, tfs, positions = self._fields[name]
-            _put_table(out, ordinals)
+            terms, _, starts, _, docs, tfs, positions = self._fields[name]
+            _put_table(out, terms)
             for column in (starts, docs, tfs, positions):  # pos_starts is derived on read
                 _put_column(out, column)
-            values = self._raw_values.get(name, {})
-            sorted_values = sorted(values)
-            value_docs = list(map(values.__getitem__, sorted_values))
-            _put_table(out, sorted_values)
-            _put_column(out, array("I", accumulate(map(len, value_docs), initial=0)))
-            _put_column(out, array("I", chain.from_iterable(value_docs)))
+            values, value_starts, value_docs = self._raw_values.get(name, _NO_RAW_VALUES)
+            _put_table(out, values)
+            _put_column(out, value_starts)
+            _put_column(out, value_docs)
         write_atomic(path, out)
 
     @classmethod
@@ -612,7 +665,7 @@ class Index:
 
         names = take_sorted_table("field names")
         fields: dict[str, _FieldColumns] = {}
-        raw_values: dict[str, dict[str, tuple[int, ...]]] = {}
+        raw_values: dict[str, _RawValues] = {}
         for name in names:
             terms = take_sorted_table(f"terms of field {name!r}")
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
@@ -624,7 +677,7 @@ class Index:
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
             if not _ascending_runs_below(docs, raw_docs[1], starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
-            fields[name] = _FieldColumns(dict(zip(terms, count())), starts, None, docs, tfs, positions)
+            fields[name] = _FieldColumns(terms, None, starts, None, docs, tfs, positions)
 
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
@@ -634,9 +687,8 @@ class Index:
                 raise bad(f"raw values of field {name!r} disagree with their offsets")
             if not _ascending_runs_below(value_docs, raw_value_docs[1], value_starts, n_docs):
                 raise bad(f"bad doc ordinals for the raw values of field {name!r}")
-            ordinals = value_docs.tolist()
-            value_slices = map(slice, value_starts, value_starts[1:])
-            raw_values[name] = dict(zip(values, map(tuple, map(ordinals.__getitem__, value_slices))))
+            if values:
+                raw_values[name] = _RawValues(values, value_starts, value_docs)
 
         if offset != len(data):
             raise bad(f"ends at byte {offset} of {len(data)}")
@@ -779,11 +831,14 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     the union field's name reserves. Documents are numbered in doc_id
     order. Field order inside the union field is `DEFAULT_SCHEMA` order,
     then any extra (lax-ingested) fields lexicographically. Raw values
-    are kept for the concept fields only.
+    are kept for the concept fields only, as the columns a snapshot
+    stores.
 
     Each token goes straight into its term's columns, in its field and
-    the union field. No field's position offsets are derived here: as
-    after `load`, each field derives them on its first positional read.
+    the union field. No field's term ordinals or position offsets are
+    made here: as after `load`, each field builds its ordinals on its
+    first term lookup and derives its offsets on its first positional
+    read.
     """
     docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:
@@ -831,6 +886,6 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     return Index(
         [doc.doc_id for doc in docs],
         {f: _concatenate(terms) for f, terms in postings.items()},
-        {f: {v: tuple(sorted(ds)) for v, ds in vals.items()} for f, vals in raw_values.items()},
+        {f: _raw_value_columns({v: sorted(ds) for v, ds in vals.items()}) for f, vals in raw_values.items()},
         chains,
     )

@@ -3,9 +3,11 @@
 Candidate concepts are whole field values from the concept fields
 `corpus.CONCEPT_FIELDS` (controlled-vocabulary surface forms, e.g.
 "Cinema and Theatre").
-A topic's document set is built from its title tokens over the input
-fields; every concept value is then scored by the Jaccard similarity of
-the two document sets, computed from the set sizes
+A topic's document set is built from its title over the input fields:
+the title is analyzed once with the language's chain, and each term's
+documents are the union of its doc columns in those fields
+(`Index.term_docs`). Every concept value is then scored by the Jaccard
+similarity of the two document sets, computed from the set sizes
 
     jaccard(df_x, df_y, df_xy) = df_xy / (df_x + df_y - df_xy)
 
@@ -15,7 +17,8 @@ Only values that co-occur with the topic's documents can score above
 zero, so scoring walks the topic's documents through a doc -> values map
 (an inverted file turned around) instead of intersecting every value's
 document set. The map and each value's document frequency are built on
-first use and kept on the index (`Index.concept_table`), one per language.
+first use from the index's raw-value columns and kept on the index
+(`Index.concept_table`), one per language.
 
 Jaccard candidates are ranked on the exact integer key
 floor(jaccard * N**2), N the number of indexed documents: every union is
@@ -34,7 +37,6 @@ from functools import partial
 from math import log
 from typing import ClassVar
 
-from .analysis import query_tokens
 from .corpus import CONCEPT_FIELDS, Topic
 from .errors import EmptyQueryError
 from .index import Index
@@ -84,26 +86,18 @@ def log_jaccard(df_x: int, df_y: int, df_xy: int) -> float:
 def _topic_doc_set(index: Index, topic: Topic, cfg: CooccurConfig) -> set[int]:
     """Documents matching the topic title over the input fields.
 
-    Per token, the doc sets of all input fields are unioned; tokens are
-    then intersected. If the conjunction is empty, fall back to the
-    disjunction of tokens.
+    The title is analyzed once; per term, the doc columns of all input
+    fields are unioned; terms are then intersected. If the conjunction
+    is empty, fall back to the disjunction of terms.
     """
     chain = index.chains.get(topic.lang)
     if chain is None:
         raise EmptyQueryError(f"no analyzer for topic language {topic.lang!r}")
-    tokens = query_tokens(chain, topic.title)
-    if not tokens:
+    terms = chain.run(topic.title)
+    if not terms:
         raise EmptyQueryError(f"empty query: topic {topic.topic_id!r}")
     fields = [f"{name}-{topic.lang}" for name in cfg.input_fields]
-    fields = [f for f in fields if index.has_field(f)]
-    if not fields:
-        return set()
-    per_token = []
-    for token in tokens:
-        docs = set(index.doc_set(fields[0], [token], mode="any"))
-        docs.update(*(index.doc_set(field, [token], mode="any") for field in fields[1:]))
-        per_token.append(docs)
-    first, rest = per_token[0], per_token[1:]
+    first, *rest = (index.term_docs(fields, term) for term in terms)
     conjunction = first.intersection(*rest)
     if conjunction:
         return conjunction

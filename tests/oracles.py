@@ -157,6 +157,27 @@ def naive_pos_starts(starts, tfs):
     return [ends[start] for start in starts]
 
 
+def naive_concept_table(documents, lang):
+    """Document frequency of each concept value of one language, and each
+    document's set of values by doc ordinal (doc_id order): a value is a
+    trimmed, non-empty value of a concept field, counted once per
+    document however often it occurs there."""
+    from sparse_expand.corpus import CONCEPT_FIELDS
+
+    doc_values = {}
+    for ordinal, doc in enumerate(sorted(documents, key=lambda d: d.doc_id)):
+        if doc.lang != lang:
+            continue
+        values = {v.strip() for name in CONCEPT_FIELDS for v in doc.fields.get(name, ()) if v.strip()}
+        if values:
+            doc_values[ordinal] = values
+    value_df = {}
+    for values in doc_values.values():
+        for value in values:
+            value_df[value] = value_df.get(value, 0) + 1
+    return value_df, doc_values
+
+
 def naive_str_scores(documents, topic, chain, input_fields, concept_fields, log=False):
     """Suggestion scores recomputed by explicit set arithmetic."""
     from sparse_expand.analysis import query_tokens
@@ -185,7 +206,8 @@ def naive_str_scores(documents, topic, chain, input_fields, concept_fields, log=
     for doc in candidates:
         for name in concept_fields:
             for value in doc.fields.get(name, ()):
-                value_docs.setdefault(value.strip(), set()).add(doc.doc_id)
+                if value.strip():  # a whitespace-only value is no concept
+                    value_docs.setdefault(value.strip(), set()).add(doc.doc_id)
 
     scored = {}
     for value, ds_y in value_docs.items():

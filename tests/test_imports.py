@@ -75,3 +75,54 @@ def test_json_read_guard_sees_every_json_read():
         ]
     )
     assert sorted(_json_reads(source)) == [1, 2, 3, 4, 5, 6, 7]
+
+
+# Attributes private to `Index` and its per-field columns: every other
+# module reads an index through its public methods.
+_INDEX_PRIVATE = {"_fields", "_raw_values", "_columns", "ordinals"}
+
+
+def _index_private_reads(source: str) -> list[int]:
+    """Line numbers where `source` reads an attribute private to `Index`,
+    directly or by name through `getattr` or `attrgetter`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _INDEX_PRIVATE:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in {
+            "getattr",
+            "attrgetter",
+        }:
+            if any(isinstance(arg, ast.Constant) and arg.value in _INDEX_PRIVATE for arg in node.args):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_index_module_reads_index_internals():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "index.py" and (lines := _index_private_reads(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}, "read an Index through its public methods"
+    assert _index_private_reads((PACKAGE / "index.py").read_text(encoding="utf-8"))
+
+
+def test_index_internals_guard_sees_every_read():
+    source = "\n".join(
+        [
+            "index._fields[field]",
+            "idx._raw_values.get(name)",
+            "index._columns(field, term, 1)",
+            "columns.ordinals",
+            "getattr(index, '_fields')",
+            "operator.attrgetter('ordinals')",
+            "attrgetter('_raw_values')(index)",
+            "index.fields",
+            "index.raw_values(field)",
+            "index.term_docs(fields, term)",
+            "chain._cache",
+            "ordinals = {}",
+        ]
+    )
+    assert sorted(_index_private_reads(source)) == [1, 2, 3, 4, 5, 6, 7]

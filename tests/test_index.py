@@ -12,6 +12,7 @@ from conftest import OLDER_SNAPSHOTS, WORDS, random_corpus
 from oracles import (
     field_token_positions,
     naive_ascending_runs_below,
+    naive_concept_table,
     naive_pos_starts,
     naive_search,
     naive_str_scores,
@@ -42,6 +43,8 @@ from sparse_expand.index import (
     _holds_zero,
     _narrowed,
     _pos_starts,
+    _RawValues,
+    _raw_value_columns,
     _rises,
     build_index,
 )
@@ -597,7 +600,7 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, fie
     idx = Index(
         ["d0", "d1"],
         {field: _concatenate({"x": columns, "y": _GOOD})},
-        {field: {"x": raw_docs}},
+        {field: _raw_value_columns({"x": raw_docs})},
         {"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
@@ -640,7 +643,7 @@ def test_snapshot_rejects_tfs_one_off_their_positions_in_a_field_read_only_by_do
     assert sum(tfs) == len(columns.positions) + delta
     fields = {name: built._fields[name] for name in built.fields}
     fields[field] = columns._replace(tfs=tfs)
-    raw_values = {name: built.raw_values(name) for name in built.fields}
+    raw_values = {name: _raw_value_columns(built.raw_values(name)) for name in built.fields}
     path = tmp_path / SNAPSHOT_FILENAME
     Index(built.doc_ids, fields, raw_values, built.chains).save(path)
     with pytest.raises(DataError) as raised:
@@ -701,7 +704,7 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
     idx = Index(
         ["d0", "d1"],
         {"t-en": _concatenate({"x": _GOOD})},
-        {"t-en": {"x": (0,)}},
+        {"t-en": _raw_value_columns({"x": (0,)})},
         {"en": chain_for("en")},
     )
     path = tmp_path / SNAPSHOT_FILENAME
@@ -808,7 +811,7 @@ def _wide_indexes(draw):
         "w": (n_docs - 1,),
     }
     doc_ids = [f"d{i:05d}" for i in range(n_docs)]
-    return Index(doc_ids, {"t-en": _concatenate(terms)}, {"t-en": values}, {"en": chain_for("en")})
+    return Index(doc_ids, {"t-en": _concatenate(terms)}, {"t-en": _raw_value_columns(values)}, {"en": chain_for("en")})
 
 
 @settings(max_examples=40, deadline=None)
@@ -839,7 +842,9 @@ def test_snapshot_stores_each_column_at_the_smallest_width_that_fits(tmp_path_fa
     assert (directory / "b.bin").read_bytes() == data
     # the bytes do not depend on the width a column is held at
     wide = built._replace(**{name: array("I", getattr(built, name)) for name in ("starts", "docs", "tfs", "positions")})
-    Index(idx.doc_ids, {"t-en": wide}, {"t-en": idx.raw_values("t-en")}, idx.chains).save(directory / "c.bin")
+    values = idx._raw_values["t-en"]
+    wide_values = values._replace(starts=array("I", values.starts), docs=array("I", values.docs))
+    Index(idx.doc_ids, {"t-en": wide}, {"t-en": wide_values}, idx.chains).save(directory / "c.bin")
     assert (directory / "c.bin").read_bytes() == data
 
 
@@ -892,7 +897,8 @@ def _wide_inconsistent(top):
 def test_snapshot_rejects_inconsistent_columns_written_wide(tmp_path, width, case):
     docs, tfs, raw_docs, match = _wide_inconsistent(256 ** (width - 1))[case]
     terms = {"x": _columns(docs, tfs, [0, 0, 1, 0]), "y": _columns([0, 1, 2], [1, 1, 1], [0, 0, 0])}
-    idx = Index(["d0", "d1", "d2"], {"t-en": _concatenate(terms)}, {"t-en": {"v": raw_docs}}, {"en": chain_for("en")})
+    raw_values = {"t-en": _raw_value_columns({"v": raw_docs})}
+    idx = Index(["d0", "d1", "d2"], {"t-en": _concatenate(terms)}, raw_values, {"en": chain_for("en")})
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
     path.write_bytes(_widened(path.read_bytes(), width))
@@ -987,7 +993,7 @@ def _narrow_snapshot(tmp_path, stopwords=None):
     idx = Index(
         ["d0", "d1"],
         {"t-en": _concatenate({"x": _GOOD, "y": _GOOD})},
-        {"t-en": {"x": (0,)}},
+        {"t-en": _raw_value_columns({"x": (0,)})},
         {"en": chain_for("en", stopwords)},
     )
     path = tmp_path / "index" / SNAPSHOT_FILENAME
@@ -1076,6 +1082,37 @@ def test_snapshot_of_version_7_loads(tmp_path):
     for query in queries:
         assert loaded.search(query, 10) == fresh.search(query, 10)
     assert [len(loaded.search(query, 10)) for query in queries] == [3, 1, 2, 2]
+
+
+
+def test_snapshot_of_version_7_re_saves_to_its_own_bytes(tmp_path):
+    data = Path(__file__).parent / "data" / "index_v7"
+    committed = (data / SNAPSHOT_FILENAME).read_bytes()
+    loaded = Index.load(data / SNAPSHOT_FILENAME)
+    path = tmp_path / SNAPSHOT_FILENAME
+    loaded.save(path)
+    assert path.read_bytes() == committed
+    again = Index.load(path)
+    assert again.doc_ids == loaded.doc_ids and again.fields == loaded.fields
+    for field in loaded.fields:
+        assert again.terms(field) == loaded.terms(field)
+        assert again.raw_values(field) == loaded.raw_values(field)
+    assert loaded.raw_values("dc:subject-en") == {"Fishing": (4,), "Sea stories": (3, 4), "Whaling": (3,)}
+    assert "whale" in loaded.terms("dc:title-en")
+    queries = [Query((Term("dc:title-en", "whale"),)), Query((Phrase("chic_all-en", ("sea", "stories")),))]
+    for query in queries:
+        assert again.search(query, 10) == loaded.search(query, 10)
+    assert [len(loaded.search(query, 10)) for query in queries] == [2, 2]  # "Whaling" stems to "whale"
+    documents = ingest_documents(data / "docs.jsonl").documents
+    for lang in ("de", "en"):
+        assert again.concept_table(lang) == loaded.concept_table(lang)
+        value_df, doc_values = loaded.concept_table(lang)
+        assert (value_df, {doc: set(values) for doc, values in doc_values.items()}) == naive_concept_table(
+            documents, lang
+        )
+    # reads leave what `save` writes as it was
+    loaded.save(path)
+    assert path.read_bytes() == committed
 
 
 def test_a_chain_with_no_stopwords_survives_save_and_load(tmp_path):
@@ -1408,6 +1445,103 @@ def test_a_loaded_index_read_positionally_in_another_field_order_agrees(tmp_path
     for field, (from_built, from_loaded) in reads.items():
         assert from_loaded == from_built
     assert any(hits for _, hits, _ in reads["dc:title-en"])
+
+
+
+# -- lookup maps --------------------------------------------------------
+
+
+def _with_ordinals(idx):
+    """The fields of `idx` that hold a term -> ordinal dict."""
+    return {name for name, columns in idx._fields.items() if columns.ordinals is not None}
+
+
+def _assert_str_matches_oracle(idx, docs, topic, cfg):
+    """`suggest_str` gives the oracle's values, ranks and scores, to the
+    bit for `log_jaccard` and as the exact fraction for `jaccard`."""
+    log = cfg.similarity == "log_jaccard"
+    expected = naive_str_scores(docs, topic, CHAINS[topic.lang], cfg.input_fields, cfg.concept_fields, log=log)
+    ranked = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.top_k]
+    got = suggest_str(idx, topic, cfg).suggestions
+    assert [(s.text, s.score) for s in got] == ranked
+    assert [type(s.score) for s in got] == [type(score) for _, score in ranked]
+    if log:
+        assert [s.score.hex() for s in got] == [score.hex() for _, score in ranked]
+    return got
+
+
+def test_load_builds_no_lookup_maps_and_each_read_builds_its_own(tmp_path, monkeypatch):
+    docs = random_corpus(46, 80)
+    built = _index(docs)
+    path = tmp_path / SNAPSHOT_FILENAME
+    built.save(path)
+    for idx in (built, Index.load(path)):
+        assert _with_ordinals(idx) == set()
+        assert set(idx._raw_values) == {f"{name}-en" for name in CONCEPT_FIELDS}
+        for field, columns in idx._raw_values.items():
+            assert type(columns) is _RawValues
+            values, starts, value_docs = columns
+            assert type(starts) is array and type(value_docs) is array
+            assert len(starts) == len(values) + 1 and starts[-1] == len(value_docs)
+            assert list(values) == sorted(idx.raw_values(field))
+
+    loaded = Index.load(path)
+    query = Query((Term("chic_all-en", "whale"),))
+    _assert_search_matches_oracle(loaded, docs, query)
+    assert _with_ordinals(loaded) == {"chic_all-en"}
+    assert loaded.search(query, 1000) == built.search(query, 1000)
+
+    calls = []
+    doc_set = Index.doc_set
+    monkeypatch.setattr(Index, "doc_set", lambda idx, *args: calls.append(args) or doc_set(idx, *args))
+    loaded = Index.load(path)
+    for title in ("whale", "film canada", "ocean zebra", "poster museum map"):
+        topic = Topic("T", title, "en")
+        for similarity in ("jaccard", "log_jaccard"):
+            cfg = CooccurConfig(similarity=similarity, top_k=1000)
+            got = _assert_str_matches_oracle(loaded, docs, topic, cfg)
+            assert got == suggest_str(built, topic, cfg).suggestions
+            assert got or title == "ocean zebra"
+    assert _with_ordinals(loaded) == {"dc:title-en", "dc:description-en"}
+    assert calls == []
+
+
+
+_CONCEPT_VALUES = st.sampled_from(["sea", " sea ", "Sea", "sea stories", "Meer", "  ", "\t"]) | st.text(max_size=4)
+_CONCEPT_DOCUMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["en", "de"]),
+        st.dictionaries(
+            st.sampled_from(["dc:title", *CONCEPT_FIELDS]),
+            st.lists(_CONCEPT_VALUES, min_size=1, max_size=3).map(tuple),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_CONCEPT_DOCUMENTS)
+@example(  # one value in both concept fields of a document, and in one field of another
+    drawn=[("en", {"dc:subject": ("sea", "ship"), "enrichment:concept_label": (" sea",)}), ("en", {"dc:subject": ("sea",)})]
+)
+@example(  # whitespace-only values; "de" has no concept field
+    drawn=[("en", {"dc:subject": ("  ", "sea"), "enrichment:concept_label": ("\t",)}), ("de", {"dc:title": ("Meer",)})]
+)
+def test_concept_table_is_each_documents_trimmed_concept_values(tmp_path_factory, drawn):
+    docs = [Document(f"d{i}", lang, fields) for i, (lang, fields) in enumerate(drawn)]
+    built = _index(docs)
+    path = tmp_path_factory.mktemp("concepts") / SNAPSHOT_FILENAME
+    built.save(path)
+    for idx in (built, Index.load(path)):
+        for lang in ("en", "de"):
+            expected_df, expected_values = naive_concept_table(docs, lang)
+            value_df, doc_values = idx.concept_table(lang)
+            assert value_df == expected_df
+            assert {doc: set(values) for doc, values in doc_values.items()} == expected_values
+            assert all(len(set(values)) == len(values) for values in doc_values.values())
 
 
 _TFS = st.sampled_from([1, 255, 256]) | st.integers(1, 300)

@@ -4,16 +4,17 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_corpus
 from oracles import naive_str_scores
-from sparse_expand.analysis import chain_for
+from sparse_expand.analysis import chain_for, query_tokens
 from sparse_expand.corpus import CONCEPT_FIELDS, Document, Topic
 from sparse_expand.errors import EmptyQueryError
 from sparse_expand.index import Index, build_index
 from sparse_expand.str_recommender import (
+    SIMILARITIES,
     CooccurConfig,
     _jaccard_key,
     jaccard,
@@ -22,6 +23,7 @@ from sparse_expand.str_recommender import (
 )
 
 EN = {"en": chain_for("en")}
+CHAINS = {"en": chain_for("en"), "de": chain_for("de")}
 
 
 def test_jaccard_examples():
@@ -249,6 +251,92 @@ def test_str_ties_break_lexicographically():
     idx = build_index(docs, EN)
     result = suggest_str(idx, Topic("T", "whale", "en"))
     assert result.texts() == ["alpha", "zeta"]
+
+
+# Words whose analysis STR must match: straight, double and typographic
+# possessives, stopwords, and German words the stemmer folds together.
+_TITLE_WORDS = {
+    "en": ["Dick's", "Dick", "Ahab's's", "Ahab's", "Ahab’s", "Ahabʼs", "whale", "whales", "sea", "the", "of", "s"],
+    "de": ["Häuser", "Hauser", "Meer", "Meere", "alte", "Mann", "der", "und", "Straßen", "Strassen"],
+}
+_STR_CONCEPTS = ["Whaling", "Sea stories", "Ships", "Meere", "Seefahrt"]
+
+
+@st.composite
+def _str_cases(draw):
+    """Documents in both languages with titles, descriptions and concept
+    values, and a topic title in one of the languages."""
+    docs = []
+    for i in range(draw(st.integers(1, 8))):
+        lang = draw(st.sampled_from(["en", "de"]))
+        words = st.lists(st.sampled_from(_TITLE_WORDS[lang]), min_size=1, max_size=4).map(" ".join)
+        fields = {"dc:title": (draw(words),)}
+        if draw(st.booleans()):
+            fields["dc:description"] = tuple(draw(st.lists(words, min_size=1, max_size=2)))
+        for name in CONCEPT_FIELDS:
+            values = draw(st.lists(st.sampled_from(_STR_CONCEPTS), max_size=2, unique=True))
+            if values:
+                fields[name] = tuple(values)
+        docs.append((lang, fields))
+    lang = draw(st.sampled_from(["en", "de"]))
+    title = " ".join(draw(st.lists(st.sampled_from(_TITLE_WORDS[lang]), min_size=1, max_size=3)))
+    return docs, title, lang
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_str_cases())
+@example(case=([("en", {"dc:title": ("Moby Dick's whale",), "dc:subject": ("Whaling",)})], "Dick’s whales", "en"))
+@example(  # "Ahab's's" analyzes to "ahab'", not to the "ahab" of "Ahab's"
+    case=(
+        [
+            ("en", {"dc:title": ("Ahab's's sea",), "dc:subject": ("Ships",)}),
+            ("en", {"dc:title": ("Ahab's whale",), "dc:subject": ("Whaling",)}),
+        ],
+        "Ahab's's",
+        "en",
+    )
+)
+@example(  # no document holds both terms: the union
+    case=(
+        [
+            ("en", {"dc:title": ("whale",), "dc:subject": ("Whaling",)}),
+            ("en", {"dc:description": ("the sea",), "enrichment:concept_label": ("Sea stories",)}),
+        ],
+        "whale of the sea",
+        "en",
+    )
+)
+@example(
+    case=(
+        [
+            ("de", {"dc:title": ("Die alten Häuser",), "dc:subject": ("Seefahrt",)}),
+            ("de", {"dc:description": ("Hauser am Meer",), "enrichment:concept_label": ("Meere",)}),
+        ],
+        "der Häuser Meere",
+        "de",
+    )
+)
+@example(case=([("en", {"dc:title": ("the sea",), "dc:subject": ("Ships",)})], "the of s", "en"))
+def test_str_equals_the_oracle_on_built_and_loaded_indexes(tmp_path_factory, case):
+    drawn, title, lang = case
+    docs = [Document(f"d{i}", doc_lang, fields) for i, (doc_lang, fields) in enumerate(drawn)]
+    built = build_index(docs, CHAINS)
+    path = tmp_path_factory.mktemp("str") / "index.bin"
+    built.save(path)
+    topic = Topic("T", title, lang)
+    for idx in (built, Index.load(path)):
+        for similarity in SIMILARITIES:
+            cfg = CooccurConfig(similarity=similarity, top_k=1000)
+            if not query_tokens(CHAINS[lang], title):
+                with pytest.raises(EmptyQueryError):
+                    suggest_str(idx, topic, cfg)
+                continue
+            log = similarity == "log_jaccard"
+            expected = naive_str_scores(docs, topic, CHAINS[lang], cfg.input_fields, cfg.concept_fields, log=log)
+            ranked = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
+            got = suggest_str(idx, topic, cfg).suggestions
+            assert [(s.text, s.score) for s in got] == ranked
+            assert [repr(s.score) for s in got] == [repr(score) for _, score in ranked]
 
 
 @pytest.mark.parametrize("seed", range(6))
