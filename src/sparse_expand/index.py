@@ -62,31 +62,38 @@ raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
 So `save` cannot write a snapshot that `load` rejects for these reasons.
 
-The version 7 snapshot (README "Snapshot format") stores every string
+The version 8 snapshot (README "Snapshot format") stores every string
 list as a table, a length column and one UTF-8 blob, and every column as
 a u32 item width (1, 2 or 4), a u32 count and its little-endian values
 at that width. `save` writes each column at the narrowest width that
 holds it, whatever width it is held at, so the bytes depend only on the
 documents; a width fits when the high bytes it drops are all zero. The
-snapshot stores no `pos_starts`, and per language only its stopword
-table. `save` writes the terms and raw-value columns as held.
-`Index.load` decodes each blob once and reads each column with one
-`frombytes`. It checks the doc-ordinal and tf columns with byte
-arithmetic on their little-endian bytes (`_rises`, `_holds_zero`) and
-sums the tfs in one C-level pass; it runs no Python loop per term or
-posting, derives no position offsets and builds no lookup maps: it
-keeps the decoded term lists and raw-value columns.
-The decoder checks the bytes and columns; `load` then reports the
-constructor's errors as a malformed snapshot too. The decoder rejects
-with DataError:
+snapshot stores no `pos_starts`. Per language it stores its stopword
+table and one term table, the sorted set of its fields' terms; each
+field stores its terms as a column of ordinals into that table, and
+`save` writes the raw-value columns as held. `Index.load` decodes each
+blob once and reads each column with one `frombytes`. It checks the
+term-ordinal, doc-ordinal and tf columns with byte arithmetic on their
+little-endian bytes (`_rises`, `_holds_zero`), sums the tfs in one
+C-level pass, and maps each field's ordinals to its language's decoded
+terms in one C-level pass, so a language's fields share its term
+strings. It runs no Python loop per term or posting, derives no position
+offsets and builds no lookup maps: it keeps the term lists and
+raw-value columns. The decoder checks the bytes and columns; `load`
+then reports the constructor's errors as a malformed snapshot too. The
+decoder rejects with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
 - a column width other than 1, 2 or 4;
 - a table whose lengths disagree with its blob, or whose blob is not
   UTF-8;
-- analyzer languages, stopwords, field names, terms or raw values that
-  are not strictly ascending;
+- analyzer languages, stopwords, a language's terms, field names or raw
+  values that are not strictly ascending;
 - a language with no analyzer profile;
+- a field whose language has no term table (the constructor's "no
+  analyzer chain" error, raised before the field is read);
+- a term ordinal not below its language's term count, or not strictly
+  ascending within its field;
 - offsets (`starts`, raw-value starts) that do not have one more entry
   than their table, do not start at 0, descend, or do not end at their
   column's length;
@@ -120,7 +127,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 SNAPSHOT_FILENAME = "index.bin"
 
 # Column item width in bytes -> its array typecode. Columns are written
@@ -559,15 +566,22 @@ class Index:
         out = bytearray(SNAPSHOT_MAGIC)
         out += struct.pack("<I", SNAPSHOT_VERSION)
         langs = sorted(self._chains)
+        names = sorted(self._fields)
+        lang_terms: dict[str, set[str]] = {lang: set() for lang in langs}
+        for name in names:
+            lang_terms[name.rpartition("-")[2]].update(self._fields[name].terms)
+        term_ordinals: dict[str, dict[str, int]] = {}
         _put_table(out, langs)
         for lang in langs:
             _put_table(out, sorted(self._chains[lang].stopword_list))
+            table = sorted(lang_terms[lang])
+            _put_table(out, table)
+            term_ordinals[lang] = dict(zip(table, count()))
         _put_table(out, self._doc_ids)
-        names = sorted(self._fields)
         _put_table(out, names)
         for name in names:
             terms, _, starts, _, docs, tfs, positions = self._fields[name]
-            _put_table(out, terms)
+            _put_column(out, array("I", map(term_ordinals[name.rpartition("-")[2]].__getitem__, terms)))
             for column in (starts, docs, tfs, positions):  # pos_starts is derived on read
                 _put_column(out, column)
             values, value_starts, value_docs = self._raw_values.get(name, _NO_RAW_VALUES)
@@ -654,11 +668,13 @@ class Index:
             )
 
         chains: dict[str, AnalyzerChain] = {}
+        lang_terms: dict[str, list[str]] = {}
         for lang in take_sorted_table("analyzer languages"):
             if lang not in LANGUAGES:
                 raise bad(f"no analyzer profile for language {lang!r}")
             stopwords = take_sorted_table(f"stopwords of language {lang!r}")
             chains[lang] = AnalyzerChain(lang, frozenset(stopwords))
+            lang_terms[lang] = take_sorted_table(f"terms of language {lang!r}")
 
         doc_ids = take_table()
         n_docs = len(doc_ids)
@@ -667,7 +683,14 @@ class Index:
         fields: dict[str, _FieldColumns] = {}
         raw_values: dict[str, _RawValues] = {}
         for name in names:
-            terms = take_sorted_table(f"terms of field {name!r}")
+            table = lang_terms.get(name.rpartition("-")[2])
+            if table is None:
+                raise bad(f"no analyzer chain for field {name!r}")
+            width, raw_ordinals = take_raw_column()
+            ordinals = _from_little_endian(width, raw_ordinals)
+            if not _ascending_runs_below(ordinals, raw_ordinals, (0, len(ordinals)), len(table)):
+                raise bad(f"bad term ordinals in field {name!r}")
+            terms = list(map(table.__getitem__, ordinals))  # the table's own strings
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
             raw_docs, raw_tfs, positions = take_raw_column(), take_raw_column(), take_column()
             docs, tfs = _from_little_endian(*raw_docs), _from_little_endian(*raw_tfs)
@@ -695,7 +718,7 @@ class Index:
         return doc_ids, fields, raw_values, chains
 
 
-def _ascending_runs_below(values: array, raw: bytes, starts: array, limit: int) -> bool:
+def _ascending_runs_below(values: array, raw: bytes, starts: Sequence[int], limit: int) -> bool:
     """True if every run `values[starts[i]:starts[i+1]]` is strictly
     ascending and every value is below `limit`. `raw` holds `values` as
     little-endian bytes; `starts` begins at 0, does not descend and ends

@@ -37,7 +37,9 @@ SUBJECTS = (
 
 # Every tests/data/index_v<N> with N below the current version: a snapshot
 # written by the version N format (two documents up to version 3, the six
-# of index_v7/docs.jsonl after that), as pytest params with ids "v<N>".
+# of index_v8/docs.jsonl after that), as pytest params with ids "v<N>".
+# Each holds only its index.bin; index_v8 keeps the documents and
+# stopwords it was built from.
 OLDER_SNAPSHOTS = [
     pytest.param(version, directory, id=f"v{version}")
     for version, directory in sorted(

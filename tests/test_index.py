@@ -2,6 +2,7 @@ import math
 import random
 import struct
 from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -713,11 +714,12 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
     assert [(p.doc, p.positions) for p in loaded.postings("t-en", "x")] == [(0, (0,)), (1, (0, 2))]
 
 
-def _column_spans(data):
-    """(start, end, width, values) of every column of a version 7
-    snapshot, in file order, where data[start:end] holds the column's
-    width, count and values: read by walking the layout README "Snapshot
-    format" gives."""
+def _walk(data):
+    """(spans, language terms) of a version 8 snapshot, read by walking
+    the layout README "Snapshot format" gives: spans holds the (start,
+    end, width, values) of every column in file order, where
+    data[start:end] holds the column's width, count and values; language
+    terms maps each language to its term table."""
     offset = len(SNAPSHOT_MAGIC) + 4
     spans = []
 
@@ -740,25 +742,35 @@ def _column_spans(data):
         nonlocal offset
         lengths = column()
         size = u32()
+        text = data[offset : offset + size].decode("utf-8")
         offset += size
-        return len(lengths)
+        ends = list(accumulate(lengths, initial=0))
+        return [text[i:j] for i, j in zip(ends, ends[1:])]
 
-    for _ in range(table()):  # languages
+    lang_terms = {}
+    for lang in table():  # languages
         table()  # stopwords
+        lang_terms[lang] = table()  # terms
     table()  # doc_ids
-    for _ in range(table()):  # fields
-        table()  # terms
+    for _ in table():  # fields
+        column()  # term ordinals
         for _ in range(4):  # starts, docs, tfs, positions
             column()
         table()  # raw values
         column()  # raw-value starts
         column()  # raw-value docs
     assert offset == len(data)
-    return spans
+    return spans, lang_terms
+
+
+def _column_spans(data):
+    """(start, end, width, values) of every column of a version 8
+    snapshot, in file order."""
+    return _walk(data)[0]
 
 
 def _stored_columns(data):
-    """(width, values) of every column of a version 7 snapshot, in file
+    """(width, values) of every column of a version 8 snapshot, in file
     order."""
     return [(width, values) for _, _, width, values in _column_spans(data)]
 
@@ -791,7 +803,9 @@ _VALUE_LENGTHS = st.sampled_from([1, 255, 256, 65535, 65536])
 def _wide_indexes(draw):
     """An index of one field "t-en" whose terms "x" and "y" (and "z" on
     every doc, if drawn) and raw values hold column maxima drawn from
-    both sides of 255/256, 65,535/65,536 and 2**32 - 1."""
+    both sides of 255/256, 65,535/65,536 and 2**32 - 1. Filler terms on
+    doc 0, if drawn, bring the largest term ordinal to either side of
+    255/256."""
     n_docs = draw(_ORDINAL_COUNTS)
     ordinals = sorted({0, 1, n_docs // 2, n_docs - 2, n_docs - 1} & set(range(n_docs)))
     terms = {}
@@ -806,6 +820,8 @@ def _wide_indexes(draw):
         terms[term] = _columns(docs, tfs, positions)
     if draw(st.booleans()):
         terms["z"] = _columns(range(n_docs), [1] * n_docs, [0] * n_docs)
+    for i in range(draw(st.sampled_from([0, 253, 254]))):
+        terms[f"f{i:03d}"] = _columns([0], [1], [0])
     values = {
         "v" * draw(_VALUE_LENGTHS): tuple(sorted(draw(st.sets(st.sampled_from(ordinals), min_size=1)))),
         "w": (n_docs - 1,),
@@ -1048,6 +1064,56 @@ def test_snapshot_rejects_a_stopword_table_not_strictly_ascending(tmp_path, caps
     _assert_malformed(path, capsys, "stopwords of language 'en' not strictly ascending$")
 
 
+# In a `_narrow_snapshot`, the field names' blob "t-en" is followed by
+# the field's term-ordinal column: "x" and "y" are terms 0 and 1 of the
+# language table, lengths [1, 1] with blob "xy".
+_NARROW_ORDINALS = b"t-en" + _byte_column(0, 1)
+_NARROW_TERM_TABLE = _byte_column(1, 1) + _u32s(2) + b"xy"
+
+
+@pytest.mark.parametrize("ordinals", [(0, 2), (1, 1), (1, 0)], ids=["not-below-the-table", "repeated", "descending"])
+def test_snapshot_rejects_bad_term_ordinals(tmp_path, capsys, ordinals):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    assert data.count(_NARROW_ORDINALS) == 1
+    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-en" + _byte_column(*ordinals)))
+    _assert_malformed(path, capsys, "bad term ordinals in field 't-en'$")
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("case", ["not-below-the-table", "descending"])
+def test_snapshot_rejects_bad_term_ordinals_written_wide(tmp_path, capsys, width, case):
+    # Only the high byte of each bad column tells it from [0, 1].
+    top = 256 ** (width - 1)
+    ordinals = (0, top + 1) if case == "not-below-the-table" else (top, 1)
+    path = _narrow_snapshot(tmp_path)
+    path.write_bytes(_widened(path.read_bytes(), width))
+    code = {2: "H", 4: "I"}[width]
+    good, bad = (b"t-en" + _u32s(width, 2) + struct.pack(f"<2{code}", *values) for values in ((0, 1), ordinals))
+    data = path.read_bytes()
+    assert data.count(good) == 1
+    path.write_bytes(data.replace(good, bad))
+    _assert_malformed(path, capsys, "bad term ordinals in field 't-en'$")
+
+
+@pytest.mark.parametrize("blob", [b"yx", b"xx"], ids=["out-of-order", "repeated-term"])
+def test_snapshot_rejects_a_language_term_table_not_strictly_ascending(tmp_path, capsys, blob):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    assert data.count(_NARROW_TERM_TABLE) == 1
+    path.write_bytes(data.replace(_NARROW_TERM_TABLE, _byte_column(1, 1) + _u32s(2) + blob))
+    _assert_malformed(path, capsys, "terms of language 'en' not strictly ascending$")
+
+
+def test_snapshot_rejects_a_field_whose_language_has_no_table_before_reading_it(tmp_path, capsys):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    assert data.count(_NARROW_ORDINALS) == 1
+    # The field's term-ordinal column gets width 3, which reading it rejects.
+    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-fr" + _u32s(3, 2) + bytes([0, 1])))
+    _assert_malformed(path, capsys, "no analyzer chain for field 't-fr'$")
+
+
 @pytest.mark.parametrize("version, directory", OLDER_SNAPSHOTS)
 def test_snapshot_of_an_older_version_is_rejected(version, directory):
     assert len(OLDER_SNAPSHOTS) == SNAPSHOT_VERSION - 1  # one fixture per older version
@@ -1057,14 +1123,14 @@ def test_snapshot_of_an_older_version_is_rejected(version, directory):
         Index.load(path)
 
 
-def test_snapshot_of_version_7_loads(tmp_path):
-    # tests/data/index_v7: `index build --stopwords stopwords.txt` over
+def test_snapshot_of_version_8_loads(tmp_path):
+    # tests/data/index_v8: `index build --stopwords stopwords.txt` over
     # docs.jsonl (three en and three de documents, not in doc_id order);
     # a fresh build must write the same bytes
-    data = Path(__file__).parent / "data" / "index_v7"
+    data = Path(__file__).parent / "data" / "index_v8"
     path = data / SNAPSHOT_FILENAME
-    assert SNAPSHOT_VERSION == 7
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 7)
+    assert SNAPSHOT_VERSION == 8
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 8)
     stopwords = load_stopwords(data / "stopwords.txt")
     chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
     loaded = Index.load(path)
@@ -1084,9 +1150,8 @@ def test_snapshot_of_version_7_loads(tmp_path):
     assert [len(loaded.search(query, 10)) for query in queries] == [3, 1, 2, 2]
 
 
-
-def test_snapshot_of_version_7_re_saves_to_its_own_bytes(tmp_path):
-    data = Path(__file__).parent / "data" / "index_v7"
+def test_snapshot_of_version_8_re_saves_to_its_own_bytes(tmp_path):
+    data = Path(__file__).parent / "data" / "index_v8"
     committed = (data / SNAPSHOT_FILENAME).read_bytes()
     loaded = Index.load(data / SNAPSHOT_FILENAME)
     path = tmp_path / SNAPSHOT_FILENAME
@@ -1208,6 +1273,50 @@ def test_postings_match_the_oracle_token_streams(drawn):
         for term, per_doc in terms.items():
             postings = [(p.doc, p.positions, p.tf) for p in idx.postings(field, term)]
             assert postings == [(doc, tuple(ps), len(ps)) for doc, ps in per_doc.items()]
+
+
+# Two languages; "a:b" is a lax field whose name sorts before the union
+# field's.
+_LEXICON_DOCUMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["en", "de"]),
+        st.dictionaries(
+            st.sampled_from(["a:b", "dc:title", "dc:subject"]),
+            st.lists(st.lists(_ORACLE_WORDS, max_size=4).map(" ".join), min_size=1, max_size=2).map(tuple),
+            max_size=3,
+        ),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_LEXICON_DOCUMENTS)
+def test_a_languages_fields_share_one_term_table(tmp_path_factory, drawn):
+    docs = [Document(f"d{i}", lang, fields) for i, (lang, fields) in enumerate(drawn)]
+    docs.append(Document("z", "de", {"dc:creator": ("der",)}))  # a field with no terms
+    idx = _index(docs)
+    directory = tmp_path_factory.mktemp("lexicon")
+    idx.save(directory / "a.bin")
+    data = (directory / "a.bin").read_bytes()
+    loaded = Index.load(directory / "a.bin")
+
+    assert loaded.fields == idx.fields
+    assert loaded.terms("dc:creator-de") == []
+    _, lang_terms = _walk(data)
+    assert sorted(lang_terms) == ["de", "en"]
+    for lang, table in lang_terms.items():
+        fields = [field for field in idx.fields if field.endswith(f"-{lang}")]
+        # exactly the terms of the language's fields: none unused
+        assert table == sorted(set().union(*map(idx.terms, fields)))
+        shared = {}
+        for field in fields:
+            assert loaded.terms(field) == idx.terms(field)
+            for term in loaded.terms(field):
+                # every field holds the table's one string for a term
+                assert shared.setdefault(term, term) is term
+    loaded.save(directory / "b.bin")
+    assert (directory / "b.bin").read_bytes() == data
 
 
 def test_phrase_of_a_repeated_token_counts_overlapping_matches():
