@@ -40,7 +40,7 @@ from .analysis import chain_for
 from .errors import DataError, SeedNotFoundError
 from .files import read_titled_files
 from .index import idf_weight
-from .suggestions import SuggestionSet, make_suggestion_set
+from .suggestions import SuggestionSet
 
 
 class SimCorpus:
@@ -169,9 +169,9 @@ def suggest_docsim(
     lanes[seed : seed + width] = bytes(width)
     titles = corpus._titles
     # islice takes no stop past sys.maxsize, and no more than n_docs can rank.
-    ranked = islice(_ranked(lanes, width, top), min(k, corpus.n_docs))
-    return make_suggestion_set(
-        topic_id, source, [(titles[ordinal], scores[value]) for ordinal, value in ranked]
+    ranked = list(islice(_ranked(lanes, width, top), min(k, corpus.n_docs)))
+    return SuggestionSet(
+        topic_id, source, [titles[ordinal] for ordinal, _ in ranked], [scores[value] for _, value in ranked]
     )
 
 

@@ -142,11 +142,12 @@ def se_precision(
     `grades` maps rank to grade; unjudged suggestions count as 0 with a
     warning, as does an empty suggestion set.
     """
-    if not suggestions.suggestions:
+    n = len(suggestions.concepts)
+    if not n:
         logger.warning("empty suggestion set for topic %s", suggestions.topic_id)
         return (0.0, 0.0)
     weak = strong = 0
-    for rank in range(1, len(suggestions.suggestions) + 1):
+    for rank in range(1, n + 1):
         grade = grades.get(rank)
         if grade is None:
             logger.warning("unjudged suggestion rank %d for topic %s", rank, suggestions.topic_id)
@@ -157,7 +158,6 @@ def se_precision(
             weak += 1
         if grade == 2:
             strong += 1
-    n = len(suggestions.suggestions)
     return (weak / n, strong / n)
 
 

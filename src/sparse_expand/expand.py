@@ -37,7 +37,6 @@ from .index import ALL_FIELD, Clause, Phrase, Query, Term, _check_boost
 from .suggestions import (
     GENERATOR_SYSTEMS,
     SuggestionSet,
-    make_suggestion_set,
     reciprocal_rank_scores,
 )
 
@@ -81,7 +80,7 @@ def build_query(
     clauses: list[Clause] = [Term(field, tok, cfg.title_boost) for tok in title_tokens]
 
     seen: set[str] = set()
-    texts = suggestions.texts()[: cfg.max_concepts] if suggestions else []
+    texts = suggestions.concepts[: cfg.max_concepts] if suggestions else ()
     for text in texts:
         if text.lower() in seen:
             continue
@@ -118,15 +117,15 @@ def combo_merge(sets: Sequence[SuggestionSet], max_concepts: int = 10) -> Sugges
     if len(topic_ids) != 1:
         raise DataError(f"combo inputs disagree on topic: {sorted(topic_ids)}")
     ordered = sorted(sets, key=lambda s: _SYSTEM_ORDER.get(s.system, len(_SYSTEM_ORDER)))
-    lists = [s.texts() for s in ordered]
+    lists = [s.concepts for s in ordered]
     # Lowered form -> its first text; texts rank by rank, systems in merge order within a rank.
     first: dict[str, str] = {}
     for rank in range(max(map(len, lists))):
         for texts in lists:
             if rank < len(texts):
                 first.setdefault(texts[rank].lower(), texts[rank])
-    merged = list(first.values())[:max_concepts]
-    return make_suggestion_set(sets[0].topic_id, "COMBO", zip(merged, reciprocal_rank_scores()))
+    merged = tuple(first.values())[:max_concepts]
+    return SuggestionSet(sets[0].topic_id, "COMBO", merged, reciprocal_rank_scores(len(merged)))
 
 
 # -- query surface syntax ---------------------------------------------

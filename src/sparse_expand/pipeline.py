@@ -42,7 +42,6 @@ from .suggestions import (
     SYSTEMS,
     SuggestionSet,
     group_by_topic,
-    make_suggestion_set,
     read_suggestion_file,
     write_suggestion_file,
 )
@@ -173,7 +172,7 @@ def str_sets(index: Index, topics: Iterable[Topic], cfg: CooccurConfig) -> list[
             sets.append(suggest_str(index, topic, cfg))
         except EmptyQueryError as exc:
             logger.warning("%s", exc)
-            sets.append(make_suggestion_set(topic.topic_id, "STR", []))
+            sets.append(SuggestionSet(topic.topic_id, "STR"))
     return sets
 
 
@@ -199,7 +198,7 @@ def docsim_sets(
         seed = seeds.get(topic_id)
         if seed is None:
             logger.warning("no seed for topic %s; empty %s suggestions", topic_id, system)
-            sets.append(make_suggestion_set(topic_id, system, []))
+            sets.append(SuggestionSet(topic_id, system))
         else:
             sets.append(suggest_docsim(corpus, seed, k=k, n=n, source=system, topic_id=topic_id))
     return sets

@@ -40,7 +40,7 @@ from typing import ClassVar
 from .corpus import CONCEPT_FIELDS, Topic
 from .errors import EmptyQueryError
 from .index import Index
-from .suggestions import SuggestionSet, make_suggestion_set
+from .suggestions import SuggestionSet
 
 
 # The candidate scores `suggest_str` knows, by name.
@@ -128,7 +128,7 @@ def suggest_str(index: Index, topic: Topic, cfg: CooccurConfig | None = None) ->
     top = ranked[: cfg.top_k]
     df_y = map(value_df.__getitem__, top)
     scores = map(similarity, itertools.repeat(df_x), df_y, map(df_xy.__getitem__, top))
-    return make_suggestion_set(topic.topic_id, "STR", zip(top, scores))
+    return SuggestionSet(topic.topic_id, "STR", top, scores)
 
 
 def _jaccard_key(df_x: int, df_y: int, df_xy: int, n_sq: int) -> int:

@@ -5,13 +5,16 @@ rank:
 
     topic_id <TAB> rank <TAB> concept_text <TAB> score <TAB> system
 
-A suggestion is a (text, score) NamedTuple built without a Python-level
-call, by `tuple.__new__` mapped over the pairs: its rank is its position
-in the set, and its system is the set's. A set checks its scores and
-texts as whole columns, so building and validating a set runs no Python
-loop over its suggestions. The file writer rejects a topic id or text
-that would not read back as written; the reader checks the ranks it
-reads before it drops them.
+A set holds its suggestions as two parallel columns, the texts
+(`concepts`) and the `scores`, in rank order: a suggestion's rank is its
+position, and its system is the set's. The set checks both as whole
+columns, so building and validating one runs no Python loop over its
+suggestions. Its `suggestions`, (text, score) `ConceptSuggestion` rows,
+are made only when read; the generators, COMBO, the query builder, the
+file writer and the evaluator read the columns. The file writer rejects
+a topic id or text that would not read back as written, and a repeated
+(topic, system) pair; the reader checks the ranks it reads before it
+drops them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import count, repeat
 from operator import truediv
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_lines
@@ -37,21 +40,35 @@ class ConceptSuggestion(NamedTuple):
     score: float | Fraction
 
 
-
 @dataclass(frozen=True)
 class SuggestionSet:
+    """One topic's suggestions from one system, as two parallel columns in
+    rank order: the texts (`concepts`) and their `scores`. DataError,
+    naming the topic, for columns of unequal length, a score that is not
+    finite, a repeated text, or scores rising with rank."""
+
     topic_id: str
     system: str
-    suggestions: tuple[ConceptSuggestion, ...]
+    concepts: tuple[str, ...] = ()
+    scores: tuple[float | Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "suggestions", tuple(self.suggestions))
-        if self.suggestions:
-            texts, scores = zip(*self.suggestions)
-            check_ranked(f"suggestions for topic {self.topic_id!r}", texts, tuple(map(float, scores)), "text")
+        concepts, scores = tuple(self.concepts), tuple(self.scores)
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "scores", scores)
+        what = f"suggestions for topic {self.topic_id!r}"
+        if len(concepts) != len(scores):
+            raise DataError(f"{what}: {len(concepts)} texts for {len(scores)} scores")
+        if concepts:
+            check_ranked(what, concepts, tuple(map(float, scores)), "text")
+
+    @property
+    def suggestions(self) -> tuple[ConceptSuggestion, ...]:
+        """The (text, score) rows in rank order, made on each read."""
+        return tuple(map(tuple.__new__, repeat(ConceptSuggestion), zip(self.concepts, self.scores)))
 
     def texts(self) -> list[str]:
-        return [s.text for s in self.suggestions]
+        return list(self.concepts)
 
 
 def group_by_topic(sets: Iterable[SuggestionSet]) -> dict[str, list[SuggestionSet]]:
@@ -66,27 +83,33 @@ def make_suggestion_set(
     topic_id: str, system: str, texts_scores: Iterable[tuple[str, float | Fraction]]
 ) -> SuggestionSet:
     """Build a set from (text, score) tuples already in rank order."""
-    suggestions = tuple(map(tuple.__new__, repeat(ConceptSuggestion), texts_scores))
-    return SuggestionSet(topic_id, system, suggestions)
+    pairs = tuple(texts_scores)
+    concepts, scores = zip(*pairs) if pairs else ((), ())
+    return SuggestionSet(topic_id, system, concepts, scores)
 
 
-def reciprocal_rank_scores() -> Iterator[float]:
-    """1/1, 1/2, 1/3, ...: the synthetic scores of a ranking by position."""
-    return map(truediv, repeat(1.0), count(1))
+def reciprocal_rank_scores(n: int) -> tuple[float, ...]:
+    """1/1, 1/2, ..., 1/n: the synthetic scores of a ranking by position."""
+    return tuple(map(truediv, repeat(1.0, n), range(1, n + 1)))
 
 
 def suggestion_lines(sets: Iterable[SuggestionSet]) -> list[str]:
     """The suggestion file's lines, sorted by topic then rank; DataError,
     before any is written, for a topic id that is empty or holds
-    whitespace, and for a tab, `\\n` or `\\r` inside a column."""
-    lines = []
+    whitespace, a (topic, system) pair given twice, and a tab, `\\n` or
+    `\\r` inside a column."""
+    lines, seen = [], set()
     for sset in sorted(sets, key=lambda s: s.topic_id):
-        if not is_id(sset.topic_id):
-            raise DataError(f"topic id {sset.topic_id!r} is empty or contains whitespace")
-        for rank, (text, score) in enumerate(sset.suggestions, 1):
-            line = f"{sset.topic_id}\t{rank}\t{text}\t{float(score):.6f}\t{sset.system}"
+        topic_id, system = sset.topic_id, sset.system
+        if not is_id(topic_id):
+            raise DataError(f"topic id {topic_id!r} is empty or contains whitespace")
+        if (topic_id, system) in seen:
+            raise DataError(f"repeated suggestion set: topic {topic_id!r}, system {system!r}")
+        seen.add((topic_id, system))
+        for rank, text, score in zip(count(1), sset.concepts, sset.scores):
+            line = f"{topic_id}\t{rank}\t{text}\t{float(score):.6f}\t{system}"
             if line.count("\t") != 4 or "\n" in line or "\r" in line:
-                raise DataError(f"topic {sset.topic_id!r}, suggestion {text!r}: tab or line break")
+                raise DataError(f"topic {topic_id!r}, suggestion {text!r}: tab or line break")
             lines.append(line)
     return lines
 
@@ -110,7 +133,7 @@ def read_suggestion_file(path: str | Path) -> list[SuggestionSet]:
         ranks, texts, scores = zip(*sorted(entries))
         check_ranks(f"{path}: suggestions for topic {topic_id!r}", ranks)
         try:
-            sets.append(make_suggestion_set(topic_id, system, zip(texts, scores)))
+            sets.append(SuggestionSet(topic_id, system, texts, scores))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
     return sets

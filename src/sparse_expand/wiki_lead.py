@@ -29,7 +29,7 @@ from .corpus import Topic
 from .errors import DataError
 from .files import read_titled_files
 from .index import idf_weight, tf_weight
-from .suggestions import SuggestionSet, make_suggestion_set, reciprocal_rank_scores
+from .suggestions import SuggestionSet, reciprocal_rank_scores
 
 _MEDIA_LINK_RE = re.compile(r"\[\[\s*:?\s*(?:file|image|category)\s*:", re.I)
 _LINK_RE = re.compile(r"\[\[(.*?)\]\]", re.S)
@@ -203,29 +203,35 @@ class ArticleStore:
 
         (a) the words as given, in order; (b) the stopword-free words in
         order; (c) every ordering of the stopword-free word set; (d) each
-        single word. A stage looks up each of its texts on its own, a title
-        holding one tf times scoring sqrt(tf) * idf(df); the first stage
-        with a hit wins, and its winner is the hit with the highest score,
-        ties broken by shorter then lexicographically smaller title.
+        single word. The words are analyzed once, and a stage looks up
+        each of its texts' term runs on its own, a title holding one tf
+        times scoring sqrt(tf) * idf(df); the first stage with a hit wins,
+        and its winner is the hit with the highest score, ties broken by
+        shorter then lexicographically smaller title.
         """
-        tokens = query_tokens(self._standard[0], topic_title)
-        token_set = sorted(set(tokens))
+        standard, runs = self._standard
+        # Each query word is one token with a nonempty term, so a text joined
+        # from words analyzes to their terms: each stage looks those up.
+        words = query_tokens(standard, topic_title)
+        terms = tuple(map(standard.term, words))
+        distinct = tuple(map(standard.term, sorted(set(words))))
         orderings = (
-            itertools.permutations(token_set)
-            if 2 <= len(token_set) <= MAX_PERMUTATION_TOKENS
+            itertools.permutations(distinct)
+            if 2 <= len(distinct) <= MAX_PERMUTATION_TOKENS
             else ()
         )
+        exact, exact_runs = self._exact
         stages = (
-            ("original", self._exact, [topic_title]),
-            ("stopword_free", self._standard, [" ".join(tokens)]),
-            ("permutation", self._standard, map(" ".join, orderings)),
-            ("single_word", self._standard, tokens),
+            ("original", exact_runs, [tuple(exact.run(topic_title))]),
+            ("stopword_free", runs, [terms]),
+            ("permutation", runs, orderings),
+            ("single_word", runs, zip(terms)),
         )
-        for stage, (chain, runs), texts in stages:
-            # Each text's best (-score, title length, title); the least wins.
+        for stage, table, phrases in stages:
+            # Each phrase's best (-score, title length, title); the least wins.
             bests = []
-            for text in texts:
-                tfs = Counter(runs.get(tuple(chain.run(text)), ()))
+            for phrase in phrases:
+                tfs = Counter(table.get(phrase, ()))
                 if tfs:
                     idf = idf_weight(len(self._articles), len(tfs))
                     bests.append(min((-tf_weight(tf) * idf, len(title), title) for title, tf in tfs.items()))
@@ -247,7 +253,6 @@ def suggest_wiki_lead(
         raise ValueError(f"k must be >= 0, got {k}")
     match = store.match(topic.title)
     if match is None:
-        return make_suggestion_set(topic.topic_id, "WIKI_ENTITY", [])
-    lead = extract_lead(store.wikitext(match.title), min_links=min_links)
-    pairs = zip(lead.links[:k], reciprocal_rank_scores())
-    return make_suggestion_set(topic.topic_id, "WIKI_ENTITY", pairs)
+        return SuggestionSet(topic.topic_id, "WIKI_ENTITY")
+    links = extract_lead(store.wikitext(match.title), min_links=min_links).links[:k]
+    return SuggestionSet(topic.topic_id, "WIKI_ENTITY", links, reciprocal_rank_scores(len(links)))

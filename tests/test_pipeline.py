@@ -25,6 +25,7 @@ from sparse_expand.pipeline import (
     read_seeds_file,
     run_pipeline,
 )
+from sparse_expand.suggestions import SuggestionSet, make_suggestion_set, read_suggestion_file
 
 
 def _config(paths, **extra) -> PipelineConfig:
@@ -423,3 +424,34 @@ def test_the_run_path_reads_hit_columns_and_never_makes_a_row(tmp_path, monkeypa
     with pytest.raises(AssertionError, match="row was made"):
         list(Hits(["a"], [1.0]))
     assert _run_path_outputs(paths, tmp_path) == expected
+
+
+def _suggestion_outputs(paths) -> list:
+    """The files of a five-system `run`; of a COMBO-only `run` that reads
+    the generators' suggestion files back; and the weak and strong
+    precision of the COMBO sets read back."""
+    out = Path(paths["out"])
+    trees = []
+    for systems in (SYSTEMS, ["COMBO"]):
+        run_pipeline(_config(paths), systems)
+        trees.append({path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*.*"))})
+    sets = read_suggestion_file(out / paths["lang"] / "COMBO" / "suggestions.tsv")
+    report = evaluation.evaluate_suggestions(sets, {sset.topic_id: {1: 2, 2: 1} for sset in sets})
+    return [*trees, report.per_topic]
+
+
+def test_the_suggestion_path_reads_set_columns_and_never_makes_a_row(tmp_path, monkeypatch):
+    paths = build_pipeline_workspace(tmp_path)
+    expected = _suggestion_outputs(paths)
+    full, _, per_topic = expected
+    for system in SYSTEMS:
+        assert full[f"en/{system}/suggestions.tsv"] and full[f"en/{system}/run.trec"]
+    assert len(per_topic) == 6
+
+    def no_rows(_):
+        raise AssertionError("a ConceptSuggestion row was made")
+
+    monkeypatch.setattr(SuggestionSet, "suggestions", property(no_rows))
+    with pytest.raises(AssertionError, match="row was made"):
+        make_suggestion_set("T", "STR", [("a", 1.0)]).suggestions
+    assert _suggestion_outputs(paths) == expected

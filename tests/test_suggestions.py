@@ -48,10 +48,10 @@ def test_suggestion_set_accepts_exactly_what_the_naive_predicate_accepts(tmp_pat
     positional = [(text, rank, score) for rank, (text, _, score) in enumerate(rows, 1)]
     suggestions = tuple(ConceptSuggestion(text, score) for text, _, score in rows)
     if naive_suggestion_set_ok(positional):
-        assert SuggestionSet("T", "STR", suggestions).suggestions == suggestions
+        assert make_suggestion_set("T", "STR", suggestions).suggestions == suggestions
     else:
         with pytest.raises(DataError):
-            SuggestionSet("T", "STR", suggestions)
+            make_suggestion_set("T", "STR", suggestions)
     # A file holds the ranks, in any line order: all three rules.
     path = tmp_path_factory.mktemp("sets") / "suggestions.tsv"
     path.write_text(
@@ -154,3 +154,39 @@ def test_suggestion_writer_rejects_a_text_it_cannot_write_back(tmp_path, text):
         with pytest.raises(DataError, match=re.escape(f"topic id {topic_id!r} is empty or contains whitespace")):
             write_suggestion_file(path, [sets[0], make_suggestion_set(topic_id, "STR", [("whale", 0.5)])])
         assert not path.exists()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "A", "d e"]), _SCORES), max_size=5))
+def test_the_columns_constructor_agrees_with_make_suggestion_set(rows):
+    texts, scores = [text for text, _ in rows], [score for _, score in rows]
+    try:
+        by_columns = SuggestionSet("T", "STR", texts, scores)
+    except DataError:
+        with pytest.raises(DataError):
+            make_suggestion_set("T", "STR", zip(texts, scores))
+        return
+    by_rows = make_suggestion_set("T", "STR", zip(texts, scores))
+    assert by_columns == by_rows and hash(by_columns) == hash(by_rows)
+    assert by_columns.concepts == tuple(texts) and by_columns.scores == tuple(scores)
+    assert by_columns.suggestions == tuple(map(ConceptSuggestion._make, rows))
+    assert by_columns.texts() == texts
+
+
+@pytest.mark.parametrize("texts,scores", [(["a", "b"], [0.5]), (["a"], [0.5, 0.25]), ([], [0.5])])
+def test_suggestion_set_rejects_columns_of_unequal_length(texts, scores):
+    message = f"suggestions for topic 'T': {len(texts)} texts for {len(scores)} scores"
+    with pytest.raises(DataError, match=re.escape(message)):
+        SuggestionSet("T", "STR", texts, scores)
+
+
+def test_suggestion_writer_rejects_a_repeated_topic_and_system(tmp_path):
+    path = tmp_path / "suggestions.tsv"
+    whale, ship = make_suggestion_set("T1", "STR", [("whale", 0.5)]), make_suggestion_set("T1", "STR", [("ship", 0.5)])
+    with pytest.raises(DataError, match=re.escape("repeated suggestion set: topic 'T1', system 'STR'")):
+        write_suggestion_file(path, [whale, make_suggestion_set("T0", "STR", []), ship])
+    assert not path.exists()
+    # One topic may hold a set per system, and each reads back as written.
+    sets = [whale, make_suggestion_set("T1", "COMBO", [("ship", 0.5)])]
+    write_suggestion_file(path, sets)
+    assert read_suggestion_file(path) == sets

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import NAIVE_STRIP_STAGES, naive_article_match, naive_link_targets, naive_strip_markup
 from sparse_expand import index
+from sparse_expand.analysis import AnalyzerChain
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
 from sparse_expand.wiki_lead import (
@@ -337,6 +338,47 @@ def test_match_agrees_with_the_brute_force_oracle(case):
         expected = naive_article_match(titles, topic_title, lang)
         got = (match.title, match.stage, match.score.hex()) if match else None
         assert got == ((expected[0], expected[1], expected[2].hex()) if expected else None)
+
+
+
+@st.composite
+def _permuted_cases(draw):
+    """A language, titles and a topic title of 4 to 6 distinct words, some
+    sharing a term or dropped as stopwords; each title is a run of the
+    topic's words in a drawn order, at times with another word."""
+    lang = draw(st.sampled_from(sorted(_TITLE_WORDS)))
+    vocabulary = sorted(set(_TITLE_WORDS[lang] + _DISTINCT_WORDS[lang]))
+    words = draw(st.lists(st.sampled_from(vocabulary), min_size=4, max_size=6, unique=True))
+    titles = []
+    for _ in range(draw(st.integers(1, 5))):
+        run = draw(st.permutations(words))[: draw(st.integers(1, len(words)))]
+        run += draw(st.lists(st.sampled_from(vocabulary), max_size=1))
+        titles.append(" ".join(run))
+    return lang, list(dict.fromkeys(titles)), " ".join(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_permuted_cases())
+def test_match_of_four_to_six_words_agrees_with_the_brute_force_oracle(case):
+    lang, titles, topic_title = case
+    match = ArticleStore(((title, "") for title in titles), lang=lang).match(topic_title)
+    expected = naive_article_match(titles, topic_title, lang)
+    got = (match.title, match.stage, match.score.hex()) if match else None
+    assert got == ((expected[0], expected[1], expected[2].hex()) if expected else None)
+
+
+def test_match_analyzes_a_topic_once_however_many_orderings(monkeypatch):
+    words = ["whale", "shark", "island", "ocean", "ship", "harbor"]
+    store = ArticleStore([(" ".join(reversed(words)), ""), ("Moby", "")])
+    calls = []
+    run = AnalyzerChain.run
+    monkeypatch.setattr(AnalyzerChain, "run", lambda chain, text: calls.append(text) or run(chain, text))
+    # The last n words, in the title's reverse order: n! orderings, one a hit.
+    for n in range(2, len(words) + 1):
+        calls.clear()
+        topic_title = " ".join(words[-n:])
+        assert store.match(topic_title).stage == "permutation"
+        assert calls == [topic_title]
 
 
 def test_store_rejects_duplicates():
