@@ -12,8 +12,11 @@ chain writes the bytes `run` writes. `run` scores each run from the
 ranked hits it holds, without reading its run file back.
 
 Topics run one after another in a plain loop: the work is CPU-bound
-Python, which threads only slow down. Systems run sequentially because
-the concept merge consumes the other systems' suggestion sets.
+Python, which threads only slow down. `run` works in two phases: it
+reads every input and makes every requested system's suggestion sets
+(COMBO last, since it merges the others), then expands, searches, scores
+and writes one system after another. So a malformed input stops it
+before it writes any file.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ class PipelineConfig:
     min_links: int = 3
     depth: int = 1000
 
+
+# The config paths each system reads beyond docs and topics, in the order
+# config_validate names them; a docsim system's corpus comes first.
+_SYSTEM_INPUTS = {
+    "WIKI_ENTITY": ("articles",),
+    "WIKI_SIM": ("sim_corpus", "seeds"),
+    "WIKI_BACK": ("back_corpus", "seeds"),
+}
 
 # The JSON values each annotated field type takes; a bool is not a number.
 _JSON_TYPES = {
@@ -137,14 +148,10 @@ def config_validate(cfg: PipelineConfig, systems: Sequence[str]) -> list[str]:
         problems.append("min_links must be >= 1")
     if cfg.similarity not in SIMILARITIES:
         problems.append(f"similarity must be one of {list(SIMILARITIES)}, got {cfg.similarity!r}")
-    if "WIKI_ENTITY" in systems:
-        need_path("articles", cfg.articles, "needed by WIKI_ENTITY")
-    if "WIKI_SIM" in systems:
-        need_path("sim_corpus", cfg.sim_corpus, "needed by WIKI_SIM")
-        need_path("seeds", cfg.seeds, "needed by WIKI_SIM")
-    if "WIKI_BACK" in systems:
-        need_path("back_corpus", cfg.back_corpus, "needed by WIKI_BACK")
-        need_path("seeds", cfg.seeds, "needed by WIKI_BACK")
+    for system, names in _SYSTEM_INPUTS.items():
+        if system in systems:
+            for name in names:
+                need_path(name, getattr(cfg, name), f"needed by {system}")
     if cfg.qrels:
         need_path("qrels", cfg.qrels, "relevance judgments")
     return problems
@@ -246,7 +253,11 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     """Produce run, suggestion and metric files for the requested systems.
 
     Returns the written file paths per system. Raises ConfigError before
-    any work if the configuration is incomplete.
+    any work if the configuration is incomplete. Phase 1 reads every
+    input, the seeds file once and COMBO's on-disk generator files
+    included, and makes every system's suggestion sets. Phase 2 expands,
+    searches and scores one system at a time, then writes its files; the
+    manifest comes last. So an input error rises before the first write.
     """
     systems = list(dict.fromkeys(systems))
     problems = config_validate(cfg, systems)
@@ -263,29 +274,22 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
     index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: chain_for(cfg.lang)})
+    del documents  # the index holds all the run reads of them
     if not index.has_field(f"{ALL_FIELD}-{cfg.lang}"):
         raise DataError(f"corpus has no indexed {cfg.lang!r} content")
 
     qrels = read_qrels_file(cfg.qrels) if cfg.qrels else None
-    expansion = ExpansionConfig(title_boost=cfg.boost, max_concepts=cfg.k)
-    written: dict[str, list[str]] = {}
+    ordered = [s for s in SYSTEMS if s in systems]  # COMBO comes last
+    reads_seeds = any("seeds" in _SYSTEM_INPUTS.get(s, ()) for s in ordered)
+    seeds = read_seeds_file(cfg.seeds) if reads_seeds else {}
     produced: dict[str, list[SuggestionSet]] = {}
-
-    ordered = [s for s in SYSTEMS if s in systems]  # COMBO runs last
     for system in ordered:
         logger.info("running system %s (%s)", system, cfg.lang)
-        system_dir = lang_dir / system
-        sets = produced[system] = _system_sets(system, cfg, index, topics, lang_dir, produced)
-        suggestions_path, run_path = system_dir / "suggestions.tsv", system_dir / "run.trec"
-        write_suggestion_file(suggestions_path, sets)
-        queries = expanded_queries(topics, group_by_topic(sets), expansion)
-        run = search_run(index, queries, cfg.depth)
-        write_run_file(run_path, run, system)
-        written[system] = [str(suggestions_path), str(run_path)]
-        if qrels is not None:
-            metrics_path = system_dir / "metrics.tsv"
-            _write_metrics(metrics_path, evaluate_run(run, qrels, depth=cfg.depth))
-            written[system].append(str(metrics_path))
+        produced[system] = _system_sets(system, cfg, index, topics, seeds, lang_dir, produced)
+
+    written: dict[str, list[str]] = {}
+    for system in ordered:  # each system's sets are dropped once written
+        written[system] = _score_and_write(system, produced.pop(system), cfg, index, topics, qrels, lang_dir)
 
     manifest_path = out_root / "manifest.json"
     _write_manifest(manifest_path, cfg, ordered)
@@ -298,6 +302,7 @@ def _system_sets(
     cfg: PipelineConfig,
     index: Index,
     topics: Sequence[Topic],
+    seeds: Mapping[str, str],
     lang_dir: Path,
     produced: Mapping[str, list[SuggestionSet]],
 ) -> list[SuggestionSet]:
@@ -309,9 +314,34 @@ def _system_sets(
         return wiki_entity_sets(store, topics, cfg.k, cfg.min_links)
     if system == "COMBO":
         return combo_sets(_combo_inputs(lang_dir, topics, produced), cfg.k)
-    corpus = SimCorpus.from_dir(cfg.sim_corpus if system == "WIKI_SIM" else cfg.back_corpus, lang=cfg.lang)
+    corpus = SimCorpus.from_dir(getattr(cfg, _SYSTEM_INPUTS[system][0]), lang=cfg.lang)
     topic_ids = [t.topic_id for t in topics]
-    return docsim_sets(corpus, read_seeds_file(cfg.seeds), topic_ids, cfg.k, cfg.n, system)
+    return docsim_sets(corpus, seeds, topic_ids, cfg.k, cfg.n, system)
+
+
+def _score_and_write(
+    system: str,
+    sets: list[SuggestionSet],
+    cfg: PipelineConfig,
+    index: Index,
+    topics: Sequence[Topic],
+    qrels: Mapping[str, Mapping[str, int]] | None,
+    lang_dir: Path,
+) -> list[str]:
+    """Expand, search and score one system's sets, then write its
+    suggestion, run and (given qrels) metric files; returns their paths.
+    The run dies on return, before the next system's search."""
+    expansion = ExpansionConfig(title_boost=cfg.boost, max_concepts=cfg.k)
+    run = search_run(index, expanded_queries(topics, group_by_topic(sets), expansion), cfg.depth)
+    report = evaluate_run(run, qrels, depth=cfg.depth) if qrels is not None else None
+    system_dir = lang_dir / system
+    paths = [system_dir / "suggestions.tsv", system_dir / "run.trec"]
+    write_suggestion_file(paths[0], sets)
+    write_run_file(paths[1], run, system)
+    if report is not None:
+        paths.append(system_dir / "metrics.tsv")
+        _write_metrics(paths[2], report)
+    return [str(path) for path in paths]
 
 
 def _combo_inputs(

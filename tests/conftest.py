@@ -113,6 +113,13 @@ def write_topics_file(path: Path, topics) -> Path:
     return path
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """{relative posix path: bytes} of every file under `root`; {} when
+    `root` is missing."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def build_pipeline_workspace(
     root: Path, seed: int = 0, n_docs: int = 120, n_topics: int = 6, lang: str = "en"
 ) -> dict[str, str]:

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WORDS, build_pipeline_workspace, random_corpus, write_docs_file, write_topics_file
+from conftest import (
+    WORDS,
+    build_pipeline_workspace,
+    random_corpus,
+    tree_bytes,
+    write_docs_file,
+    write_topics_file,
+)
 from oracles import (
     naive_average_precision,
     naive_docsim_ranking,
@@ -247,14 +254,10 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     started = time.monotonic()
     run_pipeline(cfg, systems)
     out = Path(paths["out"])
-    snapshot = {
-        p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()
-    }
+    snapshot = tree_bytes(out)
     run_pipeline(cfg, systems)
     elapsed = time.monotonic() - started
-    second = {
-        p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()
-    }
+    second = tree_bytes(out)
     assert second == snapshot
     for system in systems:
         assert (out / "en" / system / "run.trec").stat().st_size > 0

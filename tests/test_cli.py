@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OLDER_SNAPSHOTS, build_pipeline_workspace, write_docs_file, write_topics_file
+from conftest import (
+    OLDER_SNAPSHOTS,
+    build_pipeline_workspace,
+    tree_bytes,
+    write_docs_file,
+    write_topics_file,
+)
 from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
 from sparse_expand.corpus import Document, Topic
@@ -545,8 +551,9 @@ def test_a_k_beyond_sys_maxsize_writes_what_k_1000_writes(tmp_path, command):
         out.mkdir()
         assert main([*argv, str(out if command == "run" else out / "out.tsv"), "--k", k]) == 0
         # The manifest's config hash covers --k and --out.
-        files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
-        written.append({p.relative_to(out): p.read_bytes() for p in files})
+        tree = tree_bytes(out)
+        tree.pop("manifest.json", None)
+        written.append(tree)
     assert written[0] and written[0] == written[1]
 
 
@@ -566,6 +573,94 @@ def test_run_on_a_repeated_topic_id_exits_2_and_writes_nothing(tmp_path, capsys,
     assert main(args + ["--system", "STR"]) == 2
     assert "topics.jsonl:4: repeated topic id 'T-000'" in capsys.readouterr().err
     assert not Path(workspace["out"]).exists()
+
+
+def _run_args(workspace, systems) -> list[str]:
+    """`run` over every input of the workspace, qrels included."""
+    args = ["run"]
+    for key in ("docs", "topics", "out", "articles", "sim_corpus", "back_corpus", "seeds", "qrels"):
+        args += [f"--{key.replace('_', '-')}", workspace[key]]
+    return args + [arg for system in systems for arg in ("--system", system)]
+
+
+def _append(path: Path, data: bytes) -> None:
+    path.write_bytes(path.read_bytes() + data)
+
+
+# Each fault breaks one input of `run` and returns the systems to request
+# and the error `run` must report. All but the article fault surface only
+# after some system's suggestions or run have been made.
+
+
+def _repeated_seed_id(workspace):
+    seeds = Path(workspace["seeds"])
+    lines = seeds.read_bytes().splitlines(keepends=True)
+    _append(seeds, lines[0])
+    return SYSTEMS, f"{seeds}:{len(lines) + 1}: repeated topic id 'T-000'"
+
+
+def _unknown_seed_title(workspace):
+    seeds = Path(workspace["seeds"])
+    lines = seeds.read_text(encoding="utf-8").splitlines()
+    seeds.write_text("\n".join(["T-000\tNowhere", *lines[1:]]) + "\n", encoding="utf-8")
+    return SYSTEMS, "seed not found: 'Nowhere'"
+
+
+def _back_corpus_not_utf8(workspace):
+    text = sorted(Path(workspace["back_corpus"]).glob("*.txt"))[0]
+    _append(text, b"caf\xe9\n")
+    return SYSTEMS, f"{text}:1: not UTF-8: invalid continuation byte"
+
+
+def _malformed_generator_file(workspace):
+    # COMBO reads WIKI_ENTITY's suggestions from disk when it is not requested.
+    suggestions = Path(workspace["out"]) / "en" / "WIKI_ENTITY" / "suggestions.tsv"
+    suggestions.parent.mkdir(parents=True, exist_ok=True)
+    lines = len(suggestions.read_bytes().splitlines()) if suggestions.exists() else 0
+    with suggestions.open("ab") as file:
+        file.write(b"T-000\tfirst\tWhale\t0.5\tWIKI_ENTITY\n")
+    return SYSTEMS[1:], f"{suggestions}:{lines + 1}: bad rank or score"
+
+
+def _qrels_without_a_relevant_topic(workspace):
+    qrels = Path(workspace["qrels"])
+    lines = qrels.read_text(encoding="utf-8").splitlines()
+    qrels.write_text("".join(line.rsplit(" ", 1)[0] + " 0\n" for line in lines), encoding="utf-8")
+    return SYSTEMS, "no qrels topic has relevant documents"
+
+
+def _article_not_utf8(workspace):
+    article = sorted(Path(workspace["articles"]).glob("*.wiki"))[0]
+    _append(article, b"caf\xe9\n")
+    return SYSTEMS, f"{article}:4: not UTF-8: invalid continuation byte"
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["no-earlier-run", "earlier-run"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        _repeated_seed_id,
+        _unknown_seed_title,
+        _back_corpus_not_utf8,
+        _malformed_generator_file,
+        _qrels_without_a_relevant_topic,
+        _article_not_utf8,
+    ],
+    ids=lambda fault: fault.__name__.lstrip("_"),
+)
+def test_run_on_a_faulty_input_exits_2_and_leaves_out_as_it_was(tmp_path, capsys, fault, earlier_run):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    if earlier_run:
+        # With another k every file differs, so a rewritten one shows.
+        assert main(_run_args(workspace, SYSTEMS) + ["--k", "2"]) == 0
+        assert (Path(workspace["out"]) / "manifest.json").exists()
+    systems, message = fault(workspace)
+    before = tree_bytes(Path(workspace["out"]))
+    capsys.readouterr()
+    assert main(_run_args(workspace, systems)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err and "Traceback" not in err
+    assert tree_bytes(Path(workspace["out"])) == before
 
 
 def test_expand_on_a_repeated_topic_id_exits_2(tmp_path, capsys):

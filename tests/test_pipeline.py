@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pipeline_workspace
-from sparse_expand import evaluation
+from sparse_expand import evaluation, pipeline
 from sparse_expand.cli import cli, main
 from sparse_expand.errors import ConfigError, DataError
 from sparse_expand.files import write_atomic
@@ -58,6 +58,29 @@ def test_validate_system_prerequisites(tmp_path):
     problems = config_validate(cfg, ["WIKI_ENTITY", "WIKI_SIM"])
     assert any("articles" in p for p in problems)
     assert any("sim_corpus" in p for p in problems)
+    cfg = _config(paths, articles="", sim_corpus="", back_corpus="", seeds="")
+    expected = [
+        "missing articles (needed by WIKI_ENTITY)",
+        "missing sim_corpus (needed by WIKI_SIM)",
+        "missing seeds (needed by WIKI_SIM)",
+        "missing back_corpus (needed by WIKI_BACK)",
+        "missing seeds (needed by WIKI_BACK)",
+    ]
+    assert config_validate(cfg, ["WIKI_ENTITY", "WIKI_SIM", "WIKI_BACK"]) == expected
+    assert config_validate(cfg, ["WIKI_BACK", "WIKI_SIM", "WIKI_ENTITY"]) == expected
+
+
+def test_run_reads_the_seeds_file_once(tmp_path, monkeypatch):
+    paths = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_seeds_file(path)
+
+    monkeypatch.setattr(pipeline, "read_seeds_file", counting)
+    run_pipeline(_config(paths), ["WIKI_SIM", "WIKI_BACK"])
+    assert calls == [paths["seeds"]]
 
 
 def test_validate_unknown_system(tmp_path):
