@@ -27,9 +27,10 @@ from .evaluation import (
     read_qrels_file,
     read_run_file,
     run_text,
+    write_run_file,
 )
 from .expand import ExpansionConfig, write_query_file, read_query_file
-from .files import is_id, write_atomic
+from .files import is_id, write_lines
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
     PipelineConfig,
@@ -72,16 +73,12 @@ def _echo_rows(rows: list[tuple], headers: tuple[str, ...], fmt: str) -> None:
         click.echo("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
-def _emit_text(text: str, out_file: str | None) -> None:
-    """Write the text to `out_file`, or print it when there is none."""
-    if out_file:
-        write_atomic(out_file, text.encode("utf-8"))
-    else:
-        click.echo(text, nl=False)
-
-
 def _emit_lines(lines: list[str], out_file: str | None) -> None:
-    _emit_text("".join(line + "\n" for line in lines), out_file)
+    """Write the lines to `out_file`, or print them when there is none."""
+    if out_file:
+        write_lines(out_file, lines)
+    else:
+        click.echo("".join(line + "\n" for line in lines), nl=False)
 
 
 def _run_tag(ctx, param, value: str) -> str:
@@ -204,7 +201,10 @@ def index_search(index_dir, query_file, top_k, run_tag, out_file):
     """Run serialized queries; writes TREC run lines."""
     index = Index.load(Path(index_dir) / SNAPSHOT_FILENAME)
     run = search_run(index, read_query_file(query_file), top_k)
-    _emit_text(run_text(run, run_tag), out_file)
+    if out_file:
+        write_run_file(out_file, run, run_tag)
+    else:
+        click.echo(run_text(run, run_tag), nl=False)
 
 
 # -- suggest ------------------------------------------------------------

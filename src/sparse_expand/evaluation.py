@@ -12,9 +12,10 @@ silent override. Topic and doc ids follow the id rule of `files`.
 
 In memory a run is `{topic_id: Hits}`, each topic's hits in rank order,
 as `Index.search` returns them. The writer reads the `doc_ids` and
-`scores` columns, never a row: it formats each topic with one `%`
-format, its line repeated once per hit, numbers the ranks and writes the
-run tag it is given. The reader checks the ranks, then drops them and
+`scores` columns, never a row: it checks every topic first, then formats
+each topic with one `%` format, its line repeated once per hit, numbers
+the ranks, writes the run tag it is given, and encodes and writes one
+topic's block at a time. The reader checks the ranks, then drops them and
 the tags.
 
 A grade >= 1 counts as relevant for the ad-hoc metrics. Topics without
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DataError
 from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_atomic
@@ -44,28 +45,40 @@ RELEVANCE_THRESHOLD = 1
 _NO_HITS = Hits()
 
 
-def run_text(run: Mapping[str, Hits], run_tag: str) -> str:
-    """The run file's text: topics in mapping order, hits in rank order.
-
-    Raises DataError, so that no caller writes any of it, for what
-    `read_run_file` would reject: a run tag, topic id or doc id that is
-    empty or holds whitespace, and hits that `check_ranked` rejects."""
+def _run_blocks(run: Mapping[str, Hits], run_tag: str) -> Iterator[str]:
+    """Each topic's block of run lines, in mapping order, as an iterator;
+    raises DataError before returning it, so that no caller writes any
+    of the run, for what `read_run_file` would reject: a run tag, topic
+    id or doc id that is empty or holds whitespace, and hits that
+    `check_ranked` rejects."""
     ids = {run_tag}.union(run, *(hits.doc_ids for hits in run.values()))
     bad = [i for i in ids if not is_id(i)]
     if bad:
         raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
-    tag = run_tag.replace("%", "%%")  # an id may hold `%`, which the format would read
-    blocks = []
-    for topic_id, hits in run.items():  # one `%` format per topic, over its hits' fields
+    for topic_id, hits in run.items():
         check_ranked(f"run for topic {topic_id!r}", hits.doc_ids, hits.scores, "doc_id")
-        line = f"{topic_id.replace('%', '%%')} Q0 %s %d %.6f {tag}\n"
-        n = len(hits.doc_ids)
-        blocks.append((line * n) % tuple(chain.from_iterable(zip(hits.doc_ids, range(1, n + 1), hits.scores))))
-    return "".join(blocks)
+    tag = run_tag.replace("%", "%%")  # an id may hold `%`, which the format would read
+    return (_run_block(topic_id.replace("%", "%%"), hits, tag) for topic_id, hits in run.items())
+
+
+def _run_block(topic: str, hits: Hits, tag: str) -> str:
+    """One topic's run lines, by one `%` format over its hits' fields;
+    `topic` and `tag` come with any `%` doubled."""
+    n = len(hits.doc_ids)
+    line = f"{topic} Q0 %s %d %.6f {tag}\n"
+    return (line * n) % tuple(chain.from_iterable(zip(hits.doc_ids, range(1, n + 1), hits.scores)))
+
+
+def run_text(run: Mapping[str, Hits], run_tag: str) -> str:
+    """The run file's text: topics in mapping order, hits in rank order.
+    Raises DataError as `_run_blocks` does."""
+    return "".join(_run_blocks(run, run_tag))
 
 
 def write_run_file(path: str | Path, run: Mapping[str, Hits], run_tag: str) -> None:
-    write_atomic(path, run_text(run, run_tag).encode("utf-8"))
+    """Write `run_text` to `path`, encoding one topic's block at a time, so
+    the whole text is never held; a DataError comes before any write."""
+    write_atomic(path, (block.encode("utf-8") for block in _run_blocks(run, run_tag)))
 
 
 def read_run_file(path: str | Path) -> dict[str, Hits]:

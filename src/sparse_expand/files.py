@@ -1,13 +1,14 @@
 """The file boundary: every output write, every text-file read and the
 rules of the records those files hold.
 
-Every output file is written to a unique temporary file in its
-directory, flushed to disk and renamed over the target, so a failed
-write leaves the old file in place and no temporary file behind. Every
-input text file is UTF-8; a file that is not raises `DataError` naming
-the file and line. Line files hold one record per line, split as `open()`
-splits them (at `\\n`, `\\r` and `\\r\\n` only); readers skip blank lines
-and number the rest from 1 for their error messages.
+Every output file is written, as a sequence of byte chunks, to a unique
+temporary file in its directory, flushed to disk and renamed over the
+target, so a failed write leaves the old file in place and no temporary
+file behind. Every input text file is UTF-8; a file that is not raises
+`DataError` naming the file and line. Line files hold one record per
+line, split as `open()` splits them (at `\\n`, `\\r` and `\\r\\n` only);
+readers skip blank lines and number the rest from 1 for their error
+messages.
 
 The record rules live here, each once: a JSON record (document, topic,
 `run` config) is one object with no repeated key and no lone surrogate
@@ -35,14 +36,17 @@ from .errors import DataError
 T = TypeVar("T")
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace `path` with `data`, creating its directory if needed."""
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Replace `path` with the concatenated byte `chunks`, creating its
+    directory if needed. The chunks are written as they are drawn, so a
+    caller need not hold the whole file at once; an error while drawing
+    one leaves the old file as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         # mkstemp creates the file private; give it the mode a plain write would.
@@ -57,7 +61,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline."""
-    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+    write_atomic(path, ["".join(line + "\n" for line in lines).encode("utf-8")])
 
 
 def _lf(text: str) -> str:

@@ -34,8 +34,9 @@ one occurrence. A doc score adds its clause scores in clause order from
 score map from the first clause that matches in one C-level pass (a
 clause lists each doc once); later clauses add into it one doc at a
 time. The result is a `Hits`: two tuples, doc ids and scores in rank
-order, each made from the ranked ordinals by one C-level map, so no
-object is made per hit. `ScoredDoc` rows exist only when a caller
+order, each gathered from the ranked ordinals by one C-level
+`itemgetter` call (a plain map when there are fewer than two hits), so
+no object is made per hit. `ScoredDoc` rows exist only when a caller
 indexes or iterates the hits; the run writer and `evaluate_run` read
 the columns.
 
@@ -114,7 +115,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import attrgetter, eq, le, lt, sub
+from operator import attrgetter, eq, itemgetter, le, lt, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -557,6 +558,10 @@ class Index:
         ranked = sorted(scores)  # ordinal order is doc_id order
         ranked.sort(key=scores.__getitem__, reverse=True)
         del ranked[k:]
+        if len(ranked) > 1:  # one C-level gather per column
+            gather = itemgetter(*ranked)
+            return Hits(gather(self._doc_ids), gather(scores))
+        # itemgetter needs a key, and with exactly one returns a bare item
         return Hits(tuple(map(self._doc_ids.__getitem__, ranked)), tuple(map(scores.__getitem__, ranked)))
 
     # -- persistence ----------------------------------------------------
@@ -588,7 +593,7 @@ class Index:
             _put_table(out, values)
             _put_column(out, value_starts)
             _put_column(out, value_docs)
-        write_atomic(path, out)
+        write_atomic(path, [out])
 
     @classmethod
     def load(cls, path: str | Path) -> "Index":

@@ -368,6 +368,24 @@ def test_run_writer_rejects_hits_the_reader_would_reject(tmp_path, hits, message
     assert not path.exists()
 
 
+def test_run_writer_failing_mid_write_or_on_the_last_topic_keeps_the_old_file(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_bytes(b"old\n")
+    # A lone surrogate passes every check and fails only when its topic's
+    # block is encoded, after the earlier topics' blocks were written.
+    run = {"T0": Hits(["x"], [1.0]), "T1": Hits(["d\ud800"], [1.0])}
+    with pytest.raises(UnicodeEncodeError):
+        write_run_file(path, run, "t")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+    # Every topic is checked before the write starts, which would first
+    # make the target's directory.
+    run = {"T0": Hits(["x"], [1.0]), "T1": Hits(["y"], [1.0]), "T2": Hits(["a", "b"], [1.0, 2.0])}
+    with pytest.raises(DataError, match=re.escape("run for topic 'T2': scores increase with rank")):
+        write_run_file(tmp_path / "new" / "run.trec", run, "t")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+
+
 def test_evaluate_suggestions_rejects_mixed_systems():
     sets = [
         make_suggestion_set("T1", "STR", [("a", 1.0)]),

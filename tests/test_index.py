@@ -268,7 +268,7 @@ def test_search_oracle_randomized(seed):
     cut = 0
     for _ in range(12):
         query = _random_query(rng)
-        for k in (1000, 3):
+        for k in (1000, 3, 1):
             _assert_search_matches_oracle(idx, docs, query, k)
         cut += len(idx.search(query, 1000)) > 3
     assert cut, "no query had more hits than the smaller k"

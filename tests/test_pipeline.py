@@ -263,7 +263,7 @@ def test_read_seeds_file(tmp_path):
 
 def test_atomic_write_replaces_the_file_with_a_plain_file_mode(tmp_path):
     target = tmp_path / "out" / "run.trec"
-    write_atomic(target, b"new\n")
+    write_atomic(target, [b"new\n"])
     plain = tmp_path / "plain.txt"
     plain.write_text("x", encoding="utf-8")
     assert target.read_text(encoding="utf-8") == "new\n"
@@ -282,7 +282,7 @@ def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(os, step, disk_full)
             with pytest.raises(OSError, match="disk full"):
-                write_atomic(target, b"new\n")
+                write_atomic(target, [b"new\n"])
         assert target.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
         assert not list(tmp_path.glob("*.tmp*"))
