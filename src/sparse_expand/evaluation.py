@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DataError
-from .files import ascii_number, check_ranked, check_ranks, is_id, line_id, read_rows, write_atomic
+from .files import ascii_number, check_ranked, check_ranks, encodable, is_id, line_id, read_rows, write_atomic
 from .index import Hits
 from .suggestions import SuggestionSet
 
@@ -50,11 +50,15 @@ def _run_blocks(run: Mapping[str, Hits], run_tag: str) -> Iterator[str]:
     raises DataError before returning it, so that no caller writes any
     of the run, for what `read_run_file` would reject: a run tag, topic
     id or doc id that is empty or holds whitespace, and hits that
-    `check_ranked` rejects."""
+    `check_ranked` rejects; and for an id that no UTF-8 file can hold
+    (`encodable`)."""
     ids = {run_tag}.union(run, *(hits.doc_ids for hits in run.values()))
     bad = [i for i in ids if not is_id(i)]
     if bad:
         raise DataError(f"run id {min(bad)!r} is empty or contains whitespace")
+    if not encodable("".join(ids)):  # surrogates stay lone when joined
+        bad = min(i for i in ids if not encodable(i))
+        raise DataError(f"run id {bad!r} holds a lone surrogate, which UTF-8 cannot encode")
     for topic_id, hits in run.items():
         check_ranked(f"run for topic {topic_id!r}", hits.doc_ids, hits.scores, "doc_id")
     tag = run_tag.replace("%", "%%")  # an id may hold `%`, which the format would read

@@ -14,7 +14,8 @@ The record rules live here, each once: a JSON record (document, topic,
 `run` config) is one object with no repeated key and no lone surrogate
 (`json_object`); a delimited row has its reader's column count
 (`read_rows`) and ASCII numerals (`ascii_number`); an id holds no
-whitespace (`is_id`); a ranked list (a run topic, a suggestion set) has
+whitespace (`is_id`); written text holds no lone surrogate
+(`encodable`); a ranked list (a run topic, a suggestion set) has
 finite scores that never rise, no key twice (`check_ranked`) and, in a
 file, ranks 1..k (`check_ranks`).
 """
@@ -60,8 +61,27 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line followed by a newline."""
-    write_atomic(path, ["".join(line + "\n" for line in lines).encode("utf-8")])
+    """Write each line followed by a newline; DataError, before any byte
+    is written, for a line holding a lone surrogate (`encodable`)."""
+    text = "".join(line + "\n" for line in lines)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}: line {lineno} holds a lone surrogate {text[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None
+    write_atomic(path, [data])
+
+
+def encodable(text: str) -> bool:
+    """Whether `text` can be written as UTF-8: whether it holds no lone
+    surrogate (\\ud800-\\udfff), the only code points UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _lf(text: str) -> str:

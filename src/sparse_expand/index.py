@@ -40,13 +40,20 @@ no object is made per hit. `ScoredDoc` rows exist only when a caller
 indexes or iterates the hits; the run writer and `evaluate_run` read
 the columns.
 
-Expanded queries repeat the same phrases, so each `Index` keeps a memo
-from (field, analyzed tokens) to a phrase's matching docs and tfs, and
-matches each distinct phrase once. An entry costs 1 plus its matched-doc
-count; once `PHRASE_MEMO_BUDGET` units are spent, a new phrase is matched
-but not stored. STR's concept table per language (`concept_table`), and
-a field's term ordinals and position offsets, are built on first use.
-The memo and the tables start empty in the constructor and live and die
+Expanded queries repeat the same clauses, so each `Index` keeps a clause
+memo from (field, text, boost) to the docs and tfs columns that hold the
+clause's matches, their bounds in them, and its tf -> weight map; or an
+empty entry for a clause that analyzes to nothing or matches nothing.
+`search` analyzes, looks up and weighs each distinct clause, single
+token or phrase, once; a repeat reads the entry. A single token's entry
+points into its field's columns and copies nothing; a phrase's entry
+holds its matching docs and their match counts. A clause on a field the
+index lacks is never stored, so UnknownFieldError rises on every call. An
+entry costs 1, plus its matched-doc count for a phrase; once
+`CLAUSE_MEMO_BUDGET` units are spent, a new clause is weighed but not
+stored. STR's concept table per language (`concept_table`), and a
+field's term ordinals and position offsets, are built on first use. The
+memo and the tables start empty in the constructor and live and die
 with their `Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
@@ -138,15 +145,22 @@ if any(array(code).itemsize != width for width, code in _TYPECODES.items()):
     raise ImportError("sparse_expand.index needs array items of 1, 2 and 4 bytes")
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# Units of the per-index phrase memo: an entry costs 1 plus its matched
-# docs. A `run` at about 2.6k distinct phrases of 2.3 docs each fits.
-PHRASE_MEMO_BUDGET = 2**16
+# Units of the per-index clause memo, which holds single tokens and
+# phrases alike: an entry costs 1, plus its matched docs for a phrase,
+# whose matches it holds. A five-system `run` of 600 topics needs about
+# 5.9k units over 2k docs and 23k over 20k.
+CLAUSE_MEMO_BUDGET = 2**16
 
 # Items per step of `_rises`: the big ints it makes span at most this many.
 _RISE_CHUNK = 4096
 
-# The docs and tfs of a phrase that matches no document, shared by all.
+# The docs and tfs of a clause that matches no document, shared by all.
 _NO_MATCH = (array("I"), array("I"))
+
+# The clause memo's entry for a clause that analyzes to nothing or
+# matches nothing, and the columns and bounds of a term that is unseen.
+_NO_ENTRY = ()
+_NO_SPAN = (*_NO_MATCH, 0, 0)
 
 # Field name -> its place in the union field's order.
 _SCHEMA_ORDER = {name: i for i, name in enumerate(DEFAULT_SCHEMA)}
@@ -287,6 +301,11 @@ def _pos_starts(starts: array, tfs: array) -> list[int]:
     return list(accumulate(map(sum, term_tfs), initial=0))
 
 
+def _span(field_columns: _FieldColumns, i: int) -> tuple[array, array, int, int]:
+    """A field's docs and tfs columns, and the bounds of term i in them."""
+    return field_columns.docs, field_columns.tfs, field_columns.starts[i], field_columns.starts[i + 1]
+
+
 def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
     """One field's columns from per-term columns."""
     names = sorted(terms)
@@ -328,7 +347,7 @@ def _raw_value_columns(value_docs: Mapping[str, Iterable[int]]) -> _RawValues:
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
-    only internal state is the phrase memo that `search` fills, the
+    only internal state is the clause memo that `search` fills, the
     concept tables that `concept_table` fills, and each field's term
     ordinals and position offsets, built on its first term lookup and
     first positional read; none changes a result."""
@@ -356,8 +375,8 @@ class Index:
         self._fields = dict(fields)
         self._raw_values = dict(raw_values)
         self._chains = dict(chains)
-        self._phrase_memo: dict[tuple[str, ...], tuple[array, array]] = {}
-        self._phrase_memo_room = PHRASE_MEMO_BUDGET
+        self._clause_memo: dict[tuple[str, str, float], tuple] = {}
+        self._clause_memo_room = CLAUSE_MEMO_BUDGET
         self._concept_tables: dict[str, tuple[dict[str, int], dict[int, tuple[str, ...]]]] = {}
 
     @property
@@ -384,21 +403,29 @@ class Index:
             raise UnknownFieldError(f"unknown field: {field!r}")
         return self._chains[field.rpartition("-")[2]]
 
-    def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
-        """The first `width` of a term's columns (docs, tfs, positions),
-        cut from its field's columns; None if the term is unseen. The
-        field's term ordinals are built on its first lookup, and its
-        position offsets derived on its first read of width 3."""
+    def _term(self, field: str, analyzed_term: str) -> tuple[_FieldColumns, int] | None:
+        """A term's field columns and its ordinal in them; None if the
+        field or the term is unseen. The field's term ordinals are built on
+        its first lookup."""
         field_columns = self._fields.get(field)
         if field_columns is None:
             return None
-        terms, ordinals, starts, pos_starts, docs, tfs, positions = field_columns
+        ordinals = field_columns.ordinals
         if ordinals is None:
-            ordinals = dict(zip(terms, count()))
+            ordinals = dict(zip(field_columns.terms, count()))
             field_columns = self._fields[field] = field_columns._replace(ordinals=ordinals)
         i = ordinals.get(analyzed_term)
-        if i is None:
+        return None if i is None else (field_columns, i)
+
+    def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
+        """The first `width` of a term's columns (docs, tfs, positions),
+        cut from its field's columns; None if the term is unseen. The
+        field's position offsets are derived on its first read of width 3."""
+        found = self._term(field, analyzed_term)
+        if found is None:
             return None
+        field_columns, i = found
+        _, _, starts, pos_starts, docs, tfs, positions = field_columns
         lo, hi = starts[i], starts[i + 1]
         if width == 1:
             return (docs[lo:hi],)
@@ -520,36 +547,45 @@ class Index:
 
     def search(self, query: Query, k: int) -> Hits:
         """The top `k` (at least 1) documents for a disjunctive query; raw
-        clause text is analyzed with the field's chain at query time."""
+        clause text is analyzed with the field's chain at query time.
+
+        Each distinct (field, text, boost) clause, single token or phrase,
+        is analyzed, looked up and weighed on its first call and then read
+        from the clause memo while its budget lasts; UnknownFieldError
+        rises on every call for a field the index lacks."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         scores: dict[int, float] = {}
         get = scores.get
-        memo = self._phrase_memo
+        memo = self._clause_memo
         for clause in query.clauses:
-            tokens = self.chain_for_field(clause.field).run(clause.text)
-            if len(tokens) == 1:
-                columns = self._columns(clause.field, tokens[0], 2)
-                if columns is None:
-                    continue
-                docs, tfs = columns
-            elif tokens:
-                key = (clause.field, *tokens)
-                found = memo.get(key)
-                if found is None:
-                    found = self._phrase_matches(clause.field, tokens)
-                    cost = 1 + len(found[0])
-                    if cost <= self._phrase_memo_room:
-                        memo[key] = found
-                        self._phrase_memo_room -= cost
-                docs, tfs = found
-            else:
+            key = (clause.field, clause.text, clause.boost)
+            entry = memo.get(key)
+            if entry is None:
+                tokens = self.chain_for_field(clause.field).run(clause.text)
+                cost = 1
+                if len(tokens) == 1:  # bounds in the field's columns; no docs copied
+                    found = self._term(clause.field, tokens[0])
+                    docs, tfs, lo, hi = _span(*found) if found else _NO_SPAN
+                elif tokens:  # the entry holds the phrase's matches
+                    docs, tfs = self._phrase_matches(clause.field, tokens)
+                    lo, hi = 0, len(docs)
+                    cost += hi
+                else:
+                    docs, tfs, lo, hi = _NO_SPAN
+                entry = _NO_ENTRY
+                if lo < hi:
+                    idf = idf_weight(self.n_docs, hi - lo)
+                    boost = clause.boost
+                    weight = {tf: boost * tf_weight(tf) * idf for tf in set(tfs[lo:hi])}
+                    entry = docs, tfs, lo, hi, weight
+                if cost <= self._clause_memo_room:
+                    memo[key] = entry
+                    self._clause_memo_room -= cost
+            if not entry:  # analyzes to nothing or matches nothing
                 continue
-            if not docs:
-                continue
-            idf = idf_weight(self.n_docs, len(docs))
-            boost = clause.boost
-            weight = {tf: boost * tf_weight(tf) * idf for tf in set(tfs)}
+            docs, tfs, lo, hi, weight = entry
+            docs, tfs = docs[lo:hi], tfs[lo:hi]
             if scores:
                 for doc, tf in zip(docs, tfs):
                     scores[doc] = get(doc, 0.0) + weight[tf]

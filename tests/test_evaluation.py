@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_average_precision, naive_r_precision, naive_run_file_text, naive_se_precision
+from sparse_expand import evaluation
 from sparse_expand.errors import DataError
 from sparse_expand.evaluation import (
     GRADES,
@@ -19,6 +20,7 @@ from sparse_expand.evaluation import (
     read_judgments_file,
     read_qrels_file,
     read_run_file,
+    run_text,
     se_precision,
     write_run_file,
 )
@@ -368,14 +370,23 @@ def test_run_writer_rejects_hits_the_reader_would_reject(tmp_path, hits, message
     assert not path.exists()
 
 
-def test_run_writer_failing_mid_write_or_on_the_last_topic_keeps_the_old_file(tmp_path):
+def test_run_writer_failing_mid_write_or_on_the_last_topic_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "run.trec"
     path.write_bytes(b"old\n")
-    # A lone surrogate passes every check and fails only when its topic's
-    # block is encoded, after the earlier topics' blocks were written.
-    run = {"T0": Hits(["x"], [1.0]), "T1": Hits(["d\ud800"], [1.0])}
-    with pytest.raises(UnicodeEncodeError):
+    # A block that fails as it is drawn, after the earlier topics' blocks
+    # were written to the temporary file.
+    block = evaluation._run_block
+
+    def failing(topic, hits, tag):
+        if topic == "T1":
+            raise RuntimeError("block")
+        return block(topic, hits, tag)
+
+    monkeypatch.setattr(evaluation, "_run_block", failing)
+    run = {"T0": Hits(["x"], [1.0]), "T1": Hits(["y"], [1.0])}
+    with pytest.raises(RuntimeError, match="block"):
         write_run_file(path, run, "t")
+    monkeypatch.undo()
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
     # Every topic is checked before the write starts, which would first
@@ -384,6 +395,26 @@ def test_run_writer_failing_mid_write_or_on_the_last_topic_keeps_the_old_file(tm
     with pytest.raises(DataError, match=re.escape("run for topic 'T2': scores increase with rank")):
         write_run_file(tmp_path / "new" / "run.trec", run, "t")
     assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+
+
+@pytest.mark.parametrize(
+    "run,run_tag,bad",
+    [
+        ({"T0": Hits(["x"], [1.0]), "T1": Hits(["y", "d\ud800"], [2.0, 1.0])}, "t", "d\ud800"),
+        ({"T0": Hits(["x"], [1.0]), "T\udfff": Hits(["y"], [1.0])}, "t", "T\udfff"),
+        ({"T0": Hits(["x"], [1.0])}, "t\ud800", "t\ud800"),
+    ],
+)
+def test_run_writer_rejects_a_lone_surrogate_before_writing(tmp_path, run, run_tag, bad):
+    path = tmp_path / "run.trec"
+    path.write_bytes(b"old\n")
+    message = f"run id {bad!r} holds a lone surrogate, which UTF-8 cannot encode"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_run_file(path, run, run_tag)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+    with pytest.raises(DataError, match=re.escape(message)):
+        run_text(run, run_tag)
 
 
 def test_evaluate_suggestions_rejects_mixed_systems():

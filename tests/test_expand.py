@@ -485,6 +485,25 @@ def test_query_file_writer_rejects_an_id_the_reader_would_reject(tmp_path, topic
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "topic_id,clause,bad",
+    [
+        ("T2", Term("chic_all-en", "wh\ud800le"), "\ud800"),
+        ("T2", Phrase("chic_all-en", ("moby", "d\udfffck")), "\udfff"),
+        ("T\udc00", Term("chic_all-en", "whale"), "\udc00"),
+    ],
+)
+def test_query_file_writer_rejects_a_lone_surrogate_before_writing(tmp_path, topic_id, clause, bad):
+    path = tmp_path / "queries.tsv"
+    path.write_bytes(b"old\n")
+    queries = [("T1", Query((Term("chic_all-en", "ship"),))), (topic_id, Query((clause,)))]
+    message = f"queries.tsv: line 2 holds a lone surrogate {bad!r}, which UTF-8 cannot encode"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_query_file(path, queries)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["queries.tsv"]
+
+
 def test_expansion_config_validation():
     for title_boost in (0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="boost must be positive and finite"):

@@ -1403,22 +1403,41 @@ _MEMO_PHRASES = _adjacent_pairs(_MEMO_DOCS)[::4][:12]
 _MEMO_PHRASES += [pair + (WORDS[i],) for i, pair in enumerate(_MEMO_PHRASES[:3])]
 _MEMO_PHRASES += [(b, a) for a, b in _MEMO_PHRASES[:4]]
 
+# Term texts: single words, phrases' words as one text (the memo key
+# of a Term and a Phrase with equal text is the same), and texts that
+# analyze to nothing.
+_MEMO_TEXTS = [*WORDS[:12], *(" ".join(terms) for terms in _MEMO_PHRASES[:6]), "the", "of the", "..."]
+_MEMO_BOOSTS = [0.5, 1.0, 2.0]
+
 _MEMO_CLAUSES = st.one_of(
     st.builds(
         Phrase,
         st.sampled_from(_MEMO_FIELDS),
         st.sampled_from(_MEMO_PHRASES),
-        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from(_MEMO_BOOSTS),
     ),
-    st.builds(Term, st.sampled_from(_MEMO_FIELDS), st.sampled_from(WORDS[:12])),
+    st.builds(
+        Term,
+        st.sampled_from(_MEMO_FIELDS),
+        st.sampled_from(_MEMO_TEXTS),
+        st.sampled_from(_MEMO_BOOSTS),
+    ),
 )
 _MEMO_QUERIES = st.lists(
     st.lists(_MEMO_CLAUSES, min_size=1, max_size=3).map(Query), min_size=1, max_size=8
 )
+_PAIR = _MEMO_PHRASES[0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(queries=_MEMO_QUERIES)
+# a Term whose text is a Phrase's text, in either order
+@example(queries=[Query((Phrase("chic_all-en", _PAIR),)), Query((Term("chic_all-en", " ".join(_PAIR)),))])
+@example(queries=[Query((Term("chic_all-en", " ".join(_PAIR), 2.0),)), Query((Phrase("chic_all-en", _PAIR, 2.0),))])
+# one text at two boosts, in one query and across queries
+@example(queries=[Query((Term("chic_all-en", WORDS[0], 0.5), Term("chic_all-en", WORDS[0], 2.0)))] * 2)
+# a clause that analyzes to nothing, alone and beside one that matches
+@example(queries=[Query((Term("dc:title-en", "the"),)), Query((Term("dc:title-en", "the"), Term("dc:title-en", WORDS[0])))])
 def test_repeated_phrases_score_as_on_a_fresh_index(tmp_path_factory, queries):
     built = _index(_MEMO_DOCS)
     path = tmp_path_factory.mktemp("memo") / SNAPSHOT_FILENAME
@@ -1429,6 +1448,11 @@ def test_repeated_phrases_score_as_on_a_fresh_index(tmp_path_factory, queries):
         assert [(r.doc_id, r.score) for r in _index(_MEMO_DOCS).search(query, 1000)] == expected
         assert [(r.doc_id, r.score) for r in built.search(query, 1000)] == expected
         assert [(r.doc_id, r.score) for r in loaded.search(query, 1000)] == expected
+    # an unknown field raises on every call, however full the memo
+    unknown = Query((Term("chic_all-en", WORDS[0]), Term("dc:nosuch-en", WORDS[0])))
+    for idx in (built, loaded, built, loaded):
+        with pytest.raises(UnknownFieldError):
+            idx.search(unknown, 10)
 
 
 def test_phrase_memo_keeps_fields_and_indexes_apart():
@@ -1456,7 +1480,7 @@ def test_phrase_memo_keeps_fields_and_indexes_apart():
 
 
 def test_phrase_memo_stops_growing_once_its_budget_is_spent(monkeypatch):
-    monkeypatch.setattr(index_module, "PHRASE_MEMO_BUDGET", 6)
+    monkeypatch.setattr(index_module, "CLAUSE_MEMO_BUDGET", 6)
     docs = random_corpus(32, 40)
     idx = _index(docs)
     phrases = _adjacent_pairs(docs)
@@ -1465,14 +1489,31 @@ def test_phrase_memo_stops_growing_once_its_budget_is_spent(monkeypatch):
     for query in queries:
         got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
         assert got == naive_search(docs, CHAINS, query, 1000)
-        assert sum(1 + len(docs_) for docs_, _ in idx._phrase_memo.values()) <= 6
-    full = dict(idx._phrase_memo)
+        assert sum(1 + len(entry[0]) if entry else 1 for entry in idx._clause_memo.values()) <= 6
+    full = dict(idx._clause_memo)
     assert 0 < len(full) < len(queries)
-    assert idx._phrase_memo_room == 0
+    assert idx._clause_memo_room == 0
     for query in queries + [Query((Phrase("chic_all-en", ("film", "whale", "map")),))]:
         got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
         assert got == naive_search(docs, CHAINS, query, 1000)
-    assert idx._phrase_memo == full
+    assert idx._clause_memo == full
+
+
+def test_single_token_entries_cost_one_unit_and_leave_room_for_phrases(monkeypatch):
+    monkeypatch.setattr(index_module, "CLAUSE_MEMO_BUDGET", 4)
+    docs = random_corpus(33, 40)
+    idx = _index(docs)
+    common = max(WORDS, key=lambda word: len(idx.term_docs(["chic_all-en"], word)))
+    pair = next(p for p in _adjacent_pairs(docs) if len(idx.doc_set("chic_all-en", p)) == 1)
+    term, phrase = Term("chic_all-en", common), Phrase("chic_all-en", pair)
+    assert len(idx.term_docs(["chic_all-en"], common)) > 4
+    for query in [Query((term,)), Query((phrase, term)), Query((Term("chic_all-en", "the"),))] * 2:
+        got = [(r.doc_id, r.score) for r in idx.search(query, 1000)]
+        assert got == naive_search(docs, CHAINS, query, 1000)
+    # the term's entry points into its field's columns; the phrase's
+    # holds its one matched doc, so it costs 2
+    assert set(idx._clause_memo) == {("chic_all-en", text, 1.0) for text in (common, phrase.text, "the")}
+    assert idx._clause_memo_room == 0
 
 
 # -- position offsets ---------------------------------------------------

@@ -156,6 +156,22 @@ def test_suggestion_writer_rejects_a_text_it_cannot_write_back(tmp_path, text):
         assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "topic_id,text,line,bad",
+    [("T2", "sh\ud800p", 3, "\ud800"), ("T\udc00", "ship", 2, "\udc00")],
+)
+def test_suggestion_writer_rejects_a_lone_surrogate_before_writing(tmp_path, topic_id, text, line, bad):
+    path = tmp_path / "suggestions.tsv"
+    path.write_bytes(b"old\n")
+    sets = [make_suggestion_set("T1", "STR", [("whale", 0.5)]),
+            make_suggestion_set(topic_id, "STR", [("sea", 0.5), (text, 0.25)])]
+    message = f"suggestions.tsv: line {line} holds a lone surrogate {bad!r}, which UTF-8 cannot encode"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_suggestion_file(path, sets)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["suggestions.tsv"]
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "A", "d e"]), _SCORES), max_size=5))
 def test_the_columns_constructor_agrees_with_make_suggestion_set(rows):
