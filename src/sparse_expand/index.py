@@ -7,19 +7,20 @@ Multi-valued fields are concatenated with a one-position gap between
 values so that phrases never match across value boundaries. Documents
 are numbered in doc_id order, so ordinal order is doc_id order.
 
-Each composite field keeps its postings as one set of `array` columns,
-each at the narrowest of 1, 2 or 4 bytes per value that holds it, and
-its terms as a sorted list; term i owns
-`docs[starts[i]:starts[i+1]]` (doc ordinals, strictly ascending), the
-same slice of `tfs`, and `positions[pos_starts[i]:pos_starts[i+1]]`
-(every posting's positions, in doc order; `pos_starts` is the running
-sum of `tfs` at `starts`). A term's slices are cut when a caller asks.
-`build_index` appends each token straight to its term's columns. Most
-readers look up terms in one or two fields, and only phrase matching and
-`postings` read positions, so neither build nor load makes a field's
-term -> ordinal dict or derives its `pos_starts`: the dict is built on
-the field's first term lookup, the offsets on its first positional read,
-and both are kept.
+Columns are what the snapshot stores; the index keeps every map derived
+from them in its own tables, built on first use. Each composite field
+keeps its postings as one set of `array` columns, each at the narrowest
+of 1, 2 or 4 bytes per value that holds it, and its terms as a sorted
+list; term i owns `docs[starts[i]:starts[i+1]]` (doc ordinals, strictly
+ascending), the same slice of `tfs`, and
+`positions[pos_starts[i]:pos_starts[i+1]]` (every posting's positions,
+in doc order; `pos_starts` is the running sum of `tfs` at `starts`). A
+term's slices are cut when a caller asks. `build_index` appends each
+token straight to its term's columns. Neither build nor load makes a
+field's term -> ordinal dict or derives its `pos_starts`: every term
+read goes through `Index._span`, which builds the dict on the field's
+first term lookup, and only phrase matching and `postings` derive the
+offsets, on the field's first positional read.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -51,10 +52,10 @@ holds its matching docs and their match counts. A clause on a field the
 index lacks is never stored, so UnknownFieldError rises on every call. An
 entry costs 1, plus its matched-doc count for a phrase; once
 `CLAUSE_MEMO_BUDGET` units are spent, a new clause is weighed but not
-stored. STR's concept table per language (`concept_table`), and a
-field's term ordinals and position offsets, are built on first use. The
-memo and the tables start empty in the constructor and live and die
-with their `Index`.
+stored. The memo, STR's concept table per language (`concept_table`),
+and each field's term ordinals and position offsets are the index's
+tables, built on first use. They start empty in the constructor and live
+and die with their `Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
@@ -158,9 +159,8 @@ _RISE_CHUNK = 4096
 _NO_MATCH = (array("I"), array("I"))
 
 # The clause memo's entry for a clause that analyzes to nothing or
-# matches nothing, and the columns and bounds of a term that is unseen.
+# matches nothing.
 _NO_ENTRY = ()
-_NO_SPAN = (*_NO_MATCH, 0, 0)
 
 # Field name -> its place in the union field's order.
 _SCHEMA_ORDER = {name: i for i, name in enumerate(DEFAULT_SCHEMA)}
@@ -276,18 +276,14 @@ class Hits(Sequence):
 
 
 class _FieldColumns(NamedTuple):
-    """One composite field's postings: term i of the sorted `terms` owns
-    docs and tfs [starts[i]:starts[i+1]] and positions
-    [pos_starts[i]:pos_starts[i+1]], the running sum of tfs at starts.
-    `starts`, `docs`, `tfs` and `positions` are each held at the
-    narrowest width. `ordinals` (term -> i) is None until the field's
-    first term lookup, and `pos_starts` until its first positional read
-    (`Index._columns`), then held in 4 bytes."""
+    """One composite field's postings, as the snapshot stores them: term
+    i of the sorted `terms` owns docs and tfs [starts[i]:starts[i+1]], and
+    its positions follow those of the terms before it. `starts`, `docs`,
+    `tfs` and `positions` are each held at the narrowest width. The maps
+    derived from them are the index's own (`Index._span`)."""
 
     terms: list[str]
-    ordinals: dict[str, int] | None
     starts: array
-    pos_starts: array | None
     docs: array
     tfs: array
     positions: array
@@ -299,11 +295,6 @@ def _pos_starts(starts: array, tfs: array) -> list[int]:
     per derivation fragment the heap of a process that reloads."""
     term_tfs = map(tfs.__getitem__, map(slice, starts, starts[1:]))
     return list(accumulate(map(sum, term_tfs), initial=0))
-
-
-def _span(field_columns: _FieldColumns, i: int) -> tuple[array, array, int, int]:
-    """A field's docs and tfs columns, and the bounds of term i in them."""
-    return field_columns.docs, field_columns.tfs, field_columns.starts[i], field_columns.starts[i + 1]
 
 
 def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
@@ -318,7 +309,7 @@ def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
         positions.extend(term_positions)
         starts.append(len(docs))
     starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
-    return _FieldColumns(names, None, starts, None, docs, tfs, positions)
+    return _FieldColumns(names, starts, docs, tfs, positions)
 
 
 class _RawValues(NamedTuple):
@@ -347,10 +338,11 @@ def _raw_value_columns(value_docs: Mapping[str, Iterable[int]]) -> _RawValues:
 
 class Index:
     """Sealed index: its contents do not change after construction. Its
-    only internal state is the clause memo that `search` fills, the
-    concept tables that `concept_table` fills, and each field's term
-    ordinals and position offsets, built on its first term lookup and
-    first positional read; none changes a result."""
+    columns are what the snapshot stores; every map derived from them is
+    in the index's own tables, built on first use: the clause memo that
+    `search` fills, the concept tables that `concept_table` fills, and
+    each field's term ordinals and position offsets. None changes a
+    result."""
 
     def __init__(
         self,
@@ -378,6 +370,8 @@ class Index:
         self._clause_memo: dict[tuple[str, str, float], tuple] = {}
         self._clause_memo_room = CLAUSE_MEMO_BUDGET
         self._concept_tables: dict[str, tuple[dict[str, int], dict[int, tuple[str, ...]]]] = {}
+        self._term_ordinals: dict[str, dict[str, int]] = {}
+        self._position_offsets: dict[str, array] = {}
 
     @property
     def n_docs(self) -> int:
@@ -403,37 +397,30 @@ class Index:
             raise UnknownFieldError(f"unknown field: {field!r}")
         return self._chains[field.rpartition("-")[2]]
 
-    def _term(self, field: str, analyzed_term: str) -> tuple[_FieldColumns, int] | None:
-        """A term's field columns and its ordinal in them; None if the
-        field or the term is unseen. The field's term ordinals are built on
-        its first lookup."""
+    def _span(self, field: str, analyzed_term: str) -> tuple[_FieldColumns, int, int, int] | None:
+        """A term's field columns, its ordinal i in them and the bounds
+        of its docs and tfs; None if the field or the term is unseen. The
+        field's term ordinals are built on its first lookup."""
         field_columns = self._fields.get(field)
         if field_columns is None:
             return None
-        ordinals = field_columns.ordinals
+        ordinals = self._term_ordinals.get(field)
         if ordinals is None:
-            ordinals = dict(zip(field_columns.terms, count()))
-            field_columns = self._fields[field] = field_columns._replace(ordinals=ordinals)
+            ordinals = self._term_ordinals[field] = dict(zip(field_columns.terms, count()))
         i = ordinals.get(analyzed_term)
-        return None if i is None else (field_columns, i)
+        return None if i is None else (field_columns, i, field_columns.starts[i], field_columns.starts[i + 1])
 
-    def _columns(self, field: str, analyzed_term: str, width: int = 3) -> tuple | None:
-        """The first `width` of a term's columns (docs, tfs, positions),
-        cut from its field's columns; None if the term is unseen. The
-        field's position offsets are derived on its first read of width 3."""
-        found = self._term(field, analyzed_term)
-        if found is None:
+    def _columns(self, field: str, analyzed_term: str) -> Columns | None:
+        """A term's docs, tfs and positions, cut from its field's columns;
+        None if the field or the term is unseen. The field's position
+        offsets are derived on its first read, in 4 bytes."""
+        span = self._span(field, analyzed_term)
+        if span is None:
             return None
-        field_columns, i = found
-        _, _, starts, pos_starts, docs, tfs, positions = field_columns
-        lo, hi = starts[i], starts[i + 1]
-        if width == 1:
-            return (docs[lo:hi],)
-        if width == 2:
-            return docs[lo:hi], tfs[lo:hi]
+        (_, starts, docs, tfs, positions), i, lo, hi = span
+        pos_starts = self._position_offsets.get(field)
         if pos_starts is None:
-            pos_starts = array("I", _pos_starts(starts, tfs))
-            self._fields[field] = field_columns._replace(pos_starts=pos_starts)
+            pos_starts = self._position_offsets[field] = array("I", _pos_starts(starts, tfs))
         return docs[lo:hi], tfs[lo:hi], positions[pos_starts[i] : pos_starts[i + 1]]
 
     def postings(self, field: str, analyzed_term: str) -> tuple[Posting, ...]:
@@ -488,9 +475,10 @@ class Index:
         in any of `fields`; a field the index lacks adds none."""
         docs: set[int] = set()
         for field in fields:
-            columns = self._columns(field, analyzed_term, 1)
-            if columns:
-                docs.update(columns[0])
+            span = self._span(field, analyzed_term)
+            if span:
+                field_columns, _, lo, hi = span
+                docs.update(field_columns.docs[lo:hi])
         return docs
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
@@ -505,16 +493,10 @@ class Index:
         """Doc ordinals matching all (intersection) or any (union) of the terms."""
         if mode not in ("all", "any"):
             raise ValueError(f"mode must be 'all' or 'any', got {mode!r}")
-        sets = []
-        for raw in raw_terms:
-            columns = self._columns(field, self._analyzed_single(field, raw), 1)
-            sets.append(set(columns[0]) if columns else set())
+        sets = [self.term_docs((field,), self._analyzed_single(field, raw)) for raw in raw_terms]
         if not sets:
             return frozenset()
-        result = sets[0]
-        for s in sets[1:]:
-            result = (result & s) if mode == "all" else (result | s)
-        return frozenset(result)
+        return frozenset(set.intersection(*sets) if mode == "all" else set.union(*sets))
 
     def _phrase_matches(self, field: str, tokens: Sequence[str]) -> tuple[array, array]:
         """Ascending docs with consecutive-position matches, and the match
@@ -564,15 +546,15 @@ class Index:
             if entry is None:
                 tokens = self.chain_for_field(clause.field).run(clause.text)
                 cost = 1
+                lo = hi = 0
                 if len(tokens) == 1:  # bounds in the field's columns; no docs copied
-                    found = self._term(clause.field, tokens[0])
-                    docs, tfs, lo, hi = _span(*found) if found else _NO_SPAN
+                    span = self._span(clause.field, tokens[0])
+                    if span:
+                        (_, _, docs, tfs, _), _, lo, hi = span
                 elif tokens:  # the entry holds the phrase's matches
                     docs, tfs = self._phrase_matches(clause.field, tokens)
-                    lo, hi = 0, len(docs)
+                    hi = len(docs)
                     cost += hi
-                else:
-                    docs, tfs, lo, hi = _NO_SPAN
                 entry = _NO_ENTRY
                 if lo < hi:
                     idf = idf_weight(self.n_docs, hi - lo)
@@ -621,9 +603,9 @@ class Index:
         _put_table(out, self._doc_ids)
         _put_table(out, names)
         for name in names:
-            terms, _, starts, _, docs, tfs, positions = self._fields[name]
+            terms, *columns = self._fields[name]
             _put_column(out, array("I", map(term_ordinals[name.rpartition("-")[2]].__getitem__, terms)))
-            for column in (starts, docs, tfs, positions):  # pos_starts is derived on read
+            for column in columns:
                 _put_column(out, column)
             values, value_starts, value_docs = self._raw_values.get(name, _NO_RAW_VALUES)
             _put_table(out, values)
@@ -741,7 +723,7 @@ class Index:
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
             if not _ascending_runs_below(docs, raw_docs[1], starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
-            fields[name] = _FieldColumns(terms, None, starts, None, docs, tfs, positions)
+            fields[name] = _FieldColumns(terms, starts, docs, tfs, positions)
 
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
@@ -899,17 +881,16 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     stores.
 
     Each token goes straight into its term's columns, in its field and
-    the union field. No field's term ordinals or position offsets are
-    made here: as after `load`, each field builds its ordinals on its
-    first term lookup and derives its offsets on its first positional
-    read.
+    the union field, and each concept value's doc ordinals arrive in
+    ascending order. No field's term ordinals or position offsets are
+    made here: as after `load`, the index builds them on first use.
     """
     docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:
         raise EmptyCorpusError("empty corpus")
 
     postings: dict[str, dict[str, Columns]] = {}
-    raw_values: dict[str, dict[str, set[int]]] = {}
+    raw_values: dict[str, dict[str, list[int]]] = {}  # each value's docs, ascending
 
     def add(terms: dict[str, Columns], ordinal: int, tokens: Sequence[str], start: int) -> int:
         """Append one value's tokens, from position `start`, to their
@@ -941,7 +922,9 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
             pos = 0
             for value in doc.fields[name]:
                 if name in CONCEPT_FIELDS and (trimmed := value.strip()):
-                    raw_values.setdefault(composite, {}).setdefault(trimmed, set()).add(ordinal)
+                    held = raw_values.setdefault(composite, {}).setdefault(trimmed, [])
+                    if not held or held[-1] != ordinal:  # skip a repeat within one document
+                        held.append(ordinal)
                 tokens = chain.run(value)
                 if tokens:
                     pos = add(terms, ordinal, tokens, pos)
@@ -950,6 +933,6 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
     return Index(
         [doc.doc_id for doc in docs],
         {f: _concatenate(terms) for f, terms in postings.items()},
-        {f: _raw_value_columns({v: sorted(ds) for v, ds in vals.items()}) for f, vals in raw_values.items()},
+        {f: _raw_value_columns(vals) for f, vals in raw_values.items()},
         chains,
     )

@@ -79,7 +79,7 @@ def test_json_read_guard_sees_every_json_read():
 
 # Attributes private to `Index` and its per-field columns: every other
 # module reads an index through its public methods.
-_INDEX_PRIVATE = {"_fields", "_raw_values", "_columns", "ordinals"}
+_INDEX_PRIVATE = {"_fields", "_raw_values", "_columns", "ordinals", "_span", "_term_ordinals", "_position_offsets"}
 
 
 def _index_private_reads(source: str) -> list[int]:
@@ -118,6 +118,9 @@ def test_index_internals_guard_sees_every_read():
             "getattr(index, '_fields')",
             "operator.attrgetter('ordinals')",
             "attrgetter('_raw_values')(index)",
+            "index._span(field, term)",
+            "index._term_ordinals[field]",
+            "getattr(index, '_position_offsets')",
             "index.fields",
             "index.raw_values(field)",
             "index.term_docs(fields, term)",
@@ -125,4 +128,4 @@ def test_index_internals_guard_sees_every_read():
             "ordinals = {}",
         ]
     )
-    assert sorted(_index_private_reads(source)) == [1, 2, 3, 4, 5, 6, 7]
+    assert sorted(_index_private_reads(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]

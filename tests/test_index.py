@@ -1543,7 +1543,7 @@ def test_only_positional_reads_derive_position_offsets(tmp_path, monkeypatch):
     built.save(path)
     loaded = Index.load(path)
     assert calls == []
-    assert all(columns.pos_starts is None for columns in loaded._fields.values())
+    assert loaded._position_offsets == {}
 
     terms = [Query((Term(field, word),)) for field in ("chic_all-en", "dc:title-en") for word in WORDS[:8]]
     terms.append(Query((Term("dc:title-en", "whale"), Term("chic_all-en", "the whale"))))
@@ -1561,7 +1561,7 @@ def test_only_positional_reads_derive_position_offsets(tmp_path, monkeypatch):
     for query in phrases:
         _assert_search_matches_oracle(loaded, docs, query)
     assert len(calls) == 1
-    derived = [name for name, columns in loaded._fields.items() if columns.pos_starts is not None]
+    derived = list(loaded._position_offsets)
     assert derived == ["dc:title-en"]
     phrases.append(Query((Phrase("chic_all-en", first),)))
     _assert_search_matches_oracle(loaded, docs, phrases[-1])
@@ -1590,7 +1590,7 @@ def test_a_loaded_index_read_positionally_in_another_field_order_agrees(tmp_path
             hits = idx.search(Query((Phrase(field, pair),)), 1000)
             reads.setdefault(field, []).append((postings, hits.doc_ids, [s.hex() for s in hits.scores]))
         if idx is loaded:
-            unread = {name for name, columns in idx._fields.items() if columns.pos_starts is None}
+            unread = set(idx.fields) - set(idx._position_offsets)
             assert unread == set(idx.fields) - set(order)
     for field, (from_built, from_loaded) in reads.items():
         assert from_loaded == from_built
@@ -1603,7 +1603,7 @@ def test_a_loaded_index_read_positionally_in_another_field_order_agrees(tmp_path
 
 def _with_ordinals(idx):
     """The fields of `idx` that hold a term -> ordinal dict."""
-    return {name for name, columns in idx._fields.items() if columns.ordinals is not None}
+    return set(idx._term_ordinals)
 
 
 def _assert_str_matches_oracle(idx, docs, topic, cfg):
@@ -1733,10 +1733,10 @@ def test_position_offsets_are_a_running_sum_of_tfs(tmp_path_factory, runs):
     path = tmp_path_factory.mktemp("offsets") / SNAPSHOT_FILENAME
     built.save(path)
     for idx in (built, Index.load(path)):
-        assert idx._fields["t-en"].pos_starts is None
+        assert "t-en" not in idx._position_offsets
         for term, (docs, term_tfs, positions) in terms.items():
             postings = idx.postings("t-en", term)
             assert [p.doc for p in postings] == list(docs)
             assert [p.tf for p in postings] == list(term_tfs)
             assert [q for p in postings for q in p.positions] == list(positions)
-        assert list(idx._fields["t-en"].pos_starts) == expected
+        assert list(idx._position_offsets["t-en"]) == expected

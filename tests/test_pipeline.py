@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pipeline_workspace
+import sparse_expand
+from conftest import build_pipeline_workspace, tree_bytes
 from sparse_expand import evaluation, pipeline
 from sparse_expand.cli import cli, main
 from sparse_expand.errors import ConfigError, DataError
@@ -401,6 +404,67 @@ def test_five_system_run_matches_the_golden_digests(tmp_path):
     run_pipeline(_config(paths), SYSTEMS)
     expected = GOLDEN_RUN.read_text(encoding="utf-8").splitlines()
     assert _tree_digests(Path(paths["out"])) == expected
+
+
+def _tree_and_manifest(out: Path) -> tuple[dict[str, bytes], dict]:
+    """Every file under `out` but the manifest, and the manifest's keys
+    but its config hash, which covers the input and output paths."""
+    tree = tree_bytes(out)
+    manifest = json.loads(tree.pop("manifest.json"))
+    del manifest["config_hash"]
+    return tree, manifest
+
+
+@pytest.mark.parametrize("shuffle_seed", [3, 4])
+def test_a_run_on_shuffled_input_lines_writes_the_same_tree(tmp_path, shuffle_seed):
+    (tmp_path / "a").mkdir()
+    paths = build_pipeline_workspace(tmp_path / "a", seed=1, n_docs=200, n_topics=10)
+    run_pipeline(_config(paths), SYSTEMS)
+    expected = _tree_and_manifest(Path(paths["out"]))
+
+    shutil.copytree(tmp_path / "a", tmp_path / "b", ignore=shutil.ignore_patterns("out"))
+    shuffled = {key: value.replace(str(tmp_path / "a"), str(tmp_path / "b")) for key, value in paths.items()}
+    rng = random.Random(shuffle_seed)
+    for key in ("docs", "topics", "seeds", "qrels"):
+        path = Path(shuffled[key])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        assert lines != Path(paths[key]).read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines), encoding="utf-8")
+    run_pipeline(_config(shuffled), SYSTEMS)
+    tree, manifest = _tree_and_manifest(Path(shuffled["out"]))
+    assert len(tree) == 15 and all(tree.values())
+    assert tree == expected[0]
+    assert manifest == expected[1] == {"language": "en", "systems": SYSTEMS, "tool_version": sparse_expand.__version__}
+
+
+def _python(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
+    """`python argv` in a fresh interpreter that imports this package,
+    under PYTHONHASHSEED `hash_seed`."""
+    src = str(Path(sparse_expand.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_run_and_index_build_write_the_same_bytes_under_every_hash_seed(tmp_path):
+    paths = build_pipeline_workspace(tmp_path, seed=1, n_docs=200, n_topics=10)
+    inputs = ["docs", "topics", "articles", "sim-corpus", "back-corpus", "seeds", "qrels"]
+    run = ["run", *(arg for key in inputs for arg in (f"--{key}", paths[key.replace("-", "_")]))]
+    run += [arg for system in SYSTEMS for arg in ("--system", system)]
+    outputs, str_hashes = [], set()
+    for hash_seed in ("0", "1", "12345"):
+        out, index_dir = tmp_path / f"out-{hash_seed}", tmp_path / f"idx-{hash_seed}"
+        for argv in ([*run, "--out", str(out)], ["index", "build", "--docs", paths["docs"], "--out", str(index_dir)]):
+            result = _python(["-m", "sparse_expand.cli", *argv], hash_seed)
+            assert result.returncode == 0, result.stderr
+        outputs.append((*_tree_and_manifest(out), tree_bytes(index_dir)))
+        str_hashes.add(_python(["-c", "print(hash('sparse-expand'))"], hash_seed).stdout)
+    assert len(str_hashes) == 3  # each seed reached its interpreter
+    tree, manifest, snapshot = outputs[0]
+    assert len(tree) == 15 and all(tree.values()) and list(snapshot) == ["index.bin"]
+    assert manifest == {"language": "en", "systems": SYSTEMS, "tool_version": sparse_expand.__version__}
+    assert all(other == outputs[0] for other in outputs[1:])
 
 
 def _run_path_outputs(paths, tmp_path) -> list:
