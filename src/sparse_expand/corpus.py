@@ -21,12 +21,16 @@ one string (read as a one-value list; a bare number is rejected). Each
 value is a string or a number (not `true`, `false`, `null`, an array or
 an object); a number is stored in Python's `str()` form. Each field value is stored with its
 whitespace runs folded to one space, so that a value is one line with no
-tabs in the suggestion file.
+tabs in the suggestion file. Field names are interned (`sys.intern`):
+the documents of a corpus share one string object per field name, where
+each JSON line would decode its own. Values are not shared. `Document`
+and `Topic` are slotted, frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,7 +109,7 @@ _SCHEMA_FIELDS = frozenset(DEFAULT_SCHEMA)
 CONCEPT_FIELDS: tuple[str, ...] = ("dc:subject", "enrichment:concept_label")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One multi-field metadata record."""
 
@@ -114,7 +118,7 @@ class Document:
     fields: dict[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topic:
     topic_id: str
     title: str
@@ -180,7 +184,7 @@ def _parse_document(obj: dict, lax: bool) -> Document:
                 )
         folded = tuple(filter(None, (" ".join(str(v).split()) for v in values)))
         if folded:
-            fields[name] = folded
+            fields[sys.intern(name)] = folded
     return Document(doc_id=doc_id, lang=lang, fields=fields)
 
 

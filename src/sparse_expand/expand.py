@@ -18,6 +18,11 @@ its own: a trailing `OR`, or one glued to a word (`f:(a ORb)`,
 `f:(a)ORg:(b)`), is malformed. Parsing inverts serialization exactly:
 serialization raises DataError for a clause the parser would read back
 as another one.
+
+Topics and systems repeat the same concept words, so both `build_query`
+and `parse_query` intern (`sys.intern`) each clause's field and each
+word, phrase words included: the queries of a run share one string
+object per distinct field and word.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,12 +78,12 @@ def build_query(
         raise EmptyQueryError(
             f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
         )
-    field = f"{ALL_FIELD}-{topic.lang}"
+    field = sys.intern(f"{ALL_FIELD}-{topic.lang}")
 
     title_tokens = query_tokens(chain, topic.title)
     if not title_tokens:
         raise EmptyQueryError(f"empty title: topic {topic.topic_id!r}")
-    clauses: list[Clause] = [Term(field, tok, cfg.title_boost) for tok in title_tokens]
+    clauses: list[Clause] = [Term(field, sys.intern(tok), cfg.title_boost) for tok in title_tokens]
 
     seen: set[str] = set()
     texts = suggestions.concepts[: cfg.max_concepts] if suggestions else ()
@@ -94,11 +100,11 @@ def build_query(
             )
             continue
         if len(words) == 1:
-            clauses.append(Term(field, words[0], 1.0))
+            clauses.append(Term(field, sys.intern(words[0]), 1.0))
         else:
             # A phrase word holds no quote, so the query file can quote it;
             # analysis splits at quotes anyway.
-            clauses.append(Phrase(field, tuple(text.replace('"', " ").split()), 1.0))
+            clauses.append(Phrase(field, tuple(map(sys.intern, text.replace('"', " ").split())), 1.0))
     return Query(tuple(clauses))
 
 
@@ -197,7 +203,8 @@ def parse_query(expression: str) -> Query:
         token = _TOKEN.match(text, pos)
         kind, at, pos = token.lastgroup, token.start(token.lastgroup), token.end()
         if expect == "a term" and kind in ("word", "phrase"):
-            item = token["word"] or token["phrase"][1:-1].split()
+            word = token["word"]
+            item = sys.intern(word) if word else [*map(sys.intern, token["phrase"][1:-1].split())]
             if not item:
                 raise syntax_error(at, "empty phrase")
             items.append(item)
@@ -205,7 +212,7 @@ def parse_query(expression: str) -> Query:
         elif token["word"] == "OR" and expect in ("OR or )", "OR between groups"):
             expect = "a term" if expect == "OR or )" else "field:(...)"
         elif kind == "open" and expect == "field:(...)":
-            field, items, expect = token["open"], [], "a term"
+            field, items, expect = sys.intern(token["open"]), [], "a term"
         elif kind == "close" and expect == "OR or )":
             boost = float(token["boost"] or 1)
             if not 0 < boost < math.inf:

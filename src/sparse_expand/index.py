@@ -194,7 +194,7 @@ def _check_boost(boost: float) -> None:
         raise ValueError(f"boost must be positive and finite, got {boost!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     field: str
     text: str
@@ -204,7 +204,7 @@ class Term:
         _check_boost(self.boost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phrase:
     field: str
     terms: tuple[str, ...]
@@ -224,7 +224,7 @@ class Phrase:
 Clause = Term | Phrase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     clauses: tuple[Clause, ...]
 

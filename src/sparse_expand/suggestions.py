@@ -40,7 +40,7 @@ class ConceptSuggestion(NamedTuple):
     score: float | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuggestionSet:
     """One topic's suggestions from one system, as two parallel columns in
     rank order: the texts (`concepts`) and their `scores`. DataError,

@@ -190,6 +190,18 @@ def test_ingest_deterministic(tmp_path):
     assert ingest_documents(f).documents == ingest_documents(f).documents
 
 
+
+@pytest.mark.parametrize("lax", [False, True])
+def test_ingested_documents_share_one_string_per_field_name(tmp_path, lax):
+    fields = {"dc:title": ["a title"], "dc:subject": ["maps"]}
+    if lax:
+        fields["x:local"] = ["kept"]
+    f = _write(tmp_path / "docs.jsonl", [_record(0, **fields), _record(1, **fields)])
+    first, second = ingest_documents(f, lax=lax).documents
+    assert list(first.fields) == list(second.fields) == list(fields)
+    for a, b in zip(first.fields, second.fields):
+        assert a is b
+
 # Every character str.splitlines breaks on is whitespace, so one space,
 # a tab and these cover the run and suggestion file separators.
 _SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]

@@ -115,6 +115,19 @@ def test_build_query_max_concepts_cap():
     assert len(query.clauses) == 6
 
 
+
+def test_queries_built_for_two_topics_share_their_words_and_field():
+    queries = [
+        build_query(Topic(tid, title, "en"), _set(tid, "STR", ["Penguin colony", "harbor"]))
+        for tid, title in (("T1", "whale ship"), ("T2", "ocean whale"))
+    ]
+    (whale1, ship, colony1, harbor1), (ocean, whale2, colony2, harbor2) = (q.clauses for q in queries)
+    assert whale1.text is whale2.text == "whale"
+    assert harbor1.text is harbor2.text == "harbor"
+    assert colony1.terms == colony2.terms == ("Penguin", "colony")
+    assert all(a is b for a, b in zip(colony1.terms, colony2.terms))
+    assert all(c.field is whale1.field for q in queries for c in q.clauses)
+
 def test_combo_round_robin_with_dedup():
     a = _set("T", "WIKI_ENTITY", ["a", "b"])
     b = _set("T", "WIKI_SIM", ["c", "a"])
@@ -418,6 +431,23 @@ def test_query_file_round_trip(tmp_path):
     write_query_file(path, [("CHIC-012", query)])
     assert read_query_file(path) == [("CHIC-012", query)]
 
+
+
+def test_a_query_file_shares_one_string_per_word_and_field(tmp_path):
+    path = tmp_path / "queries.tsv"
+    path.write_text(
+        't1\tchic_all-en:(whale OR "sea story")^2 OR dc:title-en:(ship)\n'
+        't2\tdc:title-en:(ship OR whale) OR chic_all-en:("sea story")\n',
+        encoding="utf-8",
+    )
+    (_, q1), (_, q2) = read_query_file(path)
+    whale1, sea_story1, ship1 = q1.clauses
+    ship2, whale2, sea_story2 = q2.clauses
+    assert whale1.text is whale2.text == "whale"
+    assert ship1.text is ship2.text == "ship"
+    assert all(a is b for a, b in zip(sea_story1.terms, sea_story2.terms))
+    assert whale1.field is sea_story1.field is sea_story2.field == "chic_all-en"
+    assert ship1.field is ship2.field is whale2.field == "dc:title-en"
 
 def test_a_concept_with_a_quote_keeps_its_phrase_through_a_query_file(tmp_path):
     query = build_query(Topic("T1", "whale", "en"), _set("T1", "STR", ['O"Brien family']))
