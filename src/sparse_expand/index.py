@@ -81,16 +81,16 @@ snapshot stores no `pos_starts`. Per language it stores its stopword
 table and one term table, the sorted set of its fields' terms; each
 field stores its terms as a column of ordinals into that table, and
 `save` writes the raw-value columns as held. `Index.load` decodes each
-blob once and reads each column with one `frombytes`. It checks the
-term-ordinal, doc-ordinal and tf columns with byte arithmetic on their
-little-endian bytes (`_rises`, `_holds_zero`), sums the tfs in one
-C-level pass, and maps each field's ordinals to its language's decoded
-terms in one C-level pass, so a language's fields share its term
-strings. It runs no Python loop per term or posting, derives no position
-offsets and builds no lookup maps: it keeps the term lists and
-raw-value columns. The decoder checks the bytes and columns; `load`
-then reports the constructor's errors as a malformed snapshot too. The
-decoder rejects with DataError:
+blob once and reads each column once, as an array. It checks the
+term-ordinal, doc-ordinal and tf arrays (`_rises`, `_holds_zero`) with
+byte arithmetic on the little-endian bytes that `_little_endian` gives
+here and in `save`, sums the tfs in one C-level pass, and maps each
+field's ordinals to its language's decoded terms in one C-level pass, so
+a language's fields share its term strings. It runs no Python loop per
+term or posting, derives no position offsets and builds no lookup maps:
+it keeps the term lists and raw-value columns. The decoder checks the
+bytes and columns; `load` then reports the constructor's errors as a
+malformed snapshot too. The decoder rejects with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
 - a column width other than 1, 2 or 4;
@@ -651,15 +651,11 @@ class Index:
             (value,) = struct.unpack("<I", take(4))
             return value
 
-        def take_raw_column() -> tuple[int, memoryview]:
-            """A column's item width and little-endian bytes."""
+        def take_column() -> array:
             width = take_u32()
             if width not in _TYPECODES:
                 raise bad(f"column width {width} is not 1, 2 or 4")
-            return width, take(width * take_u32())
-
-        def take_column() -> array:
-            return _from_little_endian(*take_raw_column())
+            return _from_little_endian(width, take(width * take_u32()))
 
         def take_table() -> list[str]:
             lengths = take_column()
@@ -709,29 +705,26 @@ class Index:
             table = lang_terms.get(name.rpartition("-")[2])
             if table is None:
                 raise bad(f"no analyzer chain for field {name!r}")
-            width, raw_ordinals = take_raw_column()
-            ordinals = _from_little_endian(width, raw_ordinals)
-            if not _ascending_runs_below(ordinals, raw_ordinals, (0, len(ordinals)), len(table)):
+            ordinals = take_column()
+            if not _ascending_runs_below(ordinals, (0, len(ordinals)), len(table)):
                 raise bad(f"bad term ordinals in field {name!r}")
             terms = list(map(table.__getitem__, ordinals))  # the table's own strings
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
-            raw_docs, raw_tfs, positions = take_raw_column(), take_raw_column(), take_column()
-            docs, tfs = _from_little_endian(*raw_docs), _from_little_endian(*raw_tfs)
+            docs, tfs, positions = take_column(), take_column(), take_column()
             if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
-            if _holds_zero(*raw_tfs) or sum(tfs) != len(positions):
+            if _holds_zero(tfs) or sum(tfs) != len(positions):
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
-            if not _ascending_runs_below(docs, raw_docs[1], starts, n_docs):
+            if not _ascending_runs_below(docs, starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
             fields[name] = _FieldColumns(terms, starts, docs, tfs, positions)
 
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
-            raw_value_docs = take_raw_column()
-            value_docs = _from_little_endian(*raw_value_docs)
+            value_docs = take_column()
             if value_starts[-1] != len(value_docs):
                 raise bad(f"raw values of field {name!r} disagree with their offsets")
-            if not _ascending_runs_below(value_docs, raw_value_docs[1], value_starts, n_docs):
+            if not _ascending_runs_below(value_docs, value_starts, n_docs):
                 raise bad(f"bad doc ordinals for the raw values of field {name!r}")
             if values:
                 raw_values[name] = _RawValues(values, value_starts, value_docs)
@@ -741,14 +734,13 @@ class Index:
         return doc_ids, fields, raw_values, chains
 
 
-def _ascending_runs_below(values: array, raw: bytes, starts: Sequence[int], limit: int) -> bool:
+def _ascending_runs_below(values: array, starts: Sequence[int], limit: int) -> bool:
     """True if every run `values[starts[i]:starts[i+1]]` is strictly
-    ascending and every value is below `limit`. `raw` holds `values` as
-    little-endian bytes; `starts` begins at 0, does not descend and ends
-    at len(values)."""
+    ascending and every value is below `limit`. `starts` begins at 0,
+    does not descend and ends at len(values)."""
     if not values:
         return True
-    rises = _rises(values.itemsize, raw)
+    rises = _rises(values)
     rises.append(0)  # a byte for the last item, which ends the last run
     ends = set(starts)  # one past the last item of each nonempty run, and 0
     ends.discard(0)
@@ -761,19 +753,20 @@ def _ascending_runs_below(values: array, raw: bytes, starts: Sequence[int], limi
     )
 
 
-def _rises(width: int, raw: bytes) -> bytearray:
-    """Byte j is 1 if item j + 1 is greater than item j, else 0, for the
-    column of little-endian `width`-byte items in `raw`.
+def _rises(values: array) -> bytearray:
+    """Byte j is 1 if item j + 1 of `values` is greater than item j, else 0.
 
-    Each chunk of `_RISE_CHUNK` items, and the item after it, is packed
-    into lanes one byte wider than an item, as two ints: `current` holds
-    items j and `following` items j + 1. A lane of following +
-    (256**width - 1) - current lies in [0, 2 * 256**width - 2], so no
-    lane carries or borrows, and its top byte is 1 exactly where the
-    following item is greater. Chunks bound the size of these ints."""
+    Each chunk of `_RISE_CHUNK` items, with the item after it, is copied
+    from the little-endian bytes into lanes one byte wider than an item, as
+    two ints: `current` holds items j and `following` items j + 1. A lane
+    of following + (256**width - 1) - current, in [0, 2 * 256**width - 2],
+    neither carries nor borrows, and its top byte is 1 exactly where the
+    following item is greater. Chunks bound these ints and copies."""
+    width = values.itemsize
+    raw = _little_endian(values)
     lane = width + 1
     lane_max = b"\xff" * width + b"\0"
-    n_pairs = len(raw) // width - 1
+    n_pairs = len(values) - 1
     chunk = _RISE_CHUNK
     # Every chunk but the last is full, so one int of lanes that each
     # hold the largest item serves them all.
@@ -793,24 +786,22 @@ def _rises(width: int, raw: bytes) -> bytearray:
     return out
 
 
-def _holds_zero(width: int, raw: bytes) -> bool:
-    """True if the column of little-endian `width`-byte items in `raw`
-    holds a 0: the OR of each item's bytes is then a zero byte."""
-    raw = bytes(raw)
+def _holds_zero(values: array) -> bool:
+    """True if `values` holds a 0: the OR of each item's little-endian
+    bytes is then a zero byte."""
+    width = values.itemsize
+    raw = bytes(_little_endian(values))
     merged = 0
     for k in range(width):
         merged |= int.from_bytes(raw[k::width], "little")
-    return 0 in merged.to_bytes(len(raw) // width, "little")
+    return 0 in merged.to_bytes(len(values), "little")
 
 
 def _narrowest(values: array) -> tuple[int, bytes]:
     """The narrowest width of 1, 2 or 4 bytes that holds every value, and
     the values as little-endian bytes at that width."""
     width = values.itemsize
-    if _BIG_ENDIAN:
-        values = array(values.typecode, values)
-        values.byteswap()
-    raw = values.tobytes()
+    raw = bytes(_little_endian(values))
     n = len(values)
     narrow = width
     # Halve the width while the high bytes it would drop are all zero.
@@ -822,6 +813,15 @@ def _narrowest(values: array) -> tuple[int, bytes]:
     for k in range(narrow):
         kept[k::narrow] = raw[k::width]
     return narrow, kept
+
+
+def _little_endian(values: array) -> memoryview:
+    """`values` as little-endian bytes: a view of the array itself, or on
+    a big-endian host of a byteswapped copy."""
+    if _BIG_ENDIAN:
+        values = array(values.typecode, values)
+        values.byteswap()
+    return memoryview(values).cast("B")
 
 
 def _from_little_endian(width: int, raw: bytes) -> array:

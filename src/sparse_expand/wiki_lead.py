@@ -133,14 +133,10 @@ def extract_lead(wikitext: str, min_links: int = DEFAULT_MIN_LINKS) -> LeadExtra
     than `min_links` links (short articles).
     """
     cleaned = strip_markup(wikitext).text
-    lead_lines: list[str] = []
-    # A line ends at `\n` only, as in every file the repo reads; `splitlines`
-    # would also end one at `\x0b`, `\x1c` or U+2028 inside the lead.
-    for line in cleaned.split("\n"):
-        if line.startswith("=="):
-            break
-        lead_lines.append(line)
-    lead = "\n".join(lead_lines)
+    # The lead ends where the first line starting with `==` begins. A line
+    # ends at `\n` only, as in every file the repo reads; `splitlines` would
+    # also end one at `\x0b`, `\x1c` or U+2028 inside the lead.
+    lead = "" if cleaned.startswith("==") else cleaned.partition("\n==")[0]
     links = _link_targets(lead)
     used_full_article = False
     if len(links) < min_links:

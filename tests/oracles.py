@@ -373,6 +373,25 @@ def naive_link_targets(text: str) -> list[str]:
     return targets
 
 
+def naive_extract_lead(wikitext: str, min_links: int = 3) -> tuple[tuple[str, ...], bool]:
+    """(links, used_full_article): the link targets of the stripped text's
+    lines, split at line feeds only, above the first line that starts
+    with `==`. A lead with fewer than `min_links` targets falls back to
+    the whole stripped text, and the flag says whether that gave other
+    targets."""
+    text, _ = naive_strip_markup(wikitext)
+    lead_lines = []
+    for line in text.split("\n"):
+        if line.startswith("=="):
+            break
+        lead_lines.append(line)
+    lead = naive_link_targets("\n".join(lead_lines))
+    if len(lead) >= min_links:
+        return tuple(lead), False
+    full = naive_link_targets(text)
+    return tuple(full), full != lead
+
+
 def _naive_query_words(chain, text):
     """The surface tokens of `text` that analyze to a term, each without
     its possessive when that leaves its term as it is."""
@@ -383,6 +402,32 @@ def _naive_query_words(chain, text):
             word = en_possessive(surface) if chain.lang == "en" else surface
             words.append(word if naive_chain_run(chain, word) == term else surface)
     return words
+
+
+def naive_build_query(title, lang, concepts=(), max_concepts=10, title_boost=2.0):
+    """README "Query expansion", clause by clause, or None for a title with
+    no query words. Each query word of the title, once per occurrence, is
+    a term boosted by `title_boost`. Of the first `max_concepts` concepts,
+    each one whose lower case is not an earlier one's gives an unboosted
+    clause: none if it has no query words, a term of its one query word,
+    or a phrase of its text split at whitespace and `"`."""
+    chain = chain_for(lang)
+    field = f"chic_all-{lang}"
+    title_words = _naive_query_words(chain, title)
+    if not title_words:
+        return None
+    clauses = [Term(field, word, title_boost) for word in title_words]
+    seen = set()
+    for text in concepts[:max_concepts]:
+        if text.lower() in seen:
+            continue
+        seen.add(text.lower())
+        words = _naive_query_words(chain, text)
+        if len(words) == 1:
+            clauses.append(Term(field, words[0], 1.0))
+        elif words:
+            clauses.append(Phrase(field, tuple(w for w in re.split(r'[\s"]', text) if w), 1.0))
+    return Query(tuple(clauses))
 
 
 def _occurrences(terms, phrase):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_combo, naive_parse_query
+from oracles import naive_build_query, naive_combo, naive_parse_query
 from sparse_expand import expand
 from sparse_expand.analysis import chain_for
 from sparse_expand.corpus import Topic
@@ -114,6 +114,43 @@ def test_build_query_max_concepts_cap():
     query = build_query(topic, suggestions, ExpansionConfig(max_concepts=5))
     assert len(query.clauses) == 6
 
+
+# Words that analyze to nothing in one language or both, possessives
+# (`Ahab's's` keeps its own), words that split into two tokens or lose
+# one (`U.S.`: `s` stems to nothing), a quote inside a word, a hyphen.
+_QUERY_WORDS = st.sampled_from(
+    ["moby", "Dick", "whale", "Straße", "the", "of", "der", "und", "s",
+     "Dick's", "Ahab's's", "U.S.", 'O"Brien', "Moby-Dick", "(literature)"]
+)
+_CONCEPTS = st.builds(
+    lambda words, separator, case: case(separator.join(words)),
+    st.lists(_QUERY_WORDS, min_size=1, max_size=3),
+    st.sampled_from([" ", "  ", "\t", '"', " - "]),
+    st.sampled_from([str, str.lower, str.upper, str.title]),  # concepts that differ only in case
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    title=st.lists(_QUERY_WORDS, max_size=4).map(" ".join),
+    lang=st.sampled_from(["en", "de"]),
+    concepts=st.lists(_CONCEPTS, max_size=9, unique=True),
+    max_concepts=st.integers(0, 7),
+    title_boost=st.sampled_from([2.0, 3.5]),
+)
+@example(title="moby Dick moby", lang="en", concepts=["Whale"], max_concepts=1, title_boost=2.0)
+@example(title="whale", lang="en", concepts=["the", "THE", "Whale", "WHALE"], max_concepts=2, title_boost=2.0)
+@example(title="whale", lang="en", concepts=["Dick's", 'O"Brien', "U.S.", "Ahab's's"], max_concepts=4, title_boost=2.0)
+def test_build_query_agrees_with_the_naive_rule(title, lang, concepts, max_concepts, title_boost):
+    topic = Topic("T", title, lang)
+    suggestions = make_suggestion_set("T", "STR", [(text, 1.0) for text in concepts])
+    cfg = ExpansionConfig(title_boost=title_boost, max_concepts=max_concepts)
+    expected = naive_build_query(title, lang, concepts, max_concepts, title_boost)
+    if expected is None:
+        with pytest.raises(EmptyQueryError):
+            build_query(topic, suggestions, cfg)
+    else:
+        assert build_query(topic, suggestions, cfg) == expected
 
 
 def test_queries_built_for_two_topics_share_their_words_and_field():

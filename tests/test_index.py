@@ -924,25 +924,20 @@ def test_snapshot_rejects_inconsistent_columns_written_wide(tmp_path, width, cas
 
 
 def test_rises_reads_little_endian_items():
-    assert _rises(1, bytes([3, 5, 5, 4, 255, 0])) == bytes([1, 0, 0, 1, 0])
-    # 256, 255, 65535, 0
-    assert _rises(2, bytes.fromhex("0001" "ff00" "ffff" "0000")) == bytes([0, 1, 0])
-    # 2**24, 2**24 - 1, 2**32 - 1
-    assert _rises(4, bytes.fromhex("00000001" "ffffff00" "ffffffff")) == bytes([0, 1])
-    assert _rises(2, b"") == _rises(2, b"\1\0") == b""
+    assert _rises(array("B", [3, 5, 5, 4, 255, 0])) == bytes([1, 0, 0, 1, 0])
+    # Items whose high and low bytes disagree on the order.
+    assert _rises(array("H", [256, 255, 65535, 0])) == bytes([0, 1, 0])
+    assert _rises(array("I", [2**24, 2**24 - 1, 2**32 - 1])) == bytes([0, 1])
+    assert _rises(array("H")) == _rises(array("H", [1])) == b""
 
 
 def test_holds_zero_reads_whole_items():
-    assert not _holds_zero(2, bytes.fromhex("0100" "0001"))  # 1, 256: zero bytes, no zero item
-    assert _holds_zero(2, bytes.fromhex("0001" "0000"))
-    assert not _holds_zero(4, bytes.fromhex("00000001" "00010000"))
-    assert _holds_zero(4, bytes.fromhex("01000000" "00000000" "ffffffff"))
-    assert _holds_zero(1, b"\1\0") and not _holds_zero(1, b"\1\2")
-    assert not _holds_zero(4, b"")
-
-
-def _little_endian(values):
-    return struct.pack(f"<{len(values)}{values.typecode}", *values)
+    assert not _holds_zero(array("H", [1, 256]))  # zero bytes, no zero item
+    assert _holds_zero(array("H", [256, 0]))
+    assert not _holds_zero(array("I", [2**24, 256]))
+    assert _holds_zero(array("I", [1, 0, 2**32 - 1]))
+    assert _holds_zero(array("B", [1, 0])) and not _holds_zero(array("B", [1, 2]))
+    assert not _holds_zero(array("I"))
 
 
 @st.composite
@@ -972,7 +967,7 @@ def test_ascending_runs_below_agrees_with_the_oracle(runs, chunk):
     values, starts, limit = runs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(index_module, "_RISE_CHUNK", chunk)
-        got = _ascending_runs_below(values, _little_endian(values), starts, limit)
+        got = _ascending_runs_below(values, starts, limit)
     assert got == naive_ascending_runs_below(values, starts, limit)
 
 
@@ -984,24 +979,22 @@ def test_ascending_runs_below_across_chunk_edges(code):
     ascending = array(code, [(j % 200) * scale for j in range(n)])
     starts = list(range(0, n, 200)) + [n]
     limit = 199 * scale + 1
-    raw = _little_endian(ascending)
-    assert _ascending_runs_below(ascending, raw, array("I", starts), limit) is True
-    assert _ascending_runs_below(ascending, raw, array("I", starts), limit - 1) is False
+    assert _ascending_runs_below(ascending, array("I", starts), limit) is True
+    assert _ascending_runs_below(ascending, array("I", starts), limit - 1) is False
     # A descent at pair p (values[p + 1] <= values[p]) on or next to a
     # chunk edge passes only where a run starts at p + 1.
     for p in (chunk - 2, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 2):
         values = array(code, ascending)
         values[p + 1] = values[p]
-        raw = _little_endian(values)
-        assert _ascending_runs_below(values, raw, array("I", starts), limit) is False
+        assert _ascending_runs_below(values, array("I", starts), limit) is False
         cut = array("I", sorted(starts + [p + 1]))
-        assert _ascending_runs_below(values, raw, cut, limit) is True
+        assert _ascending_runs_below(values, cut, limit) is True
         assert naive_ascending_runs_below(values, cut, limit) is True
     # Each item at a multiple of 200 is below the one before it: the
     # first such item past a chunk edge needs its run start.
     first_past_edge = next(start for start in starts if start > chunk)
     without = array("I", [start for start in starts if start != first_past_edge])
-    assert _ascending_runs_below(ascending, raw, without, limit) is False
+    assert _ascending_runs_below(ascending, without, limit) is False
 
 
 def _narrow_snapshot(tmp_path, stopwords=None):

@@ -1,10 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import NAIVE_STRIP_STAGES, naive_article_match, naive_link_targets, naive_strip_markup
+from oracles import (
+    NAIVE_STRIP_STAGES,
+    naive_article_match,
+    naive_extract_lead,
+    naive_link_targets,
+    naive_strip_markup,
+)
 from sparse_expand import index
 from sparse_expand.analysis import AnalyzerChain
 from sparse_expand.corpus import Topic
@@ -207,6 +213,20 @@ def test_extract_lead_ends_only_at_a_newline(separator):
     assert lead.used_full_article is False
 
 
+def test_extract_lead_heading_on_the_first_line_leaves_an_empty_lead():
+    lead = extract_lead("== Plot ==\n[[Ahab]] [[Ishmael]]", min_links=1)
+    assert lead.links == ("Ahab", "Ishmael")
+    assert lead.used_full_article is True
+    assert extract_lead("== Plot ==\n[[Ahab]]", min_links=0) == extract_lead("", min_links=0)
+
+
+def test_extract_lead_ignores_equals_signs_inside_a_line():
+    text = "[[A]] == not a heading == [[B]]\n x == y\n== H ==\n[[C]]"
+    lead = extract_lead(text, min_links=1)
+    assert lead.links == ("A", "B")
+    assert lead.used_full_article is False
+
+
 def test_extract_lead_stable_under_body_growth():
     lead_part = "[[A]] [[B]] [[C]] intro.\n"
     before = extract_lead(lead_part + "== S ==\nbody", min_links=3)
@@ -223,6 +243,22 @@ _LINK_FRAGMENTS = st.sampled_from(
 @given(st.lists(_LINK_FRAGMENTS, max_size=30).map("".join))
 def test_link_targets_match_oracle(text):
     assert _link_targets(text) == naive_link_targets(text)
+
+
+_LEAD_FRAGMENTS = st.sampled_from(
+    _FRAGMENTS
+    + ["==", "= ", "== H ==", "\n", "\n==", "\n ==", "\u2028", "\x0b", "[[A]] ", "[[B]]", "[[de:C]]", "[[", "]]"]
+)
+
+
+@settings(max_examples=1000)
+@given(st.lists(_LEAD_FRAGMENTS, max_size=30).map("".join), st.integers(0, 4))
+@example("== H ==\n[[A]]", 1)
+@example("[[A]] == x ==\n[[B]]\n== H ==\n[[C]] [[D]]", 3)
+@example("[[A]]\n{{t}}== H ==\n[[B]]", 2)
+def test_extract_lead_agrees_with_the_oracle(text, min_links):
+    lead = extract_lead(text, min_links=min_links)
+    assert (lead.links, lead.used_full_article) == naive_extract_lead(text, min_links)
 
 
 def test_extract_lead_strips_markup_first():
