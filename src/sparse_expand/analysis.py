@@ -8,7 +8,12 @@ and nothing else; an empty list drops no token:
     de: tokenize -> lowercase -> stopwords -> de_normalize -> de_light_stem
 
 A chain is immutable and pure: analyzing the same input twice yields the
-same token list.
+same token list. Each chain caches the term of every surface token it
+analyzes. `chain_for` gives a private chain with an empty cache;
+`shared_chain` gives the one chain per (language, stopword list) that
+the package itself analyzes with, so index builds and loads, query
+expansion, the article store and the similarity corpora of one process
+share its cache.
 
 The index assigns positions after stopword removal, so a value's
 surviving tokens are numbered 0..k-1 with no gaps.
@@ -25,6 +30,7 @@ from .porter import porter_stem
 __all__ = [
     "AnalyzerChain",
     "chain_for",
+    "shared_chain",
     "tokenize",
     "porter_stem",
     "de_normalize",
@@ -128,6 +134,29 @@ def chain_for(lang: str, stopword_list: frozenset[str] | None = None) -> Analyze
     if stopword_list is None:
         stopword_list = _stopwords.BY_LANG.get(lang, frozenset())  # AnalyzerChain checks lang
     return AnalyzerChain(lang, stopword_list)
+
+
+# The chain of each profile that `shared_chain` has given out, by
+# (language, stopword list); it lives as long as the process.
+_SHARED: dict[tuple[str, frozenset[str]], AnalyzerChain] = {}
+
+
+def shared_chain(lang: str, stopword_list: frozenset[str] | None = None) -> AnalyzerChain:
+    """The one chain of a profile for the life of the process, its cache
+    shared by every caller; the stopwords are the bundled ones unless a
+    list is given, and a list equal to the bundled one names the same
+    profile.
+
+    Analysis is pure, so a result never depends on what the cache holds;
+    two threads that analyze one new token at once both store its term.
+    """
+    if stopword_list is None:
+        stopword_list = _stopwords.BY_LANG.get(lang, frozenset())
+    key = (lang, stopword_list)
+    chain = _SHARED.get(key)
+    if chain is None:  # chain_for rejects a language with no profile
+        chain = _SHARED.setdefault(key, chain_for(lang, stopword_list))
+    return chain
 
 
 def query_tokens(chain: AnalyzerChain, text: str) -> list[str]:

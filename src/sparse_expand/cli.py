@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
-Progress goes to standard error; machine-readable output goes to files
-or standard output only.
+Progress and warnings go to standard error (`-q` keeps errors only);
+machine-readable output goes to files or standard output only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import LANGUAGES, chain_for
+from .analysis import LANGUAGES, shared_chain
 from .corpus import coverage_report, ingest_documents, read_topics, topic_stats
 from .docsim import SimCorpus
 from .errors import ConfigError, SparseExpandError
@@ -118,8 +118,12 @@ def _sets_by_topic(paths) -> dict[str, list[SuggestionSet]]:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="sparse-expand")
-def cli():
+@click.option("-q", "--quiet", is_flag=True, help="Log errors only.")
+def cli(quiet):
     """Query expansion toolkit for sparse metadata search."""
+    # Set on every call: a level left by an earlier call in one process
+    # would otherwise stay.
+    logging.getLogger().setLevel(logging.ERROR if quiet else logging.INFO)
 
 
 # -- corpus -------------------------------------------------------------
@@ -184,7 +188,7 @@ def index_build(docs, out_dir, lax, stopword_file):
     documents = ingest_documents(docs, lax=lax).documents
     custom = load_stopwords(stopword_file) if stopword_file else None
     langs = sorted({d.lang for d in documents})
-    chains = {lang: chain_for(lang, stopword_list=custom) for lang in langs}
+    chains = {lang: shared_chain(lang, stopword_list=custom) for lang in langs}
     index = build_index(documents, chains)
     path = Path(out_dir) / SNAPSHOT_FILENAME
     index.save(path)

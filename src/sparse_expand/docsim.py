@@ -36,7 +36,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .analysis import chain_for
+from .analysis import shared_chain
 from .errors import DataError, SeedNotFoundError
 from .files import read_titled_files
 from .index import idf_weight
@@ -48,7 +48,7 @@ class SimCorpus:
 
     def __init__(self, documents: Iterable[tuple[str, str]], lang: str = "en"):
         self.lang = lang
-        self._chain = chain_for(lang)
+        self._chain = shared_chain(lang)
         self._term_counts: dict[str, Counter] = {}
         for title, body in documents:
             if title in self._term_counts:

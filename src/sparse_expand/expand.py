@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .analysis import LANGUAGES, chain_for, query_tokens
+from .analysis import LANGUAGES, query_tokens, shared_chain
 from .corpus import Topic
 from .errors import DataError, EmptyQueryError
 from .files import is_id, read_keyed_lines, write_lines
@@ -49,10 +49,6 @@ from .suggestions import (
 logger = logging.getLogger(__name__)
 
 _SYSTEM_ORDER = {name: i for i, name in enumerate(GENERATOR_SYSTEMS)}
-
-# One chain per language for every `build_query` call: `query_tokens`
-# analyzes each word, and a shared cache does so once per process.
-_CHAINS = {lang: chain_for(lang) for lang in LANGUAGES}
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,11 @@ def build_query(
 ) -> Query:
     """OR together boosted title words and suggested concepts."""
     cfg = cfg or ExpansionConfig()
-    chain = _CHAINS.get(topic.lang)
-    if chain is None:
+    if topic.lang not in LANGUAGES:
         raise EmptyQueryError(
             f"topic {topic.topic_id!r}: no analyzer profile for language {topic.lang!r}"
         )
+    chain = shared_chain(topic.lang)
     field = sys.intern(f"{ALL_FIELD}-{topic.lang}")
 
     title_tokens = query_tokens(chain, topic.title)

@@ -88,7 +88,9 @@ here and in `save`, sums the tfs in one C-level pass, and maps each
 field's ordinals to its language's decoded terms in one C-level pass, so
 a language's fields share its term strings. It runs no Python loop per
 term or posting, derives no position offsets and builds no lookup maps:
-it keeps the term lists and raw-value columns. The decoder checks the
+it keeps the term lists and raw-value columns. Each language's chain is
+`analysis.shared_chain` of its stopwords, so every load of one profile
+analyzes through one stem cache. The decoder checks the
 bytes and columns; `load` then reports the constructor's errors as a
 malformed snapshot too. The decoder rejects with DataError:
 
@@ -127,7 +129,7 @@ from operator import attrgetter, eq, itemgetter, le, lt, sub
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import LANGUAGES, AnalyzerChain
+from .analysis import LANGUAGES, AnalyzerChain, shared_chain
 from .corpus import CONCEPT_FIELDS, DEFAULT_SCHEMA, Document
 from .errors import AnalysisError, DataError, DuplicateDocumentError, EmptyCorpusError, UnknownFieldError
 from .files import write_atomic
@@ -692,7 +694,7 @@ class Index:
             if lang not in LANGUAGES:
                 raise bad(f"no analyzer profile for language {lang!r}")
             stopwords = take_sorted_table(f"stopwords of language {lang!r}")
-            chains[lang] = AnalyzerChain(lang, frozenset(stopwords))
+            chains[lang] = shared_chain(lang, frozenset(stopwords))
             lang_terms[lang] = take_sorted_table(f"terms of language {lang!r}")
 
         doc_ids = take_table()

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .analysis import LANGUAGES, chain_for
+from .analysis import LANGUAGES, shared_chain
 from .corpus import Topic, ingest_documents, read_topics
 from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
@@ -273,7 +273,7 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     )
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
-    index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: chain_for(cfg.lang)})
+    index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: shared_chain(cfg.lang)})
     del documents  # the index holds all the run reads of them
     if not index.has_field(f"{ALL_FIELD}-{cfg.lang}"):
         raise DataError(f"corpus has no indexed {cfg.lang!r} content")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .analysis import chain_for, query_tokens
+from .analysis import query_tokens, shared_chain
 from .corpus import Topic
 from .errors import DataError
 from .files import read_titled_files
@@ -174,8 +174,8 @@ class ArticleStore:
         if not self._articles:
             raise DataError("article store is empty")
         # Each pair is (chain, its run table).
-        self._standard = (chain_for(lang), {})
-        self._exact = (chain_for(lang, frozenset()), {})
+        self._standard = (shared_chain(lang), {})
+        self._exact = (shared_chain(lang, frozenset()), {})
         for chain, runs in (self._standard, self._exact):
             for title in self._articles:
                 terms = chain.run(title)

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from conftest import (
     write_docs_file,
     write_topics_file,
 )
+import sparse_expand
 from sparse_expand.analysis import chain_for
 from sparse_expand.cli import main
 from sparse_expand.corpus import Document, Topic
@@ -1248,3 +1251,49 @@ def test_run_on_a_config_boost_beyond_the_float_range_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "boost must be finite" in err and "Traceback" not in err
     assert not Path(workspace["out"]).exists()
+
+
+def _cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """`sparse-expand argv` in a fresh interpreter, whose logging starts
+    unconfigured as a user's does."""
+    src = str(Path(sparse_expand.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "sparse_expand.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _stopword_only_topic_expand(tmp_path) -> list[str]:
+    """`expand` arguments for topics where T1 is stopwords only, so it is
+    skipped with a warning, and T2 builds a query."""
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text(
+        '{"id": "T1", "lang": "en", "title": "The of"}\n{"id": "T2", "lang": "en", "title": "whale"}\n',
+        encoding="utf-8",
+    )
+    return ["expand", "--topics", str(topics), "--out", str(tmp_path / "queries.tsv")]
+
+
+def test_quiet_flag_keeps_errors_only_on_stderr(tmp_path):
+    expand = _stopword_only_topic_expand(tmp_path)
+    stderr = {}
+    for flags in ([], ["-q"], ["--quiet"]):
+        done = _cli_process([*flags, *expand])
+        assert (done.returncode, done.stdout) == (0, ""), done.stderr
+        stderr[tuple(flags)] = done.stderr
+    assert stderr[()] == "empty title: topic 'T1'; topic skipped\n"
+    assert stderr[("-q",)] == stderr[("--quiet",)] == ""
+    assert (tmp_path / "queries.tsv").read_text(encoding="utf-8") == "T2\tchic_all-en:(whale)^2\n"
+    (tmp_path / "topics.jsonl").write_text('{"id": "T1", "lang": "en", "title": 5}\n', encoding="utf-8")
+    done = _cli_process(["-q", *expand])
+    assert done.returncode == 2 and done.stderr.startswith("error: ") and "topics.jsonl:1" in done.stderr
+
+
+def test_quiet_flag_lasts_only_for_its_own_call(tmp_path, caplog):
+    caplog.set_level(logging.WARNING)  # restored when the test ends
+    expand = _stopword_only_topic_expand(tmp_path)
+    warning = "empty title: topic 'T1'; topic skipped"
+    assert main(["-q", *expand]) == 0
+    assert warning not in caplog.text
+    assert main(expand) == 0
+    assert warning in caplog.text

@@ -129,3 +129,43 @@ def test_index_internals_guard_sees_every_read():
         ]
     )
     assert sorted(_index_private_reads(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+_CHAIN_MAKERS = {"chain_for", "AnalyzerChain"}
+
+
+def _chain_makes(source: str) -> list[int]:
+    """Line numbers where `source` calls `chain_for` or constructs an
+    `AnalyzerChain`, by name or as a module attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in _CHAIN_MAKERS
+    ]
+
+
+def test_only_analysis_module_makes_chains():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "analysis.py" and (lines := _chain_makes(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}, "take the chain of a profile from analysis.shared_chain"
+    assert _chain_makes((PACKAGE / "analysis.py").read_text(encoding="utf-8"))
+
+
+def test_chain_guard_sees_every_chain_made():
+    source = "\n".join(
+        [
+            "chain_for('en')",
+            "analysis.chain_for(lang, frozenset())",
+            "AnalyzerChain(lang, stopwords)",
+            "analysis.AnalyzerChain('de')",
+            "shared_chain('en')",
+            "chains: dict[str, AnalyzerChain] = {}",
+            "from .analysis import AnalyzerChain, chain_for",
+            "index.chain_for_field(field)",
+        ]
+    )
+    assert sorted(_chain_makes(source)) == [1, 2, 3, 4]
