@@ -240,9 +240,18 @@ def suggest_str_cmd(index_dir, topics, top_k, similarity, out_file):
 @click.option("--lang", type=_LANG, default="en", show_default=True)
 @click.option("--out", "out_file", type=click.Path(dir_okay=False))
 def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
-    """Lead-section link suggestions from a local article directory."""
+    """Lead-section link suggestions from a local article directory, for
+    the topics of `--lang`; a topic of another language is skipped."""
     store = ArticleStore.from_dir(articles, lang=lang)
-    sets = wiki_entity_sets(store, read_topics(topics), top_k, min_links)
+    kept = []
+    for topic in read_topics(topics):
+        if topic.lang == lang:
+            kept.append(topic)
+        else:
+            logger.warning(
+                "topic %r: language %r is not --lang %r; topic skipped", topic.topic_id, topic.lang, lang
+            )
+    sets = wiki_entity_sets(store, kept, top_k, min_links)
     _emit_lines(suggestion_lines(sets), out_file)
 
 

@@ -7,6 +7,9 @@ heading, in appearance order; and a title matcher that resolves a topic
 to an article through four fallback stages, each text of a stage looked
 up once in a table of every run of consecutive terms of every title.
 
+A store's articles never change, so it extracts an article's lead once
+per `min_links`, on the first match, and keeps it for its own life.
+
 The stripper is defensive and never raises. `_STAGES` is the one list
 of its openers (`<!--`, `{{`, media and category links, `{|`). It
 repeats the stages until no opener is left, a fixpoint of the pipeline,
@@ -161,6 +164,8 @@ class ArticleStore:
     and once with an empty stopword list, so that a query carrying
     function words only matches a title that carries them too. Per chain,
     each run of a title's terms maps to the title once per occurrence.
+    Lead extracts are derived from the articles and built on first use:
+    at most one per (title, `min_links`) for the life of the store.
     """
 
     def __init__(self, articles: Iterable[tuple[str, str]], lang: str = "en"):
@@ -181,6 +186,7 @@ class ArticleStore:
                 terms = chain.run(title)
                 for i, j in itertools.combinations(range(len(terms) + 1), 2):
                     runs.setdefault(tuple(terms[i:j]), []).append(title)
+        self._leads: dict[tuple[str, int], LeadExtract] = {}
 
     @classmethod
     def from_dir(cls, path: str | Path, lang: str = "en") -> "ArticleStore":
@@ -193,6 +199,15 @@ class ArticleStore:
 
     def wikitext(self, title: str) -> str:
         return self._articles[title]
+
+    def lead(self, title: str, min_links: int = DEFAULT_MIN_LINKS) -> LeadExtract:
+        """`extract_lead` of the article, made on the first call per
+        (title, `min_links`) and kept."""
+        key = (title, min_links)
+        lead = self._leads.get(key)
+        if lead is None:
+            lead = self._leads[key] = extract_lead(self._articles[title], min_links=min_links)
+        return lead
 
     def match(self, topic_title: str) -> MatchResult | None:
         """Resolve a topic title through four stages.
@@ -250,5 +265,5 @@ def suggest_wiki_lead(
     match = store.match(topic.title)
     if match is None:
         return SuggestionSet(topic.topic_id, "WIKI_ENTITY")
-    links = extract_lead(store.wikitext(match.title), min_links=min_links).links[:k]
+    links = store.lead(match.title, min_links).links[:k]
     return SuggestionSet(topic.topic_id, "WIKI_ENTITY", links, reciprocal_rank_scores(len(links)))

@@ -891,6 +891,27 @@ def test_expand_skips_a_topic_whose_language_has_no_profile(tmp_path, caplog):
     assert "topic 'T1': no analyzer profile for language 'fr'; topic skipped" in caplog.text
 
 
+def test_suggest_wiki_lead_skips_a_topic_of_another_language(tmp_path, caplog):
+    articles = tmp_path / "articles"
+    articles.mkdir()
+    (articles / "Whale.wiki").write_text("[[Ocean]] [[Mammal]] [[Krill]]", encoding="utf-8")
+    (articles / "Moby-Dick.wiki").write_text("[[Herman Melville]] [[Novel]]", encoding="utf-8")
+    en_only, mixed = tmp_path / "en.jsonl", tmp_path / "mixed.jsonl"
+    en_topics = [Topic("T1", "whales", "en"), Topic("T3", "moby dick", "en")]
+    write_topics_file(en_only, en_topics)
+    write_topics_file(mixed, [en_topics[0], Topic("T2", "whales", "de"), en_topics[1]])
+    outputs = []
+    for topics in (en_only, mixed):
+        out_file = tmp_path / f"{topics.stem}.tsv"
+        argv = ["suggest", "wiki-lead", "--articles", str(articles), "--topics", str(topics), "--lang", "en"]
+        assert main(argv + ["--out", str(out_file)]) == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert {line.split("\t")[0] for line in outputs[1].decode().splitlines()} == {"T1", "T3"}
+    assert "topic 'T2': language 'de' is not --lang 'en'; topic skipped" in caplog.text
+    assert caplog.text.count("topic skipped") == 1
+
+
 # Byte edits: each replaces the byte at a position with zero to three
 # bytes (zero deletes it), drawn at random or from bytes the readers
 # treat specially.

@@ -82,18 +82,18 @@ def test_json_read_guard_sees_every_json_read():
 _INDEX_PRIVATE = {"_fields", "_raw_values", "_columns", "ordinals", "_span", "_term_ordinals", "_position_offsets"}
 
 
-def _index_private_reads(source: str) -> list[int]:
-    """Line numbers where `source` reads an attribute private to `Index`,
+def _private_reads(source: str, private: set[str]) -> list[int]:
+    """Line numbers where `source` reads an attribute named in `private`,
     directly or by name through `getattr` or `attrgetter`."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in _INDEX_PRIVATE:
+        if isinstance(node, ast.Attribute) and node.attr in private:
             lines.append(node.lineno)
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in {
             "getattr",
             "attrgetter",
         }:
-            if any(isinstance(arg, ast.Constant) and arg.value in _INDEX_PRIVATE for arg in node.args):
+            if any(isinstance(arg, ast.Constant) and arg.value in private for arg in node.args):
                 lines.append(node.lineno)
     return lines
 
@@ -102,10 +102,11 @@ def test_only_index_module_reads_index_internals():
     offenders = {
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "index.py" and (lines := _index_private_reads(path.read_text(encoding="utf-8")))
+        if path.name != "index.py"
+        and (lines := _private_reads(path.read_text(encoding="utf-8"), _INDEX_PRIVATE))
     }
     assert offenders == {}, "read an Index through its public methods"
-    assert _index_private_reads((PACKAGE / "index.py").read_text(encoding="utf-8"))
+    assert _private_reads((PACKAGE / "index.py").read_text(encoding="utf-8"), _INDEX_PRIVATE)
 
 
 def test_index_internals_guard_sees_every_read():
@@ -128,7 +129,43 @@ def test_index_internals_guard_sees_every_read():
             "ordinals = {}",
         ]
     )
-    assert sorted(_index_private_reads(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert sorted(_private_reads(source, _INDEX_PRIVATE)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+# Attributes private to `ArticleStore`: its articles, its two title run
+# tables and its lead memo. Other modules use `wikitext`, `match` and `lead`.
+_STORE_PRIVATE = {"_articles", "_standard", "_exact", "_leads"}
+
+
+def test_only_wiki_lead_module_reads_store_internals():
+    root = PACKAGE.parents[1]
+    paths = [*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    offenders = {
+        path.name: lines
+        for path in sorted(paths)
+        if path.name != "wiki_lead.py"
+        and (lines := _private_reads(path.read_text(encoding="utf-8"), _STORE_PRIVATE))
+    }
+    assert offenders == {}, "read an ArticleStore through its public methods"
+    assert _private_reads((PACKAGE / "wiki_lead.py").read_text(encoding="utf-8"), _STORE_PRIVATE)
+
+
+def test_store_internals_guard_sees_every_read():
+    source = "\n".join(
+        [
+            "store._articles[title]",
+            "self._leads.get(key)",
+            "chain, runs = store._standard",
+            "store._exact[1]",
+            "getattr(store, '_leads')",
+            "operator.attrgetter('_articles')(store)",
+            "store.wikitext(title)",
+            "store.lead(title, 3)",
+            "articles = {}",
+            "getattr(store, 'titles')",
+        ]
+    )
+    assert sorted(_private_reads(source, _STORE_PRIVATE)) == [1, 2, 3, 4, 5, 6]
 
 
 _CHAIN_MAKERS = {"chain_for", "AnalyzerChain"}

@@ -11,7 +11,7 @@ from oracles import (
     naive_link_targets,
     naive_strip_markup,
 )
-from sparse_expand import index
+from sparse_expand import index, wiki_lead
 from sparse_expand.analysis import AnalyzerChain
 from sparse_expand.corpus import Topic
 from sparse_expand.errors import DataError
@@ -500,3 +500,74 @@ def test_suggest_wiki_lead_caps_at_k():
     store = ArticleStore([("Many", wikitext)])
     result = suggest_wiki_lead(store, Topic("T", "many", "en"), k=10)
     assert len(result.suggestions) == 10
+
+
+# -- the lead memo --------------------------------------------------------
+
+
+@st.composite
+def _memo_cases(draw):
+    """A store's language, its (title, wikitext) articles and a list of
+    (topic title, k, min_links) calls."""
+    lang, titles, topics = draw(_match_cases())
+    articles = [(title, "".join(draw(st.lists(_LEAD_FRAGMENTS, max_size=30)))) for title in titles]
+    call = st.tuples(st.sampled_from(topics), st.integers(0, 5), st.integers(0, 4))
+    calls = draw(st.lists(call, min_size=1, max_size=8))
+    return lang, articles, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_memo_cases())
+# One article whose lead falls back to the whole text at 3 links, not at 1.
+@example(case=("en", [("Whale", "[[A]]\n== H ==\n[[B]]")], [("whale", 5, 1), ("whales", 5, 3), ("whale", 1, 1)]))
+def test_suggest_wiki_lead_agrees_with_the_oracles_on_first_and_repeated_calls(case):
+    lang, articles, calls = case
+    store = ArticleStore(articles, lang=lang)
+    wikitext = dict(articles)
+    expected = []
+    for topic_title, k, min_links in calls:
+        match = naive_article_match(list(wikitext), topic_title, lang)
+        links = naive_extract_lead(wikitext[match[0]], min_links)[0][:k] if match else ()
+        expected.append([(link, 1 / rank) for rank, link in enumerate(links, 1)])
+    answers = []
+    for _ in range(2):  # the second pass reads what the first one kept
+        sets = [suggest_wiki_lead(store, Topic("T", title, lang), k, min_links) for title, k, min_links in calls]
+        answers.append([[(x.text, x.score) for x in sset.suggestions] for sset in sets])
+    assert answers[0] == expected
+    assert answers[1] == answers[0]
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """The wikitexts that `wiki_lead.extract_lead` is called on."""
+    calls = []
+    extract = wiki_lead.extract_lead
+    monkeypatch.setattr(wiki_lead, "extract_lead", lambda text, **kw: calls.append(text) or extract(text, **kw))
+    return calls
+
+
+def test_the_store_extracts_an_article_once_per_min_links(extractions):
+    wikitext = "[[Only]] one.\n== More ==\n[[Extra]] [[Links]] [[Here]]"
+    store = ArticleStore([("Only Article", wikitext), ("Whale", "[[Ocean]]")])
+    first, second = Topic("T1", "only article", "en"), Topic("T2", "article only", "en")
+    assert store.match(first.title).title == store.match(second.title).title == "Only Article"
+    assert suggest_wiki_lead(store, first, min_links=1).texts() == ["Only"]
+    assert suggest_wiki_lead(store, second, min_links=1).texts() == ["Only"]
+    assert extractions == [wikitext]
+    assert suggest_wiki_lead(store, second, min_links=3).texts() == ["Only", "Extra", "Links", "Here"]
+    assert suggest_wiki_lead(store, first, min_links=3, k=2).texts() == ["Only", "Extra"]
+    assert suggest_wiki_lead(store, first, min_links=1).texts() == ["Only"]
+    assert extractions == [wikitext, wikitext]
+    assert store.lead("Only Article", 3) == extract_lead(wikitext, min_links=3)
+    assert len(extractions) == 2
+
+
+def test_a_negative_k_raises_before_any_match_or_extraction(extractions, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matched a topic for a negative k")
+
+    store = ArticleStore([("Many", "[[A]] [[B]]")])
+    monkeypatch.setattr(ArticleStore, "match", refuse)
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        suggest_wiki_lead(store, Topic("T", "many", "en"), k=-1)
+    assert extractions == []
