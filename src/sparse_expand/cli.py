@@ -33,7 +33,6 @@ from .expand import ExpansionConfig, write_query_file, read_query_file
 from .files import is_id, write_lines
 from .index import Index, SNAPSHOT_FILENAME, build_index
 from .pipeline import (
-    PipelineConfig,
     combo_sets,
     docsim_sets,
     expanded_queries,
@@ -41,6 +40,7 @@ from .pipeline import (
     read_seeds_file,
     run_pipeline,
     search_run,
+    select_topics,
     str_sets,
     wiki_entity_sets,
 )
@@ -243,15 +243,7 @@ def suggest_wiki_lead_cmd(articles, topics, top_k, min_links, lang, out_file):
     """Lead-section link suggestions from a local article directory, for
     the topics of `--lang`; a topic of another language is skipped."""
     store = ArticleStore.from_dir(articles, lang=lang)
-    kept = []
-    for topic in read_topics(topics):
-        if topic.lang == lang:
-            kept.append(topic)
-        else:
-            logger.warning(
-                "topic %r: language %r is not --lang %r; topic skipped", topic.topic_id, topic.lang, lang
-            )
-    sets = wiki_entity_sets(store, kept, top_k, min_links)
+    sets = wiki_entity_sets(store, select_topics(read_topics(topics), lang), top_k, min_links)
     _emit_lines(suggestion_lines(sets), out_file)
 
 
@@ -319,10 +311,7 @@ def expand_cmd(topics, suggestion_files, boost, max_concepts, out_file):
 @click.option("--depth", type=_POSITIVE)
 def run_cmd(config_file, systems, **overrides):
     """Run the full pipeline for the requested systems."""
-    if config_file:
-        cfg = load_config(config_file, **overrides)
-    else:
-        cfg = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
+    cfg = load_config(config_file, **overrides)
     if not systems:
         systems = ("STR",)
     written = run_pipeline(cfg, systems)

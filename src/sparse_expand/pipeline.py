@@ -6,10 +6,10 @@ root recording the config hash and tool version. Identical inputs
 produce byte-identical outputs.
 
 Each step from topics to a run has one function here, which the CLI
-subcommands call too: `str_sets`, `wiki_entity_sets`, `docsim_sets`,
-`combo_sets`, `expanded_queries` and `search_run`. So the subcommand
-chain writes the bytes `run` writes. `run` scores each run from the
-ranked hits it holds, without reading its run file back.
+subcommands call too: `select_topics`, `str_sets`, `wiki_entity_sets`,
+`docsim_sets`, `combo_sets`, `expanded_queries` and `search_run`. So the
+subcommand chain writes the bytes `run` writes. `run` scores each run
+from the ranked hits it holds, without reading its run file back.
 
 Topics run one after another in a plain loop: the work is CPU-bound
 Python, which threads only slow down. `run` works in two phases: it
@@ -90,16 +90,18 @@ _JSON_TYPES = {
 }
 
 
-def load_config(path: str | Path, **overrides) -> PipelineConfig:
-    """Read a versioned JSON config; explicit keyword overrides win."""
-    text = read_text(path)
-    try:
-        raw = json_object(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    version = raw.pop("version", CONFIG_VERSION)
-    if type(version) is not int or version != CONFIG_VERSION:
-        raise DataError(f"{path}: unsupported config version {version}")
+def load_config(path: str | Path | None, **overrides) -> PipelineConfig:
+    """Read a versioned JSON config, or none when `path` is None; explicit
+    keyword overrides win, except those that are None."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json_object(read_text(path))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        version = raw.pop("version", CONFIG_VERSION)
+        if type(version) is not int or version != CONFIG_VERSION:
+            raise DataError(f"{path}: unsupported config version {version}")
     unknown = set(raw) - set(PipelineConfig.__dataclass_fields__)
     if unknown:
         raise DataError(f"{path}: unknown config keys: {sorted(unknown)}")
@@ -171,6 +173,20 @@ def read_seeds_file(path: str | Path) -> dict[str, str]:
 # -- the steps from topics to a run, shared with the CLI subcommands ------
 
 
+def select_topics(topics: Iterable[Topic], lang: str) -> list[Topic]:
+    """The topics of language `lang`, in topic-id order. Each other topic
+    is skipped with one warning, in input order."""
+    kept = []
+    for topic in topics:
+        if topic.lang == lang:
+            kept.append(topic)
+        else:
+            logger.warning(
+                "topic %r: language %r is not --lang %r; topic skipped", topic.topic_id, topic.lang, lang
+            )
+    return sorted(kept, key=lambda t: t.topic_id)
+
+
 def str_sets(index: Index, topics: Iterable[Topic], cfg: CooccurConfig) -> list[SuggestionSet]:
     """STR suggestions per topic; a title with no query tokens gets an empty set."""
     sets = []
@@ -199,16 +215,14 @@ def docsim_sets(
     system: str,
 ) -> list[SuggestionSet]:
     """WIKI_SIM or WIKI_BACK suggestions per topic id, from the topic's
-    seed document; a topic with no seed gets an empty set."""
-    sets = []
-    for topic_id in topic_ids:
-        seed = seeds.get(topic_id)
-        if seed is None:
-            logger.warning("no seed for topic %s; empty %s suggestions", topic_id, system)
-            sets.append(SuggestionSet(topic_id, system))
-        else:
-            sets.append(suggest_docsim(corpus, seed, k=k, n=n, source=system, topic_id=topic_id))
-    return sets
+    seed document; a topic with no seed gets an empty set (`run` warns of
+    it once, for every docsim system)."""
+    return [
+        SuggestionSet(topic_id, system)
+        if topic_id not in seeds
+        else suggest_docsim(corpus, seeds[topic_id], k=k, n=n, source=system, topic_id=topic_id)
+        for topic_id in topic_ids
+    ]
 
 
 def combo_sets(by_topic: Mapping[str, Sequence[SuggestionSet]], k: int) -> list[SuggestionSet]:
@@ -268,9 +282,7 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     lang_dir = out_root / cfg.lang
 
     documents = ingest_documents(cfg.docs).documents
-    topics = sorted(
-        (t for t in read_topics(cfg.topics) if t.lang == cfg.lang), key=lambda t: t.topic_id
-    )
+    topics = select_topics(read_topics(cfg.topics), cfg.lang)
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
     index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: shared_chain(cfg.lang)})
@@ -280,8 +292,11 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
 
     qrels = read_qrels_file(cfg.qrels) if cfg.qrels else None
     ordered = [s for s in SYSTEMS if s in systems]  # COMBO comes last
-    reads_seeds = any("seeds" in _SYSTEM_INPUTS.get(s, ()) for s in ordered)
-    seeds = read_seeds_file(cfg.seeds) if reads_seeds else {}
+    docsim = [s for s in ordered if "seeds" in _SYSTEM_INPUTS.get(s, ())]
+    seeds = read_seeds_file(cfg.seeds) if docsim else {}
+    for topic in topics:
+        if docsim and topic.topic_id not in seeds:
+            logger.warning("no seed for topic %s; empty %s suggestions", topic.topic_id, " and ".join(docsim))
     produced: dict[str, list[SuggestionSet]] = {}
     for system in ordered:
         logger.info("running system %s (%s)", system, cfg.lang)

@@ -17,6 +17,7 @@ import sparse_expand
 from conftest import build_pipeline_workspace, tree_bytes
 from sparse_expand import evaluation, pipeline
 from sparse_expand.cli import cli, main
+from sparse_expand.corpus import Topic
 from sparse_expand.errors import ConfigError, DataError
 from sparse_expand.files import write_atomic
 from sparse_expand.index import Hits
@@ -27,6 +28,7 @@ from sparse_expand.pipeline import (
     load_config,
     read_seeds_file,
     run_pipeline,
+    select_topics,
 )
 from sparse_expand.suggestions import SuggestionSet, make_suggestion_set, read_suggestion_file
 
@@ -181,6 +183,21 @@ def test_pipeline_rejects_wrong_language_topics(tmp_path):
         run_pipeline(cfg, ["STR"])
 
 
+def _skip_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.getMessage().endswith("is not --lang 'en'; topic skipped")]
+
+
+def test_select_topics_keeps_one_language_in_id_order(caplog):
+    topics = [Topic("T3", "whales", "en"), Topic("T9", "wale", "de"), Topic("T1", "ships", "en"),
+              Topic("T2", "baleines", "fr")]
+    assert select_topics(topics, "en") == [topics[2], topics[0]]
+    assert _skip_lines(caplog) == [
+        "topic 'T9': language 'de' is not --lang 'en'; topic skipped",
+        "topic 'T2': language 'fr' is not --lang 'en'; topic skipped",
+    ]
+    assert select_topics(topics, "it") == []
+
+
 def test_load_config_with_overrides(tmp_path):
     paths = build_pipeline_workspace(tmp_path)
     config_file = tmp_path / "config.json"
@@ -232,6 +249,11 @@ def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
     config_file.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{config_file}: repeated key {key!r}")):
         load_config(config_file)
+
+
+def test_load_config_without_a_file_merges_the_overrides():
+    assert load_config(None, k=5, lang=None) == PipelineConfig(k=5)
+    assert load_config(None) == PipelineConfig()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -436,6 +458,40 @@ def test_a_run_on_shuffled_input_lines_writes_the_same_tree(tmp_path, shuffle_se
     assert len(tree) == 15 and all(tree.values())
     assert tree == expected[0]
     assert manifest == expected[1] == {"language": "en", "systems": SYSTEMS, "tool_version": sparse_expand.__version__}
+
+
+def test_run_skips_each_topic_of_another_language_with_one_warning(tmp_path, caplog):
+    paths = build_pipeline_workspace(tmp_path, n_docs=80, n_topics=4)
+    run_pipeline(_config(paths), SYSTEMS)
+    expected = _tree_and_manifest(Path(paths["out"]))
+    assert _skip_lines(caplog) == []
+
+    lines = Path(paths["topics"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(1, json.dumps({"id": "T-DE", "lang": "de", "title": "Wal Schiff"}) + "\n")
+    lines.append(json.dumps({"id": "T-000a", "lang": "fr", "title": "baleine"}) + "\n")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out-mixed"
+    run_pipeline(_config(paths, topics=str(mixed), out=str(out)), SYSTEMS)
+    tree, manifest = _tree_and_manifest(out)
+    assert len(tree) == 15 and all(tree.values())
+    assert (tree, manifest) == expected
+    assert _skip_lines(caplog) == [
+        "topic 'T-DE': language 'de' is not --lang 'en'; topic skipped",
+        "topic 'T-000a': language 'fr' is not --lang 'en'; topic skipped",
+    ]
+
+
+def test_a_seedless_topic_warns_once_per_run(tmp_path, caplog):
+    paths = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=3)
+    seeds = Path(paths["seeds"])
+    seeds.write_text("".join(seeds.read_text(encoding="utf-8").splitlines(keepends=True)[1:]), encoding="utf-8")
+    run_pipeline(_config(paths), ["WIKI_SIM", "WIKI_BACK"])
+    seed_lines = [r.getMessage() for r in caplog.records if "no seed" in r.getMessage()]
+    assert seed_lines == ["no seed for topic T-000; empty WIKI_SIM and WIKI_BACK suggestions"]
+    for system in ("WIKI_SIM", "WIKI_BACK"):
+        written = read_suggestion_file(Path(paths["out"]) / "en" / system / "suggestions.tsv")
+        assert {sset.topic_id for sset in written} == {"T-001", "T-002"}
 
 
 def _python(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
