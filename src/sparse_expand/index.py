@@ -82,16 +82,20 @@ table and one term table, the sorted set of its fields' terms; each
 field stores its terms as a column of ordinals into that table, and
 `save` writes the raw-value columns as held. `Index.load` decodes each
 blob once and reads each column once, as an array. It checks the
-term-ordinal, doc-ordinal and tf arrays (`_rises`, `_holds_zero`) with
-byte arithmetic on the little-endian bytes that `_little_endian` gives
-here and in `save`, sums the tfs in one C-level pass, and maps each
-field's ordinals to its language's decoded terms in one C-level pass, so
-a language's fields share its term strings. It runs no Python loop per
-term or posting, derives no position offsets and builds no lookup maps:
-it keeps the term lists and raw-value columns. Each language's chain is
-`analysis.shared_chain` of its stopwords, so every load of one profile
-analyzes through one stem cache. The decoder checks the
-bytes and columns; `load` then reports the constructor's errors as a
+term-ordinal, doc-ordinal, offset and tf arrays (`_rises`, `_descends`,
+`_holds_zero`) with word-parallel arithmetic on the little-endian bytes
+that `_little_endian` gives here and in `save`: `_rises` compares each
+item with the next in one int per 4,096 items, in lanes no wider than an
+item, and a descent of an offsets column is a rise of a complemented
+copy. It copies no posting column, and gathers each run's last doc
+ordinal with one `itemgetter`. It sums the tfs in one C-level pass, and
+maps each field's ordinals to its language's decoded terms in one
+C-level pass, so a language's fields share its term strings. It runs no
+Python loop per term or posting, derives no position offsets and builds
+no lookup maps: it keeps the term lists and raw-value columns. Each
+language's chain is `analysis.shared_chain` of its stopwords, so every
+load of one profile analyzes through one stem cache. The decoder checks
+the bytes and columns; `load` then reports the constructor's errors as a
 malformed snapshot too. The decoder rejects with DataError:
 
 - another magic or version, truncation, or bytes after the last item;
@@ -125,7 +129,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import attrgetter, eq, itemgetter, le, lt, sub
+from operator import attrgetter, eq, itemgetter, lt, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -154,8 +158,18 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # 5.9k units over 2k docs and 23k over 20k.
 CLAUSE_MEMO_BUDGET = 2**16
 
-# Items per step of `_rises`: the big ints it makes span at most this many.
+# Items per step of `_rises`: it bounds only the size of the ints it
+# makes and of the masks it keeps.
 _RISE_CHUNK = 4096
+
+# (width, lanes) -> `_lane_masks` of a full chunk.
+_LANE_MASKS: dict[tuple[int, int], tuple[int, int]] = {}
+
+# Byte -> 1 if its top bit is clear, else 0.
+_CLEAR_TOP_BIT = bytes(1 - (byte >> 7) for byte in range(256))
+
+# Byte -> its complement.
+_COMPLEMENT = bytes(range(255, -1, -1))
 
 # The docs and tfs of a clause that matches no document, shared by all.
 _NO_MATCH = (array("I"), array("I"))
@@ -677,7 +691,7 @@ class Index:
             """An offsets column for `n_items`: one entry more, the first 0,
             none descending. The caller checks the last against its column."""
             offsets = take_column()
-            if len(offsets) != n_items + 1 or offsets[0] != 0 or not all(map(le, offsets, offsets[1:])):
+            if len(offsets) != n_items + 1 or offsets[0] != 0 or _descends(offsets):
                 raise bad(f"bad {what} offsets")
             return offsets
 
@@ -708,7 +722,7 @@ class Index:
             if table is None:
                 raise bad(f"no analyzer chain for field {name!r}")
             ordinals = take_column()
-            if not _ascending_runs_below(ordinals, (0, len(ordinals)), len(table)):
+            if not _ascending_runs_below(ordinals, array("I", (0, len(ordinals))), len(table)):
                 raise bad(f"bad term ordinals in field {name!r}")
             terms = list(map(table.__getitem__, ordinals))  # the table's own strings
             starts = take_offsets(f"posting start of field {name!r}", len(terms))
@@ -736,7 +750,7 @@ class Index:
         return doc_ids, fields, raw_values, chains
 
 
-def _ascending_runs_below(values: array, starts: Sequence[int], limit: int) -> bool:
+def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
     """True if every run `values[starts[i]:starts[i+1]]` is strictly
     ascending and every value is below `limit`. `starts` begins at 0,
     does not descend and ends at len(values)."""
@@ -744,48 +758,70 @@ def _ascending_runs_below(values: array, starts: Sequence[int], limit: int) -> b
         return True
     rises = _rises(values)
     rises.append(0)  # a byte for the last item, which ends the last run
-    ends = set(starts)  # one past the last item of each nonempty run, and 0
-    ends.discard(0)
-    lasts = list(map(sub, ends, repeat(1)))
-    # Every item that does not rise must be the last of its run; then each
-    # run's last item is its largest.
-    return (
-        rises.count(0) == len(lasts) - sum(map(rises.__getitem__, lasts))
-        and max(map(values.__getitem__, lasts)) < limit
-    )
+    # The last item of each nonempty run, once. The first start, 0, gives
+    # -1: the last item again, so there are at least two keys and each
+    # gather is a tuple. Only an empty run repeats a start.
+    lasts = map(sub, starts, repeat(1))
+    if 0 in _rises(starts):
+        lasts = dict.fromkeys(lasts)
+    gather = itemgetter(*lasts)
+    # Every item that does not rise must be the last of its run (the last
+    # item's 0 is gathered twice); then each run's last item is its largest.
+    return gather(rises).count(0) == rises.count(0) + 1 and max(gather(values)) < limit
 
 
 def _rises(values: array) -> bytearray:
     """Byte j is 1 if item j + 1 of `values` is greater than item j, else 0.
 
-    Each chunk of `_RISE_CHUNK` items, with the item after it, is copied
-    from the little-endian bytes into lanes one byte wider than an item, as
-    two ints: `current` holds items j and `following` items j + 1. A lane
-    of following + (256**width - 1) - current, in [0, 2 * 256**width - 2],
-    neither carries nor borrows, and its top byte is 1 exactly where the
-    following item is greater. Chunks bound these ints and copies."""
+    Each chunk of `_RISE_CHUNK` items and the item after it are read from
+    the little-endian bytes as one int, `current`, whose `width`-byte
+    lanes are the items; `following`, shifted down one lane, holds items
+    j + 1. Where the top bits of two such items differ, the following item
+    is greater if its top bit is set. Where they agree, it is greater if
+    its other bits are: `below` subtracts them from current's with each
+    lane's top bit set, so no lane borrows from the next, and that top bit
+    stays set unless following's other bits are greater. `flat` holds
+    following's top bit flipped where the top bits differ and below's
+    where they agree, so its top bit is clear exactly where the following
+    item is greater. No lane is wider than an item, and each chunk makes
+    one int from bytes and one back."""
     width = values.itemsize
+    bits = 8 * width
     raw = _little_endian(values)
-    lane = width + 1
-    lane_max = b"\xff" * width + b"\0"
     n_pairs = len(values) - 1
     chunk = _RISE_CHUNK
-    # Every chunk but the last is full, so one int of lanes that each
-    # hold the largest item serves them all.
-    full_max = int.from_bytes(lane_max * chunk, "little") if n_pairs >= chunk else 0
     out = bytearray()
     for first in range(0, n_pairs, chunk):
         pairs = min(chunk, n_pairs - first)
-        item_max = full_max if pairs == chunk else int.from_bytes(lane_max * pairs, "little")
-        # As bytes: a strided slice of a memoryview copies slowly.
-        items = bytes(raw[first * width : (first + pairs + 1) * width])
-        lanes = bytearray(lane * (pairs + 1))
-        for k in range(width):
-            lanes[k::lane] = items[k::width]
-        current = int.from_bytes(lanes[:-lane], "little")
-        following = int.from_bytes(lanes[lane:], "little")
-        out += (following + item_max - current).to_bytes(lane * pairs, "little")[width::lane]
+        high, low = _lane_masks(width, pairs)
+        current = int.from_bytes(raw[first * width : (first + pairs + 1) * width], "little")
+        following = current >> bits
+        below = (current | high) - (following & low)
+        flat = following ^ ((current ^ following) | (following ^ below))
+        # Each pair's top byte; lane `pairs`, the item after the chunk, is no pair.
+        tops = flat.to_bytes((pairs + 1) * width, "little")[width - 1 : pairs * width : width]
+        out += tops.translate(_CLEAR_TOP_BIT)
     return out
+
+
+def _descends(values: array) -> bool:
+    """True if an item of `values` is less than the one before it: a
+    descent is a rise of the complemented items, whose little-endian bytes
+    are the items' own, each complemented."""
+    complemented = bytes(_little_endian(values)).translate(_COMPLEMENT)
+    return 1 in _rises(_from_little_endian(values.itemsize, complemented))
+
+
+def _lane_masks(width: int, lanes: int) -> tuple[int, int]:
+    """Two ints of `lanes` lanes of `width` bytes: one with each lane's
+    top bit set, one with its other bits. A full chunk's are kept."""
+    masks = _LANE_MASKS.get((width, lanes))
+    if masks is None:
+        high = int.from_bytes((bytes(width - 1) + b"\x80") * lanes, "little")
+        masks = high, high - (high >> (8 * width - 1))
+        if lanes == _RISE_CHUNK:
+            _LANE_MASKS[width, lanes] = masks
+    return masks
 
 
 def _holds_zero(values: array) -> bool:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .analysis import LANGUAGES, shared_chain
+from .analysis import LANGUAGES, query_tokens, shared_chain
 from .corpus import Topic, ingest_documents, read_topics
 from .docsim import SimCorpus, suggest_docsim
 from .errors import ConfigError, DataError, EmptyQueryError
@@ -294,17 +294,23 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     ordered = [s for s in SYSTEMS if s in systems]  # COMBO comes last
     docsim = [s for s in ordered if "seeds" in _SYSTEM_INPUTS.get(s, ())]
     seeds = read_seeds_file(cfg.seeds) if docsim else {}
+    chain = shared_chain(cfg.lang)
+    worded = []  # the topics whose title has query words: only these are searched
     for topic in topics:
         if docsim and topic.topic_id not in seeds:
             logger.warning("no seed for topic %s; empty %s suggestions", topic.topic_id, " and ".join(docsim))
+        if query_tokens(chain, topic.title):
+            worded.append(topic)
+        else:
+            logger.warning("empty title: topic %r; no query for %s", topic.topic_id, ", ".join(ordered))
     produced: dict[str, list[SuggestionSet]] = {}
     for system in ordered:
         logger.info("running system %s (%s)", system, cfg.lang)
-        produced[system] = _system_sets(system, cfg, index, topics, seeds, lang_dir, produced)
+        produced[system] = _system_sets(system, cfg, index, topics, worded, seeds, lang_dir, produced)
 
     written: dict[str, list[str]] = {}
     for system in ordered:  # each system's sets are dropped once written
-        written[system] = _score_and_write(system, produced.pop(system), cfg, index, topics, qrels, lang_dir)
+        written[system] = _score_and_write(system, produced.pop(system), cfg, index, worded, qrels, lang_dir)
 
     manifest_path = out_root / "manifest.json"
     _write_manifest(manifest_path, cfg, ordered)
@@ -317,13 +323,17 @@ def _system_sets(
     cfg: PipelineConfig,
     index: Index,
     topics: Sequence[Topic],
+    worded: Sequence[Topic],
     seeds: Mapping[str, str],
     lang_dir: Path,
     produced: Mapping[str, list[SuggestionSet]],
 ) -> list[SuggestionSet]:
-    """One system's suggestion sets for the topics, in topic order."""
+    """One system's suggestion sets for the topics, in topic order. STR
+    makes none for a topic whose title has no query words, the topics
+    not in `worded`: `run` has warned of each, and an empty set adds no
+    line to a file and no concept to COMBO."""
     if system == "STR":
-        return str_sets(index, topics, CooccurConfig(similarity=cfg.similarity, top_k=cfg.k))
+        return str_sets(index, worded, CooccurConfig(similarity=cfg.similarity, top_k=cfg.k))
     if system == "WIKI_ENTITY":
         store = ArticleStore.from_dir(cfg.articles, lang=cfg.lang)
         return wiki_entity_sets(store, topics, cfg.k, cfg.min_links)
@@ -343,9 +353,10 @@ def _score_and_write(
     qrels: Mapping[str, Mapping[str, int]] | None,
     lang_dir: Path,
 ) -> list[str]:
-    """Expand, search and score one system's sets, then write its
-    suggestion, run and (given qrels) metric files; returns their paths.
-    The run dies on return, before the next system's search."""
+    """Expand, search and score one system's sets for `topics`, each of
+    whose titles has query words, then write its suggestion, run and
+    (given qrels) metric files; returns their paths. The run dies on
+    return, before the next system's search."""
     expansion = ExpansionConfig(title_boost=cfg.boost, max_concepts=cfg.k)
     run = search_run(index, expanded_queries(topics, group_by_topic(sets), expansion), cfg.depth)
     report = evaluate_run(run, qrels, depth=cfg.depth) if qrels is not None else None

@@ -147,6 +147,18 @@ def naive_ascending_runs_below(values, starts, limit):
     return True
 
 
+def naive_rises(values):
+    """Byte j is 1 if item j + 1 is greater than item j, else 0, compared
+    pair by pair."""
+    return bytes(1 if after > before else 0 for before, after in zip(values, values[1:]))
+
+
+def naive_descends(values):
+    """True if some item is less than the one before it, compared pair by
+    pair."""
+    return any(after < before for before, after in zip(values, values[1:]))
+
+
 def naive_pos_starts(starts, tfs):
     """Each term's first position, then the end of the last term: a
     running sum of tfs posting by posting, read where each term's run of

@@ -14,7 +14,9 @@ from oracles import (
     field_token_positions,
     naive_ascending_runs_below,
     naive_concept_table,
+    naive_descends,
     naive_pos_starts,
+    naive_rises,
     naive_search,
     naive_str_scores,
 )
@@ -41,6 +43,7 @@ from sparse_expand.index import (
     Term,
     _ascending_runs_below,
     _concatenate,
+    _descends,
     _holds_zero,
     _narrowed,
     _pos_starts,
@@ -938,6 +941,38 @@ def test_holds_zero_reads_whole_items():
     assert _holds_zero(array("I", [1, 0, 2**32 - 1]))
     assert _holds_zero(array("B", [1, 0])) and not _holds_zero(array("B", [1, 2]))
     assert not _holds_zero(array("I"))
+
+
+@st.composite
+def _rise_columns(draw):
+    """(values, chunk): a column of typecode B, H or I, its items drawn
+    toward 0 and the typecode's largest, and sometimes sorted; 0 to 3
+    items long or within two items of one or two chunks, for a
+    `_RISE_CHUNK` of `chunk`."""
+    code = draw(st.sampled_from("BHI"))
+    top = 256 ** array(code).itemsize - 1
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 4096]))
+    near_edges = st.builds(lambda k, d: max(0, k * chunk + d), st.integers(1, 2), st.integers(-2, 2))
+    length = draw(st.integers(0, 3) | near_edges)
+    edges = [0, 1, top - 1, top]
+    item = st.sampled_from(edges) | st.integers(0, top)
+    head = draw(st.lists(item, min_size=min(length, 12), max_size=min(length, 12)))
+    rng = draw(st.randoms(use_true_random=False))
+    tail = [rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, top) for _ in range(length - len(head))]
+    values = head + tail
+    if draw(st.booleans()):
+        values.sort()
+    return array(code, values), chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rise_columns())
+def test_rises_and_descends_agree_with_the_oracles(case):
+    values, chunk = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_RISE_CHUNK", chunk)
+        assert _rises(values) == naive_rises(values)
+        assert _descends(values) == naive_descends(values)
 
 
 @st.composite

@@ -494,6 +494,42 @@ def test_a_seedless_topic_warns_once_per_run(tmp_path, caplog):
         assert {sset.topic_id for sset in written} == {"T-001", "T-002"}
 
 
+def test_a_title_with_no_query_words_warns_once_per_run(tmp_path, caplog):
+    paths = build_pipeline_workspace(tmp_path, n_docs=80, n_topics=3)
+    topics = Path(paths["topics"])
+    with topics.open("a", encoding="utf-8") as out:
+        out.write(json.dumps({"id": "T-009", "lang": "en", "title": "The Of and"}) + "\n")
+    seeds = Path(paths["seeds"])
+    first_seed = seeds.read_text(encoding="utf-8").splitlines()[0].split("\t")[1]
+    with seeds.open("a", encoding="utf-8") as out:
+        out.write(f"T-009\t{first_seed}\n")
+    run_pipeline(_config(paths), SYSTEMS)
+    messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert messages == ["empty title: topic 'T-009'; no query for WIKI_ENTITY, WIKI_SIM, WIKI_BACK, STR, COMBO"]
+    out = Path(paths["out"]) / "en"
+    for system in SYSTEMS:
+        assert "T-009" not in (out / system / "run.trec").read_text(encoding="utf-8")
+    assert {sset.topic_id for sset in read_suggestion_file(out / "STR" / "suggestions.tsv")} == {"T-000", "T-001", "T-002"}
+
+    # The shared steps, as the subcommands call them, write the same bytes
+    # and warn once per step.
+    caplog.clear()
+    chain = tmp_path / "chain"
+    index_dir = str(chain / "idx")
+    assert main(["index", "build", "--docs", paths["docs"], "--out", index_dir]) == 0
+    assert main(["suggest", "str", "--index", index_dir, "--topics", str(topics), "--out", str(chain / "STR.tsv")]) == 0
+    assert main(["expand", "--topics", str(topics), "--suggestions", str(chain / "STR.tsv"),
+                 "--out", str(chain / "STR.queries")]) == 0
+    assert main(["index", "search", "--index", index_dir, "--query-file", str(chain / "STR.queries"),
+                 "--run-tag", "STR", "--out", str(chain / "STR.trec")]) == 0
+    assert (chain / "STR.tsv").read_bytes() == (out / "STR" / "suggestions.tsv").read_bytes()
+    assert (chain / "STR.trec").read_bytes() == (out / "STR" / "run.trec").read_bytes()
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "empty query: topic 'T-009'",
+        "empty title: topic 'T-009'; topic skipped",
+    ]
+
+
 def _python(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
     """`python argv` in a fresh interpreter that imports this package,
     under PYTHONHASHSEED `hash_seed`."""
