@@ -7,20 +7,27 @@ Multi-valued fields are concatenated with a one-position gap between
 values so that phrases never match across value boundaries. Documents
 are numbered in doc_id order, so ordinal order is doc_id order.
 
-Columns are what the snapshot stores; the index keeps every map derived
-from them in its own tables, built on first use. Each composite field
-keeps its postings as one set of `array` columns, each at the narrowest
-of 1, 2 or 4 bytes per value that holds it, and its terms as a sorted
-list; term i owns `docs[starts[i]:starts[i+1]]` (doc ordinals, strictly
-ascending), the same slice of `tfs`, and
+The index holds what the snapshot stores, as it stores it; every map
+derived from that is in the index's own tables, built on first use. Per
+language it keeps one term table, the sorted union of its fields'
+terms. Each composite field is one record of the eight items the
+snapshot stores for it, in its order: term ordinals (places in its
+language's table, strictly ascending), `starts`, `docs`, `tfs`,
+`positions`, and the raw values with their offsets and doc-ordinal
+columns. Every column is an `array` at the narrowest of 1, 2 or 4 bytes
+per value that holds it. The field's term i, the table entry its i-th
+ordinal names, owns `docs[starts[i]:starts[i+1]]` (doc ordinals,
+strictly ascending), the same slice of `tfs`, and
 `positions[pos_starts[i]:pos_starts[i+1]]` (every posting's positions,
 in doc order; `pos_starts` is the running sum of `tfs` at `starts`). A
 term's slices are cut when a caller asks. `build_index` appends each
-token straight to its term's columns. Neither build nor load makes a
-field's term -> ordinal dict or derives its `pos_starts`: every term
-read goes through `Index._span`, which builds the dict on the field's
-first term lookup, and only phrase matching and `postings` derive the
-offsets, on the field's first positional read.
+token straight to its term's columns, then derives each language's
+table once and each field's ordinals from it. Neither build nor load
+resolves a field's term strings, makes its term -> ordinal dict or
+derives its `pos_starts`: every term read goes through `Index._span`,
+which builds the dict through the language's table on the field's first
+term lookup, and only phrase matching and `postings` derive the offsets,
+on the field's first positional read.
 
 Scoring is a documented TF*IDF sum with no length normalization:
 
@@ -59,13 +66,13 @@ and die with their `Index`.
 
 Only the concept fields (`corpus.CONCEPT_FIELDS`) keep their raw,
 untokenized values, the only ones co-occurrence scoring reads; every
-other field keeps none. They are held as the snapshot stores them: the
-sorted values, an offsets column and a doc-ordinal column. `raw_values`
-builds a value -> docs dict from them on each call; `concept_table`
-reads the columns.
+other field's record holds no value, offsets of one 0 and no doc. They
+are held as the snapshot stores them: the sorted values, an offsets
+column and a doc-ordinal column. `raw_values` builds a value -> docs
+dict from them on each call; `concept_table` reads the columns.
 
-Every `Index` is made by one constructor, from finished field and
-raw-value columns; `build_index` and `Index.load` both call it. The
+Every `Index` is made by one constructor, from the term tables and the
+finished field records; `build_index` and `Index.load` both call it. The
 constructor checks what holds for any index, however it was made: it
 raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
@@ -78,9 +85,9 @@ at that width. `save` writes each column at the narrowest width that
 holds it, whatever width it is held at, so the bytes depend only on the
 documents; a width fits when the high bytes it drops are all zero. The
 snapshot stores no `pos_starts`. Per language it stores its stopword
-table and one term table, the sorted set of its fields' terms; each
-field stores its terms as a column of ordinals into that table, and
-`save` writes the raw-value columns as held. `Index.load` decodes each
+table and its term table; each field stores its record, item by item.
+So `save` writes the tables and records as held, and `Index.load` keeps
+them as read. `Index.load` decodes each
 blob once and reads each column once, as an array. It checks the
 term-ordinal, doc-ordinal, offset and tf arrays (`_rises`, `_descends`,
 `_holds_zero`) with word-parallel arithmetic on the little-endian bytes
@@ -88,11 +95,9 @@ that `_little_endian` gives here and in `save`: `_rises` compares each
 item with the next in one int per 4,096 items, in lanes no wider than an
 item, and a descent of an offsets column is a rise of a complemented
 copy. It copies no posting column, and gathers each run's last doc
-ordinal with one `itemgetter`. It sums the tfs in one C-level pass, and
-maps each field's ordinals to its language's decoded terms in one
-C-level pass, so a language's fields share its term strings. It runs no
-Python loop per term or posting, derives no position offsets and builds
-no lookup maps: it keeps the term lists and raw-value columns. Each
+ordinal with one `itemgetter`. It sums the tfs in one C-level pass. It
+runs no Python loop per term or posting, resolves no term string,
+derives no position offsets and builds no lookup maps. Each
 language's chain is `analysis.shared_chain` of its stopwords, so every
 load of one profile analyzes through one stem cache. The decoder checks
 the bytes and columns; `load` then reports the constructor's errors as a
@@ -291,18 +296,24 @@ class Hits(Sequence):
         return f"Hits(doc_ids={self.doc_ids!r}, scores={self.scores!r})"
 
 
-class _FieldColumns(NamedTuple):
-    """One composite field's postings, as the snapshot stores them: term
-    i of the sorted `terms` owns docs and tfs [starts[i]:starts[i+1]], and
-    its positions follow those of the terms before it. `starts`, `docs`,
-    `tfs` and `positions` are each held at the narrowest width. The maps
-    derived from them are the index's own (`Index._span`)."""
+class _Field(NamedTuple):
+    """One composite field, as the snapshot stores it and in its order.
+    Its term i is the entry of its language's term table that `ordinals[i]`
+    names; it owns docs and tfs [starts[i]:starts[i+1]], and its positions
+    follow those of the terms before it. Raw value i of the sorted
+    `values` is held by the doc ordinals
+    `value_docs[value_starts[i]:value_starts[i+1]]`. Every column is held
+    at the narrowest width. The maps derived from them are the index's own
+    (`Index._span`)."""
 
-    terms: list[str]
+    ordinals: array
     starts: array
     docs: array
     tfs: array
     positions: array
+    values: list[str]
+    value_starts: array
+    value_docs: array
 
 
 def _pos_starts(starts: array, tfs: array) -> list[int]:
@@ -313,61 +324,59 @@ def _pos_starts(starts: array, tfs: array) -> list[int]:
     return list(accumulate(map(sum, term_tfs), initial=0))
 
 
-def _concatenate(terms: Mapping[str, Columns]) -> _FieldColumns:
-    """One field's columns from per-term columns."""
-    names = sorted(terms)
-    starts = array("I", [0])
-    docs, tfs, positions = array("I"), array("I"), array("I")
-    for name in names:
-        term_docs, term_tfs, term_positions = terms[name]
-        docs.extend(term_docs)
-        tfs.extend(term_tfs)
-        positions.extend(term_positions)
-        starts.append(len(docs))
-    starts, docs, tfs, positions = map(_narrowed, (starts, docs, tfs, positions))
-    return _FieldColumns(names, starts, docs, tfs, positions)
-
-
-class _RawValues(NamedTuple):
-    """One field's raw values, as the snapshot stores them: value i of
-    the sorted `values` is held by the doc ordinals [starts[i]:starts[i+1]]
-    of `docs`."""
-
-    values: list[str]
-    starts: array
-    docs: array
-
-
-_NO_RAW_VALUES = _RawValues([], array("I", [0]), array("I"))
-
-
-def _raw_value_columns(value_docs: Mapping[str, Iterable[int]]) -> _RawValues:
-    """Raw-value columns from value -> doc ordinals, each value's docs
-    kept in the order given, at the narrowest width."""
-    values = sorted(value_docs)
-    starts, docs = array("I", [0]), array("I")
-    for value in values:
-        docs.extend(value_docs[value])
-        starts.append(len(docs))
-    return _RawValues(values, _narrowed(starts), _narrowed(docs))
+def _records(
+    postings: Mapping[str, Mapping[str, Columns]],
+    raw_values: Mapping[str, Mapping[str, Iterable[int]]],
+    langs: Iterable[str],
+) -> tuple[dict[str, list[str]], dict[str, _Field]]:
+    """Each language's term table, the sorted union of its fields' terms
+    (empty for a language of `langs` with no field), and each field's
+    record, from its per-term columns and its raw values' doc ordinals
+    (kept in the order given)."""
+    tables: dict[str, set[str]] = {lang: set() for lang in langs}
+    for name, terms in postings.items():
+        tables.setdefault(name.rpartition("-")[2], set()).update(terms)
+    term_tables = {lang: sorted(terms) for lang, terms in tables.items()}
+    places = {lang: dict(zip(table, count())) for lang, table in term_tables.items()}
+    fields = {}
+    for name, terms in postings.items():
+        names, value_docs = sorted(terms), raw_values.get(name, {})
+        values = sorted(value_docs)
+        starts, docs, tfs, positions = array("I", [0]), array("I"), array("I"), array("I")
+        for term in names:
+            term_docs, term_tfs, term_positions = terms[term]
+            docs.extend(term_docs)
+            tfs.extend(term_tfs)
+            positions.extend(term_positions)
+            starts.append(len(docs))
+        value_starts, value_ordinals = array("I", [0]), array("I")
+        for value in values:
+            value_ordinals.extend(value_docs[value])
+            value_starts.append(len(value_ordinals))
+        ordinals = array("I", map(places[name.rpartition("-")[2]].__getitem__, names))
+        posting_columns = map(_narrowed, (ordinals, starts, docs, tfs, positions))
+        fields[name] = _Field(*posting_columns, values, _narrowed(value_starts), _narrowed(value_ordinals))
+    return term_tables, fields
 
 
 class Index:
-    """Sealed index: its contents do not change after construction. Its
-    columns are what the snapshot stores; every map derived from them is
-    in the index's own tables, built on first use: the clause memo that
-    `search` fills, the concept tables that `concept_table` fills, and
-    each field's term ordinals and position offsets. None changes a
-    result."""
+    """Sealed index: its contents do not change after construction. It
+    holds what the snapshot stores; every map derived from that is in the
+    index's own tables, built on first use: the clause memo that `search`
+    fills, the concept tables that `concept_table` fills, and each field's
+    term ordinals and position offsets. None changes a result."""
 
     def __init__(
         self,
         doc_ids: Sequence[str],
-        fields: Mapping[str, _FieldColumns],
-        raw_values: Mapping[str, _RawValues],
+        terms: Mapping[str, list[str]],
+        fields: Mapping[str, _Field],
         chains: Mapping[str, AnalyzerChain],
     ):
-        """Store finished field columns and raw-value columns as given.
+        """Store each language's sorted term table and each field's
+        finished record as given; a field's ordinals are places in its
+        language's table. `save` writes the table of each language of
+        `chains`.
 
         Raises DuplicateDocumentError for a repeated doc_id, and DataError
         for doc_ids otherwise not ascending or a field without a chain."""
@@ -380,8 +389,8 @@ class Index:
         for name in fields:
             if name.rpartition("-")[2] not in chains:
                 raise DataError(f"no analyzer chain for field {name!r}")
+        self._term_tables = dict(terms)
         self._fields = dict(fields)
-        self._raw_values = dict(raw_values)
         self._chains = dict(chains)
         self._clause_memo: dict[tuple[str, str, float], tuple] = {}
         self._clause_memo_room = CLAUSE_MEMO_BUDGET
@@ -413,18 +422,24 @@ class Index:
             raise UnknownFieldError(f"unknown field: {field!r}")
         return self._chains[field.rpartition("-")[2]]
 
-    def _span(self, field: str, analyzed_term: str) -> tuple[_FieldColumns, int, int, int] | None:
-        """A term's field columns, its ordinal i in them and the bounds
+    def _span(self, field: str, analyzed_term: str) -> tuple[_Field, int, int, int] | None:
+        """A term's field record, its place i in the field and the bounds
         of its docs and tfs; None if the field or the term is unseen. The
-        field's term ordinals are built on its first lookup."""
-        field_columns = self._fields.get(field)
-        if field_columns is None:
+        field's term -> i map is built on its first lookup, through its
+        language's term table."""
+        record = self._fields.get(field)
+        if record is None:
             return None
         ordinals = self._term_ordinals.get(field)
         if ordinals is None:
-            ordinals = self._term_ordinals[field] = dict(zip(field_columns.terms, count()))
+            ordinals = self._term_ordinals[field] = dict(zip(self._term_strings(field, record), count()))
         i = ordinals.get(analyzed_term)
-        return None if i is None else (field_columns, i, field_columns.starts[i], field_columns.starts[i + 1])
+        return None if i is None else (record, i, record.starts[i], record.starts[i + 1])
+
+    def _term_strings(self, field: str, record: _Field) -> map:
+        """The field's terms, in its order, read through its language's
+        term table."""
+        return map(self._term_tables[field.rpartition("-")[2]].__getitem__, record.ordinals)
 
     def _columns(self, field: str, analyzed_term: str) -> Columns | None:
         """A term's docs, tfs and positions, cut from its field's columns;
@@ -433,11 +448,11 @@ class Index:
         span = self._span(field, analyzed_term)
         if span is None:
             return None
-        (_, starts, docs, tfs, positions), i, lo, hi = span
+        record, i, lo, hi = span
         pos_starts = self._position_offsets.get(field)
         if pos_starts is None:
-            pos_starts = self._position_offsets[field] = array("I", _pos_starts(starts, tfs))
-        return docs[lo:hi], tfs[lo:hi], positions[pos_starts[i] : pos_starts[i + 1]]
+            pos_starts = self._position_offsets[field] = array("I", _pos_starts(record.starts, record.tfs))
+        return record.docs[lo:hi], record.tfs[lo:hi], record.positions[pos_starts[i] : pos_starts[i + 1]]
 
     def postings(self, field: str, analyzed_term: str) -> tuple[Posting, ...]:
         """Posting list for an already-analyzed term; empty if unseen.
@@ -450,8 +465,8 @@ class Index:
         return tuple(map(Posting, docs, map(tuple, _positions_of(columns, docs))))
 
     def terms(self, field: str) -> list[str]:
-        field_columns = self._fields.get(field)
-        return list(field_columns.terms) if field_columns else []
+        record = self._fields.get(field)
+        return list(self._term_strings(field, record)) if record else []
 
     def raw_values(self, field: str) -> dict[str, tuple[int, ...]]:
         """Verbatim stored value -> sorted doc ordinals, for one field,
@@ -459,9 +474,11 @@ class Index:
 
         `build_index` keeps raw values only for the concept fields
         (`corpus.CONCEPT_FIELDS`); any other field gives {}."""
-        values, starts, docs = self._raw_values.get(field, _NO_RAW_VALUES)
-        ordinals = docs.tolist()
-        return dict(zip(values, map(tuple, map(ordinals.__getitem__, map(slice, starts, starts[1:])))))
+        record = self._fields.get(field)
+        if record is None:
+            return {}
+        ordinals, starts = record.value_docs.tolist(), record.value_starts
+        return dict(zip(record.values, map(tuple, map(ordinals.__getitem__, map(slice, starts, starts[1:])))))
 
     def concept_table(self, lang: str) -> tuple[dict[str, int], dict[int, tuple[str, ...]]]:
         """Document frequency of each concept value over the concept fields
@@ -472,11 +489,11 @@ class Index:
         if table is None:
             held: list[dict[str, None]] = []  # per doc, its values as dict keys
             for name in CONCEPT_FIELDS:
-                columns = self._raw_values.get(f"{name}-{lang}")
-                if columns is None:
+                record = self._fields.get(f"{name}-{lang}")
+                if record is None:
                     continue
                 held = held or [{} for _ in self._doc_ids]
-                values, starts, docs = columns
+                values, starts, docs = record.values, record.value_starts, record.value_docs
                 # value i, once for each doc of its run in `docs`; a value
                 # that a doc holds in both fields is one key of its dict
                 labels = chain.from_iterable(map(repeat, values, map(sub, starts[1:], starts)))
@@ -493,8 +510,8 @@ class Index:
         for field in fields:
             span = self._span(field, analyzed_term)
             if span:
-                field_columns, _, lo, hi = span
-                docs.update(field_columns.docs[lo:hi])
+                record, _, lo, hi = span
+                docs.update(record.docs[lo:hi])
         return docs
 
     def _analyzed_single(self, field: str, raw_term: str) -> str:
@@ -566,7 +583,8 @@ class Index:
                 if len(tokens) == 1:  # bounds in the field's columns; no docs copied
                     span = self._span(clause.field, tokens[0])
                     if span:
-                        (_, _, docs, tfs, _), _, lo, hi = span
+                        record, _, lo, hi = span
+                        docs, tfs = record.docs, record.tfs
                 elif tokens:  # the entry holds the phrase's matches
                     docs, tfs = self._phrase_matches(clause.field, tokens)
                     hi = len(docs)
@@ -605,28 +623,20 @@ class Index:
         out = bytearray(SNAPSHOT_MAGIC)
         out += struct.pack("<I", SNAPSHOT_VERSION)
         langs = sorted(self._chains)
-        names = sorted(self._fields)
-        lang_terms: dict[str, set[str]] = {lang: set() for lang in langs}
-        for name in names:
-            lang_terms[name.rpartition("-")[2]].update(self._fields[name].terms)
-        term_ordinals: dict[str, dict[str, int]] = {}
         _put_table(out, langs)
         for lang in langs:
             _put_table(out, sorted(self._chains[lang].stopword_list))
-            table = sorted(lang_terms[lang])
-            _put_table(out, table)
-            term_ordinals[lang] = dict(zip(table, count()))
+            _put_table(out, self._term_tables[lang])
         _put_table(out, self._doc_ids)
+        names = sorted(self._fields)
         _put_table(out, names)
         for name in names:
-            terms, *columns = self._fields[name]
-            _put_column(out, array("I", map(term_ordinals[name.rpartition("-")[2]].__getitem__, terms)))
-            for column in columns:
+            record = self._fields[name]
+            for column in record[:5]:  # ordinals, starts, docs, tfs, positions
                 _put_column(out, column)
-            values, value_starts, value_docs = self._raw_values.get(name, _NO_RAW_VALUES)
-            _put_table(out, values)
-            _put_column(out, value_starts)
-            _put_column(out, value_docs)
+            _put_table(out, record.values)
+            _put_column(out, record.value_starts)
+            _put_column(out, record.value_docs)
         write_atomic(path, [out])
 
     @classmethod
@@ -715,8 +725,7 @@ class Index:
         n_docs = len(doc_ids)
 
         names = take_sorted_table("field names")
-        fields: dict[str, _FieldColumns] = {}
-        raw_values: dict[str, _RawValues] = {}
+        fields: dict[str, _Field] = {}
         for name in names:
             table = lang_terms.get(name.rpartition("-")[2])
             if table is None:
@@ -724,8 +733,7 @@ class Index:
             ordinals = take_column()
             if not _ascending_runs_below(ordinals, array("I", (0, len(ordinals))), len(table)):
                 raise bad(f"bad term ordinals in field {name!r}")
-            terms = list(map(table.__getitem__, ordinals))  # the table's own strings
-            starts = take_offsets(f"posting start of field {name!r}", len(terms))
+            starts = take_offsets(f"posting start of field {name!r}", len(ordinals))
             docs, tfs, positions = take_column(), take_column(), take_column()
             if starts[-1] != len(docs) or len(tfs) != len(docs):
                 raise bad(f"columns of field {name!r} disagree with their offsets")
@@ -733,8 +741,6 @@ class Index:
                 raise bad(f"tfs of field {name!r} hold a 0 or disagree with its positions")
             if not _ascending_runs_below(docs, starts, n_docs):
                 raise bad(f"bad doc ordinals in field {name!r}")
-            fields[name] = _FieldColumns(terms, starts, docs, tfs, positions)
-
             values = take_sorted_table(f"raw values of field {name!r}")
             value_starts = take_offsets(f"raw value start of field {name!r}", len(values))
             value_docs = take_column()
@@ -742,12 +748,11 @@ class Index:
                 raise bad(f"raw values of field {name!r} disagree with their offsets")
             if not _ascending_runs_below(value_docs, value_starts, n_docs):
                 raise bad(f"bad doc ordinals for the raw values of field {name!r}")
-            if values:
-                raw_values[name] = _RawValues(values, value_starts, value_docs)
+            fields[name] = _Field(ordinals, starts, docs, tfs, positions, values, value_starts, value_docs)
 
         if offset != len(data):
             raise bad(f"ends at byte {offset} of {len(data)}")
-        return doc_ids, fields, raw_values, chains
+        return doc_ids, lang_terms, fields, chains
 
 
 def _ascending_runs_below(values: array, starts: array, limit: int) -> bool:
@@ -920,8 +925,10 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
 
     Each token goes straight into its term's columns, in its field and
     the union field, and each concept value's doc ordinals arrive in
-    ascending order. No field's term ordinals or position offsets are
-    made here: as after `load`, the index builds them on first use.
+    ascending order. Each language's term table is then derived once, and
+    each field's record holds its terms as places in it. No field's term
+    -> ordinal map or position offsets are made here: as after `load`, the
+    index builds them on first use.
     """
     docs = sorted(corpus, key=attrgetter("doc_id"))
     if not docs:
@@ -968,9 +975,4 @@ def build_index(corpus: Iterable[Document], chains: Mapping[str, AnalyzerChain])
                     pos = add(terms, ordinal, tokens, pos)
                     all_pos = add(all_terms, ordinal, tokens, all_pos)
 
-    return Index(
-        [doc.doc_id for doc in docs],
-        {f: _concatenate(terms) for f, terms in postings.items()},
-        {f: _raw_value_columns(vals) for f, vals in raw_values.items()},
-        chains,
-    )
+    return Index([doc.doc_id for doc in docs], *_records(postings, raw_values, chains), chains)

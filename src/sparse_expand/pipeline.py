@@ -38,7 +38,7 @@ from .errors import ConfigError, DataError, EmptyQueryError
 from .evaluation import MetricReport, evaluate_run, read_qrels_file, write_run_file
 from .expand import ExpansionConfig, build_query, combo_merge
 from .files import json_object, read_keyed_lines, read_text, write_lines
-from .index import ALL_FIELD, Hits, Index, Query, build_index
+from .index import Hits, Index, Query, build_index
 from .str_recommender import SIMILARITIES, CooccurConfig, suggest_str
 from .suggestions import (
     GENERATOR_SYSTEMS,
@@ -285,10 +285,11 @@ def run_pipeline(cfg: PipelineConfig, systems: Sequence[str]) -> dict[str, list[
     topics = select_topics(read_topics(cfg.topics), cfg.lang)
     if not topics:
         raise DataError(f"no topics with lang {cfg.lang!r} in {cfg.topics}")
-    index = build_index([d for d in documents if d.lang == cfg.lang], {cfg.lang: shared_chain(cfg.lang)})
+    documents = [d for d in documents if d.lang == cfg.lang]
+    if not documents:
+        raise DataError(f"no documents with lang {cfg.lang!r} in {cfg.docs}")
+    index = build_index(documents, {cfg.lang: shared_chain(cfg.lang)})
     del documents  # the index holds all the run reads of them
-    if not index.has_field(f"{ALL_FIELD}-{cfg.lang}"):
-        raise DataError(f"corpus has no indexed {cfg.lang!r} content")
 
     qrels = read_qrels_file(cfg.qrels) if cfg.qrels else None
     ordered = [s for s in SYSTEMS if s in systems]  # COMBO comes last

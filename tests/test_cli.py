@@ -272,6 +272,44 @@ def test_run_pipeline_command(tmp_path):
     assert (Path(workspace["out"]) / "en" / "STR" / "run.trec").exists()
 
 
+def test_run_without_a_system_runs_str_alone(tmp_path):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
+    args = ["--docs", workspace["docs"], "--topics", workspace["topics"], "--out", workspace["out"]]
+    assert main(["run", *args]) == 0
+    written = tree_bytes(Path(workspace["out"]))
+    assert sorted(written) == ["en/STR/run.trec", "en/STR/suggestions.tsv", "manifest.json"]
+    assert written["en/STR/run.trec"]
+    assert json.loads(written["manifest.json"])["systems"] == ["STR"]
+
+
+def test_run_on_a_corpus_without_a_document_of_its_lang_exits_2(tmp_path, capsys):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=20, n_topics=2)
+    topics = write_topics_file(tmp_path / "de-topics.jsonl", [Topic("T-000", "Wal", "de")])
+    args = ["--docs", workspace["docs"], "--topics", str(topics), "--out", workspace["out"], "--lang", "de"]
+    assert main(["run", *args, "--system", "STR"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: no documents with lang 'de' in {workspace['docs']}\n" in err and "Traceback" not in err
+    assert not Path(workspace["out"]).exists()
+
+
+def test_suggest_str_on_a_topic_whose_language_the_snapshot_lacks_warns_and_exits_0(tmp_path, caplog):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=20, n_topics=2)
+    index_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--docs", workspace["docs"], "--out", index_dir]) == 0
+    topics = write_topics_file(
+        tmp_path / "mixed.jsonl", [Topic("T-000", "whale", "en"), Topic("T-001", "Wal", "de")]
+    )
+    out_file = tmp_path / "str.tsv"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert main(["suggest", "str", "--index", index_dir, "--topics", str(topics), "--out", str(out_file)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "no analyzer for topic language 'de'"
+    ]
+    lines = out_file.read_text(encoding="utf-8").splitlines()
+    assert lines and {line.split("\t")[0] for line in lines} == {"T-000"}
+
+
 @pytest.mark.parametrize("title", ["it's's whale", "it’s’s whale"])
 def test_str_on_a_title_token_that_analyzes_to_no_term_exits_0(tmp_path, title):
     workspace = build_pipeline_workspace(tmp_path, n_docs=40, n_topics=2)
@@ -1260,6 +1298,32 @@ def test_run_on_a_config_with_min_links_below_one_is_a_usage_error(tmp_path, cap
     )
     assert main(["run", "--config", str(config), "--system", "WIKI_ENTITY"]) == 1
     assert "min_links must be >= 1" in capsys.readouterr().err
+    assert not Path(workspace["out"]).exists()
+
+
+# Config values that the command line's own checks keep from `run`: its
+# flags take no empty --out, no --lang outside the profiles, no count
+# below 1 and no unknown --similarity.
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("out", "", "missing out (output directory)"),
+        ("lang", "fr", "lang must be one of ['de', 'en'], got 'fr'"),
+        ("k", 0, "k must be >= 1"),
+        ("n", 0, "n must be >= 1"),
+        ("depth", 0, "depth must be >= 1"),
+        ("similarity", "cosine", "similarity must be one of ['jaccard', 'log_jaccard'], got 'cosine'"),
+    ],
+)
+def test_run_on_a_config_value_out_of_its_range_exits_1(tmp_path, capsys, key, value, message):
+    workspace = build_pipeline_workspace(tmp_path, n_docs=30, n_topics=2)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({k: workspace[k] for k in ("docs", "topics", "out")} | {key: value}), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config), "--system", "STR"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err and "Traceback" not in err
     assert not Path(workspace["out"]).exists()
 
 

@@ -162,6 +162,10 @@ def test_a_bare_number_is_rejected(tmp_path, value):
         ("id", True, "'id' must be a string, not a JSON boolean"),
         ("lang", ["en"], "document 'd1': 'lang' must be a string, not a JSON array"),
         ("lang", {"en": 1}, "document 'd1': 'lang' must be a string, not a JSON object"),
+        ("lang", "", "document 'd1': missing or empty 'lang'"),
+        ("lang", " ", "document 'd1': missing or empty 'lang'"),
+        ("fields", ["dc:title", "y"], "document 'd1': 'fields' must be an object"),
+        ("fields", None, "document 'd1': 'fields' must be an object"),
     ],
 )
 def test_id_and_lang_must_be_strings(tmp_path, key, value, message):

@@ -125,6 +125,12 @@ def test_suggest_unknown_seed():
         suggest_docsim(corpus, "Missing")
 
 
+def test_important_words_of_an_unknown_title():
+    corpus = _bodies_corpus({"A": "whale", "B": "ship"})
+    with pytest.raises(SeedNotFoundError, match="^document not in corpus: 'Missing'$"):
+        corpus.important_words("Missing", 3)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_suggest_matches_all_pairs_oracle(seed):
     bodies = _random_bodies(100 + seed, 50)

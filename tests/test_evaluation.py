@@ -57,6 +57,11 @@ def test_rp_hand_cases():
     assert r_precision(["a", "b", "x"], {"a": 1, "b": 1}) == 1.0
 
 
+def test_rp_requires_relevant_docs():
+    with pytest.raises(DataError, match="^r_precision needs a topic with relevant documents$"):
+        r_precision(["a"], {"a": 0})
+
+
 def test_se_precision_hand_case():
     grades = dict(enumerate([2] * 7 + [1] * 2 + [0], start=1))
     sset = make_suggestion_set(
@@ -301,6 +306,14 @@ def test_judgments_file(tmp_path):
             read_judgments_file(path)
 
 
+@pytest.mark.parametrize("grade", ["3", "-1"])
+def test_judgments_file_rejects_a_grade_outside_the_scale(tmp_path, grade):
+    path = tmp_path / "judg.tsv"
+    path.write_text(f"T1\t1\t2\nT1\t2\t{grade}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"judg.tsv:2: grade must be one of {GRADES}")):
+        read_judgments_file(path)
+
+
 # Ids and tags the writer's `%` format must keep as they are.
 _RUN_IDS = st.one_of(st.sampled_from(["%", "%s", "%%", "a%d", "%.6f%"]), st.text("%sdQ0.-", min_size=1, max_size=5), _IDS)
 
@@ -424,6 +437,11 @@ def test_evaluate_suggestions_rejects_mixed_systems():
     ]
     with pytest.raises(DataError):
         evaluate_suggestions(sets, {})
+
+
+def test_evaluate_suggestions_rejects_no_sets():
+    with pytest.raises(DataError, match="^no suggestion sets to evaluate$"):
+        evaluate_suggestions([], {"T1": {1: 2}})
 
 
 def test_evaluate_suggestions_report():

@@ -77,9 +77,9 @@ def test_json_read_guard_sees_every_json_read():
     assert sorted(_json_reads(source)) == [1, 2, 3, 4, 5, 6, 7]
 
 
-# Attributes private to `Index` and its per-field columns: every other
+# Attributes private to `Index` and its per-field records: every other
 # module reads an index through its public methods.
-_INDEX_PRIVATE = {"_fields", "_raw_values", "_columns", "ordinals", "_span", "_term_ordinals", "_position_offsets"}
+_INDEX_PRIVATE = {"_fields", "_term_tables", "_columns", "ordinals", "_span", "_term_ordinals", "_position_offsets"}
 
 
 def _private_reads(source: str, private: set[str]) -> list[int]:
@@ -113,12 +113,12 @@ def test_index_internals_guard_sees_every_read():
     source = "\n".join(
         [
             "index._fields[field]",
-            "idx._raw_values.get(name)",
+            "idx._term_tables.get(lang)",
             "index._columns(field, term, 1)",
             "columns.ordinals",
             "getattr(index, '_fields')",
             "operator.attrgetter('ordinals')",
-            "attrgetter('_raw_values')(index)",
+            "attrgetter('_term_tables')(index)",
             "index._span(field, term)",
             "index._term_ordinals[field]",
             "getattr(index, '_position_offsets')",

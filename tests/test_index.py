@@ -42,13 +42,12 @@ from sparse_expand.index import (
     ScoredDoc,
     Term,
     _ascending_runs_below,
-    _concatenate,
     _descends,
+    _Field,
     _holds_zero,
     _narrowed,
     _pos_starts,
-    _RawValues,
-    _raw_value_columns,
+    _records,
     _rises,
     build_index,
 )
@@ -111,6 +110,12 @@ def test_search_single_match():
     assert len(results) == 1
     assert results[0].doc_id == "d0"
     assert results[0].score > 0
+
+
+@pytest.mark.parametrize("mode", ["all", "any"])
+def test_doc_set_of_no_terms_is_empty(mode):
+    idx = _index([_doc(0, **{"dc:title": ["moby dick"]})])
+    assert idx.doc_set("chic_all-en", [], mode) == frozenset()
 
 
 def test_phrase_order_matters():
@@ -544,6 +549,14 @@ def _columns(docs, tfs, positions):
 _GOOD = _columns([0, 1], [1, 2], [0, 0, 2])
 
 
+def _hand_index(doc_ids, fields, values=None, chains=None):
+    """An index made by the constructor from hand-made columns: `fields`
+    maps a field to term -> (docs, tfs, positions), `values` a field to
+    raw value -> doc ordinals; one "en" chain unless `chains` is given."""
+    chains = chains or {"en": chain_for("en")}
+    return Index(doc_ids, *_records(fields, values or {}, chains), chains)
+
+
 def _u32s(*values):
     return struct.pack(f"<{len(values)}I", *values)
 
@@ -576,6 +589,16 @@ _INCONSISTENT = [
     (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en", _byte_column(2) + _u32s(2) + b"fr", "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
     (_GOOD, (0,), "t-en", (_byte_column(1, 2, 1, 2), _u32s(4, 4, 2**31, 2**31, 1, 2), "tfs of field 't-en' hold a 0 or disagree")),
+    (
+        _GOOD,
+        (0,),
+        "t-en",
+        (
+            b"x" + _byte_column(0, 1) + _byte_column(0),
+            b"x" + _byte_column(0, 2) + _byte_column(0),
+            "raw values of field 't-en' disagree with their offsets$",
+        ),
+    ),
 ]
 _PATCHED_IDS = [
     "descending-offsets",
@@ -585,6 +608,7 @@ _PATCHED_IDS = [
     "language-without-profile",
     "field-without-chain",
     "tf-sum-beyond-u32",
+    "raw-value-offsets-past-their-docs",
 ]
 
 
@@ -601,12 +625,7 @@ _PATCHED_IDS = [
     + _PATCHED_IDS,
 )
 def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, field, patch):
-    idx = Index(
-        ["d0", "d1"],
-        {field: _concatenate({"x": columns, "y": _GOOD})},
-        {field: _raw_value_columns({"x": raw_docs})},
-        {"en": chain_for("en")},
-    )
+    idx = _hand_index(["d0", "d1"], {field: {"x": columns, "y": _GOOD}}, {field: {"x": raw_docs}})
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
     match = None
@@ -621,12 +640,7 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, fie
 
 
 def test_snapshot_rejects_positions_beyond_what_the_tfs_cover(tmp_path):
-    idx = Index(
-        ["d0", "d1"],
-        {"t-en": _concatenate({"x": _columns([0, 1], [1, 1], [0, 0, 2])})},
-        {},
-        {"en": chain_for("en")},
-    )
+    idx = _hand_index(["d0", "d1"], {"t-en": {"x": _columns([0, 1], [1, 1], [0, 0, 2])}})
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
     with pytest.raises(DataError, match="tfs of field 't-en' hold a 0 or disagree with its positions"):
@@ -647,9 +661,8 @@ def test_snapshot_rejects_tfs_one_off_their_positions_in_a_field_read_only_by_do
     assert sum(tfs) == len(columns.positions) + delta
     fields = {name: built._fields[name] for name in built.fields}
     fields[field] = columns._replace(tfs=tfs)
-    raw_values = {name: _raw_value_columns(built.raw_values(name)) for name in built.fields}
     path = tmp_path / SNAPSHOT_FILENAME
-    Index(built.doc_ids, fields, raw_values, built.chains).save(path)
+    Index(built.doc_ids, built._term_tables, fields, built.chains).save(path)
     with pytest.raises(DataError) as raised:
         Index.load(path)
     assert str(raised.value) == (
@@ -675,15 +688,15 @@ def test_snapshot_rejects_repeated_doc_ids(tmp_path):
 
 
 def test_constructor_rejects_a_repeated_doc_id():
-    fields = {"t-en": _concatenate({"x": _GOOD})}
+    terms, fields = _records({"t-en": {"x": _GOOD}}, {}, ["en"])
     with pytest.raises(DuplicateDocumentError, match="^repeated doc_id 'd1'$"):
-        Index(["d0", "d1", "d2", "d1"], fields, {}, {"en": chain_for("en")})
+        Index(["d0", "d1", "d2", "d1"], terms, fields, {"en": chain_for("en")})
 
 
 def test_constructor_rejects_unique_doc_ids_out_of_order():
-    fields = {"t-en": _concatenate({"x": _GOOD})}
+    terms, fields = _records({"t-en": {"x": _GOOD}}, {}, ["en"])
     with pytest.raises(DataError, match="^doc_ids are not in ascending order$") as raised:
-        Index(["d0", "d2", "d1"], fields, {}, {"en": chain_for("en")})
+        Index(["d0", "d2", "d1"], terms, fields, {"en": chain_for("en")})
     assert not isinstance(raised.value, DuplicateDocumentError)
 
 
@@ -699,18 +712,13 @@ def test_build_numbers_documents_in_doc_id_order(tmp_path):
 
 
 def test_constructor_rejects_a_field_whose_language_has_no_chain():
-    fields = {"t-en": _concatenate({"x": _GOOD}), "t-de": _concatenate({"x": _GOOD})}
+    terms, fields = _records({"t-en": {"x": _GOOD}, "t-de": {"x": _GOOD}}, {}, ["en"])
     with pytest.raises(DataError, match="^no analyzer chain for field 't-de'$"):
-        Index(["d0", "d1"], fields, {}, {"en": chain_for("en")})
+        Index(["d0", "d1"], terms, fields, {"en": chain_for("en")})
 
 
 def test_snapshot_accepts_the_valid_columns(tmp_path):
-    idx = Index(
-        ["d0", "d1"],
-        {"t-en": _concatenate({"x": _GOOD})},
-        {"t-en": _raw_value_columns({"x": (0,)})},
-        {"en": chain_for("en")},
-    )
+    idx = _hand_index(["d0", "d1"], {"t-en": {"x": _GOOD}}, {"t-en": {"x": (0,)}})
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
     loaded = Index.load(path)
@@ -830,7 +838,7 @@ def _wide_indexes(draw):
         "w": (n_docs - 1,),
     }
     doc_ids = [f"d{i:05d}" for i in range(n_docs)]
-    return Index(doc_ids, {"t-en": _concatenate(terms)}, {"t-en": _raw_value_columns(values)}, {"en": chain_for("en")})
+    return _hand_index(doc_ids, {"t-en": terms}, {"t-en": values})
 
 
 @settings(max_examples=40, deadline=None)
@@ -853,17 +861,16 @@ def test_snapshot_stores_each_column_at_the_smallest_width_that_fits(tmp_path_fa
         assert width == _smallest_width(values)
     # a built index and a loaded one hold each column at the same width
     built, read = idx._fields["t-en"], loaded._fields["t-en"]
-    for name in ("starts", "docs", "tfs", "positions"):
+    columns = ("ordinals", "starts", "docs", "tfs", "positions", "value_starts", "value_docs")
+    for name in columns:
         column = getattr(built, name)
         assert column.itemsize == getattr(read, name).itemsize == _smallest_width(column)
 
     loaded.save(directory / "b.bin")
     assert (directory / "b.bin").read_bytes() == data
     # the bytes do not depend on the width a column is held at
-    wide = built._replace(**{name: array("I", getattr(built, name)) for name in ("starts", "docs", "tfs", "positions")})
-    values = idx._raw_values["t-en"]
-    wide_values = values._replace(starts=array("I", values.starts), docs=array("I", values.docs))
-    Index(idx.doc_ids, {"t-en": wide}, {"t-en": wide_values}, idx.chains).save(directory / "c.bin")
+    wide = built._replace(**{name: array("I", getattr(built, name)) for name in columns})
+    Index(idx.doc_ids, idx._term_tables, {"t-en": wide}, idx.chains).save(directory / "c.bin")
     assert (directory / "c.bin").read_bytes() == data
 
 
@@ -916,8 +923,7 @@ def _wide_inconsistent(top):
 def test_snapshot_rejects_inconsistent_columns_written_wide(tmp_path, width, case):
     docs, tfs, raw_docs, match = _wide_inconsistent(256 ** (width - 1))[case]
     terms = {"x": _columns(docs, tfs, [0, 0, 1, 0]), "y": _columns([0, 1, 2], [1, 1, 1], [0, 0, 0])}
-    raw_values = {"t-en": _raw_value_columns({"v": raw_docs})}
-    idx = Index(["d0", "d1", "d2"], {"t-en": _concatenate(terms)}, raw_values, {"en": chain_for("en")})
+    idx = _hand_index(["d0", "d1", "d2"], {"t-en": terms}, {"t-en": {"v": raw_docs}})
     path = tmp_path / SNAPSHOT_FILENAME
     idx.save(path)
     path.write_bytes(_widened(path.read_bytes(), width))
@@ -1034,11 +1040,8 @@ def test_ascending_runs_below_across_chunk_edges(code):
 
 def _narrow_snapshot(tmp_path, stopwords=None):
     """A valid snapshot whose every column is 1 byte per value."""
-    idx = Index(
-        ["d0", "d1"],
-        {"t-en": _concatenate({"x": _GOOD, "y": _GOOD})},
-        {"t-en": _raw_value_columns({"x": (0,)})},
-        {"en": chain_for("en", stopwords)},
+    idx = _hand_index(
+        ["d0", "d1"], {"t-en": {"x": _GOOD, "y": _GOOD}}, {"t-en": {"x": (0,)}}, {"en": chain_for("en", stopwords)}
     )
     path = tmp_path / "index" / SNAPSHOT_FILENAME
     path.parent.mkdir()
@@ -1131,6 +1134,25 @@ def test_snapshot_rejects_a_language_term_table_not_strictly_ascending(tmp_path,
     assert data.count(_NARROW_TERM_TABLE) == 1
     path.write_bytes(data.replace(_NARROW_TERM_TABLE, _byte_column(1, 1) + _u32s(2) + blob))
     _assert_malformed(path, capsys, "terms of language 'en' not strictly ascending$")
+
+
+def test_a_language_term_no_field_names_loads_and_re_saves_to_its_own_bytes(tmp_path):
+    # "w" joins the language table before "x" and "y"; the field's
+    # ordinals move up one place to keep naming them.
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    original = Index.load(path)
+    assert data.count(_NARROW_TERM_TABLE) == data.count(_NARROW_ORDINALS) == 1
+    data = data.replace(_NARROW_TERM_TABLE, _byte_column(1, 1, 1) + _u32s(3) + b"wxy")
+    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-en" + _byte_column(1, 2)))
+    loaded = Index.load(path)
+    assert loaded.terms("t-en") == original.terms("t-en") == ["x", "y"]
+    for query in (Query((Term("t-en", "x"),)), Query((Phrase("t-en", ("x", "y")),)), Query((Term("t-en", "w"),))):
+        assert loaded.search(query, 10) == original.search(query, 10)
+    assert loaded.postings("t-en", "w") == ()
+    assert _walk(path.read_bytes())[1] == {"en": ["w", "x", "y"]}
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_snapshot_rejects_a_field_whose_language_has_no_table_before_reading_it(tmp_path, capsys):
@@ -1655,10 +1677,12 @@ def test_load_builds_no_lookup_maps_and_each_read_builds_its_own(tmp_path, monke
     built.save(path)
     for idx in (built, Index.load(path)):
         assert _with_ordinals(idx) == set()
-        assert set(idx._raw_values) == {f"{name}-en" for name in CONCEPT_FIELDS}
-        for field, columns in idx._raw_values.items():
-            assert type(columns) is _RawValues
-            values, starts, value_docs = columns
+        assert {field for field, record in idx._fields.items() if record.values} == {
+            f"{name}-en" for name in CONCEPT_FIELDS
+        }
+        for field, record in idx._fields.items():
+            assert type(record) is _Field and type(record.ordinals) is array
+            values, starts, value_docs = record.values, record.value_starts, record.value_docs
             assert type(starts) is array and type(value_docs) is array
             assert len(starts) == len(values) + 1 and starts[-1] == len(value_docs)
             assert list(values) == sorted(idx.raw_values(field))
@@ -1757,7 +1781,7 @@ def test_position_offsets_are_a_running_sum_of_tfs(tmp_path_factory, runs):
         offset += 1
         terms[f"t{i}"] = _columns(range(len(run)), run, positions)
     n_docs = max(map(len, runs))
-    built = Index([f"d{i}" for i in range(n_docs)], {"t-en": _concatenate(terms)}, {}, {"en": chain_for("en")})
+    built = _hand_index([f"d{i}" for i in range(n_docs)], {"t-en": terms})
     path = tmp_path_factory.mktemp("offsets") / SNAPSHOT_FILENAME
     built.save(path)
     for idx in (built, Index.load(path)):

@@ -422,6 +422,15 @@ def test_store_rejects_duplicates():
         ArticleStore([("A", "x"), ("A", "y")])
 
 
+def test_store_rejects_no_articles(tmp_path):
+    with pytest.raises(DataError, match="^article store is empty$"):
+        ArticleStore([])
+    (tmp_path / "articles").mkdir()
+    (tmp_path / "articles" / "notes.txt").write_text("[[Not]] an article", encoding="utf-8")
+    with pytest.raises(DataError, match="^article store is empty$"):
+        ArticleStore.from_dir(tmp_path / "articles")
+
+
 def test_store_from_dir(tmp_path):
     articles = tmp_path / "articles"
     articles.mkdir()
