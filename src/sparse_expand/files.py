@@ -217,7 +217,8 @@ def read_keyed_lines(path: str | Path, parse: Callable[[str], T]) -> dict[str, T
 def read_titled_files(directory: str | Path, suffix: str) -> list[tuple[str, str]]:
     """(title, text) of each `<percent-encoded-title><suffix>` file of a
     directory, in file-name order. Titles must be UTF-8, as encoded and
-    as decoded, since every writer emits them as UTF-8."""
+    as decoded, since every writer emits them as UTF-8. DataError naming
+    the directory and the suffix if no file has that suffix."""
     pairs = []
     for file in sorted(Path(directory).glob("*" + suffix)):
         try:
@@ -226,4 +227,6 @@ def read_titled_files(directory: str | Path, suffix: str) -> list[tuple[str, str
         except UnicodeError:
             raise DataError(f"{directory}: file name {file.name!r} is not UTF-8") from None
         pairs.append((title, read_text(file)))
+    if not pairs:
+        raise DataError(f"{directory}: no *{suffix} file")
     return pairs

@@ -78,18 +78,23 @@ raises DuplicateDocumentError for a repeated doc_id, and DataError for
 doc_ids otherwise not ascending or a field whose language has no chain.
 So `save` cannot write a snapshot that `load` rejects for these reasons.
 
-The version 8 snapshot (README "Snapshot format") stores every string
-list as a table, a length column and one UTF-8 blob, and every column as
+The version 9 snapshot (README "Snapshot format") stores every string
+list as a table: a u32 count, a u32 separator code point and one UTF-8
+blob that holds each string followed by the separator. That is U+000A
+unless a string of the table holds one, else the lowest code point,
+surrogates excluded, that none holds. It stores every column as
 a u32 item width (1, 2 or 4), a u32 count and its little-endian values
-at that width. `save` writes each column at the narrowest width that
-holds it, whatever width it is held at, so the bytes depend only on the
-documents; a width fits when the high bytes it drops are all zero. The
-snapshot stores no `pos_starts`. Per language it stores its stopword
-table and its term table; each field stores its record, item by item.
+at that width, and ends with the CRC-32 of every byte before it. `save`
+writes each column at the narrowest width that holds it, whatever width
+it is held at, so the bytes depend only on the documents; a width fits
+when the high bytes it drops are all zero. The snapshot stores no
+`pos_starts`. Per language it stores its stopword table and its term
+table; each field stores its record, item by item.
 So `save` writes the tables and records as held, and `Index.load` keeps
-them as read. `Index.load` decodes each
-blob once and reads each column once, as an array. It checks the
-term-ordinal, doc-ordinal, offset and tf arrays (`_rises`, `_descends`,
+them as read. `Index.load` checks the magic, the version and the
+checksum before it decodes anything. It then splits each table's blob
+with one `str.split` and reads each column once, as an array. It checks
+the term-ordinal, doc-ordinal, offset and tf arrays (`_rises`, `_descends`,
 `_holds_zero`) with word-parallel arithmetic on the little-endian bytes
 that `_little_endian` gives here and in `save`: `_rises` compares each
 item with the next in one int per 4,096 items, in lanes no wider than an
@@ -103,10 +108,14 @@ load of one profile analyzes through one stem cache. The decoder checks
 the bytes and columns; `load` then reports the constructor's errors as a
 malformed snapshot too. The decoder rejects with DataError:
 
-- another magic or version, truncation, or bytes after the last item;
+- another magic or version, then a checksum that is not the CRC-32 of
+  the bytes before it (so every single-bit flip, and in all but one
+  case in 2**32 a truncation or appended bytes), then bytes after the
+  last item;
 - a column width other than 1, 2 or 4;
-- a table whose lengths disagree with its blob, or whose blob is not
-  UTF-8;
+- a table whose count disagrees with its blob, whose blob does not end
+  with its separator, whose separator is a surrogate or above U+10FFFF,
+  or whose blob is not UTF-8;
 - analyzer languages, stopwords, a language's terms, field names or raw
   values that are not strictly ascending;
 - a language with no analyzer profile;
@@ -128,6 +137,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
@@ -147,7 +157,7 @@ ALL_FIELD = "chic_all"
 SEGMENT_GAP = 1  # skipped positions between values of a multi-valued field
 
 SNAPSHOT_MAGIC = b"SPXINDEX"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 SNAPSHOT_FILENAME = "index.bin"
 
 # Column item width in bytes -> its array typecode. Columns are written
@@ -169,6 +179,10 @@ _RISE_CHUNK = 4096
 
 # (width, lanes) -> `_lane_masks` of a full chunk.
 _LANE_MASKS: dict[tuple[int, int], tuple[int, int]] = {}
+
+# The code points a table may be separated by, in the order `save` tries
+# them after U+000A: every one but the surrogates, which UTF-8 cannot hold.
+_SEPARATORS = (range(0xD800), range(0xE000, 0x110000))
 
 # Byte -> 1 if its top bit is clear, else 0.
 _CLEAR_TOP_BIT = bytes(1 - (byte >> 7) for byte in range(256))
@@ -619,7 +633,8 @@ class Index:
     # -- persistence ----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the binary snapshot (format documented in the README)."""
+        """Write the binary snapshot (format documented in the README),
+        signed with the CRC-32 of every byte before its trailer."""
         out = bytearray(SNAPSHOT_MAGIC)
         out += struct.pack("<I", SNAPSHOT_VERSION)
         langs = sorted(self._chains)
@@ -637,6 +652,7 @@ class Index:
             _put_table(out, record.values)
             _put_column(out, record.value_starts)
             _put_column(out, record.value_docs)
+        out += struct.pack("<I", zlib.crc32(out))
         write_atomic(path, [out])
 
     @classmethod
@@ -656,8 +672,8 @@ class Index:
 
     @staticmethod
     def _decode(data: bytes, path: str | Path) -> tuple:
-        """The constructor's arguments, read from a snapshot whose bytes
-        and columns are checked."""
+        """The constructor's arguments, read from a snapshot whose version,
+        checksum, bytes and columns are checked, in that order."""
         offset = len(SNAPSHOT_MAGIC)
         view = memoryview(data)
 
@@ -667,8 +683,8 @@ class Index:
         def take(size: int) -> memoryview:
             nonlocal offset
             end = offset + size
-            if end > len(data):
-                raise bad(f"{size} bytes at byte {offset} run past byte {len(data)}")
+            if end > len(view):
+                raise bad(f"{size} bytes at byte {offset} run past byte {len(view)}")
             chunk = view[offset:end]
             offset = end
             return chunk
@@ -684,12 +700,15 @@ class Index:
             return _from_little_endian(width, take(width * take_u32()))
 
         def take_table() -> list[str]:
-            lengths = take_column()
-            text = str(take(take_u32()), "utf-8")
-            ends = list(accumulate(lengths, initial=0))
-            if ends[-1] != len(text):
-                raise bad("string lengths disagree with their blob")
-            return list(map(text.__getitem__, map(slice, ends, ends[1:])))
+            n_strings, separator = take_u32(), take_u32()
+            if 0xD800 <= separator <= 0xDFFF or separator > 0x10FFFF:
+                raise bad(f"table separator {separator:#x} is a surrogate or above U+10FFFF")
+            strings = str(take(take_u32()), "utf-8").split(chr(separator))
+            if strings.pop():
+                raise bad("table does not end with its separator")
+            if len(strings) != n_strings:
+                raise bad("string count disagrees with its blob")
+            return strings
 
         def take_sorted_table(what: str) -> list[str]:
             strings = take_table()
@@ -711,6 +730,14 @@ class Index:
                 f"{path}: unsupported snapshot version {version} "
                 f"(expected {SNAPSHOT_VERSION}; rebuild the index)"
             )
+        body = len(data) - 4  # the trailer's first byte
+        if body < offset:
+            raise bad(f"4 bytes at byte {offset} run past byte {len(data)}")
+        (stored,) = struct.unpack_from("<I", data, body)
+        view = view[:body]
+        computed = zlib.crc32(view)
+        if computed != stored:
+            raise bad(f"checksum mismatch (CRC-32 {computed:08x}, stored {stored:08x})")
 
         chains: dict[str, AnalyzerChain] = {}
         lang_terms: dict[str, list[str]] = {}
@@ -750,8 +777,8 @@ class Index:
                 raise bad(f"bad doc ordinals for the raw values of field {name!r}")
             fields[name] = _Field(ordinals, starts, docs, tfs, positions, values, value_starts, value_docs)
 
-        if offset != len(data):
-            raise bad(f"ends at byte {offset} of {len(data)}")
+        if offset != len(view):
+            raise bad(f"ends at byte {offset} of {len(view)}")
         return doc_ids, lang_terms, fields, chains
 
 
@@ -888,13 +915,22 @@ def _put_column(out: bytearray, values: array) -> None:
     out += raw
 
 
-def _put_table(out: bytearray, strings: Iterable[str]) -> None:
-    """Append a table: a column of code-point lengths, then the u32 byte
-    count and bytes of the strings' concatenated UTF-8."""
-    strings = list(strings)
-    _put_column(out, array("I", map(len, strings)))
-    blob = "".join(strings).encode("utf-8")
-    out += struct.pack("<I", len(blob))
+def _put_table(out: bytearray, strings: Sequence[str]) -> None:
+    """Append a table: the u32 string count, separator code point and
+    byte count, then the strings' UTF-8, each string followed by the
+    separator. That is U+000A unless a string holds one, else the lowest
+    code point, surrogates excluded, that no string holds."""
+    separator = "\n"
+    text = separator.join([*strings, ""])
+    if text.count(separator) != len(strings):  # a string holds a U+000A
+        held = set(text)
+        free = (char for char in map(chr, chain(*_SEPARATORS)) if char not in held)
+        separator = next(free, None)
+        if separator is None:
+            raise DataError("no code point is free to separate the strings of a snapshot table")
+        text = separator.join([*strings, ""])
+    blob = text.encode("utf-8")
+    out += struct.pack("<III", len(strings), ord(separator), len(blob))
     out += blob
 
 

@@ -445,6 +445,25 @@ def test_a_failed_write_keeps_the_old_out_file(tmp_path, monkeypatch):
     assert (out_dir / "str.tsv").read_text(encoding="utf-8") == "old\n"
 
 
+@pytest.mark.parametrize("command", ["wiki-lead", "docsim"])
+def test_suggest_on_a_directory_with_no_input_file_exits_2_naming_it(tmp_path, capsys, command):
+    directory = tmp_path / "empty"
+    directory.mkdir()
+    (directory / "notes.md").write_text("[[Whale]] ocean", encoding="utf-8")
+    topics = tmp_path / "topics.jsonl"
+    topics.write_text('{"id": "T-1", "lang": "en", "title": "whale"}\n', encoding="utf-8")
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("T-1\tWhale\n", encoding="utf-8")
+    out_file = tmp_path / "out.tsv"
+    inputs = {"wiki-lead": ["--articles", str(directory), "--topics", str(topics)]}
+    inputs["docsim"] = ["--corpus", str(directory), "--seeds", str(seeds)]
+    code = main(["suggest", command, *inputs[command], "--out", str(out_file)])
+    assert code == 2
+    suffix = {"wiki-lead": ".wiki", "docsim": ".txt"}[command]
+    assert f"error: {directory}: no *{suffix} file\n" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("name", ["Blue%0AWhale.txt", "Whale%09Shark.txt"])
 def test_suggest_docsim_on_a_title_with_a_newline_or_tab_exits_2(tmp_path, capsys, name):
     corpus_dir = tmp_path / "corpus"
@@ -676,6 +695,18 @@ def _article_not_utf8(workspace):
     return SYSTEMS, f"{article}:4: not UTF-8: invalid continuation byte"
 
 
+def _no_articles(workspace):
+    for article in Path(workspace["articles"]).glob("*.wiki"):
+        article.unlink()
+    return SYSTEMS, f"{workspace['articles']}: no *.wiki file"
+
+
+def _no_back_corpus_texts(workspace):
+    for text in Path(workspace["back_corpus"]).glob("*.txt"):
+        text.rename(text.with_suffix(".text"))
+    return SYSTEMS, f"{workspace['back_corpus']}: no *.txt file"
+
+
 @pytest.mark.parametrize("earlier_run", [False, True], ids=["no-earlier-run", "earlier-run"])
 @pytest.mark.parametrize(
     "fault",
@@ -686,6 +717,8 @@ def _article_not_utf8(workspace):
         _malformed_generator_file,
         _qrels_without_a_relevant_topic,
         _article_not_utf8,
+        _no_articles,
+        _no_back_corpus_texts,
     ],
     ids=lambda fault: fault.__name__.lstrip("_"),
 )

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -216,8 +217,15 @@ def test_corpus_from_dir(tmp_path):
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^similarity corpus is empty$"):
         SimCorpus([])
+
+
+def test_corpus_rejects_a_directory_with_no_text(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "notes.wiki").write_text("whale shark fish", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'corpus'))}: no \*\.txt file$"):
+        SimCorpus.from_dir(tmp_path / "corpus")
 
 
 def test_duplicate_titles_rejected():

@@ -184,6 +184,15 @@ def test_titled_files_load_in_name_order(tmp_path):
     assert read_titled_files(tmp_path, ".txt") == [("Ark", "ship"), ("Blue Whale", "whale")]
 
 
+def test_titled_files_reject_a_directory_with_none_of_the_suffix(tmp_path):
+    (tmp_path / "Ark.wiki").write_text("ship", encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        read_titled_files(tmp_path, ".txt")
+    assert str(raised.value) == f"{tmp_path}: no *.txt file"
+    with pytest.raises(DataError, match="no \\*\\.txt file$"):
+        read_titled_files(tmp_path / "missing", ".txt")
+
+
 @pytest.mark.parametrize("name", [b"Whale\xff.txt", b"Whale%FF.txt"])
 def test_titled_files_reject_a_name_that_is_not_utf8(tmp_path, name):
     (tmp_path / "Ark.txt").write_text("ship", encoding="utf-8")

@@ -1,8 +1,9 @@
 import math
 import random
+import re
 import struct
+import zlib
 from array import array
-from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -465,6 +466,104 @@ def test_snapshot_round_trip_property(tmp_path_factory, drawn, phrase):
     assert (directory / "b.bin").read_bytes() == (directory / "a.bin").read_bytes()
 
 
+# Table strings: line feeds, NULs, astral code points and empty strings
+# often, any other character that is not a surrogate sometimes.
+_TABLE_TEXT = st.text(
+    st.sampled_from(["\n", "\0", "\U0001f433", "\U0010ffff", "a", "\r"]) | st.characters(exclude_categories=("Cs",)),
+    max_size=4,
+)
+
+
+@st.composite
+def _table_strings(draw, min_size=0):
+    """A sorted table of distinct strings, sometimes every one of them
+    holding a U+000A, so that `save` must pick another separator."""
+    strings = draw(st.lists(_TABLE_TEXT, min_size=min_size, max_size=5, unique=True))
+    if draw(st.booleans()):
+        strings = [f"{string}\n" for string in strings]
+    return sorted(strings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc_ids=_table_strings(min_size=1),
+    terms=_table_strings(),
+    values=_table_strings(),
+    stopwords=_table_strings(),
+    name=_TABLE_TEXT,
+)
+def test_snapshot_tables_round_trip_any_strings(tmp_path_factory, doc_ids, terms, values, stopwords, name):
+    # each term and raw value on the first document; any table may be empty but the doc ids
+    field = f"{name}-en"
+    chains = {"en": chain_for("en", frozenset(stopwords))}
+    postings = {field: {term: _columns([0], [1], [0]) for term in terms}}
+    built = _hand_index(doc_ids, postings, {field: {value: (0,) for value in values}}, chains)
+    directory = tmp_path_factory.mktemp("tables")
+    built.save(directory / "a.bin")
+    data = (directory / "a.bin").read_bytes()
+    loaded = Index.load(directory / "a.bin")
+
+    assert loaded.doc_ids == tuple(doc_ids)
+    assert loaded.fields == [field]
+    assert loaded.terms(field) == terms
+    assert loaded.raw_values(field) == dict.fromkeys(values, (0,))
+    assert loaded.chains["en"].stopword_list == frozenset(stopwords)
+    assert _walk(data)[1] == {"en": terms}
+    loaded.save(directory / "b.bin")
+    assert (directory / "b.bin").read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "strings, separator",
+    [
+        ([], "\n"),
+        ([""], "\n"),
+        (["x", "y"], "\n"),
+        (["a\nb"], "\0"),
+        (["\n", "\0"], "\x01"),
+        (["\n\0\x01", "\x03"], "\x02"),
+        (["\n", "".join(map(chr, range(0xD800)))], "\ue000"),
+    ],
+    ids=["empty", "one-empty-string", "plain", "line-feed", "line-feed-and-nul", "lowest-free", "past-the-surrogates"],
+)
+def test_a_table_is_separated_by_a_line_feed_unless_a_string_holds_one(strings, separator):
+    out = bytearray()
+    index_module._put_table(out, strings)
+    assert bytes(out) == _table(*strings, separator=separator)
+
+
+def test_a_table_holding_every_separator_is_not_saved(monkeypatch):
+    # Only a table holding every code point but the surrogates, over a
+    # million of them, has no separator; three stand in for them here.
+    monkeypatch.setattr(index_module, "_SEPARATORS", (range(3),))
+    out = bytearray()
+    index_module._put_table(out, ["\x02"])  # U+000A is tried first, and is free
+    assert bytes(out) == _table("\x02")
+    index_module._put_table(out, ["\x01", "\n\x02"])
+    assert bytes(out) == _table("\x02") + _table("\x01", "\n\x02", separator="\0")
+    with pytest.raises(DataError, match="^no code point is free to separate the strings of a snapshot table$"):
+        index_module._put_table(out, ["\0\x01\x02\n"])
+
+
+def test_a_concept_value_holding_a_line_feed_saves_and_loads_back(tmp_path):
+    docs = [
+        Document("d0", "en", {"dc:subject": ("Sea\nstories", "Whaling"), "dc:title": ("Moby-Dick",)}),
+        Document("d1", "en", {"dc:subject": ("Whaling",), "enrichment:concept_label": ("\nShips\n",)}),
+    ]
+    built = _index(docs)
+    assert built.raw_values("dc:subject-en") == {"Sea\nstories": (0,), "Whaling": (0, 1)}
+    assert built.raw_values("enrichment:concept_label-en") == {"Ships": (1,)}  # stripped, as any value
+    path = tmp_path / SNAPSHOT_FILENAME
+    built.save(path)
+    loaded = Index.load(path)
+    for field in built.fields:
+        assert loaded.raw_values(field) == built.raw_values(field)
+        assert loaded.terms(field) == built.terms(field)
+    assert loaded.concept_table("en") == built.concept_table("en")
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"not an index at all")
@@ -484,9 +583,10 @@ def test_snapshot_truncated_or_bit_flipped_raises_only_data_error(tmp_path):
     rng = random.Random(12)
     loaded = 0
     for _ in range(300):
-        flipped = bytearray(data)
-        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-        bad.write_bytes(bytes(flipped))
+        # a flip before the trailer, re-signed, so the structural checks see it
+        flipped = bytearray(data[:-4])
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        bad.write_bytes(_signed(bytes(flipped)))
         try:
             idx = Index.load(bad)
         except DataError:
@@ -504,6 +604,61 @@ def test_snapshot_rejects_trailing_bytes(tmp_path):
     _index(random_corpus(13, 5)).save(path)
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(DataError):
+        Index.load(path)
+
+
+def _checksum_message(path):
+    crc = "[0-9a-f]{8}"
+    return rf"^{re.escape(str(path))}: malformed index snapshot: checksum mismatch \(CRC-32 {crc}, stored {crc}\)$"
+
+
+def test_snapshot_rejects_every_single_bit_flip(tmp_path):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    header = len(SNAPSHOT_MAGIC) + 4
+    for i in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << bit
+            bad.write_bytes(bytes(flipped))
+            # a flip in the magic or the version is caught first, by them
+            match = _checksum_message(bad) if i >= header else "not an index snapshot|unsupported snapshot version"
+            with pytest.raises(DataError, match=match):
+                Index.load(bad)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 4], ids=lambda cut: f"cut-{cut}")
+def test_snapshot_rejects_a_cut_trailer(tmp_path, cut):
+    path = _narrow_snapshot(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(DataError, match=_checksum_message(path)):
+        Index.load(path)
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0\0\0\0", b"SPXINDEX"])
+def test_snapshot_rejects_bytes_after_its_trailer(tmp_path, extra):
+    path = _narrow_snapshot(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data + extra)
+    with pytest.raises(DataError, match=_checksum_message(path)):
+        Index.load(path)
+    # signed again over the extra bytes, they are caught as bytes after the last item
+    path.write_bytes(_signed(data + extra))
+    with pytest.raises(DataError, match=f"ends at byte {len(data) - 4} of {len(data) + len(extra)}$"):
+        Index.load(path)
+
+
+def test_snapshot_too_short_for_its_trailer_is_rejected(tmp_path):
+    path = tmp_path / SNAPSHOT_FILENAME
+    header = SNAPSHOT_MAGIC + _u32s(SNAPSHOT_VERSION)
+    for tail in (b"", b"\0", b"\0\0\0"):
+        path.write_bytes(header + tail)
+        with pytest.raises(DataError, match=f"snapshot: 4 bytes at byte 12 run past byte {12 + len(tail)}$"):
+            Index.load(path)
+    # the smallest signed file: a trailer over the header alone
+    path.write_bytes(_signed(header))
+    with pytest.raises(DataError, match="malformed index snapshot: 4 bytes at byte 12 run past byte 12$"):
         Index.load(path)
 
 
@@ -566,14 +721,35 @@ def _byte_column(*values):
     return _u32s(1, len(values)) + bytes(values)
 
 
+def _table(*strings, separator="\n"):
+    """A table as written: count, separator code point, byte count, then
+    each string's UTF-8 followed by the separator's."""
+    blob = "".join(string + separator for string in strings).encode("utf-8")
+    return _u32s(len(strings), ord(separator), len(blob)) + blob
+
+
+def _signed(body):
+    """`body` followed by the trailer `save` appends: its CRC-32."""
+    return body + _u32s(zlib.crc32(body))
+
+
+def _patched(data, old, new):
+    """The snapshot `data` with the one place before its trailer that
+    holds `old` replaced by `new`, re-signed, so that only the structural
+    checks can reject it."""
+    body = data[:-4]
+    assert body.count(old) == 1
+    return _signed(body.replace(old, new))
+
+
 # Each case is (columns of term "x", raw-value docs of "x", field, patch).
 # Term "y" always holds _GOOD, so in a valid snapshot the field's `starts`
-# column is [0, 2, 4] and its terms table is lengths [1, 1] with blob "xy";
-# the one language table is lengths [2] with blob "en", and that language's
+# column is [0, 2, 4] and its language's term table is `_table("x", "y")`;
+# the one language table is `_table("en")`, and that language's
 # stopword table follows it. Every column holds values below 256,
 # so each is written 1 byte per value. A patch is (old
-# bytes, new bytes, expected error): the test saves a valid snapshot and
-# replaces the one place holding the old bytes.
+# bytes, new bytes, expected error): the test saves a valid snapshot,
+# replaces the one place holding the old bytes and re-signs it.
 _INCONSISTENT = [
     (_columns([0, 2], [1, 1], [0, 0]), (0,), "t-en", None),  # ordinal >= n_docs
     (_columns([1, 0], [1, 1], [0, 0]), (0,), "t-en", None),  # not ascending
@@ -584,9 +760,16 @@ _INCONSISTENT = [
     (_GOOD, (1, 0), "t-en", None),  # raw-value ordinals not ascending
     (_GOOD, (0,), "t-en", (_byte_column(0, 2, 4), _byte_column(0, 5, 4), "bad posting start")),
     (_GOOD, (0,), "t-en", (_byte_column(0, 2, 4), _byte_column(0, 2, 3), "disagree with their offsets")),
-    (_GOOD, (0,), "t-en", (b"xy", b"xx", "terms .* not strictly ascending")),
-    (_GOOD, (0,), "t-en", (_byte_column(1, 1) + _u32s(2) + b"xy", _byte_column(1, 2) + _u32s(2) + b"xy", "string lengths")),
-    (_GOOD, (0,), "t-en", (_byte_column(2) + _u32s(2) + b"en", _byte_column(2) + _u32s(2) + b"fr", "no analyzer profile for language 'fr'")),
+    (_GOOD, (0,), "t-en", (b"x\ny\n", b"x\nx\n", "terms .* not strictly ascending")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(3, 10, 4) + b"x\ny\n", "string count disagrees with its blob$")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(1, 10, 4) + b"x\ny\n", "string count disagrees with its blob$")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 10, 4) + b"x\nyy", "table does not end with its separator$")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 10, 3) + b"x\ny", "table does not end with its separator$")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 32, 4) + b"x\ny\n", "table does not end with its separator$")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 0xD800, 4) + b"x\ny\n", "separator 0xd800 is a surrogate or above")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 0xDFFF, 4) + b"x\ny\n", "separator 0xdfff is a surrogate or above")),
+    (_GOOD, (0,), "t-en", (_table("x", "y"), _u32s(2, 0x110000, 4) + b"x\ny\n", "separator 0x110000 is a surrogate or above")),
+    (_GOOD, (0,), "t-en", (_table("en"), _table("fr"), "no analyzer profile for language 'fr'")),
     (_GOOD, (0,), "t-en", (b"t-en", b"t-fr", "no analyzer chain for field 't-fr'")),
     (_GOOD, (0,), "t-en", (_byte_column(1, 2, 1, 2), _u32s(4, 4, 2**31, 2**31, 1, 2), "tfs of field 't-en' hold a 0 or disagree")),
     (
@@ -594,8 +777,8 @@ _INCONSISTENT = [
         (0,),
         "t-en",
         (
-            b"x" + _byte_column(0, 1) + _byte_column(0),
-            b"x" + _byte_column(0, 2) + _byte_column(0),
+            b"x\n" + _byte_column(0, 1) + _byte_column(0),
+            b"x\n" + _byte_column(0, 2) + _byte_column(0),
             "raw values of field 't-en' disagree with their offsets$",
         ),
     ),
@@ -604,7 +787,14 @@ _PATCHED_IDS = [
     "descending-offsets",
     "last-offset-not-column-length",
     "repeated-term",
-    "lengths-disagree-with-blob",
+    "count-above-the-blob",
+    "count-below-the-blob",
+    "blob-not-terminated",
+    "blob-cut-before-its-last-separator",
+    "separator-not-in-the-blob",
+    "separator-first-surrogate",
+    "separator-last-surrogate",
+    "separator-above-U+10FFFF",
     "language-without-profile",
     "field-without-chain",
     "tf-sum-beyond-u32",
@@ -631,9 +821,7 @@ def test_snapshot_rejects_inconsistent_contents(tmp_path, columns, raw_docs, fie
     match = None
     if patch:
         old, new, match = patch
-        data = path.read_bytes()
-        assert data.count(old) == 1
-        path.write_bytes(data.replace(old, new))
+        path.write_bytes(_patched(path.read_bytes(), old, new))
     with pytest.raises(DataError, match=match) as raised:
         Index.load(path)
     assert str(raised.value).startswith(f"{path}: malformed index snapshot: ")
@@ -679,9 +867,7 @@ def test_snapshot_rejects_tfs_one_off_their_positions_in_a_field_read_only_by_do
 def test_snapshot_rejects_repeated_doc_ids(tmp_path):
     path = tmp_path / SNAPSHOT_FILENAME
     _index([_doc(0, **{"dc:title": ["whale"]}), _doc(1, **{"dc:title": ["ship"]})]).save(path)
-    data = path.read_bytes()
-    assert data.count(b"d0d1") == 1
-    path.write_bytes(data.replace(b"d0d1", b"d0d0"))
+    path.write_bytes(_patched(path.read_bytes(), b"d0\nd1\n", b"d0\nd0\n"))
     with pytest.raises(DataError) as raised:
         Index.load(path)
     assert str(raised.value) == f"{path}: malformed index snapshot: repeated doc_id 'd0'"
@@ -726,11 +912,12 @@ def test_snapshot_accepts_the_valid_columns(tmp_path):
 
 
 def _walk(data):
-    """(spans, language terms) of a version 8 snapshot, read by walking
+    """(spans, language terms) of a version 9 snapshot, read by walking
     the layout README "Snapshot format" gives: spans holds the (start,
     end, width, values) of every column in file order, where
     data[start:end] holds the column's width, count and values; language
     terms maps each language to its term table."""
+    assert data == _signed(data[:-4])
     offset = len(SNAPSHOT_MAGIC) + 4
     spans = []
 
@@ -751,12 +938,16 @@ def _walk(data):
 
     def table():
         nonlocal offset
-        lengths = column()
-        size = u32()
+        n, separator, size = u32(), chr(u32()), u32()
         text = data[offset : offset + size].decode("utf-8")
         offset += size
-        ends = list(accumulate(lengths, initial=0))
-        return [text[i:j] for i, j in zip(ends, ends[1:])]
+        strings, start = [], 0
+        for end, char in enumerate(text):
+            if char == separator:
+                strings.append(text[start:end])
+                start = end + 1
+        assert start == len(text) and len(strings) == n
+        return strings
 
     lang_terms = {}
     for lang in table():  # languages
@@ -770,33 +961,33 @@ def _walk(data):
         table()  # raw values
         column()  # raw-value starts
         column()  # raw-value docs
-    assert offset == len(data)
+    assert offset == len(data) - 4  # the CRC-32 trailer follows
     return spans, lang_terms
 
 
 def _column_spans(data):
-    """(start, end, width, values) of every column of a version 8
+    """(start, end, width, values) of every column of a version 9
     snapshot, in file order."""
     return _walk(data)[0]
 
 
 def _stored_columns(data):
-    """(width, values) of every column of a version 8 snapshot, in file
+    """(width, values) of every column of a version 9 snapshot, in file
     order."""
     return [(width, values) for _, _, width, values in _column_spans(data)]
 
 
 def _widened(data, width):
     """The snapshot `data` with every column narrower than `width` bytes
-    per value written at `width`: what a writer that does not narrow
-    would write."""
+    per value written at `width`, re-signed: what a writer that does not
+    narrow would write."""
     code = {2: "H", 4: "I"}[width]
     out, done = bytearray(), 0
     for start, end, stored, values in _column_spans(data):
         if stored < width:
             out += data[done:start] + _u32s(width, len(values)) + struct.pack(f"<{len(values)}{code}", *values)
             done = end
-    return bytes(out + data[done:])
+    return _signed(bytes(out + data[done:-4]))
 
 
 def _smallest_width(values):
@@ -1065,10 +1256,7 @@ def _assert_malformed(path, capsys, match):
 @pytest.mark.parametrize("width", [0, 3, 8])
 def test_snapshot_rejects_a_column_width_other_than_1_2_or_4(tmp_path, capsys, width):
     path = _narrow_snapshot(tmp_path)
-    data = path.read_bytes()
-    starts = _byte_column(0, 2, 4)
-    assert data.count(starts) == 1
-    path.write_bytes(data.replace(starts, _u32s(width, 3) + bytes([0, 2, 4])))
+    path.write_bytes(_patched(path.read_bytes(), _byte_column(0, 2, 4), _u32s(width, 3) + bytes([0, 2, 4])))
     _assert_malformed(path, capsys, f"column width {width} is not 1, 2 or 4$")
 
 
@@ -1076,38 +1264,31 @@ def test_snapshot_rejects_a_narrow_column_that_runs_past_the_end(tmp_path, capsy
     # The last column, the raw-value docs (0,), holds one byte; at width 2
     # its one value needs two.
     path = _narrow_snapshot(tmp_path)
-    data = path.read_bytes()
-    assert data.endswith(_byte_column(0))
-    path.write_bytes(data[:-9] + _u32s(2, 1) + b"\0")
-    end = len(data)
+    body = path.read_bytes()[:-4]
+    assert body.endswith(_byte_column(0))
+    path.write_bytes(_signed(body[:-9] + _u32s(2, 1) + b"\0"))
+    end = len(body)
     _assert_malformed(path, capsys, f"2 bytes at byte {end - 1} run past byte {end}$")
 
 
-@pytest.mark.parametrize(
-    "lengths, blob", [((3, 2), b"theof"), ((2, 2), b"ofof")], ids=["out-of-order", "repeated-word"]
-)
-def test_snapshot_rejects_a_stopword_table_not_strictly_ascending(tmp_path, capsys, lengths, blob):
+@pytest.mark.parametrize("words", [("the", "of"), ("of", "of")], ids=["out-of-order", "repeated-word"])
+def test_snapshot_rejects_a_stopword_table_not_strictly_ascending(tmp_path, capsys, words):
     path = _narrow_snapshot(tmp_path, frozenset({"of", "the"}))
-    data = path.read_bytes()
-    table = _byte_column(2, 3) + _u32s(5) + b"ofthe"
-    assert data.count(table) == 1
-    path.write_bytes(data.replace(table, _byte_column(*lengths) + _u32s(len(blob)) + blob))
+    path.write_bytes(_patched(path.read_bytes(), _table("of", "the"), _table(*words)))
     _assert_malformed(path, capsys, "stopwords of language 'en' not strictly ascending$")
 
 
-# In a `_narrow_snapshot`, the field names' blob "t-en" is followed by
+# In a `_narrow_snapshot`, the field names' blob "t-en\n" is followed by
 # the field's term-ordinal column: "x" and "y" are terms 0 and 1 of the
-# language table, lengths [1, 1] with blob "xy".
-_NARROW_ORDINALS = b"t-en" + _byte_column(0, 1)
-_NARROW_TERM_TABLE = _byte_column(1, 1) + _u32s(2) + b"xy"
+# language table `_table("x", "y")`.
+_NARROW_ORDINALS = b"t-en\n" + _byte_column(0, 1)
+_NARROW_TERM_TABLE = _table("x", "y")
 
 
 @pytest.mark.parametrize("ordinals", [(0, 2), (1, 1), (1, 0)], ids=["not-below-the-table", "repeated", "descending"])
 def test_snapshot_rejects_bad_term_ordinals(tmp_path, capsys, ordinals):
     path = _narrow_snapshot(tmp_path)
-    data = path.read_bytes()
-    assert data.count(_NARROW_ORDINALS) == 1
-    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-en" + _byte_column(*ordinals)))
+    path.write_bytes(_patched(path.read_bytes(), _NARROW_ORDINALS, b"t-en\n" + _byte_column(*ordinals)))
     _assert_malformed(path, capsys, "bad term ordinals in field 't-en'$")
 
 
@@ -1120,19 +1301,15 @@ def test_snapshot_rejects_bad_term_ordinals_written_wide(tmp_path, capsys, width
     path = _narrow_snapshot(tmp_path)
     path.write_bytes(_widened(path.read_bytes(), width))
     code = {2: "H", 4: "I"}[width]
-    good, bad = (b"t-en" + _u32s(width, 2) + struct.pack(f"<2{code}", *values) for values in ((0, 1), ordinals))
-    data = path.read_bytes()
-    assert data.count(good) == 1
-    path.write_bytes(data.replace(good, bad))
+    good, bad = (b"t-en\n" + _u32s(width, 2) + struct.pack(f"<2{code}", *values) for values in ((0, 1), ordinals))
+    path.write_bytes(_patched(path.read_bytes(), good, bad))
     _assert_malformed(path, capsys, "bad term ordinals in field 't-en'$")
 
 
-@pytest.mark.parametrize("blob", [b"yx", b"xx"], ids=["out-of-order", "repeated-term"])
-def test_snapshot_rejects_a_language_term_table_not_strictly_ascending(tmp_path, capsys, blob):
+@pytest.mark.parametrize("terms", [("y", "x"), ("x", "x")], ids=["out-of-order", "repeated-term"])
+def test_snapshot_rejects_a_language_term_table_not_strictly_ascending(tmp_path, capsys, terms):
     path = _narrow_snapshot(tmp_path)
-    data = path.read_bytes()
-    assert data.count(_NARROW_TERM_TABLE) == 1
-    path.write_bytes(data.replace(_NARROW_TERM_TABLE, _byte_column(1, 1) + _u32s(2) + blob))
+    path.write_bytes(_patched(path.read_bytes(), _NARROW_TERM_TABLE, _table(*terms)))
     _assert_malformed(path, capsys, "terms of language 'en' not strictly ascending$")
 
 
@@ -1140,11 +1317,9 @@ def test_a_language_term_no_field_names_loads_and_re_saves_to_its_own_bytes(tmp_
     # "w" joins the language table before "x" and "y"; the field's
     # ordinals move up one place to keep naming them.
     path = _narrow_snapshot(tmp_path)
-    data = path.read_bytes()
     original = Index.load(path)
-    assert data.count(_NARROW_TERM_TABLE) == data.count(_NARROW_ORDINALS) == 1
-    data = data.replace(_NARROW_TERM_TABLE, _byte_column(1, 1, 1) + _u32s(3) + b"wxy")
-    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-en" + _byte_column(1, 2)))
+    data = _patched(path.read_bytes(), _NARROW_TERM_TABLE, _table("w", "x", "y"))
+    path.write_bytes(_patched(data, _NARROW_ORDINALS, b"t-en\n" + _byte_column(1, 2)))
     loaded = Index.load(path)
     assert loaded.terms("t-en") == original.terms("t-en") == ["x", "y"]
     for query in (Query((Term("t-en", "x"),)), Query((Phrase("t-en", ("x", "y")),)), Query((Term("t-en", "w"),))):
@@ -1155,12 +1330,24 @@ def test_a_language_term_no_field_names_loads_and_re_saves_to_its_own_bytes(tmp_
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
-def test_snapshot_rejects_a_field_whose_language_has_no_table_before_reading_it(tmp_path, capsys):
+@pytest.mark.parametrize("separator", ["\0", "z", "\U0010ffff"])
+def test_a_table_with_another_free_separator_loads_and_re_saves_with_a_line_feed(tmp_path, separator):
     path = _narrow_snapshot(tmp_path)
     data = path.read_bytes()
-    assert data.count(_NARROW_ORDINALS) == 1
+    original = Index.load(path)
+    path.write_bytes(_patched(data, _NARROW_TERM_TABLE, _table("x", "y", separator=separator)))
+    loaded = Index.load(path)
+    assert loaded.terms("t-en") == original.terms("t-en") == ["x", "y"]
+    query = Query((Phrase("t-en", ("x", "y")),))
+    assert loaded.search(query, 10) == original.search(query, 10)
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == data
+
+
+def test_snapshot_rejects_a_field_whose_language_has_no_table_before_reading_it(tmp_path, capsys):
+    path = _narrow_snapshot(tmp_path)
     # The field's term-ordinal column gets width 3, which reading it rejects.
-    path.write_bytes(data.replace(_NARROW_ORDINALS, b"t-fr" + _u32s(3, 2) + bytes([0, 1])))
+    path.write_bytes(_patched(path.read_bytes(), _NARROW_ORDINALS, b"t-fr\n" + _u32s(3, 2) + bytes([0, 1])))
     _assert_malformed(path, capsys, "no analyzer chain for field 't-fr'$")
 
 
@@ -1173,14 +1360,14 @@ def test_snapshot_of_an_older_version_is_rejected(version, directory):
         Index.load(path)
 
 
-def test_snapshot_of_version_8_loads(tmp_path):
-    # tests/data/index_v8: `index build --stopwords stopwords.txt` over
+def test_snapshot_of_version_9_loads(tmp_path):
+    # tests/data/index_v9: `index build --stopwords stopwords.txt` over
     # docs.jsonl (three en and three de documents, not in doc_id order);
     # a fresh build must write the same bytes
-    data = Path(__file__).parent / "data" / "index_v8"
+    data = Path(__file__).parent / "data" / "index_v9"
     path = data / SNAPSHOT_FILENAME
-    assert SNAPSHOT_VERSION == 8
-    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 8)
+    assert SNAPSHOT_VERSION == 9
+    assert path.read_bytes()[: len(SNAPSHOT_MAGIC) + 4] == SNAPSHOT_MAGIC + struct.pack("<I", 9)
     stopwords = load_stopwords(data / "stopwords.txt")
     chains = {lang: chain_for(lang, stopwords) for lang in ("de", "en")}
     loaded = Index.load(path)
@@ -1200,8 +1387,8 @@ def test_snapshot_of_version_8_loads(tmp_path):
     assert [len(loaded.search(query, 10)) for query in queries] == [3, 1, 2, 2]
 
 
-def test_snapshot_of_version_8_re_saves_to_its_own_bytes(tmp_path):
-    data = Path(__file__).parent / "data" / "index_v8"
+def test_snapshot_of_version_9_re_saves_to_its_own_bytes(tmp_path):
+    data = Path(__file__).parent / "data" / "index_v9"
     committed = (data / SNAPSHOT_FILENAME).read_bytes()
     loaded = Index.load(data / SNAPSHOT_FILENAME)
     path = tmp_path / SNAPSHOT_FILENAME

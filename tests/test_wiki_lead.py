@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -427,7 +428,7 @@ def test_store_rejects_no_articles(tmp_path):
         ArticleStore([])
     (tmp_path / "articles").mkdir()
     (tmp_path / "articles" / "notes.txt").write_text("[[Not]] an article", encoding="utf-8")
-    with pytest.raises(DataError, match="^article store is empty$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'articles'))}: no \*\.wiki file$"):
         ArticleStore.from_dir(tmp_path / "articles")
 
 
